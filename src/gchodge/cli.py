@@ -121,16 +121,12 @@ def cmd_grading(mf, model, report, args):
 
 def _measure_wedge_constant(s):
     """The section-5.1-style constant in psi^{-1}(xi) phi(a) = c phi(xi ^ a)."""
-    from .gcs import symp_phi
+    from .gcs import flat_matrix, symp_phi
     from .courant import GenElem, clifford_act
     from .linalg import mat_inv
     m = s.model
     dim = m.dim
-    W = [[QI(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for mask, v in s.omega.contract_index(i + 1).coeffs.items():
-            W[mask.bit_length() - 1][i] = v
-    Winv = mat_inv(W)
+    Winv = mat_inv(flat_matrix(s.omega))
     sigma = s.omega + s.B.scale(QI(0, 1))
     consts = set()
     for xi in range(1, dim + 1):
@@ -375,14 +371,20 @@ HANDLERS = {
 
 
 def _parse_at(spec: str, nvars: int):
+    """Point of a family with `nvars` parameters; raises ModelSyntaxError
+    for a malformed entry or a parameter outside t1..t<nvars>."""
     from .modelfile import _parse_scalar
     vals = {}
     for part in spec.split(","):
-        key, _, v = part.partition("=")
+        key, eq, v = part.partition("=")
         key = key.strip()
-        if not key.startswith("t"):
+        if not (eq and key[:1] == "t" and key[1:].isdigit()):
             raise ModelSyntaxError(f"bad --at entry {part!r}")
-        vals[int(key[1:])] = _parse_scalar(v.strip(), 0)
+        j = int(key[1:])
+        if not 1 <= j <= nvars:
+            raise ModelSyntaxError(
+                f"--at names {key}, but the family has parameters t1..t{nvars}")
+        vals[j] = _parse_scalar(v.strip(), 0)
     return tuple(vals.get(j + 1, QI(0)) for j in range(nvars))
 
 
@@ -394,7 +396,7 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
     report = Report(command, path.name)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         report.add("read input", "fail", [str(e)])
         return 2, report.render(args.json, args.quiet)
     try:
@@ -405,9 +407,22 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
         return 2, report.render(args.json, args.quiet)
     try:
         HANDLERS[command](mf, model, report, args)
+    except ModelSyntaxError as e:   # bad input met inside a command: --at
+        report.add("parse input", "fail", [f"{e.code}: {e}"])
+        return 2, report.render(args.json, args.quiet)
     except EngineError as e:
         report.add("engine", "fail", [f"{e.code}: {e}"])
     return (1 if report.failed else 0), report.render(args.json, args.quiet)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def main(argv=None) -> int:
@@ -422,7 +437,7 @@ def main(argv=None) -> int:
                     help="process every .gcm file under the target directory")
     ap.add_argument("--at", default="",
                     help="evaluate families at t1=r[,t2=s...]")
-    ap.add_argument("--samples", type=int, default=50,
+    ap.add_argument("--samples", type=_positive_int, default=50,
                     help="random samples for the axiom suite")
     args = ap.parse_args(argv)
     target = Path(args.target)

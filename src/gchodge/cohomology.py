@@ -16,8 +16,8 @@ from .errors import WrongType
 from .forms import Form, mukai_pairing, popcount
 from .gcs import GCStruct, form_of_vec, spin_apply, spin_op
 from .liemodel import LieModel
-from .linalg import (Echelon, QuotientSpace, Subspace, Vec, mat_det,
-                     matrix_kernel, vec_axpy)
+from .linalg import (QuotientSpace, Subspace, Vec, kernel_lift, mat_det,
+                     vec_axpy)
 from .scalars import ONE, QI
 
 
@@ -42,15 +42,10 @@ class TwistedCohomology:
         self.total_dim = self.dim_even + self.dim_odd
 
     def _quotient(self, dH, blades, other) -> QuotientSpace:
-        cols = [spin_apply(dH, {b: ONE}) for b in blades]
-        cycles = []
-        for combo in matrix_kernel(cols):
-            v: Vec = {}
-            for j, c in combo.items():
-                v = vec_axpy(v, c, {blades[j]: ONE})
-            cycles.append(v)
-        bounds = [w for w in (spin_apply(dH, {b: ONE}) for b in other) if w]
-        return QuotientSpace(self._N, cycles, bounds)
+        return QuotientSpace.of_map(
+            self._N, [{b: ONE} for b in blades],
+            [spin_apply(dH, {b: ONE}) for b in blades],
+            [spin_apply(dH, {b: ONE}) for b in other])
 
     def parity_coords(self, w: Form, parity: int) -> Vec | None:
         q = self.even if parity == 0 else self.odd
@@ -94,17 +89,9 @@ def twisted_cohomology(m: LieModel) -> TwistedCohomology:
 def _preimage_in(V: Subspace, op, W: Subspace) -> Subspace:
     """{v in V : op(v) in W} computed by exact kernel arithmetic."""
     basis = V.basis()
-    ech = Echelon()
-    for w in W.basis():
-        ech.insert(w)
+    ech = W.echelon()
     residuals = [ech.reduce(op(v))[0] for v in basis]
-    out = []
-    for combo in matrix_kernel(residuals):
-        v: Vec = {}
-        for j, c in combo.items():
-            v = vec_axpy(v, c, basis[j])
-        out.append(v)
-    return Subspace.span(V.ambient, out)
+    return Subspace.span(V.ambient, kernel_lift(residuals, basis))
 
 
 def _image_of(V: Subspace, op) -> Subspace:
@@ -114,13 +101,12 @@ def _image_of(V: Subspace, op) -> Subspace:
 def delbar_cohomology(s: GCStruct) -> dict[int, QuotientSpace]:
     """H^k_delbar for k = -n..n, as quotients inside the spinor space."""
     n = s.n
-    N = 1 << s.model.dim
-    zero = Subspace.zero(N)
     out = {}
     for k in range(-n, n + 1):
-        cycles = _preimage_in(s.U_subspace(k), s.delbar_vec, zero).basis()
-        bounds = [w for w in (s.delbar_vec(v) for v in s.U_subspace(k - 1).basis()) if w]
-        out[k] = QuotientSpace(N, cycles, bounds)
+        basis = s.U_subspace(k).basis()
+        out[k] = QuotientSpace.of_map(
+            1 << s.model.dim, basis, [s.delbar_vec(v) for v in basis],
+            [s.delbar_vec(v) for v in s.U_subspace(k - 1).basis()])
     return out
 
 
@@ -153,7 +139,6 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
     2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r."""
     n = s.n
     N = 1 << s.model.dim
-    zero = Subspace.zero(N)
 
     def usum(ks) -> Subspace:
         out = Subspace.zero(N)
@@ -270,27 +255,36 @@ class HodgeReport:
         return out
 
 
+def chain_subspace(s: GCStruct, p: int) -> Subspace:
+    """The U_{<=p} chain of matching parity: the sum of U_j, j <= p, j = p mod 2."""
+    out = Subspace.zero(1 << s.model.dim)
+    for j in range(-s.n + ((p + s.n) % 2), p + 1, 2):
+        out = out.sum(s.U_subspace(j))
+    return out
+
+
+def closed_classes(s: GCStruct, tw: TwistedCohomology, V: Subspace,
+                   parity: int | None = None) -> Subspace:
+    """Classes of the d_H-closed forms in V: coordinates in the H block of
+    the given parity, or total coordinates when parity is None."""
+    dim = s.model.dim
+    closed = _preimage_in(V, s.dH_vec, Subspace.zero(1 << dim)).basis()
+    if parity is None:
+        return Subspace.span(tw.total_dim, [
+            tw.coords(form_of_vec(dim, v)) or {} for v in closed])
+    return Subspace.span(tw.dim_even if parity == 0 else tw.dim_odd, [
+        tw.parity_coords(form_of_vec(dim, v), parity) or {} for v in closed])
+
+
 def filtration_subspace(s: GCStruct, tw: TwistedCohomology, p: int) -> Subspace:
     """F^p H: classes representable in the U_{<=p} chain of matching parity."""
-    n = s.n
-    N = 1 << s.model.dim
-    sigma = Subspace.zero(N)
-    for j in range(-n + ((p + n) % 2), p + 1, 2):
-        sigma = sigma.sum(s.U_subspace(j))
-    cycles = _preimage_in(sigma, s.dH_vec, Subspace.zero(N))
-    parity = (p + n + s.parity) % 2
-    h_dim = tw.dim_even if parity == 0 else tw.dim_odd
-    coords = []
-    for v in cycles.basis():
-        c = tw.parity_coords(form_of_vec(s.model.dim, v), parity)
-        coords.append(c if c is not None else {})
-    return Subspace.span(h_dim, coords)
+    return closed_classes(s, tw, chain_subspace(s, p), (p + s.n + s.parity) % 2)
 
 
-def hodge_filtration(s: GCStruct, precomputed=None) -> HodgeReport:
+def hodge_filtration(s: GCStruct) -> HodgeReport:
     n = s.n
     tw = TwistedCohomology(s.model)
-    dd = precomputed if precomputed is not None else ddbar_check(s)
+    dd = ddbar_check(s)
     frl = frolicher_pages(s)
     db = delbar_dims(s)
     filt = {p: filtration_subspace(s, tw, p) for p in range(-n, n + 1)}
@@ -416,21 +410,10 @@ def invariant_derham(m: LieModel, k: int) -> QuotientSpace:
     N = 1 << m.dim
     dform = spin_op(m.dim, m.d)
     blades_k = [b for b in range(N) if popcount(b) == k]
-    cols = [spin_apply(dform, {b: ONE}) for b in blades_k]
-    cycles = []
-    for combo in matrix_kernel(cols):
-        v: Vec = {}
-        for j, c in combo.items():
-            v = vec_axpy(v, c, {blades_k[j]: ONE})
-        cycles.append(v)
-    bounds = []
-    if k:
-        for b in range(N):
-            if popcount(b) == k - 1:
-                w = spin_apply(dform, {b: ONE})
-                if w:
-                    bounds.append(w)
-    return QuotientSpace(N, cycles, bounds)
+    return QuotientSpace.of_map(
+        N, [{b: ONE} for b in blades_k],
+        [spin_apply(dform, {b: ONE}) for b in blades_k],
+        [spin_apply(dform, {b: ONE}) for b in range(N) if popcount(b) == k - 1])
 
 
 @dataclass
@@ -472,12 +455,9 @@ def lefschetz_check(s: GCStruct) -> LefschetzReport:
         ok = rank == hk.dim == h2nk.dim
         verdicts[k] = ok
         if not ok and witness is None:
-            for combo in matrix_kernel(cols):
-                v: Vec = {}
-                for j, c in combo.items():
-                    v = vec_axpy(v, c, hk.reps[j])
-                witness = form_of_vec(m.dim, v)
-                break
+            kernel = kernel_lift(cols, hk.reps)
+            if kernel:
+                witness = form_of_vec(m.dim, kernel[0])
     return LefschetzReport(verdicts, witness)
 
 
@@ -513,19 +493,11 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
     tw = TwistedCohomology(m)
     H_dim = tw.total_dim
 
-    def total_coords_subspace(vecs) -> Subspace:
-        out = []
-        for v in vecs:
-            c = tw.coords(form_of_vec(m.dim, v))
-            out.append(c if c is not None else {})
-        return Subspace.span(H_dim, out)
-
     # W^j: classes with representatives of form-degree >= j
     W: dict[int, Subspace] = {}
     for j in range(0, 2 * n + 2):
         span = Subspace.span(N, [{b: ONE} for b in range(N) if popcount(b) >= j])
-        cyc = _preimage_in(span, s.dH_vec, Subspace.zero(N))
-        W[j] = total_coords_subspace(cyc.basis())
+        W[j] = closed_classes(s, tw, span)
 
     # wrapped filtration F~^k = F^k + F^{k-1} in total coordinates
     def embed(parity: int, sub: Subspace) -> Subspace:

@@ -12,23 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import (TwistedCohomology, ddbar_check, delbar_cohomology,
+from .cohomology import (TwistedCohomology, _preimage_in, chain_subspace,
+                         closed_classes, ddbar_check, delbar_cohomology,
                          filtration_subspace, invariant_derham, lefschetz_check)
 from .courant import GenElem, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
                      SpinorNotClosed, WrongType)
 from .forms import Form, mukai_pairing, popcount
-from .gcs import GCStruct, form_of_vec, make_complex, make_general, make_symplectic
+from .gcs import (GCStruct, Half, dual_frame, flat_matrix, form_of_vec,
+                  make_complex, make_general, make_symplectic)
 from .liemodel import LieModel
-from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, mat_det,
-                     mat_inv, mat_mul, mat_vec, solve_columns, vec_axpy,
-                     vec_scale)
+from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, mat_add,
+                     mat_det, mat_inv, mat_mul, mat_vec, solve_columns,
+                     vec_axpy, vec_scale)
 from .poly import (ParamPoly, PolyForm, PolyMatrix, dH_poly, pmat_diff,
                    pmat_eval, pmat_from_qi, pmat_vec)
 from .scalars import I, ONE, QI
-
-Half = QI(Fraction(1, 2))
 
 
 class FamilySpec:
@@ -99,20 +99,20 @@ class FamilySpec:
             return pmat_eval(pmat_diff(self.J_poly(), j), self.basepoint)
         # symplectic: J = [[bB, -b], [w + BbB, -Bb]] with b = w^{-1}
         dim = self.model.dim
-        W = _flat_matrix(self.omega_t.eval(self.basepoint))
-        Wd = _flat_matrix(self.omega_t.diff(j).eval(self.basepoint))
-        Bm = _flat_matrix(self.B_t.eval(self.basepoint))
-        Bd = _flat_matrix(self.B_t.diff(j).eval(self.basepoint))
+        W = flat_matrix(self.omega_t.eval(self.basepoint))
+        Wd = flat_matrix(self.omega_t.diff(j).eval(self.basepoint))
+        Bm = flat_matrix(self.B_t.eval(self.basepoint))
+        Bd = flat_matrix(self.B_t.diff(j).eval(self.basepoint))
         b = mat_inv(W)
         bd = [[-x for x in row] for row in mat_mul(b, mat_mul(Wd, b))]
         out = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
-        blk11 = _madd(mat_mul(bd, Bm), mat_mul(b, Bd))
+        blk11 = mat_add(mat_mul(bd, Bm), mat_mul(b, Bd))
         blk12 = [[-x for x in row] for row in bd]
-        blk21 = _madd(_madd(Wd, mat_mul(Bd, mat_mul(b, Bm))),
-                      _madd(mat_mul(Bm, mat_mul(bd, Bm)),
-                            mat_mul(Bm, mat_mul(b, Bd))))
+        blk21 = mat_add(mat_add(Wd, mat_mul(Bd, mat_mul(b, Bm))),
+                        mat_add(mat_mul(Bm, mat_mul(bd, Bm)),
+                                mat_mul(Bm, mat_mul(b, Bd))))
         blk22 = [[-x for x in row]
-                 for row in _madd(mat_mul(Bd, b), mat_mul(Bm, bd))]
+                 for row in mat_add(mat_mul(Bd, b), mat_mul(Bm, bd))]
         for i in range(dim):
             for jj in range(dim):
                 out[i][jj] = blk11[i][jj]
@@ -120,20 +120,6 @@ class FamilySpec:
                 out[dim + i][jj] = blk21[i][jj]
                 out[dim + i][dim + jj] = blk22[i][jj]
         return out
-
-
-def _flat_matrix(two_form: Form) -> Matrix:
-    """Matrix of X -> i_X w in the coordinate bases (columns are images)."""
-    dim = two_form.dim
-    M = [[QI(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for mask, v in two_form.contract_index(i + 1).coeffs.items():
-            M[mask.bit_length() - 1][i] = v
-    return M
-
-
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- validation ------------------------------------------------------------------
@@ -204,19 +190,21 @@ def _l_frame(f: FamilySpec):
     return frame, lbasis
 
 
+def _frame_matrix(frame: list[GenElem]) -> Matrix:
+    """Columns: the frame elements, then their conjugates, in E_C coordinates."""
+    M = [[QI(0)] * (2 * len(frame)) for _ in range(2 * frame[0].dim)]
+    for a, u in enumerate(frame + [u.conj() for u in frame]):
+        for k, c in u.to_coords().items():
+            M[k][a] = c
+    return M
+
+
 def _frame_graph_blocks(f: FamilySpec):
     """Polynomial matrices A(t), B(t): frame coordinates in the L0 + conj(L0)
     basis.  A(base) = Id, B(base) = 0."""
     frame, lbasis = _l_frame(f)
-    dim = f.model.dim
     rank = len(lbasis)
-    M = [[QI(0)] * (2 * rank) for _ in range(2 * dim)]
-    for a, l in enumerate(lbasis):
-        for k, c in l.to_coords().items():
-            M[k][a] = c
-        for k, c in l.conj().to_coords().items():
-            M[k][rank + a] = c
-    Minv = pmat_from_qi(mat_inv(M), f.nvars)
+    Minv = pmat_from_qi(mat_inv(_frame_matrix(lbasis)), f.nvars)
     A = [[None] * rank for _ in range(rank)]
     B = [[None] * rank for _ in range(rank)]
     for a, u in enumerate(frame):
@@ -239,6 +227,17 @@ class GraphReport:
     def lines(self):
         return [f"graph at t={self.point}: "
                 f"{'round-trip ok' if self.roundtrip_ok else 'ROUND-TRIP FAILED'}"]
+
+
+def _eps_map(eps: Matrix, lbar: list[GenElem]):
+    """b -> eps(l_b) = sum_a eps[a][b] conj(l_a), given lbar = conj(l)."""
+    def eps_apply(b: int) -> GenElem:
+        out = GenElem(lbar[b].dim)
+        for a, lb in enumerate(lbar):
+            if eps[a][b]:
+                out = out + lb.scale(eps[a][b])
+        return out
+    return eps_apply
 
 
 def _eps_cochain(lbasis, eps_apply) -> dict[int, QI]:
@@ -268,26 +267,11 @@ def graph_epsilon(f: FamilySpec, pt) -> GraphReport:
         raise GraphConditionFailed(
             f"L_t meets conj(L_0) at t={pt}: graph condition fails", point=pt)
     eps = mat_mul(Be, mat_inv(Ae))
-    lbar = [l.conj() for l in lbasis]
-
-    def eps_apply(b: int) -> GenElem:
-        out = GenElem(f.model.dim)
-        for be in range(rank):
-            if eps[be][b]:
-                out = out + lbar[be].scale(eps[be][b])
-        return out
-
+    eps_apply = _eps_map(eps, [l.conj() for l in lbasis])
     cochain = _eps_cochain(lbasis, eps_apply)
     # round-trip: reassemble J from the graph and compare with J(t)
     dim2 = 2 * f.model.dim
-    M2 = [[QI(0)] * dim2 for _ in range(dim2)]
-    for a in range(rank):
-        col = (lbasis[a] + eps_apply(a)).to_coords()
-        for k, c in col.items():
-            M2[k][a] = c
-        ccol = (lbasis[a] + eps_apply(a)).conj().to_coords()
-        for k, c in ccol.items():
-            M2[k][rank + a] = c
+    M2 = _frame_matrix([l + eps_apply(a) for a, l in enumerate(lbasis)])
     if not mat_det(M2):
         raise GraphConditionFailed("deformed eigenbundle is degenerate", point=pt)
     D = [[QI(0)] * dim2 for _ in range(dim2)]
@@ -331,15 +315,7 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
         raise EngineError("frame is not normalized at the basepoint")
     eps = [[B[i][j].diff(direction).eval(pt) for j in range(rank)]
            for i in range(rank)]
-    lbar = [l.conj() for l in lbasis]
-
-    def eps_apply(b: int) -> GenElem:
-        out = GenElem(f.model.dim)
-        for be in range(rank):
-            if eps[be][b]:
-                out = out + lbar[be].scale(eps[be][b])
-        return out
-
+    eps_apply = _eps_map(eps, [l.conj() for l in lbasis])
     cochain = _eps_cochain(lbasis, eps_apply)
     dc = base.L.differential(cochain)
     closed = not dc
@@ -350,13 +326,7 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
     coords = h2.coords(cochain)
     # Eq: J_j = 2i eps - 2i conj(eps), as endomorphisms of E_C
     dim2 = 2 * f.model.dim
-    M = [[QI(0)] * dim2 for _ in range(dim2)]
-    for a in range(rank):
-        for k, c in lbasis[a].to_coords().items():
-            M[k][a] = c
-        for k, c in lbar[a].to_coords().items():
-            M[k][rank + a] = c
-    Minv = mat_inv(M)
+    Minv = mat_inv(_frame_matrix(lbasis))
     E = [[QI(0)] * dim2 for _ in range(dim2)]
     for col in range(dim2):
         unit = GenElem.from_coords(f.model.dim, {col: ONE})
@@ -627,14 +597,8 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
     # polynomial J: chain projector via Vandermonde in the polynomial N(t)
     Jp = f.J_poly()
     base = f.base_structure()
-    duals = []
-    for a in range(2 * m.dim):
-        col = [Jp[i][a] for i in range(2 * m.dim)]
-        if a < m.dim:
-            v = GenElem.e(m.dim, a + 1, QI(2))
-        else:
-            v = GenElem.x(m.dim, a - m.dim + 1, QI(2))
-        duals.append((col, v))
+    duals = [([Jp[i][a] for i in range(2 * m.dim)], v)
+             for a, v in enumerate(dual_frame(m.dim))]
 
     def N_poly(w: PolyForm) -> PolyForm:
         out = PolyForm(m.dim, nv)
@@ -793,10 +757,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
                          [dict(v) for v in Fp.basis()])
 
     # closed representatives spanning F^p at the basepoint
-    sigma = Subspace.zero(1 << m.dim)
-    for jj in range(-n + ((p + n) % 2), p + 1, 2):
-        sigma = sigma.sum(base.U_subspace(jj))
-    from .cohomology import _preimage_in
+    sigma = chain_subspace(base, p)
     reps = [form_of_vec(m.dim, v)
             for v in _preimage_in(sigma, base.dH_vec,
                                   Subspace.zero(1 << m.dim)).basis()]
@@ -804,7 +765,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     ks = ks_class(f, direction)
     # target-side solver data: lift a delbar-class in U_{p+2} to a closed
     # form in the chain U_{<=p+2}
-    chain2 = sigma.sum(base.U_subspace(p + 2)) if p + 2 <= n else sigma
+    chain2 = sigma.sum(base.U_subspace(p + 2))
     closed2 = _preimage_in(chain2, base.dH_vec, Subspace.zero(1 << m.dim))
     closed2_forms = [form_of_vec(m.dim, v) for v in closed2.basis()]
     lift_cols = [dict(base.project(p + 2, w).coeffs) for w in closed2_forms]
@@ -814,10 +775,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
 
     win = base.U_subspace(p - 2).sum(base.U_subspace(p)).sum(
         base.U_subspace(p + 2))
-    win_closed = _preimage_in(win, base.dH_vec, Subspace.zero(1 << m.dim))
-    win_coords = Subspace.span(h_dim, [
-        tw.parity_coords(form_of_vec(m.dim, v), parity) or {}
-        for v in win_closed.basis()])
+    win_coords = closed_classes(base, tw, win, parity)
 
     induced = []
     kactions = []

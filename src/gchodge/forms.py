@@ -7,6 +7,8 @@ are allowed everywhere (spinor-space elements).
 
 from __future__ import annotations
 
+from math import factorial
+
 from .errors import DimensionMismatch, IndexOutOfRange
 from .scalars import ONE, QI
 
@@ -88,9 +90,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {popcount(m) for m in self.coeffs}
 
-    def degree_part(self, k: int) -> "Form":
-        return Form(self.dim, {m: v for m, v in self.coeffs.items() if popcount(m) == k})
-
     def parity_part(self, parity: int) -> "Form":
         return Form(self.dim, {m: v for m, v in self.coeffs.items() if popcount(m) & 1 == parity})
 
@@ -99,10 +98,6 @@ class Form:
         if k is None:
             return len(degs) <= 1
         return degs <= {k}
-
-    def top_coefficient(self) -> QI:
-        """Coefficient of e^{1...2n}; the volume integral with vol = 1."""
-        return self.coeffs.get((1 << self.dim) - 1, QI(0))
 
     # -- linear ops -------------------------------------------------------
 
@@ -207,7 +202,7 @@ class Form:
             term = term.wedge(self)
             if term.is_zero():
                 return out
-            out = out + term.scale(QI(1) / QI(_fact(k)))
+            out = out + term.scale(QI(1) / QI(factorial(k)))
             k += 1
 
     # -- display ------------------------------------------------------------
@@ -228,13 +223,6 @@ class Form:
             else:
                 parts.append(c)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def blade_name(mask: int) -> str:

@@ -10,6 +10,7 @@ interpolation over the forced spectrum {-in, ..., in}.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .courant import GenElem, algebroid_from_basis, clifford_act, pairing
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
@@ -18,8 +19,8 @@ from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      TwistWrongType, WrongType)
 from .forms import Form, popcount
 from .liemodel import LieAlgebroid, LieModel
-from .linalg import (Matrix, Subspace, Vec, mat_inv, mat_mul, mat_vec,
-                     matrix_kernel, vec_axpy, vec_scale)
+from .linalg import (Matrix, Subspace, Vec, kernel_lift, mat_inv, mat_mul,
+                     mat_vec, matrix_kernel, vec_axpy, vec_scale)
 from .scalars import I, ONE, QI
 
 Half = QI(Fraction(1, 2))
@@ -34,6 +35,23 @@ def pairing_gram(dim: int) -> Matrix:
         P[i][dim + i] = Half
         P[dim + i][i] = Half
     return P
+
+
+def flat_matrix(two_form: Form) -> Matrix:
+    """Matrix of X -> i_X w in the coordinate bases (columns are images)."""
+    dim = two_form.dim
+    M = [[QI(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for mask, v in two_form.contract_index(i + 1).coeffs.items():
+            M[mask.bit_length() - 1][i] = v
+    return M
+
+
+def dual_frame(dim: int) -> list[GenElem]:
+    """The E_C basis dual to the coordinate basis x_1..x_dim, e^1..e^dim under
+    the pairing: 2 e^a for x_a and 2 x_a for e^a."""
+    return [GenElem.e(dim, a + 1, QI(2)) if a < dim
+            else GenElem.x(dim, a - dim + 1, QI(2)) for a in range(2 * dim)]
 
 
 def apply_matrix(J: Matrix, a: GenElem) -> GenElem:
@@ -73,6 +91,15 @@ def form_of_vec(dim: int, v: Vec) -> Form:
     return Form(dim, dict(v))
 
 
+def _split_by_blades(blade_parts: dict, w: Form) -> dict:
+    """Split w along per-blade graded parts {mask: {degree: Vec}}."""
+    parts: dict = {}
+    for mask, c in w.coeffs.items():
+        for k, p in blade_parts[mask].items():
+            parts[k] = vec_axpy(parts.get(k, {}), c, p)
+    return {k: form_of_vec(w.dim, v) for k, v in parts.items() if v}
+
+
 class GCStruct:
     """Validated generalized complex structure with exact grading machinery."""
 
@@ -94,16 +121,8 @@ class GCStruct:
 
     def _build_grading(self):
         dim, n = self.model.dim, self.n
-        Jm = self.J
-        duals = []
-        for a in range(2 * dim):
-            u = GenElem.from_coords(dim, {a: ONE})
-            Ju = apply_matrix(Jm, u)
-            if a < dim:
-                v = GenElem.e(dim, a + 1, QI(2))
-            else:
-                v = GenElem.x(dim, a - dim + 1, QI(2))
-            duals.append((Ju, v))
+        duals = [(apply_matrix(self.J, GenElem.from_coords(dim, {a: ONE})), v)
+                 for a, v in enumerate(dual_frame(dim))]
         trace = QI(0)
         for Ju, v in duals:
             trace = trace + pairing(Ju, v)
@@ -194,11 +213,7 @@ class GCStruct:
     # -- public grading API ----------------------------------------------------
 
     def decompose(self, w: Form) -> dict[int, Form]:
-        parts: dict[int, Vec] = {}
-        for mask, c in w.coeffs.items():
-            for k, p in self._blade_parts[mask].items():
-                parts[k] = vec_axpy(parts.get(k, {}), c, p)
-        return {k: form_of_vec(w.dim, v) for k, v in parts.items() if v}
+        return _split_by_blades(self._blade_parts, w)
 
     def project(self, k: int, w: Form) -> Form:
         return self.decompose(w).get(k, Form(w.dim))
@@ -249,16 +264,8 @@ class GCStruct:
         dim = self.model.dim
         cur: list[Vec] = [{m: ONE} for m in range(1 << dim)]
         for l in self.L.basis:
-            op = lambda f, l=l: clifford_act(l, f)
             cols = [dict(clifford_act(l, form_of_vec(dim, b)).coeffs) for b in cur]
-            combos = matrix_kernel(cols)
-            nxt = []
-            for combo in combos:
-                v: Vec = {}
-                for j, c in combo.items():
-                    v = vec_axpy(v, c, cur[j])
-                nxt.append(v)
-            cur = nxt
+            cur = kernel_lift(cols, cur)
             if not cur:
                 break
         self.canonical_dim = len(cur)
@@ -361,20 +368,12 @@ def make_symplectic(m: LieModel, omega: Form, B: Form | None = None) -> GCStruct
         raise BMismatch(f"dB = {m.d(B)!r} but H = {m.H!r}")
 
     dim = m.dim
-    Mw = [[QI(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        ix = omega.contract_index(i + 1)
-        for mask, v in ix.coeffs.items():
-            Mw[mask.bit_length() - 1][i] = v
+    Mw = flat_matrix(omega)
     try:
         Mb = mat_inv(Mw)
     except ZeroDivisionError:
         raise DegenerateOmega("omega is not invertible") from None
-    MB = [[QI(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        ix = B.contract_index(i + 1)
-        for mask, v in ix.coeffs.items():
-            MB[mask.bit_length() - 1][i] = v
+    MB = flat_matrix(B)
 
     J0 = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
     for i in range(dim):
@@ -481,16 +480,9 @@ def beta_exp(s: GCStruct, a: Form, factor: QI) -> Form:
         term = _beta_contract(s, term)
         if term.is_zero():
             return out
-        coeff = factor ** k * QI(Fraction(1, _fact(k)))
+        coeff = factor ** k * QI(Fraction(1, factorial(k)))
         out = out + term.scale(coeff)
         k += 1
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def symp_phi(s: GCStruct, a: Form) -> Form:
@@ -507,8 +499,3 @@ def symp_delta(s: GCStruct, a: Form) -> Form:
         raise WrongType("delta requires a symplectic-type structure")
     m = s.model
     return _beta_contract(s, m.d(a)) - m.d(_beta_contract(s, a))
-
-
-def grading_projectors(s: GCStruct):
-    """The exact eigenprojector data: a map k -> projector callable."""
-    return {k: (lambda w, k=k: s.project(k, w)) for k in s._ks}

@@ -13,17 +13,29 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .cohomology import TwistedCohomology, _preimage_in
-from .courant import GenElem, algebroid_from_basis, pairing
+from .cohomology import TwistedCohomology, closed_classes
+from .courant import GenElem, algebroid_from_basis
 from .errors import (MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
 from .families import FamilySpec, ks_class
-from .forms import Form, popcount
-from .gcs import GCStruct, form_of_vec, pairing_gram
-from .liemodel import LieAlgebroid, _mask_indices
-from .linalg import QuotientSpace, Subspace, Vec, mat_mul, vec_axpy
+from .forms import Form
+from .gcs import GCStruct, _split_by_blades, form_of_vec, pairing_gram
+from .liemodel import LieAlgebroid
+from .linalg import (QuotientSpace, Subspace, Vec, mat_det, mat_mul, vec_add,
+                     vec_axpy)
 from .scalars import ONE, QI
+
+
+def _joint_parts(first: GCStruct, second: GCStruct,
+                 mask: int) -> dict[tuple[int, int], Vec]:
+    """Blade `mask` split by `first`'s grading, then each part by `second`'s;
+    keys are (degree for first, degree for second)."""
+    parts: dict[tuple[int, int], Vec] = {}
+    for r, p1 in first._blade_parts[mask].items():
+        for s, p2 in second._decompose_vec(p1).items():
+            parts[(r, s)] = vec_axpy(parts.get((r, s), {}), ONE, p2)
+    return parts
 
 
 class GKPair:
@@ -42,11 +54,7 @@ class GKPair:
         dim = self.model.dim
         u_vecs: dict[tuple[int, int], list[Vec]] = {}
         for mask in range(1 << dim):
-            parts: dict[tuple[int, int], Vec] = {}
-            for r, p1 in s1._blade_parts[mask].items():
-                for s, p2 in s2._decompose_vec(p1).items():
-                    if p2:
-                        parts[(r, s)] = vec_axpy(parts.get((r, s), {}), ONE, p2)
+            parts = _joint_parts(s1, s2, mask)
             self._blade_parts[mask] = parts
             for rs, v in parts.items():
                 u_vecs.setdefault(rs, []).append(v)
@@ -54,11 +62,7 @@ class GKPair:
         self.U2_dims = {rs: sp.dim for rs, sp in self.U2.items() if sp.dim}
 
     def decompose2(self, w: Form) -> dict[tuple[int, int], Form]:
-        parts: dict[tuple[int, int], Vec] = {}
-        for mask, c in w.coeffs.items():
-            for rs, p in self._blade_parts[mask].items():
-                parts[rs] = vec_axpy(parts.get(rs, {}), c, p)
-        return {rs: form_of_vec(w.dim, v) for rs, v in parts.items() if v}
+        return _split_by_blades(self._blade_parts, w)
 
     def U2_subspace(self, r: int, s: int) -> Subspace:
         return self.U2.get((r, s), Subspace.zero(1 << self.model.dim))
@@ -87,7 +91,6 @@ def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
     # exact Sylvester criterion
     for k in range(1, n4 + 1):
         minor = [[S[i][j] for j in range(k)] for i in range(k)]
-        from .linalg import mat_det
         d = mat_det(minor)
         if not d.is_real() or d.re <= 0:
             raise MetricNotPositive(
@@ -147,11 +150,8 @@ def bigrading(pair: GKPair) -> BigradingReport:
     # commutation: decompose in the other order and compare
     commute_ok = True
     for mask in range(1 << dim):
-        other: dict[tuple[int, int], Vec] = {}
-        for s, p2 in pair.s2._blade_parts[mask].items():
-            for r, p1 in pair.s1._decompose_vec(p2).items():
-                if p1:
-                    other[(r, s)] = vec_axpy(other.get((r, s), {}), ONE, p1)
+        other = {(r, s): v for (s, r), v
+                 in _joint_parts(pair.s2, pair.s1, mask).items()}
         mine = pair._blade_parts[mask]
         if {k: v for k, v in other.items() if v} != {k: v for k, v in mine.items() if v}:
             commute_ok = False
@@ -278,25 +278,19 @@ def bigraded_cohomology(pair: GKPair) -> BigradedCohomologyReport:
     m = pair.model
     N = 1 << m.dim
     n = pair.n
-    zero = Subspace.zero(N)
     dims = {}
     for (r, s) in pair.U2_dims:
-        cyc = _preimage_in(pair.U2_subspace(r, s), pair.delta_plus_bar_vec, zero)
-        lower = pair.U2_subspace(r - 1, s - 1)
-        bounds = [pair.delta_plus_bar_vec(v) for v in lower.basis()]
-        bounds = [b for b in bounds if b]
-        dims[(r, s)] = QuotientSpace(N, cyc.basis(), bounds).dim
+        basis = pair.U2_subspace(r, s).basis()
+        dims[(r, s)] = QuotientSpace.of_map(
+            N, basis, [pair.delta_plus_bar_vec(v) for v in basis],
+            [pair.delta_plus_bar_vec(v)
+             for v in pair.U2_subspace(r - 1, s - 1).basis()]).dim
     tw = TwistedCohomology(m)
     total_ok = sum(dims.values()) == tw.total_dim
 
     # blocks inside twisted cohomology
     def block_coords(space: Subspace) -> Subspace:
-        cyc = _preimage_in(space, pair.s1.dH_vec, zero)
-        vecs = []
-        for v in cyc.basis():
-            c = tw.coords(form_of_vec(m.dim, v))
-            vecs.append(c if c is not None else {})
-        return Subspace.span(tw.total_dim, vecs)
+        return closed_classes(pair.s1, tw, space)
 
     blocks = {rs: block_coords(pair.U2_subspace(*rs)) for rs in pair.U2_dims}
     b1 = {k: block_coords(pair.s1.U_subspace(k)) for k in range(-n, n + 1)}
@@ -328,39 +322,6 @@ def bigraded_cohomology(pair: GKPair) -> BigradedCohomologyReport:
 
 
 # -- Lie algebroid decompositions ----------------------------------------------------------
-
-def _table_differential(rank: int, table, c: dict[int, QI]) -> dict[int, QI]:
-    """Cartan formula with a custom bracket table (lists over the basis)."""
-    out: dict[int, QI] = {}
-    degs = {popcount(mask) + 1 for mask in c}
-    for target_deg in degs:
-        for mask in range(1 << rank):
-            if popcount(mask) != target_deg:
-                continue
-            idxs = _mask_indices(mask)
-            val = QI(0)
-            for p in range(len(idxs)):
-                for q in range(p + 1, len(idxs)):
-                    rest = mask & ~(1 << idxs[p]) & ~(1 << idxs[q])
-                    br = table[idxs[p]][idxs[q]]
-                    sgn_pq = -1 if (p + q) & 1 else 1
-                    for mth, coeff in enumerate(br):
-                        if not coeff:
-                            continue
-                        bit = 1 << mth
-                        if rest & bit:
-                            continue
-                        cm = c.get(rest | bit)
-                        if not cm:
-                            continue
-                        ins = popcount(rest & (bit - 1))
-                        sgn = sgn_pq * (-1 if ins & 1 else 1)
-                        term = coeff * cm
-                        val = val + (term if sgn > 0 else -term)
-            if val:
-                out[mask] = val
-    return out
-
 
 @dataclass
 class SplitCheckReport:
@@ -423,6 +384,9 @@ def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid, A2: LieAlgebroid,
             else:
                 t1[i][j] = [QI(0)] * r1 + list(br[r1:])
                 t2[i][j] = list(br[:r1]) + [QI(0)] * (rank - r1)
+    # d_A1 and d_A2 are the Cartan differentials of the split tables
+    A1_part = LieAlgebroid(L.ambient, combined.basis, t1)
+    A2_part = LieAlgebroid(L.ambient, combined.basis, t2)
     rng = random.Random(seed)
     sum_ok = squares_ok = anti_ok = True
     for _ in range(samples):
@@ -431,29 +395,16 @@ def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid, A2: LieAlgebroid,
         if not c[mask]:
             c = {mask: ONE}
         d_full = combined.differential(c)
-        d1 = _table_differential(rank, t1, c)
-        d2 = _table_differential(rank, t2, c)
-        if d_full != _add_cochains(d1, d2):
+        d1 = A1_part.differential(c)
+        d2 = A2_part.differential(c)
+        if d_full != vec_add(d1, d2):
             sum_ok = False
-        if _table_differential(rank, t1, d1) or _table_differential(rank, t2, d2):
+        if A1_part.differential(d1) or A2_part.differential(d2):
             squares_ok = False
-        anti = _add_cochains(_table_differential(rank, t1, d2),
-                             _table_differential(rank, t2, d1))
+        anti = vec_add(A1_part.differential(d2), A2_part.differential(d1))
         if anti:
             anti_ok = False
     return SplitCheckReport(sum_ok, squares_ok, anti_ok)
-
-
-def _add_cochains(a: dict[int, QI], b: dict[int, QI]) -> dict[int, QI]:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        t = v if w is None else w + v
-        if t:
-            out[k] = t
-        elif w is not None:
-            del out[k]
-    return out
 
 
 # -- deformation compatibility ----------------------------------------------------------------
@@ -510,7 +461,7 @@ def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
     c1p = _restrict_cochain(s1.L, k1.cochain, plus_basis)
     c2p = _restrict_cochain(s2.L, k2.cochain, plus_basis)
     h2p = pair.Lp.cohomology(2)
-    plus_resid = _add_cochains(c1p, {k: -v for k, v in c2p.items()})
+    plus_resid = vec_add(c1p, {k: -v for k, v in c2p.items()})
     pr = h2p.coords(plus_resid)
     plus_ok = pr is not None and not pr
     c1m = _restrict_cochain(s1.L, k1.cochain, minus_basis)
@@ -518,7 +469,7 @@ def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
     c2m_conj = _restrict_cochain(s2.L, k2.cochain, conj_minus)
     c2m = {k: v.conj() for k, v in c2m_conj.items()}
     h2m = pair.Lm.cohomology(2)
-    minus_resid = _add_cochains(c1m, {k: -v for k, v in c2m.items()})
+    minus_resid = vec_add(c1m, {k: -v for k, v in c2m.items()})
     mr = h2m.coords(minus_resid)
     minus_ok = mr is not None and not mr
     return GKDeformationReport(samples_gk, plus_ok, minus_ok,

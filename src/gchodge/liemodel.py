@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import JacobiFailure, NotClosedUnderBracket, TwistNotClosed
 from .forms import Form, popcount
-from .linalg import QuotientSpace, solve_columns, vec_axpy
+from .linalg import QuotientSpace, mat_det, solve_columns
 from .scalars import ONE, QI
 
 
@@ -36,9 +36,6 @@ class LieModel:
         self._dgen = [Form(dim) for _ in range(dim + 1)]
         for (k, i, j, c) in self.structure:
             self._dgen[k] = self._dgen[k] + Form.blade(dim, (i, j), c)
-
-    def d_generator(self, k: int) -> Form:
-        return self._dgen[k]
 
     # -- differentials --------------------------------------------------------
 
@@ -143,26 +140,13 @@ class LieAlgebroid:
         self.bracket_table = bracket_table  # [i][j] -> list of QI over basis
         self.name = name
 
-    def anchor_matrix(self):
-        """Columns are the tangent parts of the basis elements."""
-        return [[self.basis[j].vec[i] for j in range(self.rank)]
-                for i in range(self.ambient.dim)]
-
     # -- cochain complex ----------------------------------------------------
 
     def differential(self, c: dict[int, QI], degree: int | None = None) -> dict[int, QI]:
         """Cartan formula on invariant cochains:
         (dc)(a_0..a_k) = sum_{p<q} (-1)^{p+q} c([a_p,a_q], ..hat p..hat q..)."""
         out: dict[int, QI] = {}
-        seen: set[int] = set()
-        for mask in c:
-            deg = popcount(mask)
-            target = deg + 1
-            # iterate over all masks of degree deg+1 containing contributions:
-            # easier to iterate output masks lazily; collect candidates from
-            # inserting brackets. Instead: iterate all output masks once.
-            seen.add(target)
-        for target_deg in seen:
+        for target_deg in {popcount(mask) + 1 for mask in c}:
             for mask in _masks_of_degree(self.rank, target_deg):
                 val = QI(0)
                 idxs = _mask_indices(mask)
@@ -192,17 +176,11 @@ class LieAlgebroid:
 
     def cohomology(self, k: int) -> QuotientSpace:
         """H^k as a quotient of cochain space, masks over 2^rank coords."""
-        masks_k = list(_masks_of_degree(self.rank, k))
-        cycles = []
-        for combo in _operator_kernel(self, masks_k):
-            cycles.append(combo)
-        boundaries = []
-        if k >= 1:
-            for m in _masks_of_degree(self.rank, k - 1):
-                img = self.differential({m: ONE})
-                if img:
-                    boundaries.append(img)
-        return QuotientSpace(1 << self.rank, cycles, boundaries)
+        basis = [{m: ONE} for m in _masks_of_degree(self.rank, k)]
+        return QuotientSpace.of_map(
+            1 << self.rank, basis, [self.differential(c) for c in basis],
+            [self.differential({m: ONE})
+             for m in _masks_of_degree(self.rank, k - 1)])
 
     def conj(self) -> "LieAlgebroid":
         from .courant import algebroid_from_basis
@@ -227,7 +205,6 @@ class LieAlgebroid:
             if len(idxs) != k:
                 continue
             sub = [[coords[col][row] for col in range(k)] for row in idxs]
-            from .linalg import mat_det
             d = mat_det(sub)
             if d:
                 out = out + val * d
@@ -249,24 +226,3 @@ def _mask_indices(mask: int):
         out.append(low.bit_length() - 1)
         mask &= mask - 1
     return out
-
-
-def _operator_kernel(L: LieAlgebroid, masks_k):
-    """Kernel vectors of d restricted to span of the given cochain masks."""
-    cols = [L.differential({m: ONE}) for m in masks_k]
-    from .linalg import matrix_kernel
-    out = []
-    for combo in matrix_kernel(cols):
-        vec = {}
-        for j, c in combo.items():
-            vec = vec_axpy(vec, c, {masks_k[j]: ONE})
-        out.append(vec)
-    return out
-
-
-def algebroid_differential(L: LieAlgebroid, c: dict[int, QI]) -> dict[int, QI]:
-    return L.differential(c)
-
-
-def algebroid_cohomology(L: LieAlgebroid, k: int) -> QuotientSpace:
-    return L.cohomology(k)

@@ -16,12 +16,6 @@ Vec = dict[int, QI]
 
 # -- sparse vector helpers ----------------------------------------------------
 
-def vec_zero() -> Vec:
-    return {}
-
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     out = dict(u)
     for k, x in v.items():
@@ -35,9 +29,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
             else:
                 del out[k]
     return out
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return vec_add(u, vec_scale(v, QI(-1)))
 
 def vec_scale(v: Vec, z: QI) -> Vec:
     if not z:
@@ -61,9 +52,6 @@ def vec_axpy(u: Vec, z: QI, v: Vec) -> Vec:
 def vec_conj(v: Vec) -> Vec:
     return {k: x.conj() for k, x in v.items()}
 
-def vec_eq(u: Vec, v: Vec) -> bool:
-    return u == v
-
 def vec_pivot(v: Vec) -> int:
     return min(v)
 
@@ -82,6 +70,15 @@ class Echelon:
         self.rows: list[tuple[int, Vec, Vec | None]] = []  # (pivot, vec, combo)
         self.track = track
         self._n_inserted = 0
+
+    @classmethod
+    def of_basis(cls, basis: list[Vec]) -> "Echelon":
+        """Untracked echelon whose rows are `basis`, which must already be in
+        fully reduced form (a Subspace basis): inserting it would leave every
+        row unchanged."""
+        ech = cls()
+        ech.rows = [(vec_pivot(v), v, None) for v in basis]
+        return ech
 
     def dim(self) -> int:
         return len(self.rows)
@@ -191,17 +188,15 @@ class Subspace:
             raise DimensionMismatch(
                 f"ambient dims differ: {self.ambient} vs {other.ambient}")
 
+    def echelon(self) -> Echelon:
+        return Echelon.of_basis(self._basis)
+
     def contains(self, v: Vec) -> bool:
-        ech = Echelon()
-        for b in self._basis:
-            ech.insert(b)
-        return ech.contains(v)
+        return self.echelon().contains(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        ech = Echelon()
-        for b in self._basis:
-            ech.insert(b)
+        ech = self.echelon()
         return all(ech.contains(v) for v in other._basis)
 
     def __eq__(self, other) -> bool:
@@ -218,24 +213,16 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        # solve sum x_j a_j = sum y_k b_k; kernel coefficients give the meet
-        cols = self._basis + other._basis
-        na = len(self._basis)
-        out = []
-        for combo in matrix_kernel(cols):
-            v = vec_zero()
-            for j, c in combo.items():
-                if j < na:
-                    v = vec_axpy(v, c, self._basis[j])
-            out.append(v)
-        return Subspace.span(self.ambient, out)
+        # each kernel vector (x, y) of (x, y) -> sum x_j a_j + sum y_k b_k
+        # gives the meet vector sum x_j a_j: the kernel lifted along (a, 0)
+        zeros = [{} for _ in other._basis]
+        return Subspace.span(self.ambient, kernel_lift(
+            self._basis + other._basis, self._basis + zeros))
 
     def quotient_reps(self, sub: "Subspace") -> list[Vec]:
         """Canonical representatives of self/sub (sub must lie in self)."""
         self._check(sub)
-        ech = Echelon()
-        for v in sub._basis:
-            ech.insert(v)
+        ech = sub.echelon()
         sub_pivots = {p for p, _v, _c in ech.rows}
         for v in self._basis:
             ech.insert(v)
@@ -260,6 +247,18 @@ def matrix_kernel(cols: list[Vec]) -> list[Vec]:
     for c in combos:
         norm.insert(c)
     return norm.basis()
+
+
+def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
+    """Kernel of the map sending basis[j] to images[j], as combinations of
+    the basis vectors (one per canonical kernel vector of the images)."""
+    out = []
+    for combo in matrix_kernel(images):
+        v: Vec = {}
+        for j, c in combo.items():
+            v = vec_axpy(v, c, basis[j])
+        out.append(v)
+    return out
 
 
 def solve_columns(cols: list[Vec], target: Vec) -> Vec | None:
@@ -292,9 +291,7 @@ class QuotientSpace:
         for b in boundaries:
             self._bound.insert(b)
         bound_pivots = {p for p, _v, _c in self._bound.rows}
-        full = Echelon()
-        for b in self._bound.basis():
-            full.insert(b)
+        full = Echelon.of_basis(self._bound.basis())
         for z in cycles:
             full.insert(z)
         self.reps: list[Vec] = []
@@ -303,6 +300,14 @@ class QuotientSpace:
             if p not in bound_pivots:
                 self.reps.append(row)
                 self._rep_pivots.append(p)
+
+    @classmethod
+    def of_map(cls, ambient: int, basis: list[Vec], images: list[Vec],
+               boundaries) -> "QuotientSpace":
+        """ker/im at one spot of a complex: the cycles are the combinations of
+        `basis` whose `images` cancel; zero boundaries are skipped."""
+        return cls(ambient, kernel_lift(images, basis),
+                   [b for b in boundaries if b])
 
     @property
     def dim(self) -> int:
@@ -326,9 +331,6 @@ class QuotientSpace:
         c = self.coords(v)
         return c is not None and not c
 
-    def rep_subspace(self) -> Subspace:
-        return Subspace.span(self.ambient, self.reps)
-
 
 # -- dense matrices (small, over QI) -----------------------------------------
 
@@ -337,10 +339,6 @@ Matrix = list[list[QI]]
 
 def mat_identity(n: int) -> Matrix:
     return [[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
-
-def mat_zero(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return [[QI(0)] * m for _ in range(n)]
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
@@ -363,24 +361,6 @@ def mat_vec(a: Matrix, v: list[QI]) -> list[QI]:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_scale(a: Matrix, z: QI) -> Matrix:
-    return [[x * z for x in row] for row in a]
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-def mat_conj(a: Matrix) -> Matrix:
-    return [[x.conj() for x in row] for row in a]
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 def mat_inv(a: Matrix) -> Matrix:
     """Gauss-Jordan inverse; raises ZeroDivisionError if singular."""

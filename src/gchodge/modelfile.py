@@ -15,7 +15,6 @@ from .errors import (DimensionOdd, EngineError, ModelSyntaxError,
                      UnknownGenerator)
 from .forms import Form, blade_name, popcount
 from .liemodel import LieModel
-from .linalg import Matrix
 from .poly import ParamPoly, PolyForm, PolyMatrix
 from .scalars import ONE, QI, format_qi
 
@@ -48,14 +47,6 @@ class ModelFile:
             if b.name == name:
                 return b
         raise EngineError(f"no block named {name!r}")
-
-
-def _tokens(line: str) -> list[str]:
-    out = []
-    for raw in line.replace("+", " + ").replace("^", " ^ ").split():
-        out.append(raw)
-    # re-attach unary minus to the following token for simpler term handling
-    return out
 
 
 def _parse_scalar(tok: str, lno: int) -> QI:
@@ -252,24 +243,27 @@ def build_structure(mf: ModelFile, block: StructBlock, model: LieModel):
     from .gcs import make_complex, make_general, make_symplectic
     dim = mf.dim
 
-    def form_of(key, default=None):
+    def need(key):
         if key not in block.data:
-            if default is not None:
-                return default
             raise ModelSyntaxError(f"block {block.name!r} needs {key!r}",
                                    block.line)
-        val, lno = block.data[key]
+        return block.data[key]
+
+    def form_of(key, default=None):
+        if default is not None and key not in block.data:
+            return default
+        val, lno = need(key)
         pf = _parse_form_expr(val, dim, 0, lno)
         return pf.eval(())
 
     if block.kind == "symplectic":
         return make_symplectic(model, form_of("omega"), form_of("B", Form(dim)))
     if block.kind == "complex":
-        val, lno = block.data["I"]
+        val, lno = need("I")
         It = _parse_matrix(val, dim, 0, lno)
         return make_complex(model, [[p.eval(()) for p in row] for row in It])
     if block.kind == "general":
-        val, lno = block.data["J"]
+        val, lno = need("J")
         Jt = _parse_matrix(val, 2 * dim, 0, lno)
         return make_general(model, [[p.eval(()) for p in row] for row in Jt])
     raise EngineError(f"block {block.name!r} is not a structure block")

@@ -5,6 +5,8 @@ derivatives are formal, so no approximation enters anywhere.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .forms import Form
 from .linalg import Matrix
 from .scalars import ONE, QI
@@ -216,7 +218,7 @@ class PolyForm:
             term = term.wedge(self)
             if term.is_zero():
                 return out
-            out = out + term.scale(QI(Fraction(1, _fact(k))))
+            out = out + term.scale(QI(Fraction(1, factorial(k))))
             k += 1
 
     def shift(self, point) -> "PolyForm":
@@ -234,10 +236,6 @@ class PolyForm:
         return PolyForm(self.dim, self.nvars,
                         {m: p.conj() for m, p in self.coeffs.items()})
 
-    def min_degree(self) -> int | None:
-        degs = [sum(e) for p in self.coeffs.values() for e in p.terms]
-        return min(degs, default=None)
-
     def monomial_slices(self) -> dict[Expt, Form]:
         """Split into Q(i)-forms per exponent tuple."""
         out: dict[Expt, dict[int, QI]] = {}
@@ -248,13 +246,6 @@ class PolyForm:
 
     def max_degree(self) -> int:
         return max((p.degree() for p in self.coeffs.values()), default=0)
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def dH_poly(m, pf: PolyForm) -> PolyForm:

@@ -149,7 +149,3 @@ def format_qi(z: QI) -> str:
     if im.startswith("-"):
         return _fmt_frac(z.re) + im
     return _fmt_frac(z.re) + "+" + im
-
-
-def qi(re: RationalLike = 0, im: RationalLike = 0) -> QI:
-    return QI(re, im)

@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 verdict lines.
 """
 
+import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,7 @@ from gchodge.scalars import I, ONE, QI
 import random
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 ABELIAN4 = LieModel(4, [], name="torus4")
 ABELIAN6 = LieModel(6, [], name="torus6")
@@ -338,3 +341,19 @@ def test_criterion_12_determinism():
     ok = all(first[c] == second[c] for c in commands)
     verdict(12, ok, "full corpus reports byte-identical across two runs "
             f"({len(commands)} commands x {len(list(CORPUS.glob('*.gcm')))} files)")
+    # each file's report is one blank-line separated chunk of the --all
+    # output; its digest is pinned in the benchmark's reference
+    ref = json.loads(REFERENCE.read_text())["corpus"]
+    pinned = {key for key in ref if key.split()[0] in commands}
+    seen, changed = set(), []
+    for c in commands:
+        for chunk in first[c].rstrip("\n").split("\n\n"):
+            key = f"{c} {json.loads(chunk)['file']}"
+            seen.add(key)
+            digest = hashlib.sha256((chunk + "\n").encode()).hexdigest()
+            if digest != ref.get(key, {}).get("sha256"):
+                changed.append(key)
+    verdict(12, seen == pinned and not changed,
+            f"reports match bench/reference.json ({len(seen)} reports; "
+            f"changed: {changed or 'none'}; "
+            f"unpinned or missing: {sorted(seen ^ pinned) or 'none'})")

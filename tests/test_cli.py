@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from gchodge.forms import Form
 from gchodge.modelfile import emit_model, parse_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -103,3 +107,38 @@ def test_hodge_json_filtration_dims():
                if d.startswith("filtration dims")]
     assert details and "F^-2=1" in details[0] and "F^0=7" in details[0] \
         and "F^2=8" in details[0]
+
+
+FAMILY = str(CORPUS / "torus4-symplectic.gcm")
+
+@pytest.mark.parametrize("argv, files, code, expect", [
+    (["family", FAMILY, "--at", "x"], {}, 2, "syntax-error"),
+    (["family", FAMILY, "--at", "t1=1/0"], {}, 2, "syntax-error"),
+    (["family", FAMILY, "--at", "tabc=1"], {}, 2, "syntax-error"),
+    (["family", FAMILY, "--at", "t0=1"], {}, 2, "syntax-error"),
+    (["family", FAMILY, "--at", "t5=1"], {}, 2, "syntax-error"),
+    (["check", "bad.gcm"], {"bad.gcm": b"dim = 4\nH = 0 # \xff\xfe\n"},
+     2, "read input"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[complex c]\n"},
+     1, "syntax-error: block 'c' needs 'I'"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[general g]\n"},
+     1, "syntax-error: block 'g' needs 'J'"),
+    (["check", str(CORPUS / "kt.gcm"), "--samples", "-5"], {}, 2,
+     "--samples"),
+], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
+        "at-out-of-range", "non-utf8", "complex-without-I",
+        "general-without-J", "negative-samples"])
+def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
+    """Bad input exits 2 (a missing structure key fails its structure check
+    like a missing omega does), with a report line and never a traceback."""
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "gchodge.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == code, out
+    assert "Traceback" not in out
+    assert expect in out

@@ -91,7 +91,7 @@ def test_ddbar_iff_degeneration_and_hodge():
                   make_symplectic(ABELIAN6, torus_omega(6))]
     for s in structures:
         dd = ddbar_check(s)
-        rep = hodge_filtration(s, precomputed=dd)
+        rep = hodge_filtration(s)
         assert dd.holds == (rep.frolicher_degenerates and rep.hodge_ok)
 
 

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from gchodge.errors import DimensionMismatch
-from gchodge.linalg import (QuotientSpace, Subspace, mat_det, mat_identity,
-                            mat_inv, mat_mul, matrix_kernel, solve_columns,
-                            vec_axpy)
+from gchodge.linalg import (Echelon, QuotientSpace, Subspace, mat_det,
+                            mat_identity, mat_inv, mat_mul, matrix_kernel,
+                            solve_columns, vec_axpy)
 from gchodge.scalars import I, QI
 
 
@@ -34,6 +34,16 @@ def test_sum_spans_plane():
     b = Subspace.span(4, [v((0, 1), (1, 1))])
     s = a.sum(b)
     assert s == Subspace.span(4, [v((0, 1)), v((1, 1))])
+
+def test_echelon_of_canonical_basis_equals_reinsertion():
+    rng = random.Random(17)
+    for _ in range(20):
+        S = Subspace.span(7, [rand_vec(7, rng) for _ in range(rng.randrange(5))])
+        ech = Echelon()
+        for b in S.basis():
+            r, _ = ech.insert(b)
+            assert r == b   # a canonical basis row reduces to itself
+        assert Echelon.of_basis(S.basis()).rows == ech.rows
 
 def test_ambient_mismatch():
     with pytest.raises(DimensionMismatch):
