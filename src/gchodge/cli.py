@@ -11,9 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-from .cohomology import (TwistedCohomology, ddbar_check, delbar_dims,
-                         frolicher_pages, hodge_filtration, invariant_derham,
-                         lefschetz_check, mukai_Q, weight_mhs_check)
+from .cohomology import (ddbar_check, delbar_dims, frolicher_pages,
+                         hodge_filtration, invariant_derham, lefschetz_check,
+                         mukai_Q, twisted_cohomology, weight_mhs_check)
 from .courant import courant_axiom_suite
 from .errors import EngineError, ModelSyntaxError
 from .families import (family_validate, gcy_check, graph_epsilon,
@@ -61,6 +61,8 @@ def _structures(mf, model, report, kinds=None):
                 continue
             try:
                 out.append((b, build_structure(mf, b, model)))
+            except ModelSyntaxError:
+                raise
             except EngineError as e:
                 report.add(f"structure {b.name}", "fail", [f"{e.code}: {e}"])
     return out
@@ -77,11 +79,7 @@ def cmd_check(mf, model, report, args):
         ax = courant_axiom_suite(model, samples=args.samples)
         report.add("courant axiom suite", _verdict(ax.ok), ax.lines())
         for b, s in _structures(mf, model, report):
-            resid_ok = True
-            for mask in range(1 << model.dim):
-                _l, _h, r = s.del_delbar(Form(model.dim, {mask: QI(1)}))
-                if not r.is_zero():
-                    resid_ok = False
+            resid_ok = set(s.dH_parts) <= {-1, 1}
             report.add(f"structure {b.name} ({b.kind})",
                        _verdict(resid_ok),
                        [f"parity {s.parity}",
@@ -95,7 +93,7 @@ def cmd_cohomology(mf, model, report, args):
     betti = [invariant_derham(model, k).dim for k in range(model.dim + 1)]
     report.add("invariant de Rham Betti numbers", "pass",
                [" ".join(str(b) for b in betti)])
-    tw = TwistedCohomology(model)
+    tw = twisted_cohomology(model)
     report.add("twisted cohomology", "pass",
                [f"even {tw.dim_even}, odd {tw.dim_odd}"])
     for b, s in _structures(mf, model, report):
@@ -207,6 +205,8 @@ def cmd_family(mf, model, report, args):
             continue
         try:
             fam = build_family(mf, b, model)
+        except ModelSyntaxError:
+            raise
         except EngineError as e:
             report.add(f"family {b.name}", "fail", [f"{e.code}: {e}"])
             continue
@@ -215,7 +215,12 @@ def cmd_family(mf, model, report, args):
         if not fv.ok:
             continue
         if args.at:
-            pt = _parse_at(args.at, fam.nvars)
+            bad = [j for j in args.at_values if not 1 <= j <= fam.nvars]
+            if bad:
+                raise ModelSyntaxError(f"--at names t{bad[0]}, but the family "
+                                       f"has parameters t1..t{fam.nvars}")
+            pt = tuple(args.at_values.get(j + 1, QI(0))
+                       for j in range(fam.nvars))
             try:
                 s = fam.structure_at(pt)
                 report.add(f"family {b.name} at {args.at}", "pass",
@@ -295,6 +300,8 @@ def cmd_gk(mf, model, report, args):
                 built[b.name] = build_structure(mf, b, model)
             elif b.kind == "family":
                 fams[b.name] = build_family(mf, b, model)
+        except ModelSyntaxError:
+            raise
         except EngineError:
             pass
     for b in mf.blocks:
@@ -316,9 +323,10 @@ def cmd_gk(mf, model, report, args):
             continue
         names = [b.data.get("first", ("", 0))[0].strip(),
                  b.data.get("second", ("", 0))[0].strip()]
-        if not all(nm in built for nm in names):
+        missing = [nm for nm in names if nm not in built]
+        if missing:
             report.add(f"gk {b.name}", "fail",
-                       [f"unresolved structure references {names}"])
+                       [f"unresolved structure references {missing}"])
             continue
         try:
             pair = gk_validate(built[names[0]], built[names[1]])
@@ -370,9 +378,9 @@ HANDLERS = {
 }
 
 
-def _parse_at(spec: str, nvars: int):
-    """Point of a family with `nvars` parameters; raises ModelSyntaxError
-    for a malformed entry or a parameter outside t1..t<nvars>."""
+def _parse_at(spec: str) -> dict[int, QI]:
+    """The values of a `t1=r[,t2=s...]` spec by parameter number; raises
+    ModelSyntaxError for a malformed entry."""
     from .modelfile import _parse_scalar
     vals = {}
     for part in spec.split(","):
@@ -380,12 +388,8 @@ def _parse_at(spec: str, nvars: int):
         key = key.strip()
         if not (eq and key[:1] == "t" and key[1:].isdigit()):
             raise ModelSyntaxError(f"bad --at entry {part!r}")
-        j = int(key[1:])
-        if not 1 <= j <= nvars:
-            raise ModelSyntaxError(
-                f"--at names {key}, but the family has parameters t1..t{nvars}")
-        vals[j] = _parse_scalar(v.strip(), 0)
-    return tuple(vals.get(j + 1, QI(0)) for j in range(nvars))
+        vals[int(key[1:])] = _parse_scalar(v.strip(), 0)
+    return vals
 
 
 def _fmt_point(pt) -> str:
@@ -407,7 +411,7 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
         return 2, report.render(args.json, args.quiet)
     try:
         HANDLERS[command](mf, model, report, args)
-    except ModelSyntaxError as e:   # bad input met inside a command: --at
+    except ModelSyntaxError as e:   # bad input met inside a command
         report.add("parse input", "fail", [f"{e.code}: {e}"])
         return 2, report.render(args.json, args.quiet)
     except EngineError as e:
@@ -441,6 +445,13 @@ def main(argv=None) -> int:
                     help="random samples for the axiom suite")
     args = ap.parse_args(argv)
     target = Path(args.target)
+    try:
+        args.at_values = _parse_at(args.at) if args.at else {}
+    except ModelSyntaxError as e:
+        report = Report(args.command, target.name)
+        report.add("parse input", "fail", [f"{e.code}: {e}"])
+        print(report.render(args.json, args.quiet))
+        return 2
     if args.all:
         if not target.is_dir():
             print(f"not a directory: {target}", file=sys.stderr)

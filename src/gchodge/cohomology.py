@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .courant import random_real_form
 from .errors import WrongType
-from .forms import Form, mukai_pairing, popcount
-from .gcs import GCStruct, form_of_vec, spin_apply, spin_op
+from .forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
+from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
 from .linalg import (QuotientSpace, Subspace, Vec, kernel_lift, mat_det,
                      vec_axpy)
@@ -32,7 +32,7 @@ class TwistedCohomology:
         dim = m.dim
         N = 1 << dim
         self._N = N
-        dH = spin_op(dim, m.d_H)
+        dH = m.dH_table
         evens = [b for b in range(N) if popcount(b) % 2 == 0]
         odds = [b for b in range(N) if popcount(b) % 2 == 1]
         self.even = self._quotient(dH, evens, odds)
@@ -41,11 +41,10 @@ class TwistedCohomology:
         self.dim_odd = self.odd.dim
         self.total_dim = self.dim_even + self.dim_odd
 
-    def _quotient(self, dH, blades, other) -> QuotientSpace:
+    def _quotient(self, dH: SpinOp, blades, other) -> QuotientSpace:
         return QuotientSpace.of_map(
             self._N, [{b: ONE} for b in blades],
-            [spin_apply(dH, {b: ONE}) for b in blades],
-            [spin_apply(dH, {b: ONE}) for b in other])
+            [dH.get(b, {}) for b in blades], [dH.get(b, {}) for b in other])
 
     def parity_coords(self, w: Form, parity: int) -> Vec | None:
         q = self.even if parity == 0 else self.odd
@@ -80,33 +79,39 @@ class TwistedCohomology:
 
 
 def twisted_cohomology(m: LieModel) -> TwistedCohomology:
-    m.require_valid()
-    return TwistedCohomology(m)
+    """The twisted cohomology of a valid model, built once and kept on the
+    model (models are immutable)."""
+    tw = getattr(m, "_twisted_cohomology", None)
+    if tw is None:
+        m.require_valid()
+        tw = m._twisted_cohomology = TwistedCohomology(m)
+    return tw
 
 
 # -- delbar cohomology -----------------------------------------------------------
 
-def _preimage_in(V: Subspace, op, W: Subspace) -> Subspace:
+def _preimage_in(V: Subspace, op: SpinOp, W: Subspace) -> Subspace:
     """{v in V : op(v) in W} computed by exact kernel arithmetic."""
     basis = V.basis()
     ech = W.echelon()
-    residuals = [ech.reduce(op(v))[0] for v in basis]
+    residuals = [ech.reduce(spin_apply(op, v))[0] for v in basis]
     return Subspace.span(V.ambient, kernel_lift(residuals, basis))
 
 
-def _image_of(V: Subspace, op) -> Subspace:
-    return Subspace.span(V.ambient, [op(v) for v in V.basis()])
+def _image_of(V: Subspace, op: SpinOp) -> Subspace:
+    return Subspace.span(V.ambient, [spin_apply(op, v) for v in V.basis()])
 
 
 def delbar_cohomology(s: GCStruct) -> dict[int, QuotientSpace]:
     """H^k_delbar for k = -n..n, as quotients inside the spinor space."""
     n = s.n
+    delbar = s.dH_parts[1]
     out = {}
     for k in range(-n, n + 1):
         basis = s.U_subspace(k).basis()
         out[k] = QuotientSpace.of_map(
-            1 << s.model.dim, basis, [s.delbar_vec(v) for v in basis],
-            [s.delbar_vec(v) for v in s.U_subspace(k - 1).basis()])
+            1 << s.model.dim, basis, [spin_apply(delbar, v) for v in basis],
+            [spin_apply(delbar, v) for v in s.U_subspace(k - 1).basis()])
     return out
 
 
@@ -138,15 +143,7 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
     """Pages of the bigraded complex W^{p,q} = U_{p-q}, folded along the
     2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r."""
     n = s.n
-    N = 1 << s.model.dim
-
-    def usum(ks) -> Subspace:
-        out = Subspace.zero(N)
-        for k in ks:
-            if -n <= k <= n:
-                out = out.sum(s.U_subspace(k))
-        return out
-
+    dH = s.model.dH_table
     _fcache: dict[tuple[int, int], Subspace] = {}
     _zcache: dict[tuple[int, int, int], Subspace] = {}
 
@@ -154,13 +151,13 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
         # F^j on the total degree m: U_k with k <= m-2j, k = m mod 2
         key = (m - 2 * j, m & 1)
         if key not in _fcache:
-            _fcache[key] = usum(range(-n + ((m - n) % 2), m - 2 * j + 1, 2))
+            _fcache[key] = chain_subspace(s, m - 2 * j)
         return _fcache[key]
 
     def zspace(r: int, j: int, m: int) -> Subspace:
         key = (r, m - 2 * j, m & 1)
         if key not in _zcache:
-            _zcache[key] = _preimage_in(flevel(j, m), s.dH_vec, flevel(j + r, m + 1))
+            _zcache[key] = _preimage_in(flevel(j, m), dH, flevel(j + r, m + 1))
         return _zcache[key]
 
     pages: dict[int, dict[int, int]] = {}
@@ -172,10 +169,10 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
             j = (m - k) // 2
             Z = zspace(r, j, m)
             denom = zspace(r - 1, j + 1, m).sum(
-                _image_of(zspace(r - 1, j - r + 1, m - 1), s.dH_vec))
+                _image_of(zspace(r - 1, j - r + 1, m - 1), dH))
             page[k] = Z.dim - Z.intersect(denom).dim
         pages[r] = page
-    tw = TwistedCohomology(s.model)
+    tw = twisted_cohomology(s.model)
     dtot = sum(delbar_dims(s).values())
     degenerates = pages[1] == pages[rmax]
     return FrolicherReport(pages, degenerates, dtot, tw.total_dim)
@@ -205,11 +202,12 @@ def ddbar_check(s: GCStruct) -> DdbarReport:
     N = 1 << s.model.dim
     full = Subspace.full(N)
     zero = Subspace.zero(N)
-    ker_del = _preimage_in(full, s.partial_vec, zero)
-    ker_dbar = _preimage_in(full, s.delbar_vec, zero)
-    im_del = _image_of(full, s.partial_vec)
-    im_dbar = _image_of(full, s.delbar_vec)
-    im_dd = _image_of(full, lambda v: s.partial_vec(s.delbar_vec(v)))
+    del_, delbar = s.dH_parts[-1], s.dH_parts[1]
+    ker_del = _preimage_in(full, del_, zero)
+    ker_dbar = _preimage_in(full, delbar, zero)
+    im_del = _image_of(full, del_)
+    im_dbar = _image_of(full, delbar)
+    im_dd = _image_of(im_dbar, del_)
     A = im_del.intersect(ker_dbar)
     B = im_dbar.intersect(ker_del)
     holds = A == B == im_dd
@@ -263,12 +261,13 @@ def chain_subspace(s: GCStruct, p: int) -> Subspace:
     return out
 
 
-def closed_classes(s: GCStruct, tw: TwistedCohomology, V: Subspace,
+def closed_classes(s: GCStruct, V: Subspace,
                    parity: int | None = None) -> Subspace:
     """Classes of the d_H-closed forms in V: coordinates in the H block of
     the given parity, or total coordinates when parity is None."""
     dim = s.model.dim
-    closed = _preimage_in(V, s.dH_vec, Subspace.zero(1 << dim)).basis()
+    tw = twisted_cohomology(s.model)
+    closed = _preimage_in(V, s.model.dH_table, Subspace.zero(1 << dim)).basis()
     if parity is None:
         return Subspace.span(tw.total_dim, [
             tw.coords(form_of_vec(dim, v)) or {} for v in closed])
@@ -276,18 +275,18 @@ def closed_classes(s: GCStruct, tw: TwistedCohomology, V: Subspace,
         tw.parity_coords(form_of_vec(dim, v), parity) or {} for v in closed])
 
 
-def filtration_subspace(s: GCStruct, tw: TwistedCohomology, p: int) -> Subspace:
+def filtration_subspace(s: GCStruct, p: int) -> Subspace:
     """F^p H: classes representable in the U_{<=p} chain of matching parity."""
-    return closed_classes(s, tw, chain_subspace(s, p), (p + s.n + s.parity) % 2)
+    return closed_classes(s, chain_subspace(s, p), (p + s.n + s.parity) % 2)
 
 
 def hodge_filtration(s: GCStruct) -> HodgeReport:
     n = s.n
-    tw = TwistedCohomology(s.model)
+    tw = twisted_cohomology(s.model)
     dd = ddbar_check(s)
     frl = frolicher_pages(s)
     db = delbar_dims(s)
-    filt = {p: filtration_subspace(s, tw, p) for p in range(-n, n + 1)}
+    filt = {p: filtration_subspace(s, p) for p in range(-n, n + 1)}
     hodge_by_p = {}
     for p in range(-n, n + 1):
         parity = (p + n + s.parity) % 2
@@ -350,7 +349,7 @@ class MukaiQReport:
 
 def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
     m = s.model
-    tw = TwistedCohomology(m)
+    tw = twisted_cohomology(m)
     reps = ([form_of_vec(m.dim, r) for r in tw.even.reps]
             + [form_of_vec(m.dim, r) for r in tw.odd.reps])
     Q = [[mukai_pairing(a, b) for b in reps] for a in reps]
@@ -374,7 +373,7 @@ def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
     zero = Subspace.zero(N)
     blocks = {}
     for k in range(-n, n + 1):
-        blocks[k] = _preimage_in(s.U_subspace(k), s.dH_vec, zero)
+        blocks[k] = _preimage_in(s.U_subspace(k), m.dH_table, zero)
     orth = True
     for j in range(-n, n + 1):
         for k in range(-n, n + 1):
@@ -408,12 +407,11 @@ def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
 def invariant_derham(m: LieModel, k: int) -> QuotientSpace:
     """Untwisted invariant de Rham cohomology in degree k."""
     N = 1 << m.dim
-    dform = spin_op(m.dim, m.d)
+    d = m.d_table
     blades_k = [b for b in range(N) if popcount(b) == k]
     return QuotientSpace.of_map(
-        N, [{b: ONE} for b in blades_k],
-        [spin_apply(dform, {b: ONE}) for b in blades_k],
-        [spin_apply(dform, {b: ONE}) for b in range(N) if popcount(b) == k - 1])
+        N, [{b: ONE} for b in blades_k], [d.get(b, {}) for b in blades_k],
+        [d.get(b, {}) for b in range(N) if popcount(b) == k - 1])
 
 
 @dataclass
@@ -490,14 +488,14 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
     m = s.model
     n = s.n
     N = 1 << m.dim
-    tw = TwistedCohomology(m)
+    tw = twisted_cohomology(m)
     H_dim = tw.total_dim
 
     # W^j: classes with representatives of form-degree >= j
     W: dict[int, Subspace] = {}
     for j in range(0, 2 * n + 2):
         span = Subspace.span(N, [{b: ONE} for b in range(N) if popcount(b) >= j])
-        W[j] = closed_classes(s, tw, span)
+        W[j] = closed_classes(s, span)
 
     # wrapped filtration F~^k = F^k + F^{k-1} in total coordinates
     def embed(parity: int, sub: Subspace) -> Subspace:
@@ -509,7 +507,7 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
     filt = {}
     for p in range(-n, n + 1):
         parity = (p + n + s.parity) % 2
-        filt[p] = embed(parity, filtration_subspace(s, tw, p))
+        filt[p] = embed(parity, filtration_subspace(s, p))
 
     def filt_ext(k: int) -> Subspace:
         # extend each parity chain by zero below and by its own top above

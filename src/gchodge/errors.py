@@ -103,10 +103,6 @@ class NotADecomposition(EngineError):
     code = "not-a-decomposition"
 
 
-class CompatibilityFailed(EngineError):
-    code = "compatibility-failed"
-
-
 class SpinorNotClosed(EngineError):
     code = "spinor-not-closed"
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import (TwistedCohomology, _preimage_in, chain_subspace,
-                         closed_classes, ddbar_check, delbar_cohomology,
-                         filtration_subspace, invariant_derham, lefschetz_check)
+from .cohomology import (_preimage_in, chain_subspace, closed_classes,
+                         ddbar_check, delbar_cohomology, filtration_subspace,
+                         invariant_derham, lefschetz_check, twisted_cohomology)
 from .courant import GenElem, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
                      SpinorNotClosed, WrongType)
-from .forms import Form, mukai_pairing, popcount
+from .forms import Form, mukai_pairing, popcount, spin_apply
 from .gcs import (GCStruct, Half, dual_frame, flat_matrix, form_of_vec,
                   make_complex, make_general, make_symplectic)
 from .liemodel import LieModel
@@ -348,20 +348,18 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
 
 # -- Gauss-Manin derivative and Q-flatness ----------------------------------------------
 
-def gm_derivative(f: FamilySpec, section: PolyForm, direction: int,
-                  tw: TwistedCohomology | None = None):
+def gm_derivative(f: FamilySpec, section: PolyForm, direction: int) -> Vec:
     """Class of the formal parameter derivative of a fiberwise-closed
-    polynomial section, at the basepoint."""
+    polynomial section, at the basepoint, in twisted-cohomology coordinates."""
     resid = dH_poly(f.model, section)
     if not resid.is_zero():
         raise SectionNotClosed("section family is not d_H-closed",
                                residual=repr(resid))
-    tw = tw if tw is not None else TwistedCohomology(f.model)
     ds = section.diff(direction).eval(f.basepoint)
-    coords = tw.coords(ds)
+    coords = twisted_cohomology(f.model).coords(ds)
     if coords is None:
         raise EngineError("derivative of a closed section is not closed")
-    return coords, tw
+    return coords
 
 
 def q_pairing_poly(a: PolyForm, b: PolyForm) -> ParamPoly:
@@ -398,13 +396,7 @@ class QFlatReport:
 def _section_is_flat(f: FamilySpec, s: PolyForm) -> bool:
     """Gauss-Manin flat: every parameter derivative is d_H-exact, identically
     in t (solved monomial-by-monomial)."""
-    m = f.model
-    N = 1 << m.dim
-    cols = []
-    for b in range(N):
-        w = dict(m.d_H(Form(m.dim, {b: ONE})).coeffs)
-        if w:
-            cols.append(w)
+    cols = list(f.model.dH_table.values())
     for j in range(f.nvars):
         ds = s.diff(j)
         for _e, slice_form in ds.monomial_slices().items():
@@ -478,14 +470,14 @@ def symp_filtration_check(f: FamilySpec, p: int) -> SympFiltrationReport:
         return SympFiltrationReport("strong Lefschetz fails at basepoint", {})
     m = f.model
     n = base.n
-    tw = TwistedCohomology(m)
+    tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
     h_dim = tw.dim_even if parity == 0 else tw.dim_odd
     derham = {k: invariant_derham(m, k) for k in range(0, 2 * n + 1)}
     per = {}
     for pt in [f.basepoint] + f.samples:
         s_t = f.structure_at(pt)
-        lhs = filtration_subspace(s_t, tw, p)
+        lhs = filtration_subspace(s_t, p)
         rho_t = (f.omega_t.eval(pt).scale(I) - f.B_t.eval(pt)).exp()
         vecs = []
         for k in range(p + n, -1, -2):
@@ -699,7 +691,7 @@ def extend_section(f: FamilySpec, p: int, rep: Form, cap: int | None = None):
     span = [pf.shift(f.basepoint) for pf in _graded_span_poly(f, p)]
     v0 = [pf.eval((QI(0),) * f.nvars) for pf in span]
     v0_cols = [dict(w.coeffs) for w in v0]
-    dv0_cols = [dict(m.d_H(w).coeffs) for w in v0]
+    dv0_cols = [spin_apply(m.dH_table, w.coeffs) for w in v0]
     sol = solve_columns(v0_cols, dict(rep.coeffs))
     if sol is None:
         raise ExtensionFailed("representative is not in the chain at basepoint")
@@ -742,15 +734,15 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     for pt in f.samples:
         samples_good[pt] = ddbar_check(f.structure_at(pt)).holds
     m = f.model
-    tw = TwistedCohomology(m)
+    tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
     parity2 = parity  # p+2 has the same parity chain
     h_dim = tw.dim_even if parity == 0 else tw.dim_odd
-    Fp = filtration_subspace(base, tw, p)
-    Fpm2 = filtration_subspace(base, tw, p - 2) if p - 2 >= -n \
+    Fp = filtration_subspace(base, p)
+    Fpm2 = filtration_subspace(base, p - 2) if p - 2 >= -n \
         else Subspace.zero(h_dim)
-    Fpp2 = filtration_subspace(base, tw, p + 2) if p + 2 <= n \
-        else filtration_subspace(base, tw, n if (n - p) % 2 == 0 else n - 1)
+    Fpp2 = filtration_subspace(base, p + 2) if p + 2 <= n \
+        else filtration_subspace(base, n if (n - p) % 2 == 0 else n - 1)
     Qdom = QuotientSpace(h_dim, [dict(v) for v in Fp.basis()],
                          [dict(v) for v in Fpm2.basis()])
     Qtar = QuotientSpace(h_dim, [dict(v) for v in Fpp2.basis()],
@@ -759,23 +751,23 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     # closed representatives spanning F^p at the basepoint
     sigma = chain_subspace(base, p)
     reps = [form_of_vec(m.dim, v)
-            for v in _preimage_in(sigma, base.dH_vec,
+            for v in _preimage_in(sigma, m.dH_table,
                                   Subspace.zero(1 << m.dim)).basis()]
 
     ks = ks_class(f, direction)
     # target-side solver data: lift a delbar-class in U_{p+2} to a closed
     # form in the chain U_{<=p+2}
     chain2 = sigma.sum(base.U_subspace(p + 2))
-    closed2 = _preimage_in(chain2, base.dH_vec, Subspace.zero(1 << m.dim))
+    closed2 = _preimage_in(chain2, m.dH_table, Subspace.zero(1 << m.dim))
     closed2_forms = [form_of_vec(m.dim, v) for v in closed2.basis()]
     lift_cols = [dict(base.project(p + 2, w).coeffs) for w in closed2_forms]
-    dbar_cols = [base.delbar_vec(v)
+    dbar_cols = [spin_apply(base.dH_parts[1], v)
                  for v in base.U_subspace(p + 1).basis()]
     n_closed2 = len(lift_cols)
 
     win = base.U_subspace(p - 2).sum(base.U_subspace(p)).sum(
         base.U_subspace(p + 2))
-    win_coords = closed_classes(base, tw, win, parity)
+    win_coords = closed_classes(base, win, parity)
 
     induced = []
     kactions = []

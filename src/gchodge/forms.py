@@ -10,6 +10,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange
+from .linalg import Vec, vec_axpy
 from .scalars import ONE, QI
 
 
@@ -229,6 +230,30 @@ def blade_name(mask: int) -> str:
     if mask == 0:
         return ""
     return "^".join(f"e{j + 1}" for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+# -- spinor-space operators ----------------------------------------------------
+
+SpinOp = dict[int, Vec]  # column mask -> sparse image; empty columns omitted
+
+
+def spin_op(dim: int, f) -> SpinOp:
+    """The table of a linear map on forms, one column per basis blade."""
+    cols: SpinOp = {}
+    for mask in range(1 << dim):
+        w = f(Form(dim, {mask: ONE}))
+        if w.coeffs:
+            cols[mask] = dict(w.coeffs)
+    return cols
+
+
+def spin_apply(op: SpinOp, v: Vec) -> Vec:
+    out: Vec = {}
+    for j, c in v.items():
+        col = op.get(j)
+        if col:
+            out = vec_axpy(out, c, col)
+    return out
 
 
 def wedge(a: Form, b: Form) -> Form:

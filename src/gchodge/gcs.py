@@ -10,6 +10,7 @@ interpolation over the forced spectrum {-in, ..., in}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .courant import GenElem, algebroid_from_basis, clifford_act, pairing
@@ -17,7 +18,7 @@ from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import Form, popcount
+from .forms import Form, SpinOp, popcount, spin_apply, spin_op
 from .liemodel import LieAlgebroid, LieModel
 from .linalg import (Matrix, Subspace, Vec, kernel_lift, mat_inv, mat_mul,
                      mat_vec, matrix_kernel, vec_axpy, vec_scale)
@@ -60,44 +61,36 @@ def apply_matrix(J: Matrix, a: GenElem) -> GenElem:
     return GenElem(a.dim, out[:a.dim], out[a.dim:])
 
 
-def gen_from_sparse(dim: int, v: Vec) -> GenElem:
-    return GenElem.from_coords(dim, v)
-
-
-# -- spinor-space operators -----------------------------------------------------
-
-SpinOp = dict[int, Vec]  # column mask -> sparse image
-
-
-def spin_op(dim: int, f) -> SpinOp:
-    cols: SpinOp = {}
-    for mask in range(1 << dim):
-        w = f(Form(dim, {mask: ONE}))
-        if w.coeffs:
-            cols[mask] = dict(w.coeffs)
-    return cols
-
-
-def spin_apply(op: SpinOp, v: Vec) -> Vec:
-    out: Vec = {}
-    for j, c in v.items():
-        col = op.get(j)
-        if col:
-            out = vec_axpy(out, c, col)
-    return out
-
+# -- graded splitting -------------------------------------------------------------
 
 def form_of_vec(dim: int, v: Vec) -> Form:
     return Form(dim, dict(v))
 
 
-def _split_by_blades(blade_parts: dict, w: Form) -> dict:
-    """Split w along per-blade graded parts {mask: {degree: Vec}}."""
+def _split_by_blades(blade_parts: dict, v: Vec) -> dict:
+    """Split v along per-blade graded parts {mask: {degree: Vec}}; only the
+    non-zero parts are kept."""
     parts: dict = {}
-    for mask, c in w.coeffs.items():
+    for mask, c in v.items():
         for k, p in blade_parts[mask].items():
             parts[k] = vec_axpy(parts.get(k, {}), c, p)
-    return {k: form_of_vec(w.dim, v) for k, v in parts.items() if v}
+    return {k: p for k, p in parts.items() if p}
+
+
+def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
+    """Split op along the grading given by per-blade parts: returns
+    {shift(k, j): table of the part of op taking degree k to degree j}."""
+    tables: dict = {}
+    for mask, parts in blade_parts.items():
+        cols: dict = {}
+        for k, p in parts.items():
+            for j, q in _split_by_blades(blade_parts, spin_apply(op, p)).items():
+                key = shift(k, j)
+                cols[key] = vec_axpy(cols.get(key, {}), ONE, q)
+        for key, col in cols.items():
+            if col:
+                tables.setdefault(key, {})[mask] = col
+    return tables
 
 
 class GCStruct:
@@ -136,36 +129,46 @@ class GCStruct:
             return out.scale(quarter) - w.scale(trace * quarter)
 
         self.N = spin_op(dim, act)
-
-        # minimal polynomial: prod_k (N + ik) = 0 over k = -n..n
-        for mask in range(1 << dim):
-            v: Vec = {mask: ONE}
-            for k in range(-n, n + 1):
-                v = vec_axpy(spin_apply(self.N, v), QI(0, k), v)
-                if not v:
-                    break
-            if v:
-                raise SpectrumViolation(
-                    "spinorial operator violates the forced spectrum "
-                    f"{{-i{n}..i{n}}} on blade {mask}", blade=mask)
-
-        # Lagrange/Vandermonde coefficients for exact eigenprojections
         ks = list(range(-n, n + 1))
-        V = [[QI(0, -k) ** m for k in ks] for m in range(len(ks))]
-        self._vand_inv = mat_inv(V)
         self._ks = ks
 
-        # decompose every basis blade once; record U bases and parity
+        # prod_k (x + ik) over k = -n..n, lowest coefficient first: N must
+        # satisfy it for its spectrum to lie in {-in, ..., in}
+        minpoly = [ONE]
+        for k in ks:
+            minpoly = [a * QI(0, k) + b for a, b
+                       in zip(minpoly + [QI(0)], [QI(0)] + minpoly)]
+
+        # Lagrange/Vandermonde coefficients for exact eigenprojections
+        V = [[QI(0, -k) ** m for k in ks] for m in range(len(ks))]
+        self._vand_inv = mat_inv(V)
+
+        # one pass of N-powers per blade gives both the spectrum check and
+        # the blade's graded parts; record U bases and parity
         self._blade_parts: dict[int, dict[int, Vec]] = {}
         u_vecs: dict[int, list[Vec]] = {k: [] for k in ks}
         for mask in range(1 << dim):
-            parts = self._decompose_vec({mask: ONE})
-            self._blade_parts[mask] = parts
+            powers: list[Vec] = [{mask: ONE}]
+            for _ in ks:
+                powers.append(spin_apply(self.N, powers[-1]))
+            resid: Vec = {}
+            for c, p in zip(minpoly, powers):
+                resid = vec_axpy(resid, c, p)
+            if resid:
+                raise SpectrumViolation(
+                    "spinorial operator violates the forced spectrum "
+                    f"{{-i{n}..i{n}}} on blade {mask}", blade=mask)
+            parts: dict[int, Vec] = {}
             total: Vec = {}
-            for k, p in parts.items():
-                total = vec_axpy(total, ONE, p)
-                if p:
-                    u_vecs[k].append(p)
+            for idx, k in enumerate(ks):
+                comp: Vec = {}
+                for c, p in zip(self._vand_inv[idx], powers):
+                    comp = vec_axpy(comp, c, p)
+                if comp:
+                    parts[k] = comp
+                    u_vecs[k].append(comp)
+                    total = vec_axpy(total, ONE, comp)
+            self._blade_parts[mask] = parts
             if total != {mask: ONE}:
                 raise SpectrumViolation("eigenprojections do not resolve identity")
         self.U = {k: Subspace.span(1 << dim, u_vecs[k]) for k in ks}
@@ -197,23 +200,11 @@ class GCStruct:
                     elem = elem + lbar[g].scale(c)
             self.dual_basis.append(elem)
 
-    def _decompose_vec(self, v: Vec) -> dict[int, Vec]:
-        powers = [v]
-        for _ in range(2 * self.n):
-            powers.append(spin_apply(self.N, powers[-1]))
-        out: dict[int, Vec] = {}
-        for idx, k in enumerate(self._ks):
-            comp: Vec = {}
-            for m, p in enumerate(powers):
-                comp = vec_axpy(comp, self._vand_inv[idx][m], p)
-            if comp:
-                out[k] = comp
-        return out
-
     # -- public grading API ----------------------------------------------------
 
     def decompose(self, w: Form) -> dict[int, Form]:
-        return _split_by_blades(self._blade_parts, w)
+        return {k: form_of_vec(w.dim, v) for k, v
+                in _split_by_blades(self._blade_parts, w.coeffs).items()}
 
     def project(self, k: int, w: Form) -> Form:
         return self.decompose(w).get(k, Form(w.dim))
@@ -221,42 +212,19 @@ class GCStruct:
     def U_subspace(self, k: int) -> Subspace:
         return self.U.get(k, Subspace.zero(1 << self.model.dim))
 
-    def d_H(self, w: Form) -> Form:
-        return self.model.d_H(w)
-
-    def del_delbar(self, w: Form):
-        """Returns (del w, delbar w, residual): the U_{k-1} and U_{k+1}
-        projections of d_H w summed over graded components, and whatever
-        lands elsewhere (zero exactly when the structure is integrable)."""
-        lower = Form(self.model.dim)
-        upper = Form(self.model.dim)
-        resid = Form(self.model.dim)
-        for k, comp in self.decompose(w).items():
-            dw = self.d_H(comp)
-            for j, part in self.decompose(dw).items():
-                if j == k - 1:
-                    lower = lower + part
-                elif j == k + 1:
-                    upper = upper + part
-                else:
-                    resid = resid + part
-        return lower, upper, resid
+    @cached_property
+    def dH_parts(self) -> dict[int, SpinOp]:
+        """d_H split by grading shift: -1 is del and +1 is delbar (always
+        present, possibly empty); any other key means that d_H leaves
+        U_{k-1} + U_{k+1}, so the structure is not integrable."""
+        return {-1: {}, 1: {}, **shift_tables(
+            self._blade_parts, self.model.dH_table, lambda k, j: j - k)}
 
     def partial(self, w: Form) -> Form:
-        return self.del_delbar(w)[0]
+        return Form(w.dim, spin_apply(self.dH_parts[-1], w.coeffs))
 
     def delbar(self, w: Form) -> Form:
-        return self.del_delbar(w)[1]
-
-    # vec-level operators for the cohomology engines
-    def dH_vec(self, v: Vec) -> Vec:
-        return dict(self.d_H(form_of_vec(self.model.dim, v)).coeffs)
-
-    def delbar_vec(self, v: Vec) -> Vec:
-        return dict(self.delbar(form_of_vec(self.model.dim, v)).coeffs)
-
-    def partial_vec(self, v: Vec) -> Vec:
-        return dict(self.partial(form_of_vec(self.model.dim, v)).coeffs)
+        return Form(w.dim, spin_apply(self.dH_parts[1], w.coeffs))
 
     # -- spinor -----------------------------------------------------------------
 
@@ -337,7 +305,7 @@ def make_general(m: LieModel, J: Matrix, kind: str = "general") -> GCStruct:
     if len(kernel) != m.dim:
         raise NotAlmostComplex(
             f"+i eigenspace has dim {len(kernel)}, expected {m.dim}")
-    basis = [gen_from_sparse(m.dim, v) for v in kernel]
+    basis = [GenElem.from_coords(m.dim, v) for v in kernel]
     try:
         L = algebroid_from_basis(m, basis, name="L")
     except NotClosedUnderBracket as e:

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .cohomology import TwistedCohomology, closed_classes
+from .cohomology import closed_classes, twisted_cohomology
 from .courant import GenElem, algebroid_from_basis
 from .errors import (MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
 from .families import FamilySpec, ks_class
-from .forms import Form
-from .gcs import GCStruct, _split_by_blades, form_of_vec, pairing_gram
+from .forms import Form, SpinOp, spin_apply
+from .gcs import (GCStruct, _split_by_blades, form_of_vec, pairing_gram,
+                  shift_tables)
 from .liemodel import LieAlgebroid
 from .linalg import (QuotientSpace, Subspace, Vec, mat_det, mat_mul, vec_add,
                      vec_axpy)
@@ -33,7 +35,7 @@ def _joint_parts(first: GCStruct, second: GCStruct,
     keys are (degree for first, degree for second)."""
     parts: dict[tuple[int, int], Vec] = {}
     for r, p1 in first._blade_parts[mask].items():
-        for s, p2 in second._decompose_vec(p1).items():
+        for s, p2 in _split_by_blades(second._blade_parts, p1).items():
             parts[(r, s)] = vec_axpy(parts.get((r, s), {}), ONE, p2)
     return parts
 
@@ -62,15 +64,19 @@ class GKPair:
         self.U2_dims = {rs: sp.dim for rs, sp in self.U2.items() if sp.dim}
 
     def decompose2(self, w: Form) -> dict[tuple[int, int], Form]:
-        return _split_by_blades(self._blade_parts, w)
+        return {rs: form_of_vec(w.dim, v) for rs, v
+                in _split_by_blades(self._blade_parts, w.coeffs).items()}
 
     def U2_subspace(self, r: int, s: int) -> Subspace:
         return self.U2.get((r, s), Subspace.zero(1 << self.model.dim))
 
-    def delta_plus_bar_vec(self, v: Vec) -> Vec:
-        w = form_of_vec(self.model.dim, v)
-        comps, _resid = delta_components(self, w)
-        return dict(comps["delbar+"].coeffs)
+    @cached_property
+    def dH_parts(self) -> dict[tuple[int, int], SpinOp]:
+        """d_H split by bidegree shift: the four BIDEGREES (always present,
+        possibly empty), and any other key only for an invalid pair."""
+        return {**{bd: {} for bd in BIDEGREES.values()}, **shift_tables(
+            self._blade_parts, self.model.dH_table,
+            lambda k, j: (j[0] - k[0], j[1] - k[1]))}
 
 
 def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
@@ -165,25 +171,6 @@ BIDEGREES = {"delta+": (-1, -1), "delta-": (-1, 1),
              "delbar+": (1, 1), "delbar-": (1, -1)}
 
 
-def delta_components(pair: GKPair, w: Form):
-    """Projections of d_H w onto the four Kaehler bidegrees plus the residual
-    (which vanishes exactly for a valid pair)."""
-    dim = pair.model.dim
-    comps = {name: Form(dim) for name in BIDEGREES}
-    resid = Form(dim)
-    for (r, s), part in pair.decompose2(w).items():
-        dw = pair.model.d_H(part)
-        for (r2, s2), piece in pair.decompose2(dw).items():
-            delta = (r2 - r, s2 - s)
-            for name, bid in BIDEGREES.items():
-                if delta == bid:
-                    comps[name] = comps[name] + piece
-                    break
-            else:
-                resid = resid + piece
-    return comps, resid
-
-
 @dataclass
 class DeltaReport:
     residual_ok: bool
@@ -212,42 +199,37 @@ def delta_split_check(pair: GKPair, samples: int = 12, seed: int = 5) -> DeltaRe
     two diagonal pairs is an analytic Kaehler identity, reported separately."""
     dim = pair.model.dim
     rng = random.Random(seed)
-    residual_ok = True
-    m1 = m2 = True
-    for mask in range(1 << dim):
-        w = Form(dim, {mask: ONE})
-        comps, resid = delta_components(pair, w)
-        if not resid.is_zero():
-            residual_ok = False
-        if comps["delbar+"] + comps["delbar-"] != pair.s1.delbar(w):
-            m1 = False
-        if comps["delbar+"] + comps["delta-"] != pair.s2.delbar(w):
-            m2 = False
+    parts = pair.dH_parts
+
+    def op(name, v):
+        return spin_apply(parts[BIDEGREES[name]], v)
+
+    residual_ok = set(parts) <= set(BIDEGREES.values())
+    blades = [{b: ONE} for b in range(1 << dim)]
+    m1 = all(vec_add(op("delbar+", v), op("delbar-", v))
+             == spin_apply(pair.s1.dH_parts[1], v) for v in blades)
+    m2 = all(vec_add(op("delbar+", v), op("delta-", v))
+             == spin_apply(pair.s2.dH_parts[1], v) for v in blades)
     anti_ok = True
     strong_ok = True
-    names = list(BIDEGREES)
     forced_pairs = [("delta+", "delta-"), ("delta+", "delbar-"),
                     ("delta-", "delbar+"), ("delbar+", "delbar-")]
 
-    def anticomm(a, b, w):
-        fb = delta_components(pair, w)[0]
-        return delta_components(pair, fb[b])[0][a] \
-            + delta_components(pair, fb[a])[0][b]
+    def anticomm(a, b, v):
+        return vec_add(op(a, op(b, v)), op(b, op(a, v)))
 
     for _ in range(samples):
-        w = Form(dim, {rng.randrange(1 << dim): QI(rng.randrange(-2, 3), 1)})
-        comps = delta_components(pair, w)[0]
-        for nm in names:  # squares vanish
-            if not delta_components(pair, comps[nm])[0][nm].is_zero():
+        w = {rng.randrange(1 << dim): QI(rng.randrange(-2, 3), 1)}
+        for nm in BIDEGREES:  # squares vanish
+            if op(nm, op(nm, w)):
                 anti_ok = False
         for a, b in forced_pairs:
-            if not anticomm(a, b, w).is_zero():
+            if anticomm(a, b, w):
                 anti_ok = False
-        diag_sum = anticomm("delta+", "delbar+", w) \
-            + anticomm("delta-", "delbar-", w)
-        if not diag_sum.is_zero():
+        if vec_add(anticomm("delta+", "delbar+", w),
+                   anticomm("delta-", "delbar-", w)):
             anti_ok = False
-        if not anticomm("delta+", "delbar+", w).is_zero():
+        if anticomm("delta+", "delbar+", w):
             strong_ok = False
     return DeltaReport(residual_ok, m1, m2, anti_ok, strong_ok)
 
@@ -278,19 +260,20 @@ def bigraded_cohomology(pair: GKPair) -> BigradedCohomologyReport:
     m = pair.model
     N = 1 << m.dim
     n = pair.n
+    delbar_plus = pair.dH_parts[BIDEGREES["delbar+"]]
     dims = {}
     for (r, s) in pair.U2_dims:
         basis = pair.U2_subspace(r, s).basis()
         dims[(r, s)] = QuotientSpace.of_map(
-            N, basis, [pair.delta_plus_bar_vec(v) for v in basis],
-            [pair.delta_plus_bar_vec(v)
+            N, basis, [spin_apply(delbar_plus, v) for v in basis],
+            [spin_apply(delbar_plus, v)
              for v in pair.U2_subspace(r - 1, s - 1).basis()]).dim
-    tw = TwistedCohomology(m)
+    tw = twisted_cohomology(m)
     total_ok = sum(dims.values()) == tw.total_dim
 
     # blocks inside twisted cohomology
     def block_coords(space: Subspace) -> Subspace:
-        return closed_classes(pair.s1, tw, space)
+        return closed_classes(pair.s1, space)
 
     blocks = {rs: block_coords(pair.U2_subspace(*rs)) for rs in pair.U2_dims}
     b1 = {k: block_coords(pair.s1.U_subspace(k)) for k in range(-n, n + 1)}

@@ -7,8 +7,10 @@ c * e^i ^ e^j to d e^k, equivalently <e^k, [x_i, x_j]> = -c.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import JacobiFailure, NotClosedUnderBracket, TwistNotClosed
-from .forms import Form, popcount
+from .forms import Form, SpinOp, popcount, spin_op
 from .linalg import QuotientSpace, mat_det, solve_columns
 from .scalars import ONE, QI
 
@@ -58,6 +60,15 @@ class LieModel:
 
     def d_H(self, a: Form) -> Form:
         return self.d(a) + self.H.wedge(a)
+
+    # models are immutable, so each operator table is built once, on first use
+    @cached_property
+    def d_table(self) -> SpinOp:
+        return spin_op(self.dim, self.d)
+
+    @cached_property
+    def dH_table(self) -> SpinOp:
+        return spin_op(self.dim, self.d_H)
 
     def bracket_vectors(self, xi, yj):
         """Lie bracket of constant vector fields, coefficient lists (0-based)."""
@@ -120,10 +131,6 @@ def validate_model(m: LieModel) -> ModelReport:
     return m.validate()
 
 
-def ce_differential(m: LieModel, a: Form) -> Form:
-    return m.d(a)
-
-
 # -- Lie algebroids -----------------------------------------------------------
 
 class LieAlgebroid:
@@ -142,7 +149,7 @@ class LieAlgebroid:
 
     # -- cochain complex ----------------------------------------------------
 
-    def differential(self, c: dict[int, QI], degree: int | None = None) -> dict[int, QI]:
+    def differential(self, c: dict[int, QI]) -> dict[int, QI]:
         """Cartan formula on invariant cochains:
         (dc)(a_0..a_k) = sum_{p<q} (-1)^{p+q} c([a_p,a_q], ..hat p..hat q..)."""
         out: dict[int, QI] = {}

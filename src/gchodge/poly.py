@@ -251,9 +251,9 @@ class PolyForm:
 def dH_poly(m, pf: PolyForm) -> PolyForm:
     """d_H applied coefficient-wise (the twist is parameter-independent)."""
     out = PolyForm(pf.dim, pf.nvars)
+    dH = m.dH_table
     for mask, p in pf.coeffs.items():
-        image = m.d_H(Form(pf.dim, {mask: ONE}))
-        for m2, c in image.coeffs.items():
+        for m2, c in dH.get(mask, {}).items():
             term = p.scale(c)
             out.coeffs[m2] = out.coeffs[m2] + term if m2 in out.coeffs else term
     return PolyForm(pf.dim, pf.nvars, out.coeffs)

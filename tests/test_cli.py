@@ -120,17 +120,31 @@ FAMILY = str(CORPUS / "torus4-symplectic.gcm")
     (["check", "bad.gcm"], {"bad.gcm": b"dim = 4\nH = 0 # \xff\xfe\n"},
      2, "read input"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[complex c]\n"},
-     1, "syntax-error: block 'c' needs 'I'"),
+     2, "syntax-error: block 'c' needs 'I'"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[general g]\n"},
-     1, "syntax-error: block 'g' needs 'J'"),
+     2, "syntax-error: block 'g' needs 'J'"),
+    (["gk", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\nB = 0\n"},
+     2, "syntax-error: block 's' needs 'omega'"),
+    (["family", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[family f]\nkind = complex\n"},
+     2, "syntax-error: family 'f' needs 'variables'"),
+    (["check", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
+    (["family", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
     (["check", str(CORPUS / "kt.gcm"), "--samples", "-5"], {}, 2,
      "--samples"),
+    (["gk", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic t]\n"
+                                b"omega = 1 e1^e2 + 1 e3^e4\n"
+                                b"[gk pair]\nfirst = s\nsecond = t\n"},
+     1, "unresolved structure references ['s']"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "non-utf8", "complex-without-I",
-        "general-without-J", "negative-samples"])
+        "general-without-J", "gk-symplectic-without-omega",
+        "family-without-variables", "check-at-x", "family-without-block-at-x",
+        "negative-samples", "gk-first-missing"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
-    """Bad input exits 2 (a missing structure key fails its structure check
-    like a missing omega does), with a report line and never a traceback."""
+    """Bad input exits 2 (a block missing its data, a malformed --at on any
+    command), with a report line and never a traceback; a [gk] block naming
+    a structure that does not exist fails its check (exit 1) and names only
+    that structure."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     env = dict(os.environ)
@@ -142,3 +156,17 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     assert proc.returncode == code, out
     assert "Traceback" not in out
     assert expect in out
+
+def test_hodge_builds_twisted_cohomology_once(monkeypatch):
+    from gchodge.cohomology import TwistedCohomology
+    built = []
+    init = TwistedCohomology.__init__
+
+    def counting_init(self, m):
+        built.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(TwistedCohomology, "__init__", counting_init)
+    code, _out = run_cli("hodge", str(CORPUS / "torus6-kahler.gcm"))
+    assert code == 0
+    assert len(built) == 1

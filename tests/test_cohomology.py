@@ -2,7 +2,7 @@
 
 import pytest
 
-from gchodge.cohomology import (TwistedCohomology, ddbar_check, delbar_dims,
+from gchodge.cohomology import (ddbar_check, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
@@ -105,8 +105,7 @@ def test_filtration_symplectic_torus():
     assert rep.graded_match and all(rep.graded_match.values())
     # F^{-2} is spanned by the spinor class, which is nonzero since
     # (rho, conj rho) = -4
-    tw = TwistedCohomology(ABELIAN4)
-    f = filtration_subspace(s, tw, -2)
+    f = filtration_subspace(s, -2)
     assert f.dim == 1
     assert mukai_pairing(s.spinor, s.spinor.conj()) == QI(-4)
 
@@ -128,7 +127,6 @@ def test_mukai_q_symplectic_torus():
     rep = mukai_Q(s)
     assert rep.descends and rep.nondegenerate and rep.block_orthogonal
     assert rep.measured_dh_sign == 1
-    tw = TwistedCohomology(ABELIAN4)
     # Q([e^{iw}], [e^{-iw}]) = -4 under vol = e^{1234} -> 1
     assert mukai_pairing(s.spinor, s.spinor.conj()) == QI(-4)
 

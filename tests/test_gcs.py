@@ -8,7 +8,7 @@ import pytest
 from gchodge.courant import GenElem, clifford_act
 from gchodge.errors import (DegenerateOmega, NotAlmostComplex, NotIntegrable,
                             TwistWrongType, WrongType)
-from gchodge.forms import Form, mukai_pairing, popcount
+from gchodge.forms import Form, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import (GCStruct, make_complex, make_general, make_symplectic,
                          symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
@@ -195,23 +195,57 @@ def test_mukai_orthogonality_of_grading():
 
 # -- del / delbar ----------------------------------------------------------------
 
-def test_del_delbar_abelian_zero():
+def split_dH(s, w):
+    """(del w, delbar w, residual) read off the structure's d_H tables."""
+    parts = {k: Form(w.dim, spin_apply(t, w.coeffs))
+             for k, t in s.dH_parts.items()}
+    res = Form(w.dim)
+    for k, p in parts.items():
+        if k not in (-1, 1):
+            res = res + p
+    return parts[-1], parts[1], res
+
+def reference_dH_parts(decompose, model, shift):
+    """The per-blade derivation the tables replace: decompose each blade,
+    apply d_H to each graded part on Forms, decompose again, and bucket the
+    pieces by shift(k, j); empty columns and tables are dropped."""
+    dim = model.dim
+    out = {}
+    for mask in range(1 << dim):
+        for k, comp in decompose(Form(dim, {mask: ONE})).items():
+            for j, piece in decompose(model.d_H(comp)).items():
+                cols = out.setdefault(shift(k, j), {})
+                cols[mask] = cols.get(mask, Form(dim)) + piece
+    tables = {key: {m: dict(f.coeffs) for m, f in cols.items() if f.coeffs}
+              for key, cols in out.items()}
+    return {key: t for key, t in tables.items() if t}
+
+def nonempty(parts):
+    return {key: t for key, t in parts.items() if t}
+
+def test_dH_parts_match_per_blade_reference():
+    for s in (complex_torus4(), symplectic_torus4(), kt_symplectic_twisted()):
+        want = reference_dH_parts(s.decompose, s.model, lambda k, j: j - k)
+        assert nonempty(s.dH_parts) == want
+        assert set(s.dH_parts) == {-1, 1}
+
+def test_del_and_delbar_abelian_zero():
     s = complex_torus4()
     rng = random.Random(7)
     for _ in range(5):
         w = Form(4, {rng.randrange(16): QI(1, rng.randrange(-1, 2))})
-        lo, hi, res = s.del_delbar(w)
+        lo, hi, res = split_dH(s, w)
         assert lo.is_zero() and hi.is_zero() and res.is_zero()
 
-def test_del_delbar_residual_vanishes_kt():
+def test_del_and_delbar_residual_vanishes_kt():
     s = kt_symplectic_twisted()
     for mask in range(16):
         w = Form(4, {mask: ONE})
-        lo, hi, res = s.del_delbar(w)
+        lo, hi, res = split_dH(s, w)
         assert res.is_zero()
-        assert lo + hi == s.d_H(w)
+        assert lo + hi == s.model.d_H(w)
 
-def test_del_delbar_identities():
+def test_del_and_delbar_identities():
     s = kt_symplectic_twisted()
     for mask in range(16):
         w = Form(4, {mask: ONE})
@@ -219,18 +253,28 @@ def test_del_delbar_identities():
         assert s.delbar(s.delbar(w)).is_zero()
         assert (s.partial(s.delbar(w)) + s.delbar(s.partial(w))).is_zero()
 
-def test_almost_structure_residual_nonzero():
+def broken_kt():
     # drop the twist to break integrability of the B-shifted symplectic J
     s = kt_symplectic_twisted()
     broken = GCStruct.__new__(GCStruct)
     broken.__dict__.update(s.__dict__)
     broken.model = KT  # same J, wrong Dorfman twist -> d_H loses a component
+    return broken
+
+def test_almost_structure_residual_nonzero():
+    broken = broken_kt()
     bad = False
     for mask in range(16):
-        _lo, _hi, res = broken.del_delbar(Form(4, {mask: ONE}))
+        _lo, _hi, res = split_dH(broken, Form(4, {mask: ONE}))
         if not res.is_zero():
             bad = True
     assert bad
+
+def test_broken_dH_parts_match_reference():
+    broken = broken_kt()
+    want = reference_dH_parts(broken.decompose, KT, lambda k, j: j - k)
+    assert nonempty(broken.dH_parts) == want
+    assert set(want) - {-1, 1}
 
 
 # -- symplectic phi / delta --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Generalized Kaehler pairs: validation, bigrading, d_H split, deformations."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +11,15 @@ from gchodge.errors import MetricNotPositive, NotADecomposition, NotCommuting
 from gchodge.families import FamilySpec
 from gchodge.forms import Form
 from gchodge.gcs import make_complex, make_general, make_symplectic
-from gchodge.gkaehler import (algebroid_split_check, bigraded_cohomology,
-                              bigrading, delta_split_check, gk_deformation_check,
-                              gk_validate)
+from gchodge.gkaehler import (BIDEGREES, algebroid_split_check,
+                              bigraded_cohomology, bigrading, delta_split_check,
+                              gk_deformation_check, gk_validate)
 from gchodge.liemodel import LieModel
+from gchodge.modelfile import build_structure, parse_model
 from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import ABELIAN4, std_I, torus_omega
+from test_gcs import ABELIAN4, nonempty, reference_dH_parts, std_I, torus_omega
 from test_families import poly_two_form
 
 # flat Kaehler solvable model: d e1 = -e23, d e2 = e13 (isometries of the plane)
@@ -95,6 +97,18 @@ def test_delta_split_flat4():
     assert rep.residual_ok and rep.matches_delbar1 and rep.matches_delbar2
     assert rep.anticommute_ok
     assert not rep.strong_anticommute
+
+@pytest.mark.parametrize("name", ["torus4-kahler", "flat4-kahler"])
+def test_dH_parts_match_per_blade_reference(name):
+    path = Path(__file__).resolve().parent.parent / "corpus" / f"{name}.gcm"
+    mf = parse_model(path.read_text())
+    model = mf.model(name=name)
+    pair = gk_validate(build_structure(mf, mf.block("c"), model),
+                       build_structure(mf, mf.block("s"), model))
+    want = reference_dH_parts(pair.decompose2, model,
+                              lambda k, j: (j[0] - k[0], j[1] - k[1]))
+    assert nonempty(pair.dH_parts) == want
+    assert set(pair.dH_parts) == set(BIDEGREES.values())
 
 def test_both_structures_satisfy_ddbar():
     for model in (ABELIAN4, FLAT4):

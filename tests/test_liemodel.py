@@ -8,7 +8,7 @@ from gchodge.courant import GenElem, algebroid_from_basis
 from gchodge.errors import (JacobiFailure, NotClosedUnderBracket, NotIsotropic,
                             TwistNotClosed)
 from gchodge.forms import Form
-from gchodge.liemodel import LieModel, ce_differential
+from gchodge.liemodel import LieModel
 from gchodge.scalars import I, ONE, QI
 
 
