@@ -388,7 +388,7 @@ def _parse_at(spec: str) -> dict[int, QI]:
         key = key.strip()
         if not (eq and key[:1] == "t" and key[1:].isdigit()):
             raise ModelSyntaxError(f"bad --at entry {part!r}")
-        vals[int(key[1:])] = _parse_scalar(v.strip(), 0)
+        vals[int(key[1:])] = _parse_scalar(v.strip(), None)
     return vals
 
 

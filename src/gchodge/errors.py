@@ -114,8 +114,12 @@ class NoInvariantSpinor(EngineError):
 class ModelSyntaxError(EngineError):
     code = "syntax-error"
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{message} (line {line}, col {col})", line=line, col=col)
+    def __init__(self, message: str, line: int | None = None, col: int = 0):
+        """`line` is a model-file line; without one (a command-line value)
+        the message carries no position."""
+        if line is not None:
+            message = f"{message} (line {line}, col {col})"
+        super().__init__(message, line=line, col=col)
         self.line = line
         self.col = col
 

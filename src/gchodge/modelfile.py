@@ -49,7 +49,7 @@ class ModelFile:
         raise EngineError(f"no block named {name!r}")
 
 
-def _parse_scalar(tok: str, lno: int) -> QI:
+def _parse_scalar(tok: str, lno: int | None) -> QI:
     m = _NUM.match(tok)
     if not m:
         raise ModelSyntaxError(f"bad rational literal {tok!r}", lno)

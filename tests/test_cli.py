@@ -144,7 +144,8 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command), with a report line and never a traceback; a [gk] block naming
     a structure that does not exist fails its check (exit 1) and names only
-    that structure."""
+    that structure.  An --at value comes from the command line, so its
+    report line gives no model-file position."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     env = dict(os.environ)
@@ -156,6 +157,8 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     assert proc.returncode == code, out
     assert "Traceback" not in out
     assert expect in out
+    if "--at" in argv:
+        assert "(line" not in out
 
 def test_hodge_builds_twisted_cohomology_once(monkeypatch):
     from gchodge.cohomology import TwistedCohomology

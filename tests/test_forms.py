@@ -1,7 +1,11 @@
 """Exterior algebra and Mukai pairing tests."""
 
+import ast
+import json
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from gchodge.errors import DimensionMismatch
 from gchodge.forms import Form, contract, mukai_pairing, sigma_involution, wedge
-from gchodge.scalars import I, ONE, QI
+from gchodge.scalars import I, ONE, QI, format_qi
 
 
 def B(dim, *idx):
@@ -43,6 +47,112 @@ def test_scalar_mul_commutes(a, b, c, d):
     x, y = QI(a, b), QI(c, d)
     assert x * y == y * x
     assert x + y == y + x
+
+
+# Reference arithmetic: a Gaussian rational as a pair of Fractions (re, im).
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+def _ref_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+def _ref_format(re, im):
+    """The formatter of the Fraction-pair kernel, verbatim in behaviour."""
+    if not im:
+        return str(re)
+    im_s = "i" if im == 1 else "-i" if im == -1 else str(im) + "i"
+    if not re:
+        return im_s
+    return str(re) + im_s if im_s.startswith("-") else str(re) + "+" + im_s
+
+def _assert_matches(z, ref):
+    """z is the QI of the reference pair: same value, Fraction parts, text,
+    canonical internals and hash."""
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == ref
+    assert format_qi(z) == str(z) == _ref_format(*ref)
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and gcd(a, b, d) == 1
+    w = QI(*ref)
+    assert (w._a, w._b, w._d) == (a, b, d)
+    assert z == w and hash(z) == hash(w)
+    if not ref[1]:
+        assert z == ref[0] and hash(z) == hash(ref[0])
+        if ref[0].denominator == 1:
+            n = ref[0].numerator
+            assert z == n and hash(z) == hash(n) and {n: "x"}.get(z) == "x"
+    else:
+        assert z != ref[0]
+
+
+_rationals = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+_gaussians = st.tuples(_rationals, _rationals)
+
+
+@given(_gaussians, _gaussians, st.integers(-3, 3), st.integers(-50, 50))
+@settings(max_examples=300, derandomize=True)
+def test_scalar_kernel_matches_fraction_pair_reference(x, y, k, n):
+    qx, qy = QI(*x), QI(*y)
+    _assert_matches(qx, x)
+    _assert_matches(qx + qy, (x[0] + y[0], x[1] + y[1]))
+    _assert_matches(qx - qy, (x[0] - y[0], x[1] - y[1]))
+    _assert_matches(qx * qy, _ref_mul(x, y))
+    _assert_matches(-qx, (-x[0], -x[1]))
+    _assert_matches(qx.conj(), (x[0], -x[1]))
+    _assert_matches(qx + n, (x[0] + n, x[1]))
+    _assert_matches(n - qx, (n - x[0], -x[1]))
+    _assert_matches(qx * y[0], (x[0] * y[0], x[1] * y[0]))
+    _assert_matches(y[1] * qx, (x[0] * y[1], x[1] * y[1]))
+    assert (qx == qy) == (x == y)
+    if any(y):
+        _assert_matches(qy.inv(), _ref_inv(y))
+        _assert_matches(qx / qy, _ref_mul(x, _ref_inv(y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            qy.inv()
+        with pytest.raises(ZeroDivisionError):
+            qx / qy
+    if any(x) or k >= 0:
+        ref = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            ref = _ref_mul(ref, x if k > 0 else _ref_inv(x))
+        _assert_matches(qx ** k, ref)
+
+
+def test_scalar_hash_agrees_with_eq():
+    assert {1: "x"}.get(QI(1)) == "x"
+    assert {Fraction(-3, 4): "y"}.get(QI(Fraction(-3, 4))) == "y"
+    assert len({QI(2), 2, Fraction(2), QI(Fraction(4, 2), 0)}) == 1
+    assert QI(0, 1) in {I}
+    with pytest.raises(ZeroDivisionError):
+        QI(0).inv()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+def test_scalar_surface_the_benchmark_uses():
+    """The benchmark's counting run patches the QI class attributes named in
+    bench/tracer.py's Counter.OPS, and its multiply-add probe rebuilds the
+    operands of bench/operands.json through QI(re, im) and reads them back
+    through re/im.  Both files are only read here."""
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    counter = next(n for n in tree.body
+                   if isinstance(n, ast.ClassDef) and n.name == "Counter")
+    ops = next(ast.literal_eval(n.value) for n in counter.body
+               if isinstance(n, ast.Assign)
+               and [t.id for t in n.targets] == ["OPS"])
+    assert ops and all(callable(vars(QI).get(name)) for name in ops)
+    operands = json.loads((BENCH / "operands.json").read_text())
+    assert operands
+    for rows in operands.values():
+        for ar, ai, br, bi in rows[:50]:
+            for re, im in ((ar, ai), (br, bi)):
+                z = QI(Fraction(re), Fraction(im))
+                assert (str(z.re), str(z.im)) == (re, im)
 
 
 # -- wedge --------------------------------------------------------------------
