@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .cohomology import (ddbar_check, delbar_dims, frolicher_pages,
                          hodge_filtration, invariant_derham, lefschetz_check,
-                         mukai_Q, twisted_cohomology, weight_mhs_check)
+                         mukai_Q, once_per_structure, twisted_cohomology,
+                         weight_mhs_check)
 from .courant import courant_axiom_suite
 from .errors import EngineError, ModelSyntaxError
 from .families import (family_validate, gcy_check, graph_epsilon,
@@ -161,7 +163,7 @@ def cmd_ddbar(mf, model, report, args):
         frl = frolicher_pages(s)
         report.add(f"frolicher pages of {b.name}",
                    _verdict(frl.degenerates), frl.lines())
-        dd = ddbar_check(s)
+        dd = once_per_structure(s, ddbar_check)
         report.add(f"ddbar lemma for {b.name}", _verdict(dd.holds), dd.lines())
 
 
@@ -184,7 +186,7 @@ def cmd_lefschetz(mf, model, report, args):
     for b, s in _structures(mf, model, report, kinds=("symplectic",)):
         lf = lefschetz_check(s)
         report.add(f"strong Lefschetz for {b.name}", _verdict(lf.ok), lf.lines())
-        dd = ddbar_check(s)
+        dd = once_per_structure(s, ddbar_check)
         report.add(f"lefschetz <=> ddbar ({b.name})",
                    _verdict(lf.ok == dd.holds),
                    [f"lefschetz {lf.ok}, ddbar {dd.holds}"])
@@ -250,7 +252,7 @@ def cmd_family(mf, model, report, args):
             report.add(f"family {b.name} holomorphy",
                        _verdict(h.holomorphic), h.lines())
         n = model.dim // 2
-        base_dd = ddbar_check(fam.base_structure())
+        base_dd = once_per_structure(fam.base_structure(), ddbar_check)
         if base_dd.holds:
             for p in range(-n, n - 1):
                 tr = transversality_check(fam, p, 0)
@@ -347,8 +349,8 @@ def cmd_gk(mf, model, report, args):
                    _verdict(bc.total_matches_twisted and bc.blocks_decompose
                             and bc.intersection_ok and bc.marginals_ok),
                    bc.lines())
-        dd1 = ddbar_check(pair.s1)
-        dd2 = ddbar_check(pair.s2)
+        dd1 = once_per_structure(pair.s1, ddbar_check)
+        dd2 = once_per_structure(pair.s2, ddbar_check)
         report.add(f"gk ddbar both structures {b.name}",
                    _verdict(dd1.holds and dd2.holds),
                    [f"J1: {dd1.holds}, J2: {dd2.holds}"])
@@ -450,22 +452,36 @@ def main(argv=None) -> int:
     except ModelSyntaxError as e:
         report = Report(args.command, target.name)
         report.add("parse input", "fail", [f"{e.code}: {e}"])
-        print(report.render(args.json, args.quiet))
-        return 2
+        return _emit(report.render(args.json, args.quiet), 2)
     if args.all:
         if not target.is_dir():
             print(f"not a directory: {target}", file=sys.stderr)
             return 2
+        files = sorted(target.rglob("*.gcm"))
+        if not files:
+            print(f"no .gcm files under {target}", file=sys.stderr)
+            return 2
         code = 0
         chunks = []
-        for p in sorted(target.rglob("*.gcm")):
+        for p in files:
             c, text = run_file(args.command, p, args)
             code = max(code, c)
             chunks.append(text)
-        print("\n\n".join(chunks))
-        return code
+        return _emit("\n\n".join(chunks), code)
     code, text = run_file(args.command, target, args)
-    print(text)
+    return _emit(text, code)
+
+
+def _emit(text: str, code: int) -> int:
+    """Print the report and return its exit code; a reader that closes the
+    pipe early (`| head`) ends the output without a traceback."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in the Python `signal` docs: send the rest, and the flush at
+        # exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 from .courant import random_real_form
 from .errors import WrongType
-from .forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
+from .forms import (Form, SpinOp, mukai_dual, mukai_pairing, popcount,
+                    spin_apply)
 from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
 from .linalg import (QuotientSpace, Subspace, Vec, kernel_lift, mat_det,
                      vec_axpy)
-from .scalars import ONE, QI
+from .scalars import ONE, QI, ZERO
 
 
 # -- twisted cohomology --------------------------------------------------------
@@ -116,7 +117,18 @@ def delbar_cohomology(s: GCStruct) -> dict[int, QuotientSpace]:
 
 
 def delbar_dims(s: GCStruct) -> dict[int, int]:
-    return {k: q.dim for k, q in delbar_cohomology(s).items()}
+    return {k: q.dim for k, q in
+            once_per_structure(s, delbar_cohomology).items()}
+
+
+def once_per_structure(s: GCStruct, compute):
+    """compute(s), run once per structure and kept on it (a structure does
+    not change once built): the delbar cohomology and the del-delbar verdict
+    are shared by every check that asks for them."""
+    kept = vars(s).setdefault("_kept", {})
+    if compute not in kept:
+        kept[compute] = compute(s)
+    return kept[compute]
 
 
 # -- generalized Froelicher spectral sequence --------------------------------------
@@ -283,7 +295,7 @@ def filtration_subspace(s: GCStruct, p: int) -> Subspace:
 def hodge_filtration(s: GCStruct) -> HodgeReport:
     n = s.n
     tw = twisted_cohomology(s.model)
-    dd = ddbar_check(s)
+    dd = once_per_structure(s, ddbar_check)
     frl = frolicher_pages(s)
     db = delbar_dims(s)
     filt = {p: filtration_subspace(s, p) for p in range(-n, n + 1)}
@@ -347,12 +359,32 @@ class MukaiQReport:
         return out
 
 
+def _mukai_rows(dim: int, left: list[Vec], right: list[Vec]) -> list[Vec]:
+    """Row i holds the nonzero Mukai pairings (left[i], right[j]) by j,
+    formed from the Mukai dual of left[i] against a coordinate index over
+    `right`, so that only nonzero products are computed."""
+    index: dict[int, list[tuple[int, QI]]] = {}
+    for j, b in enumerate(right):
+        for k, y in b.items():
+            index.setdefault(k, []).append((j, y))
+    out = []
+    for a in left:
+        row: Vec = {}
+        for k, x in mukai_dual(dim, a).items():
+            for j, y in index.get(k, ()):
+                t = row.get(j)
+                row[j] = x * y if t is None else t + x * y
+        out.append({j: c for j, c in row.items() if c})
+    return out
+
+
 def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
     m = s.model
     tw = twisted_cohomology(m)
-    reps = ([form_of_vec(m.dim, r) for r in tw.even.reps]
-            + [form_of_vec(m.dim, r) for r in tw.odd.reps])
-    Q = [[mukai_pairing(a, b) for b in reps] for a in reps]
+    vecs = tw.even.reps + tw.odd.reps
+    Q = [[row.get(j, ZERO) for j in range(len(vecs))]
+         for row in _mukai_rows(m.dim, vecs, vecs)]
+    reps = [form_of_vec(m.dim, r) for r in vecs]
     rng = random.Random(seed)
     descends = True
     for _ in range(samples):
@@ -369,20 +401,15 @@ def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
 
     # the grading blocks pair only across opposite degrees
     n = s.n
-    N = 1 << m.dim
-    zero = Subspace.zero(N)
-    blocks = {}
+    zero = Subspace.zero(1 << m.dim)
+    closed, degree = [], []
     for k in range(-n, n + 1):
-        blocks[k] = _preimage_in(s.U_subspace(k), m.dH_table, zero)
-    orth = True
-    for j in range(-n, n + 1):
-        for k in range(-n, n + 1):
-            if j + k == 0:
-                continue
-            for a in blocks[j].basis():
-                for b in blocks[k].basis():
-                    if mukai_pairing(form_of_vec(m.dim, a), form_of_vec(m.dim, b)):
-                        orth = False
+        for v in _preimage_in(s.U_subspace(k), m.dH_table, zero).basis():
+            closed.append(v)
+            degree.append(k)
+    orth = all(degree[i] + degree[j] == 0
+               for i, row in enumerate(_mukai_rows(m.dim, closed, closed))
+               for j in row)
 
     # measured sign in the integration-by-parts identity
     sign = None
@@ -481,7 +508,7 @@ class MHSReport:
 def weight_mhs_check(s: GCStruct) -> MHSReport:
     if s.kind != "complex":
         raise WrongType("weight filtration check requires a complex-type structure")
-    dd = ddbar_check(s)
+    dd = once_per_structure(s, ddbar_check)
     if not dd.holds:
         return MHSReport("del-delbar lemma fails at this structure",
                          None, False, None, None)

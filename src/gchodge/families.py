@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .cohomology import (_preimage_in, chain_subspace, closed_classes,
                          ddbar_check, delbar_cohomology, filtration_subspace,
-                         invariant_derham, lefschetz_check, twisted_cohomology)
+                         invariant_derham, lefschetz_check, once_per_structure,
+                         twisted_cohomology)
 from .courant import GenElem, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
@@ -518,7 +519,7 @@ def gcy_check(s: GCStruct) -> GCYReport:
     if not s.model.d_H(rho).is_zero():
         raise SpinorNotClosed("pure spinor is not d_H-closed")
     h2 = s.L.cohomology(2)
-    db = delbar_cohomology(s)
+    db = once_per_structure(s, delbar_cohomology)
     target = db[2 - s.n]
     # chain identity: delbar(a rho) = (d_L a) rho for random low-degree cochains
     chain_ok = True
@@ -725,14 +726,15 @@ def extend_section(f: FamilySpec, p: int, rep: Form, cap: int | None = None):
 def transversality_check(f: FamilySpec, p: int, direction: int) -> TransversalityReport:
     base = f.base_structure()
     n = base.n
-    dd0 = ddbar_check(base)
+    dd0 = once_per_structure(base, ddbar_check)
     if not dd0.holds:
         return TransversalityReport(
             "basepoint does not satisfy the del-delbar lemma",
             {}, False, False, [], [], [], None, False)
     samples_good = {}
     for pt in f.samples:
-        samples_good[pt] = ddbar_check(f.structure_at(pt)).holds
+        samples_good[pt] = once_per_structure(
+            f.structure_at(pt), ddbar_check).holds
     m = f.model
     tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2

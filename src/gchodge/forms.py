@@ -286,3 +286,14 @@ def mukai_pairing(a: Form, b: Form) -> QI:
         term = v * w
         out = out + (term if s > 0 else -term)
     return out
+
+
+def mukai_dual(dim: int, v: Vec) -> Vec:
+    """The vector u with mukai_pairing(v, b) = sum_k u[k] b[k] for every b:
+    u[top ^ m] = +-v[m], the sign being mukai_pairing's."""
+    top = (1 << dim) - 1
+    out: Vec = {}
+    for m, x in v.items():
+        mc = top ^ m
+        out[mc] = x if blade_wedge_sign(m, mc) * sigma_sign(popcount(mc)) > 0 else -x
+    return out

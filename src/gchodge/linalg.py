@@ -4,9 +4,17 @@ Vectors are dicts {coordinate index: QI} with zero entries absent.  A Subspace
 is stored in fully reduced column-echelon form (pivots ascending, pivot entry
 1, pivot coordinate eliminated from every other basis vector), so equal
 subspaces have literally identical bases.
+
+`Echelon`, the one elimination kernel, keys its rows by pivot and keeps an
+index of the rows holding each coordinate: a reduction visits only the
+pivots among the vector's own coordinates, and an insert back-substitutes
+only into the rows that hold its new pivot, so the work follows the nonzeros
+met, not the rank.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .errors import DimensionMismatch
 from .scalars import ONE, QI
@@ -37,17 +45,23 @@ def vec_scale(v: Vec, z: QI) -> Vec:
 
 def vec_axpy(u: Vec, z: QI, v: Vec) -> Vec:
     """u + z*v without building an intermediate."""
-    if not z:
-        return dict(u)
     out = dict(u)
-    for k, x in v.items():
-        y = out.get(k)
-        t = x * z if y is None else y + x * z
-        if t:
-            out[k] = t
-        elif y is not None:
-            del out[k]
+    if z:
+        _axpy_into(out, z, v)
     return out
+
+def _axpy_into(u: Vec, z: QI, v: Vec) -> None:
+    """u += z*v in place, for a nonzero z; keys end in vec_axpy's order."""
+    for k, x in v.items():
+        y = u.get(k)
+        if y is None:
+            u[k] = x * z
+        else:
+            t = y + x * z
+            if t:
+                u[k] = t
+            else:
+                del u[k]
 
 def vec_conj(v: Vec) -> Vec:
     return {k: x.conj() for k, x in v.items()}
@@ -59,7 +73,16 @@ def vec_pivot(v: Vec) -> int:
 # -- reduced echelon accumulator ---------------------------------------------
 
 class Echelon:
-    """Incremental reduced echelon basis with optional combination tracking.
+    """Incremental fully reduced echelon basis with optional combination
+    tracking.
+
+    Rows are keyed by pivot: each row is 1 at its pivot and zero at every
+    other pivot.  Reducing a vector is therefore one pass over the pivots
+    among its own coordinates, in ascending order, each subtracting its row
+    with the vector's original coefficient there.  A holder index maps each
+    coordinate to the pivots of the rows nonzero at it, so an insert
+    back-substitutes its new pivot into exactly the rows that hold it.  The
+    rows are sorted by pivot only when they are read (`rows`, `basis`).
 
     Tracked mode records, for every stored row, the coefficients expressing it
     in terms of the inserted vectors (by insertion tag), which yields kernels
@@ -67,7 +90,9 @@ class Echelon:
     """
 
     def __init__(self, track: bool = False):
-        self.rows: list[tuple[int, Vec, Vec | None]] = []  # (pivot, vec, combo)
+        # pivot -> (vec, combo); coordinate -> pivots of the rows nonzero there
+        self._rows: dict[int, tuple[Vec, Vec | None]] = {}
+        self._holders: dict[int, set[int]] | None = defaultdict(set)
         self.track = track
         self._n_inserted = 0
 
@@ -75,23 +100,36 @@ class Echelon:
     def of_basis(cls, basis: list[Vec]) -> "Echelon":
         """Untracked echelon whose rows are `basis`, which must already be in
         fully reduced form (a Subspace basis): inserting it would leave every
-        row unchanged."""
+        row unchanged.  The holder index is built by the first insert, since
+        most such echelons only reduce."""
         ech = cls()
-        ech.rows = [(vec_pivot(v), v, None) for v in basis]
+        ech._rows = {vec_pivot(v): (v, None) for v in basis}
+        ech._holders = None
         return ech
 
-    def dim(self) -> int:
-        return len(self.rows)
+    @property
+    def rows(self) -> list[tuple[int, Vec, Vec | None]]:
+        """(pivot, vec, combo) for every row, by ascending pivot."""
+        return [(p, *self._rows[p]) for p in sorted(self._rows)]
 
-    def _reduce(self, v: Vec, combo: Vec | None) -> tuple[Vec, Vec | None]:
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: Vec, combo: Vec | None) -> tuple[Vec, Vec | None, Vec]:
+        """(residual, combo, used): used holds the coefficient of each row in
+        v by ascending pivot, which is v's own entry at that pivot."""
+        rows = self._rows
+        pivots = [k for k in v if k in rows]
+        pivots.sort()
         v = dict(v)
-        for piv, row, rc in self.rows:
-            c = v.get(piv)
-            if c:
-                v = vec_axpy(v, -c, row)
-                if combo is not None and rc is not None:
-                    combo = vec_axpy(combo, -c, rc)
-        return v, combo
+        used: Vec = {}
+        for p in pivots:
+            used[p] = c = v[p]
+            row, rc = rows[p]
+            _axpy_into(v, -c, row)
+            if combo is not None:
+                _axpy_into(combo, -c, rc)
+        return v, combo, used
 
     def insert(self, v: Vec, tag: int | None = None):
         """Insert v; returns (residual, combo) after reduction.
@@ -103,7 +141,7 @@ class Echelon:
             tag = self._n_inserted
         self._n_inserted += 1
         combo = {tag: ONE} if self.track else None
-        v, combo = self._reduce(v, combo)
+        v, combo, _used = self._reduce(v, combo)
         if not v:
             return {}, combo
         piv = vec_pivot(v)
@@ -113,33 +151,46 @@ class Echelon:
             v = vec_scale(v, inv)
             if combo is not None:
                 combo = vec_scale(combo, inv)
-        # back-substitute into existing rows to keep the basis fully reduced
-        new_rows = []
-        for p, row, rc in self.rows:
-            x = row.get(piv)
-            if x:
-                row = vec_axpy(row, -x, v)
-                if rc is not None and combo is not None:
-                    rc = vec_axpy(rc, -x, combo)
-            new_rows.append((p, row, rc))
-        new_rows.append((piv, v, combo))
-        new_rows.sort(key=lambda t: t[0])
-        self.rows = new_rows
+        holders = self._holders
+        if holders is None:
+            holders = self._holders = defaultdict(set)
+            for p, (row, _rc) in self._rows.items():
+                for k in row:
+                    holders[k].add(p)
+        # back-substitute into the rows that hold piv, keeping the basis fully
+        # reduced; only the coordinates of v change in them (as vec_axpy
+        # would, on a copy: a row may be a Subspace's basis vector)
+        for p in holders.pop(piv, ()):
+            row, rc = self._rows[p]
+            nx = -row[piv]
+            row = dict(row)
+            for k, y in v.items():
+                t = row.get(k)
+                if t is None:
+                    row[k] = y * nx
+                    holders[k].add(p)
+                else:
+                    t = t + y * nx
+                    if t:
+                        row[k] = t
+                    else:
+                        del row[k]
+                        holders[k].discard(p)
+            if rc is not None:
+                rc = vec_axpy(rc, nx, combo)
+            self._rows[p] = (row, rc)
+        self._rows[piv] = (v, combo)
+        for k in v:
+            holders[k].add(piv)
         return v, combo
 
     def reduce(self, v: Vec) -> tuple[Vec, Vec]:
         """Reduce v without inserting; returns (residual, row-coefficients).
 
-        The second entry maps row index (position in self.rows) to the
-        coefficient with which that basis row occurs in v - residual.
+        The second entry maps the pivot of each basis row to the coefficient
+        with which that row occurs in v - residual.
         """
-        v = dict(v)
-        used: Vec = {}
-        for idx, (piv, row, _rc) in enumerate(self.rows):
-            c = v.get(piv)
-            if c:
-                v = vec_axpy(v, -c, row)
-                used[idx] = c
+        v, _combo, used = self._reduce(v, None)
         return v, used
 
     def contains(self, v: Vec) -> bool:
@@ -147,7 +198,7 @@ class Echelon:
         return not r
 
     def basis(self) -> list[Vec]:
-        return [row for _p, row, _c in self.rows]
+        return [self._rows[p][0] for p in sorted(self._rows)]
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -223,7 +274,7 @@ class Subspace:
         """Canonical representatives of self/sub (sub must lie in self)."""
         self._check(sub)
         ech = sub.echelon()
-        sub_pivots = {p for p, _v, _c in ech.rows}
+        sub_pivots = set(ech._rows)
         for v in self._basis:
             ech.insert(v)
         return [row for p, row, _c in ech.rows if p not in sub_pivots]
@@ -270,9 +321,8 @@ def solve_columns(cols: list[Vec], target: Vec) -> Vec | None:
     if r:
         return None
     out: Vec = {}
-    for idx, c in used.items():
-        combo = ech.rows[idx][2]
-        out = vec_axpy(out, c, combo)
+    for p, c in used.items():
+        _axpy_into(out, c, ech._rows[p][1])
     return out
 
 
@@ -290,16 +340,15 @@ class QuotientSpace:
         self._bound = Echelon()
         for b in boundaries:
             self._bound.insert(b)
-        bound_pivots = {p for p, _v, _c in self._bound.rows}
         full = Echelon.of_basis(self._bound.basis())
         for z in cycles:
             full.insert(z)
         self.reps: list[Vec] = []
-        self._rep_pivots: list[int] = []
+        self._rep_index: dict[int, int] = {}   # rep pivot -> position in reps
         for p, row, _c in full.rows:
-            if p not in bound_pivots:
+            if p not in self._bound._rows:
+                self._rep_index[p] = len(self.reps)
                 self.reps.append(row)
-                self._rep_pivots.append(p)
 
     @classmethod
     def of_map(cls, ambient: int, basis: list[Vec], images: list[Vec],
@@ -317,12 +366,14 @@ class QuotientSpace:
         """Coordinates of [v] in the representative basis; None if v is not
         in cycles + boundaries."""
         r, _ = self._bound.reduce(v)
+        index = self._rep_index
         out: Vec = {}
-        for i, (piv, rep) in enumerate(zip(self._rep_pivots, self.reps)):
-            c = r.get(piv)
-            if c:
-                r = vec_axpy(r, -c, rep)
-                out[i] = c
+        # reps are zero at each other's pivots: one ascending pass, as in
+        # Echelon.reduce
+        for p in sorted(k for k in r if k in index):
+            i = index[p]
+            out[i] = c = r[p]
+            _axpy_into(r, -c, self.reps[i])
         if r:
             return None
         return out

@@ -19,6 +19,13 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -135,30 +142,48 @@ FAMILY = str(CORPUS / "torus4-symplectic.gcm")
                                 b"omega = 1 e1^e2 + 1 e3^e4\n"
                                 b"[gk pair]\nfirst = s\nsecond = t\n"},
      1, "unresolved structure references ['s']"),
+    (["check", ".", "--all"], {"notes.txt": b"dim = 4\nH = 0\n"}, 2,
+     "no .gcm files"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
         "family-without-variables", "check-at-x", "family-without-block-at-x",
-        "negative-samples", "gk-first-missing"])
+        "negative-samples", "gk-first-missing", "all-without-gcm-files"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
-    command), with a report line and never a traceback; a [gk] block naming
+    command, an --all directory without model files), with a report or
+    stderr line and never a traceback; a [gk] block naming
     a structure that does not exist fails its check (exit 1) and names only
     that structure.  An --at value comes from the command line, so its
     report line gives no model-file position."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-m", "gchodge.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=_src_env(), capture_output=True,
+                          text=True)
     out = proc.stdout + proc.stderr
     assert proc.returncode == code, out
     assert "Traceback" not in out
     assert expect in out
     if "--at" in argv:
         assert "(line" not in out
+
+@pytest.mark.parametrize("argv, code", [
+    (["emit", str(CORPUS / "kt.gcm")], 0),
+    (["emit", str(CORPUS), "--all", "--json"], 0),
+    (["check", str(CORPUS / "kt.gcm"), "--at", "x"], 2),
+], ids=["single-file", "all", "at-error"])
+def test_closed_stdout_ends_without_traceback(argv, code):
+    """A reader that goes away before the report is written (`| head -c 0`)
+    costs no traceback, and the exit code is still the report's."""
+    proc = subprocess.Popen([sys.executable, "-m", "gchodge.cli", *argv],
+                            env=_src_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()   # before the child has got past its imports
+    _out, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert proc.returncode == code
+
 
 def test_hodge_builds_twisted_cohomology_once(monkeypatch):
     from gchodge.cohomology import TwistedCohomology
@@ -173,3 +198,36 @@ def test_hodge_builds_twisted_cohomology_once(monkeypatch):
     code, _out = run_cli("hodge", str(CORPUS / "torus6-kahler.gcm"))
     assert code == 0
     assert len(built) == 1
+
+
+def test_structure_results_computed_once(monkeypatch):
+    """A structure's delbar cohomology and del-delbar verdict are computed
+    once per command: `hodge` asks for the delbar dimensions twice per
+    structure (Froelicher pages and the Hodge report), and `family` checks
+    its basepoint once for the command and once per transversality degree."""
+    from gchodge import cli, cohomology, families
+    calls = {"delbar_cohomology": [], "ddbar_check": []}
+    for name in calls:
+        fn = getattr(cohomology, name)
+
+        def counting(s, fn=fn, name=name):
+            calls[name].append(s)
+            return fn(s)
+
+        for mod in (cohomology, families, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+    code, _out = run_cli("hodge", str(CORPUS / "torus6-kahler.gcm"))
+    assert code == 0
+    assert len(calls["delbar_cohomology"]) == 2
+    assert len(calls["ddbar_check"]) == 2
+    for seen in calls.values():
+        assert len({id(s) for s in seen}) == len(seen)
+
+    for seen in calls.values():
+        seen.clear()
+    code, _out = run_cli("family", str(CORPUS / "torus4-kahler.gcm"))
+    assert code == 0
+    checked = calls["ddbar_check"]
+    assert checked and len({id(s) for s in checked}) == len(checked)

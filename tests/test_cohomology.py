@@ -1,20 +1,27 @@
 """Twisted/delbar cohomology, Froelicher pages, ddbar, filtrations, Lefschetz, MHS."""
 
+from pathlib import Path
+
 import pytest
 
-from gchodge.cohomology import (ddbar_check, delbar_dims,
+from gchodge.cohomology import (_preimage_in, ddbar_check, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
                                 weight_mhs_check)
-from gchodge.errors import WrongType
+from gchodge.errors import EngineError, WrongType
 from gchodge.forms import Form, mukai_pairing
 from gchodge.gcs import make_complex, make_symplectic
+from gchodge.linalg import Subspace
+from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import I, QI
 
 from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, complex_torus4,
                       kt_symplectic_twisted, std_I, symplectic_torus4,
                       torus_omega)
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def kt_symplectic_untwisted():
@@ -134,6 +141,51 @@ def test_mukai_q_descends_everywhere():
     for s in (complex_torus4(), kt_symplectic_twisted()):
         rep = mukai_Q(s)
         assert rep.descends and rep.nondegenerate
+
+def _corpus_structures():
+    for path in sorted(CORPUS.glob("*.gcm")):
+        mf = parse_model(path.read_text())
+        model = mf.model(name=path.stem)
+        if not model.validate().ok:
+            continue
+        for b in mf.blocks:
+            if b.kind in ("symplectic", "complex", "general"):
+                try:
+                    yield f"{path.stem}:{b.name}", build_structure(mf, b, model)
+                except EngineError:
+                    continue
+
+
+def _pairwise_mukai(s):
+    """Q and the block-orthogonality verdict from one mukai_pairing per pair
+    of forms: the reference for mukai_Q's index-driven products."""
+    m = s.model
+    tw = twisted_cohomology(m)
+    reps = [Form(m.dim, dict(r)) for r in tw.even.reps + tw.odd.reps]
+    Q = [[mukai_pairing(a, b) for b in reps] for a in reps]
+    zero = Subspace.zero(1 << m.dim)
+    blocks = {k: _preimage_in(s.U_subspace(k), m.dH_table, zero).basis()
+              for k in range(-s.n, s.n + 1)}
+    orth = all(not mukai_pairing(Form(m.dim, dict(a)), Form(m.dim, dict(b)))
+               for j in blocks for k in blocks if j + k
+               for a in blocks[j] for b in blocks[k])
+    return Q, orth
+
+
+def test_mukai_q_matches_pairwise_reference():
+    names = []
+    for name, s in _corpus_structures():
+        names.append(name)
+        rep = mukai_Q(s, samples=2)
+        assert (rep.matrix, rep.block_orthogonal) == _pairwise_mukai(s), name
+    assert len(names) >= 10
+    # a grading relabelled by a shift pairs blocks j, k with j + k != 0, so
+    # the orthogonality test has a failing case to agree on
+    s = symplectic_torus4()
+    s.U = {k - 2: U for k, U in s.U.items()}
+    rep = mukai_Q(s, samples=2)
+    assert rep.block_orthogonal is False
+    assert (rep.matrix, rep.block_orthogonal) == _pairwise_mukai(s)
 
 def test_mukai_q_sign_dim6():
     s = make_symplectic(ABELIAN6, torus_omega(6))

@@ -7,7 +7,7 @@ import pytest
 from gchodge.errors import DimensionMismatch
 from gchodge.linalg import (Echelon, QuotientSpace, Subspace, mat_det,
                             mat_identity, mat_inv, mat_mul, matrix_kernel,
-                            solve_columns, vec_axpy)
+                            solve_columns, vec_axpy, vec_scale)
 from gchodge.scalars import I, QI
 
 
@@ -118,3 +118,196 @@ def test_dense_inverse():
             if not mat_det(m):
                 continue
             assert mat_mul(m, mat_inv(m)) == mat_identity(n)
+
+
+# -- the list-scan echelon, kept as the reference for the pivot-indexed one -----
+
+class ListEchelon:
+    """Rows in a pivot-sorted list; every reduction and back-substitution
+    visits every row, and every insert re-sorts the rows."""
+
+    def __init__(self, track=False):
+        self.rows = []  # (pivot, vec, combo)
+        self.track = track
+        self._n_inserted = 0
+
+    def _reduce(self, v, combo):
+        v = dict(v)
+        for piv, row, rc in self.rows:
+            c = v.get(piv)
+            if c:
+                v = vec_axpy(v, -c, row)
+                if combo is not None and rc is not None:
+                    combo = vec_axpy(combo, -c, rc)
+        return v, combo
+
+    def insert(self, v, tag=None):
+        if tag is None:
+            tag = self._n_inserted
+        self._n_inserted += 1
+        combo = {tag: QI(1)} if self.track else None
+        v, combo = self._reduce(v, combo)
+        if not v:
+            return {}, combo
+        piv = min(v)
+        c = v[piv]
+        if c != QI(1):
+            inv = c.inv()
+            v = vec_scale(v, inv)
+            if combo is not None:
+                combo = vec_scale(combo, inv)
+        new_rows = []
+        for p, row, rc in self.rows:
+            x = row.get(piv)
+            if x:
+                row = vec_axpy(row, -x, v)
+                if rc is not None and combo is not None:
+                    rc = vec_axpy(rc, -x, combo)
+            new_rows.append((p, row, rc))
+        new_rows.append((piv, v, combo))
+        new_rows.sort(key=lambda t: t[0])
+        self.rows = new_rows
+        return v, combo
+
+    def reduce(self, v):
+        """(residual, {row position: coefficient})"""
+        v = dict(v)
+        used = {}
+        for idx, (piv, row, _rc) in enumerate(self.rows):
+            c = v.get(piv)
+            if c:
+                v = vec_axpy(v, -c, row)
+                used[idx] = c
+        return v, used
+
+    def basis(self):
+        return [row for _p, row, _c in self.rows]
+
+
+def list_matrix_kernel(cols):
+    ech = ListEchelon(track=True)
+    combos = []
+    for j, col in enumerate(cols):
+        r, combo = ech.insert(col, tag=j)
+        if not r:
+            combos.append(combo)
+    norm = ListEchelon()
+    for c in combos:
+        norm.insert(c)
+    return norm.basis()
+
+
+def list_solve_columns(cols, target):
+    ech = ListEchelon(track=True)
+    for j, col in enumerate(cols):
+        ech.insert(col, tag=j)
+    r, used = ech.reduce(target)
+    if r:
+        return None
+    out = {}
+    for idx, c in used.items():
+        out = vec_axpy(out, c, ech.rows[idx][2])
+    return out
+
+
+def list_quotient_coords(cycles, boundaries, v):
+    bound = ListEchelon()
+    for b in boundaries:
+        bound.insert(b)
+    bound_pivots = {p for p, _v, _c in bound.rows}
+    full = ListEchelon()
+    for b in bound.basis():
+        full.insert(b)
+    for z in cycles:
+        full.insert(z)
+    reps = [(p, row) for p, row, _c in full.rows if p not in bound_pivots]
+    r, _ = bound.reduce(v)
+    out = {}
+    for i, (piv, rep) in enumerate(reps):
+        c = r.get(piv)
+        if c:
+            r = vec_axpy(r, -c, rep)
+            out[i] = c
+    return None if r else out
+
+
+def items(v):
+    """A vector with its key order, which reports depend on."""
+    return None if v is None else list(v.items())
+
+
+def rand_qi(rng, height):
+    den = rng.randrange(1, height + 1)
+    return QI(rng.randrange(-height, height + 1), rng.randrange(-1, 2)) / QI(den)
+
+
+def rand_family(rng, ambient):
+    """Sparse and dense vectors, some of them combinations of earlier ones
+    (dependent inserts), some zero."""
+    vecs = []
+    for _ in range(rng.randrange(1, 14)):
+        kind = rng.random()
+        if vecs and kind < 0.3:
+            w = {}
+            for u in rng.sample(vecs, min(len(vecs), 3)):
+                w = vec_axpy(w, rand_qi(rng, 3), u)
+            vecs.append(w)
+        elif kind < 0.35:
+            vecs.append({})
+        else:
+            k = rng.randrange(1, ambient + 1)
+            keys = rng.sample(range(ambient), k)
+            vecs.append({i: c for i in keys if (c := rand_qi(rng, 4))})
+    return vecs
+
+
+def test_pivot_indexed_echelon_matches_list_scan_reference():
+    rng = random.Random(20260518)
+    for trial in range(120):
+        ambient = rng.randrange(1, 13)
+        vecs = rand_family(rng, ambient)
+        track = trial % 2 == 0
+        new, ref = Echelon(track=track), ListEchelon(track=track)
+        for j, vec in enumerate(vecs):
+            tag = rng.choice([None, 100 + j])
+            got, want = new.insert(vec, tag), ref.insert(vec, tag)
+            assert items(got[0]) == items(want[0])
+            assert items(got[1]) == items(want[1])
+        assert [items(b) for b in new.basis()] == [items(b) for b in ref.basis()]
+        assert [(p, items(r), items(c)) for p, r, c in new.rows] == \
+            [(p, items(r), items(c)) for p, r, c in ref.rows]
+        probes = rand_family(rng, ambient)
+        for probe in probes:
+            (res, used), (rres, rused) = new.reduce(probe), ref.reduce(probe)
+            assert items(res) == items(rres)
+            pivots = [p for p, _r, _c in ref.rows]
+            assert items(used) == [(pivots[i], c) for i, c in rused.items()]
+        assert [items(k) for k in matrix_kernel(vecs)] == \
+            [items(k) for k in list_matrix_kernel(vecs)]
+        for target in probes + vecs[:2]:
+            assert items(solve_columns(vecs, target)) == \
+                items(list_solve_columns(vecs, target))
+        # cycles/boundaries: boundaries inside the cycles
+        bounds = [vec_axpy({}, rand_qi(rng, 2), u)
+                  for u in rng.sample(vecs, rng.randrange(len(vecs) + 1))]
+        q = QuotientSpace(ambient, vecs, bounds)
+        for target in probes + vecs + bounds:
+            assert items(q.coords(target)) == \
+                items(list_quotient_coords(vecs, bounds, target))
+
+
+def test_echelon_of_basis_then_insert_matches_reference():
+    """An echelon made from a canonical basis builds its holder index on the
+    first insert and then back-substitutes like a reinserted one."""
+    rng = random.Random(5)
+    for _ in range(100):
+        ambient = rng.randrange(2, 11)
+        S = Subspace.span(ambient, rand_family(rng, ambient))
+        before = [items(b) for b in S.basis()]
+        ech, ref = S.echelon(), ListEchelon()
+        for b in S.basis():
+            ref.insert(b)
+        for vec in rand_family(rng, ambient):
+            assert items(ech.insert(vec)[0]) == items(ref.insert(vec)[0])
+        assert [items(b) for b in ech.basis()] == [items(b) for b in ref.basis()]
+        assert [items(b) for b in S.basis()] == before  # rows are not shared
