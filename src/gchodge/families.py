@@ -21,8 +21,8 @@ from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
                      SpinorNotClosed, WrongType)
 from .forms import Form, mukai_pairing, popcount, spin_apply
-from .gcs import (GCStruct, Half, dual_frame, flat_matrix, form_of_vec,
-                  make_complex, make_general, make_symplectic)
+from .gcs import (GCStruct, Half, _projector_plan, dual_frame, flat_matrix,
+                  form_of_vec, make_complex, make_general, make_symplectic)
 from .liemodel import LieModel
 from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, mat_add,
                      mat_det, mat_inv, mat_mul, mat_vec, solve_columns,
@@ -505,11 +505,16 @@ class GCYReport:
 
     def lines(self):
         a, b = self.iso_dims
-        return [f"spinor d_H-closed: {'yes' if self.spinor_closed else 'NO'}",
-                f"H^2(L) -> H^(2-n)_delbar: dims {a} -> {b}, "
-                f"{'isomorphism' if self.iso_ok else 'NOT an isomorphism'}",
-                f"period differential injective: "
-                f"{'yes' if self.period_injective else 'NO'}"]
+        out = [f"spinor d_H-closed: {'yes' if self.spinor_closed else 'NO'}",
+               f"H^2(L) -> H^(2-n)_delbar: dims {a} -> {b}, "
+               f"{'isomorphism' if self.iso_ok else 'NOT an isomorphism'}",
+               f"period differential injective: "
+               f"{'yes' if self.period_injective else 'NO'}"]
+        if not self.chain_identity_ok:
+            # printed only on failure, so passing reports keep their lines
+            out.append("chain identity delbar(a rho) = (d_L a) rho "
+                       "on degree-1 cochains: NO")
+        return out
 
 
 def gcy_check(s: GCStruct) -> GCYReport:
@@ -521,7 +526,7 @@ def gcy_check(s: GCStruct) -> GCYReport:
     h2 = s.L.cohomology(2)
     db = once_per_structure(s, delbar_cohomology)
     target = db[2 - s.n]
-    # chain identity: delbar(a rho) = (d_L a) rho for random low-degree cochains
+    # chain identity: delbar(a rho) = (d_L a) rho for every degree-1 cochain
     chain_ok = True
     for mask in range(1 << s.L.rank):
         if popcount(mask) != 1:
@@ -587,40 +592,39 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
                 out.append(rho_t.wedge(PolyForm(
                     m.dim, nv, {mask: ParamPoly.const(nv, ONE)})))
         return out
-    # polynomial J: chain projector via Vandermonde in the polynomial N(t)
+    # polynomial J: the chain's Lagrange projectors, from the nodes of p's
+    # parity class, applied to powers of the polynomial N(t)
     Jp = f.J_poly()
-    base = f.base_structure()
     duals = [([Jp[i][a] for i in range(2 * m.dim)], v)
              for a, v in enumerate(dual_frame(m.dim))]
+    quarter = QI(Fraction(1, 4))
+    trace = ParamPoly(nv)
+    for col, v in duals:
+        trace = trace + _pairing_poly(col, v, m.dim)
+    trace_term = trace.scale(quarter)
 
     def N_poly(w: PolyForm) -> PolyForm:
         out = PolyForm(m.dim, nv)
-        trace = ParamPoly(nv)
         for col, v in duals:
-            cv = _clifford_poly_elem(col, m.dim, nv,
-                                     _clifford_const(v, w))
-            out = out + cv
-            trace = trace + _pairing_poly(col, v, m.dim)
-        quarter = QI(Fraction(1, 4))
-        return out.scale(quarter) - w.scale_poly(trace.scale(quarter))
+            out = out + _clifford_poly_elem(col, m.dim, nv,
+                                            _clifford_const(v, w))
+        return out.scale(quarter) - w.scale_poly(trace_term)
 
-    chain_ks = [k for k in range(-n, p + 1) if (p - k) % 2 == 0]
-    vand = base._vand_inv
-    ks_all = base._ks
+    ks, _, vand_inv = _projector_plan(n, p % 2)
+    chain = [row for k, row in zip(ks, vand_inv) if k <= p]
     out = []
-    parity = (p + n + base.parity) % 2
+    parity = (p + n + f.base_structure().parity) % 2
     for mask in range(1 << m.dim):
         if popcount(mask) % 2 != parity:
             continue
-        w0 = PolyForm(m.dim, nv, {mask: ParamPoly.const(nv, ONE)})
-        powers = [w0]
-        for _ in range(2 * n):
+        powers = [PolyForm(m.dim, nv, {mask: ParamPoly.const(nv, ONE)})]
+        for _ in range(len(ks) - 1):
             powers.append(N_poly(powers[-1]))
         acc = PolyForm(m.dim, nv)
-        for k in chain_ks:
-            idx = ks_all.index(k)
-            for mdx, pw in enumerate(powers):
-                acc = acc + pw.scale(vand[idx][mdx])
+        for row in chain:
+            for c, pw in zip(row, powers):
+                if c:
+                    acc = acc + pw.scale(c)
         if not acc.is_zero():
             out.append(acc)
     return out

@@ -2,26 +2,32 @@
 pure spinors, the U_k grading via the spinorial action of J, del/delbar,
 and the symplectic phi/delta machinery.
 
-The grading operator is the image of J under so(E) = wedge^2 E inside the
-Clifford algebra; U_k is its -ik eigenspace, realized exactly by Lagrange
-interpolation over the forced spectrum {-in, ..., in}.
+The grading operator N is the image of J under so(E) = wedge^2 E inside the
+Clifford algebra, built as a table from the generator tables of E_C's
+coordinate basis (each sends a blade to at most one signed blade); U_k is
+its -ik eigenspace, realized exactly by Lagrange interpolation over the
+forced spectrum {-in, ..., in}.  N preserves form parity, so a blade of
+degree d has parts only in the U_k with k = d - n - parity (mod 2): each
+blade is projected with the n + 1 or n nodes of its own parity class, and
+N must satisfy that class's minimal polynomial on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
-from .courant import GenElem, algebroid_from_basis, clifford_act, pairing
+from .courant import (GenElem, _acc, algebroid_from_basis, clifford_act,
+                      pairing)
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import Form, SpinOp, popcount, spin_apply, spin_op
+from .forms import Form, SpinOp, insert_sign, popcount, spin_apply
 from .liemodel import LieAlgebroid, LieModel
-from .linalg import (Matrix, Subspace, Vec, kernel_lift, mat_inv, mat_mul,
-                     mat_vec, matrix_kernel, vec_axpy, vec_scale)
+from .linalg import (Matrix, Subspace, Vec, _axpy_into, kernel_lift, mat_inv,
+                     mat_mul, matrix_kernel, vec_axpy, vec_scale)
 from .scalars import I, ONE, QI
 
 Half = QI(Fraction(1, 2))
@@ -53,12 +59,6 @@ def dual_frame(dim: int) -> list[GenElem]:
     the pairing: 2 e^a for x_a and 2 x_a for e^a."""
     return [GenElem.e(dim, a + 1, QI(2)) if a < dim
             else GenElem.x(dim, a - dim + 1, QI(2)) for a in range(2 * dim)]
-
-
-def apply_matrix(J: Matrix, a: GenElem) -> GenElem:
-    coords = list(a.vec) + list(a.cov)
-    out = mat_vec(J, coords)
-    return GenElem(a.dim, out[:a.dim], out[a.dim:])
 
 
 # -- graded splitting -------------------------------------------------------------
@@ -93,6 +93,112 @@ def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
     return tables
 
 
+# -- the spinorial action of J and its eigenprojections ----------------------------
+
+@cache
+def _generator_tables(dim: int) -> tuple:
+    """Clifford action of the coordinate basis x_1..x_dim, e^1..e^dim of E_C
+    on blades: entry [c][mask] is (image mask, sign), or None where the
+    contraction or wedge is zero."""
+    tables = []
+    for c in range(2 * dim):
+        i = c % dim
+        bit = 1 << i
+        want = bit if c < dim else 0   # x_i contracts bit i, e^i wedges it
+        tables.append(tuple(
+            (mask ^ bit, insert_sign(mask, i)) if mask & bit == want else None
+            for mask in range(1 << dim)))
+    return tuple(tables)
+
+
+def _spinorial_N(dim: int, J: Matrix) -> SpinOp:
+    """The table of N = 1/2 sum_{a,b} J[b][a] g_b g_s(a) - tr(J)/4, the image
+    of J in the Clifford algebra: g_c is the c-th generator table and s(a)
+    the index of the generator dual to the a-th one under the pairing."""
+    gamma = _generator_tables(dim)
+    # per column a of J: the generator applied first, then each nonzero
+    # 1/2 J[b][a] with its generator, x_i before e^i for each i
+    terms = [(gamma[(a + dim) % (2 * dim)],
+              [(gamma[b], J[b][a] * Half) for i in range(dim)
+               for b in (i, dim + i) if J[b][a]])
+             for a in range(2 * dim)]
+    trace = sum((J[a][a] for a in range(2 * dim)), QI(0))
+    shift = -trace * QI(Fraction(1, 4))
+    N: SpinOp = {}
+    for mask in range(1 << dim):
+        col: Vec = {}
+        for first, second in terms:
+            hit = first[mask]
+            if hit is None:
+                continue
+            m1, s1 = hit
+            for gb, c in second:
+                hit = gb[m1]
+                if hit is not None:
+                    _acc(col, hit[0], c if s1 * hit[1] > 0 else -c)
+        if shift:
+            _acc(col, mask, shift)
+        if col:
+            N[mask] = col
+    return N
+
+
+@cache
+def _projector_plan(n: int, cls: int) -> tuple:
+    """(ks, minpoly, vand_inv) for the parity class ks = {k in -n..n : k = cls
+    mod 2}: minpoly is prod (x + ik) over ks, lowest coefficient first, and
+    row j of vand_inv holds the Lagrange coefficients of N^0, N^1, ... that
+    project onto U_{ks[j]} a vector whose spectrum lies in {-ik : k in ks}."""
+    ks = tuple(k for k in range(-n, n + 1) if (k - cls) % 2 == 0)
+    minpoly = [ONE]
+    for k in ks:
+        minpoly = [a * QI(0, k) + b for a, b
+                   in zip(minpoly + [QI(0)], [QI(0)] + minpoly)]
+    V = [[QI(0, -k) ** m for k in ks] for m in range(len(ks))]
+    return ks, tuple(minpoly), tuple(tuple(row) for row in mat_inv(V))
+
+
+def _powers(N: SpinOp, mask: int, count: int) -> list[Vec]:
+    """The blade and its images under N^1..N^count."""
+    powers: list[Vec] = [{mask: ONE}]
+    for _ in range(count):
+        powers.append(spin_apply(N, powers[-1]))
+    return powers
+
+
+def _combine(coeffs, vecs: list[Vec]) -> Vec:
+    """sum_j coeffs[j] vecs[j], over the shorter of the two."""
+    out: Vec = {}
+    for c, v in zip(coeffs, vecs):
+        if c:
+            _axpy_into(out, c, v)
+    return out
+
+
+def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
+    """The nonzero parts {k: Vec} of a blade in the U_k of one parity class.
+    N must satisfy the class's minimal polynomial on the blade, or its
+    spectrum there leaves the class and the projections would be wrong."""
+    ks, minpoly, vand_inv = plan
+    powers = _powers(N, mask, len(ks))
+    if _combine(minpoly, powers):
+        raise SpectrumViolation(
+            "spinorial operator violates the forced spectrum of the parity "
+            f"class {{{', '.join(f'{-k}i' for k in ks)}}} on blade {mask}",
+            blade=mask)
+    parts: dict[int, Vec] = {}
+    total: Vec = {}
+    for k, row in zip(ks, vand_inv):
+        comp = _combine(row, powers)
+        if comp:
+            parts[k] = comp
+            _axpy_into(total, ONE, comp)
+    if total != {mask: ONE}:
+        raise SpectrumViolation("eigenprojections do not resolve identity",
+                                blade=mask)
+    return parts
+
+
 class GCStruct:
     """Validated generalized complex structure with exact grading machinery."""
 
@@ -114,77 +220,34 @@ class GCStruct:
 
     def _build_grading(self):
         dim, n = self.model.dim, self.n
-        duals = [(apply_matrix(self.J, GenElem.from_coords(dim, {a: ONE})), v)
-                 for a, v in enumerate(dual_frame(dim))]
-        trace = QI(0)
-        for Ju, v in duals:
-            trace = trace + pairing(Ju, v)
+        self.N = _spinorial_N(dim, self.J)
 
-        quarter = QI(Fraction(1, 4))
+        # N preserves form parity, so a blade of degree d has parts only in
+        # the U_k with k = d - n - parity (mod 2); blade 0 fixes the parity
+        # as the class whose minimal polynomial kills it
+        head = _powers(self.N, 0, n + 1)
+        cls = next((c for c in (0, 1)
+                    if not _combine(_projector_plan(n, c)[1], head)), None)
+        if cls is None:
+            raise SpectrumViolation(
+                "spinorial operator violates the forced spectrum "
+                f"{{-i{n}..i{n}}} on blade 0", blade=0)
+        self.parity = (n + cls) % 2
 
-        def act(w: Form) -> Form:
-            out = Form(dim)
-            for Ju, v in duals:
-                out = out + clifford_act(Ju, clifford_act(v, w))
-            return out.scale(quarter) - w.scale(trace * quarter)
-
-        self.N = spin_op(dim, act)
-        ks = list(range(-n, n + 1))
-        self._ks = ks
-
-        # prod_k (x + ik) over k = -n..n, lowest coefficient first: N must
-        # satisfy it for its spectrum to lie in {-in, ..., in}
-        minpoly = [ONE]
-        for k in ks:
-            minpoly = [a * QI(0, k) + b for a, b
-                       in zip(minpoly + [QI(0)], [QI(0)] + minpoly)]
-
-        # Lagrange/Vandermonde coefficients for exact eigenprojections
-        V = [[QI(0, -k) ** m for k in ks] for m in range(len(ks))]
-        self._vand_inv = mat_inv(V)
-
-        # one pass of N-powers per blade gives both the spectrum check and
-        # the blade's graded parts; record U bases and parity
+        # one pass of N-powers per blade, with the nodes of its class only,
+        # gives both the spectrum check and the blade's graded parts
+        plans = [_projector_plan(n, c) for c in (0, 1)]
         self._blade_parts: dict[int, dict[int, Vec]] = {}
+        ks = range(-n, n + 1)
         u_vecs: dict[int, list[Vec]] = {k: [] for k in ks}
         for mask in range(1 << dim):
-            powers: list[Vec] = [{mask: ONE}]
-            for _ in ks:
-                powers.append(spin_apply(self.N, powers[-1]))
-            resid: Vec = {}
-            for c, p in zip(minpoly, powers):
-                resid = vec_axpy(resid, c, p)
-            if resid:
-                raise SpectrumViolation(
-                    "spinorial operator violates the forced spectrum "
-                    f"{{-i{n}..i{n}}} on blade {mask}", blade=mask)
-            parts: dict[int, Vec] = {}
-            total: Vec = {}
-            for idx, k in enumerate(ks):
-                comp: Vec = {}
-                for c, p in zip(self._vand_inv[idx], powers):
-                    comp = vec_axpy(comp, c, p)
-                if comp:
-                    parts[k] = comp
-                    u_vecs[k].append(comp)
-                    total = vec_axpy(total, ONE, comp)
+            parts = _project_blade(
+                self.N, mask, plans[(popcount(mask) - n - self.parity) % 2])
+            for k, comp in parts.items():
+                u_vecs[k].append(comp)
             self._blade_parts[mask] = parts
-            if total != {mask: ONE}:
-                raise SpectrumViolation("eigenprojections do not resolve identity")
         self.U = {k: Subspace.span(1 << dim, u_vecs[k]) for k in ks}
         self.U_dims = {k: self.U[k].dim for k in ks}
-
-        parity = None
-        for k in ks:
-            for v in self.U[k].basis():
-                for mask in v:
-                    p = (popcount(mask) - (k + n)) % 2
-                    if parity is None:
-                        parity = p
-                    elif parity != p:
-                        raise SpectrumViolation(
-                            "inconsistent parity across the U grading")
-        self.parity = parity if parity is not None else 0
 
         # pairing-normalized dual basis of L inside conj(L): <lam^a, l_b> = delta/2
         lbar = [b.conj() for b in self.L.basis]

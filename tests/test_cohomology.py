@@ -1,7 +1,5 @@
 """Twisted/delbar cohomology, Froelicher pages, ddbar, filtrations, Lefschetz, MHS."""
 
-from pathlib import Path
-
 import pytest
 
 from gchodge.cohomology import (_preimage_in, ddbar_check, delbar_dims,
@@ -9,19 +7,15 @@ from gchodge.cohomology import (_preimage_in, ddbar_check, delbar_dims,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
                                 weight_mhs_check)
-from gchodge.errors import EngineError, WrongType
+from gchodge.errors import WrongType
 from gchodge.forms import Form, mukai_pairing
 from gchodge.gcs import make_complex, make_symplectic
 from gchodge.linalg import Subspace
-from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import I, QI
 
 from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, complex_torus4,
-                      kt_symplectic_twisted, std_I, symplectic_torus4,
-                      torus_omega)
-
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+                      corpus_structures, kt_symplectic_twisted, std_I,
+                      symplectic_torus4, torus_omega)
 
 
 def kt_symplectic_untwisted():
@@ -142,20 +136,6 @@ def test_mukai_q_descends_everywhere():
         rep = mukai_Q(s)
         assert rep.descends and rep.nondegenerate
 
-def _corpus_structures():
-    for path in sorted(CORPUS.glob("*.gcm")):
-        mf = parse_model(path.read_text())
-        model = mf.model(name=path.stem)
-        if not model.validate().ok:
-            continue
-        for b in mf.blocks:
-            if b.kind in ("symplectic", "complex", "general"):
-                try:
-                    yield f"{path.stem}:{b.name}", build_structure(mf, b, model)
-                except EngineError:
-                    continue
-
-
 def _pairwise_mukai(s):
     """Q and the block-orthogonality verdict from one mukai_pairing per pair
     of forms: the reference for mukai_Q's index-driven products."""
@@ -174,7 +154,7 @@ def _pairwise_mukai(s):
 
 def test_mukai_q_matches_pairwise_reference():
     names = []
-    for name, s in _corpus_structures():
+    for name, s in corpus_structures():
         names.append(name)
         rep = mukai_Q(s, samples=2)
         assert (rep.matrix, rep.block_orthogonal) == _pairwise_mukai(s), name

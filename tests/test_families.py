@@ -1,22 +1,27 @@
 """Families: validation, graphs, KS classes, Gauss-Manin, transversality."""
 
+import copy
 from fractions import Fraction
 
 import pytest
 
 from gchodge.cohomology import twisted_cohomology
 from gchodge.courant import GenElem
-from gchodge.errors import GraphConditionFailed, SectionNotClosed
-from gchodge.families import (FamilySpec, extend_section, family_validate,
-                              gcy_check, gm_derivative, graph_epsilon,
-                              holomorphy_check, ks_class, q_flatness,
-                              symp_filtration_check, transversality_check)
-from gchodge.forms import Form
-from gchodge.gcs import make_complex, make_symplectic
+from gchodge.errors import EngineError, GraphConditionFailed, SectionNotClosed
+from gchodge.families import (FamilySpec, _clifford_const, _clifford_poly_elem,
+                              _graded_span_poly, _pairing_poly, extend_section,
+                              family_validate, gcy_check, gm_derivative,
+                              graph_epsilon, holomorphy_check, ks_class,
+                              q_flatness, symp_filtration_check,
+                              transversality_check)
+from gchodge.forms import Form, popcount
+from gchodge.gcs import dual_frame, make_complex, make_symplectic
+from gchodge.linalg import mat_inv
+from gchodge.modelfile import build_family, parse_model
 from gchodge.poly import ParamPoly, PolyForm, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import ABELIAN4, KT, KT_TW, std_I, torus_omega
+from test_gcs import CORPUS, ABELIAN4, KT, KT_TW, std_I, torus_omega
 
 
 def poly_two_form(model, nvars, *terms):
@@ -321,3 +326,97 @@ def test_transversality_skipped_without_ddbar():
                    B_t=PolyForm.from_form(-Form.blade(4, [3, 4]), 1))
     rep = transversality_check(f, 0, 0)
     assert rep.skipped is not None
+
+
+def test_gcy_reports_a_broken_chain_identity():
+    s = make_complex(ABELIAN4, std_I(4))
+    assert all("chain identity" not in line for line in gcy_check(s).lines())
+    # a copy whose delbar is off by the identity breaks delbar(a rho) =
+    # (d_L a) rho while every other line of the report still passes
+    broken = copy.copy(s)
+    broken.delbar = lambda w: s.delbar(w) + w
+    rep = gcy_check(broken)
+    assert not rep.chain_identity_ok
+    assert rep.spinor_closed and rep.iso_ok and rep.period_injective
+    assert rep.lines()[-1] == ("chain identity delbar(a rho) = (d_L a) rho "
+                               "on degree-1 cochains: NO")
+
+
+# -- the chain spans against the 2n+1-node reference --------------------------------
+
+def reference_graded_span_poly(f, p):
+    """The chain U_{<=p} spanned as _graded_span_poly did before it used one
+    parity class: the full 2n+1-node Vandermonde inverse on 2n powers of the
+    polynomial N(t), with its trace rebuilt on every application."""
+    m = f.model
+    n = m.dim // 2
+    nv = f.nvars
+    if f.kind == "symplectic":
+        return _graded_span_poly(f, p)
+    Jp = f.J_poly()
+    base = f.base_structure()
+    duals = [([Jp[i][a] for i in range(2 * m.dim)], v)
+             for a, v in enumerate(dual_frame(m.dim))]
+
+    def N_poly(w):
+        out = PolyForm(m.dim, nv)
+        trace = ParamPoly(nv)
+        for col, v in duals:
+            out = out + _clifford_poly_elem(col, m.dim, nv,
+                                            _clifford_const(v, w))
+            trace = trace + _pairing_poly(col, v, m.dim)
+        quarter = QI(Fraction(1, 4))
+        return out.scale(quarter) - w.scale_poly(trace.scale(quarter))
+
+    ks_all = list(range(-n, n + 1))
+    vand = mat_inv([[QI(0, -k) ** e for k in ks_all]
+                    for e in range(len(ks_all))])
+    chain_ks = [k for k in range(-n, p + 1) if (p - k) % 2 == 0]
+    out = []
+    parity = (p + n + base.parity) % 2
+    for mask in range(1 << m.dim):
+        if popcount(mask) % 2 != parity:
+            continue
+        powers = [PolyForm(m.dim, nv, {mask: ParamPoly.const(nv, ONE)})]
+        for _ in range(2 * n):
+            powers.append(N_poly(powers[-1]))
+        acc = PolyForm(m.dim, nv)
+        for k in chain_ks:
+            idx = ks_all.index(k)
+            for mdx, pw in enumerate(powers):
+                acc = acc + pw.scale(vand[idx][mdx])
+        if not acc.is_zero():
+            out.append(acc)
+    return out
+
+
+def corpus_families():
+    for path in sorted(CORPUS.glob("*.gcm")):
+        mf = parse_model(path.read_text())
+        model = mf.model(name=path.stem)
+        for b in mf.blocks:
+            if b.kind == "family":
+                try:
+                    yield f"{path.stem}:{b.name}", build_family(mf, b, model)
+                except EngineError:
+                    continue
+
+
+def test_graded_span_poly_matches_reference_on_corpus():
+    pairs = 0
+    kinds = set()
+    for name, f in corpus_families():
+        n = f.model.dim // 2
+        try:
+            f.base_structure()
+        except EngineError:
+            continue
+        kinds.add(f.kind)
+        for p in range(-n, n + 1):
+            got = [(pf.dim, pf.nvars, pf.coeffs)
+                   for pf in _graded_span_poly(f, p)]
+            want = [(pf.dim, pf.nvars, pf.coeffs)
+                    for pf in reference_graded_span_poly(f, p)]
+            assert got == want, (name, p)
+            pairs += 1
+    assert pairs >= 30 and kinds >= {"symplectic", "complex"}

@@ -1,18 +1,24 @@
 """Constructors, grading projectors, del/delbar, and the symplectic phi map."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
-from gchodge.courant import GenElem, clifford_act
-from gchodge.errors import (DegenerateOmega, NotAlmostComplex, NotIntegrable,
-                            TwistWrongType, WrongType)
-from gchodge.forms import Form, mukai_pairing, popcount, spin_apply
-from gchodge.gcs import (GCStruct, make_complex, make_general, make_symplectic,
-                         symp_delta, symp_phi)
+from gchodge.courant import GenElem, clifford_act, pairing
+from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
+                            NotIntegrable, SpectrumViolation, TwistWrongType,
+                            WrongType)
+from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
+from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
+                         dual_frame, make_complex, make_general,
+                         make_symplectic, symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
-from gchodge.linalg import mat_identity
+from gchodge.linalg import Subspace, mat_identity, mat_inv, vec_axpy
+from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import I, ONE, QI
 
 
@@ -191,6 +197,159 @@ def test_mukai_orthogonality_of_grading():
             G = [[mukai_pairing(Form(dim, dict(a)), Form(dim, dict(b)))
                   for b in uk] for a in uj]
             assert mat_det(G)
+
+
+# -- the grading against the 2n+1-node reference -------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# the two dim-8 models of the benchmark's scale8 workload
+SCALE8 = {
+    "torus8": ("dim = 8\nH = 0\n\n[symplectic main]\n"
+               "omega = 1 e1^e2 + 1 e3^e4 + 1 e5^e6 + 1 e7^e8\n"),
+    "kt8": ("dim = 8\nd e4 = 1 e1^e2\nH = 0\n\n[symplectic main]\n"
+            "omega = 1 e1^e4 + 1 e2^e3 + 1 e5^e6 + 1 e7^e8\n"),
+}
+
+
+def structures_of(text, name):
+    """(name:block, structure) for every structure block that builds."""
+    mf = parse_model(text)
+    model = mf.model(name=name)
+    if not model.validate().ok:
+        return
+    for b in mf.blocks:
+        if b.kind in ("symplectic", "complex", "general"):
+            try:
+                yield f"{name}:{b.name}", build_structure(mf, b, model)
+            except EngineError:
+                continue
+
+
+def build_main(text, name):
+    """The structure of a model file's only block, errors raised."""
+    mf = parse_model(text)
+    [block] = mf.blocks
+    return build_structure(mf, block, mf.model(name=name))
+
+
+def corpus_structures():
+    for path in sorted(CORPUS.glob("*.gcm")):
+        yield from structures_of(path.read_text(), path.stem)
+
+
+def dense_model_text(name, seed):
+    """A corpus model under the benchmark's seeded rational change of basis
+    (bench/dense.py, which never calls the engine)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_dense", CORPUS.parent / "bench" / "dense.py")
+    dense = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dense)
+    text = (CORPUS / f"{name}.gcm").read_text()
+    basis = dense.random_basis(dense.parse_model_text(text)["dim"],
+                               random.Random(seed))
+    return dense.transform_model(text, basis, f"{name}, seed {seed}")
+
+
+def reference_grading(s):
+    """(N, blade parts, U bases, parity, U_dims) by the former algorithm: N
+    from Form-level Clifford actions of J's columns, every blade projected
+    with all 2n+1 nodes -n..n, and the parity read off the U bases."""
+    dim, n = s.model.dim, s.n
+    duals = []
+    for a, v in enumerate(dual_frame(dim)):
+        col = [s.J[b][a] for b in range(2 * dim)]
+        duals.append((GenElem(dim, col[:dim], col[dim:]), v))
+    trace = QI(0)
+    for Ju, v in duals:
+        trace = trace + pairing(Ju, v)
+    quarter = QI(Fraction(1, 4))
+
+    def act(w):
+        out = Form(dim)
+        for Ju, v in duals:
+            out = out + clifford_act(Ju, clifford_act(v, w))
+        return out.scale(quarter) - w.scale(trace * quarter)
+
+    N = spin_op(dim, act)
+    ks = list(range(-n, n + 1))
+    minpoly = [ONE]
+    for k in ks:
+        minpoly = [a * QI(0, k) + b for a, b
+                   in zip(minpoly + [QI(0)], [QI(0)] + minpoly)]
+    vand_inv = mat_inv([[QI(0, -k) ** m for k in ks] for m in range(len(ks))])
+    blade_parts = {}
+    u_vecs = {k: [] for k in ks}
+    for mask in range(1 << dim):
+        powers = [{mask: ONE}]
+        for _ in ks:
+            powers.append(spin_apply(N, powers[-1]))
+        resid = {}
+        for c, p in zip(minpoly, powers):
+            resid = vec_axpy(resid, c, p)
+        assert not resid, mask
+        parts = {}
+        for idx, k in enumerate(ks):
+            comp = {}
+            for c, p in zip(vand_inv[idx], powers):
+                comp = vec_axpy(comp, c, p)
+            if comp:
+                parts[k] = comp
+                u_vecs[k].append(comp)
+        blade_parts[mask] = parts
+    U = {k: Subspace.span(1 << dim, u_vecs[k]) for k in ks}
+    parities = {(popcount(m) - (k + n)) % 2
+                for k in ks for v in U[k].basis() for m in v}
+    assert len(parities) == 1
+    return (N, blade_parts, {k: U[k].basis() for k in ks}, parities.pop(),
+            {k: U[k].dim for k in ks})
+
+
+def assert_grading_matches_reference(name, s):
+    N, blade_parts, bases, parity, dims = reference_grading(s)
+    assert s.N == N, name
+    assert s._blade_parts == blade_parts, name
+    assert {k: U.basis() for k, U in s.U.items()} == bases, name
+    assert (s.parity, s.U_dims) == (parity, dims), name
+
+
+def test_grading_matches_reference_on_corpus():
+    built = list(corpus_structures())
+    for name, s in built:
+        assert_grading_matches_reference(name, s)
+    assert len(built) >= 15
+    assert {s.parity for _, s in built} == {0, 1}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE8))
+def test_grading_matches_reference_at_dim8(name):
+    assert_grading_matches_reference(name, build_main(SCALE8[name], name))
+
+
+def test_grading_matches_reference_on_dense_model():
+    s = build_main(dense_model_text("torus6-complex", 1), "dense")
+    assert any(len(col) > 1 for col in s.N.values())
+    assert_grading_matches_reference("dense", s)
+
+
+def test_blade_outside_its_parity_class_raises_naming_it():
+    # eigenvalue -i on blade 5 and 0 elsewhere: k = 1 lies outside the class
+    # {-2, 0, 2} of n = 2, cls = 0
+    plan = _projector_plan(2, 0)
+    N = {5: {5: QI(0, -1)}}
+    assert _project_blade(N, 3, plan) == {0: {3: ONE}}
+    with pytest.raises(SpectrumViolation, match=r"on blade 5\b") as exc:
+        _project_blade(N, 5, plan)
+    assert exc.value.details == {"blade": 5}
+    # the same eigenvalue is in range for the other class
+    assert _project_blade(N, 5, _projector_plan(2, 1)) == {1: {5: ONE}}
+
+
+def test_dim10_symplectic_torus_grading():
+    s = make_symplectic(LieModel(10, [], name="torus10"), torus_omega(10))
+    assert s.U_dims == {k: comb(10, k + 5) for k in range(-5, 6)}
+    assert s.U_subspace(-5).dim == 1
+    assert s.project(-5, s.spinor) == s.spinor
 
 
 # -- del / delbar ----------------------------------------------------------------
