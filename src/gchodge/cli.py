@@ -78,7 +78,7 @@ def cmd_check(mf, model, report, args):
     rep = model.validate()
     report.add("model validity (d^2 = 0, dH = 0)", _verdict(rep.ok), rep.lines())
     if rep.ok:
-        ax = courant_axiom_suite(model, samples=args.samples)
+        ax = courant_axiom_suite(model)
         report.add("courant axiom suite", _verdict(ax.ok), ax.lines())
         for b, s in _structures(mf, model, report):
             resid_ok = set(s.dH_parts) <= {-1, 1}
@@ -421,16 +421,6 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
     return (1 if report.failed else 0), report.render(args.json, args.quiet)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="gchodge",
@@ -443,8 +433,6 @@ def main(argv=None) -> int:
                     help="process every .gcm file under the target directory")
     ap.add_argument("--at", default="",
                     help="evaluate families at t1=r[,t2=s...]")
-    ap.add_argument("--samples", type=_positive_int, default=50,
-                    help="random samples for the axiom suite")
     args = ap.parse_args(argv)
     target = Path(args.target)
     try:

@@ -16,7 +16,7 @@ from .cohomology import (_preimage_in, chain_subspace, closed_classes,
                          ddbar_check, delbar_cohomology, filtration_subspace,
                          invariant_derham, lefschetz_check, once_per_structure,
                          twisted_cohomology)
-from .courant import GenElem, pairing
+from .courant import GenElem, _generator_tables, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
                      SpinorNotClosed, WrongType)
@@ -632,51 +632,38 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
 
 def _clifford_const(a: GenElem, w: PolyForm) -> PolyForm:
     """Clifford action of a constant element on a polynomial form."""
-    from .forms import insert_sign
-    out: dict[int, ParamPoly] = {}
-    for mask, poly in w.coeffs.items():
-        for i in range(a.dim):
-            bit = 1 << i
-            if a.vec[i] and (mask & bit):
-                s = insert_sign(mask, i)
-                c = a.vec[i] if s > 0 else -a.vec[i]
-                k = mask & ~bit
-                t = poly.scale(c)
-                out[k] = out[k] + t if k in out else t
-            if a.cov[i] and not (mask & bit):
-                s = insert_sign(mask, i)
-                c = a.cov[i] if s > 0 else -a.cov[i]
-                k = mask | bit
-                t = poly.scale(c)
-                out[k] = out[k] + t if k in out else t
-    return PolyForm(w.dim, w.nvars, out)
+    def term(z):
+        return lambda poly, s: poly.scale(z if s > 0 else -z)
+    return _gamma_sum(w, {c: term(z) for c, z in a.to_coords().items()})
 
 
 def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
                         w: PolyForm) -> PolyForm:
     """Clifford action of an element with polynomial coordinates."""
-    from .forms import insert_sign
+    def term(pv):
+        return lambda poly, s: poly * pv if s > 0 else (poly * pv).scale(QI(-1))
+    return _gamma_sum(w, {c: term(pv) for c, pv in enumerate(col)
+                          if not pv.is_zero()})
+
+
+def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
+    """sum_c gamma_c(w) over the generator tables of E_C, where terms[c]
+    maps a coefficient of w and a table sign to the c-th coordinate times
+    both; blade by blade, with x_i before e^i for each i."""
+    dim = w.dim
+    gamma = _generator_tables(dim)
+    order = [(gamma[c], terms[c]) for i in range(dim) for c in (i, dim + i)
+             if c in terms]
     out: dict[int, ParamPoly] = {}
     for mask, poly in w.coeffs.items():
-        for i in range(dim):
-            bit = 1 << i
-            pv = col[i]
-            if not pv.is_zero() and (mask & bit):
-                s = insert_sign(mask, i)
-                t = poly * pv
-                if s < 0:
-                    t = t.scale(QI(-1))
-                k = mask & ~bit
-                out[k] = out[k] + t if k in out else t
-            pc = col[dim + i]
-            if not pc.is_zero() and not (mask & bit):
-                s = insert_sign(mask, i)
-                t = poly * pc
-                if s < 0:
-                    t = t.scale(QI(-1))
-                k = mask | bit
-                out[k] = out[k] + t if k in out else t
-    return PolyForm(dim, nv, out)
+        for g, term in order:
+            hit = g[mask]
+            if hit is None:
+                continue
+            k, s = hit
+            t = term(poly, s)
+            out[k] = out[k] + t if k in out else t
+    return PolyForm(dim, w.nvars, out)
 
 
 def _pairing_poly(col: list[ParamPoly], v: GenElem, dim: int) -> ParamPoly:
@@ -692,12 +679,26 @@ def _pairing_poly(col: list[ParamPoly], v: GenElem, dim: int) -> ParamPoly:
 def extend_section(f: FamilySpec, p: int, rep: Form, cap: int | None = None):
     """Extend a closed basepoint representative in the U_{<=p} chain to a
     closed polynomial section staying in the moving chain; degree-by-degree."""
+    return _extend_in_chain(f, _chain_span(f, p), rep, cap)
+
+
+def _chain_span(f: FamilySpec, p: int) -> tuple:
+    """(span, at_base, d_at_base) for the chain U_{<=p}: its polynomial
+    spanning forms shifted to the basepoint, and tracked echelons of their
+    values and of their d_H images there; one per (family, p), shared by
+    every representative extended in that chain."""
     m = f.model
     span = [pf.shift(f.basepoint) for pf in _graded_span_poly(f, p)]
     v0 = [pf.eval((QI(0),) * f.nvars) for pf in span]
-    v0_cols = [dict(w.coeffs) for w in v0]
-    dv0_cols = [spin_apply(m.dH_table, w.coeffs) for w in v0]
-    sol = solve_columns(v0_cols, dict(rep.coeffs))
+    return (span, Echelon.of_columns([dict(w.coeffs) for w in v0]),
+            Echelon.of_columns([spin_apply(m.dH_table, w.coeffs) for w in v0]))
+
+
+def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form,
+                     cap: int | None) -> PolyForm:
+    m = f.model
+    span, at_base, d_at_base = chain
+    sol = at_base.solve(dict(rep.coeffs))
     if sol is None:
         raise ExtensionFailed("representative is not in the chain at basepoint")
     nv = f.nvars
@@ -716,7 +717,7 @@ def extend_section(f: FamilySpec, p: int, rep: Form, cap: int | None = None):
             raise ExtensionFailed(
                 f"no polynomial extension found below degree {cap}")
         target = slices[low].scale(QI(-1))
-        csol = solve_columns(dv0_cols, dict(target.coeffs))
+        csol = d_at_base.solve(dict(target.coeffs))
         if csol is None:
             raise ExtensionFailed(
                 "residual leaves the image of d_H on the chain at "
@@ -770,6 +771,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     dbar_cols = [spin_apply(base.dH_parts[1], v)
                  for v in base.U_subspace(p + 1).basis()]
     n_closed2 = len(lift_cols)
+    lift_solver = Echelon.of_columns(lift_cols + dbar_cols)
 
     win = base.U_subspace(p - 2).sum(base.U_subspace(p)).sum(
         base.U_subspace(p + 2))
@@ -780,8 +782,9 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     domain = []
     transversal = True
     window_ok = True
+    chain = _chain_span(f, p) if reps else None
     for r in reps:
-        s_poly = extend_section(f, p, r)
+        s_poly = _extend_in_chain(f, chain, r, None)
         ds = s_poly.diff(direction).eval((QI(0),) * f.nvars)
         coords = tw.parity_coords(ds, parity)
         if coords is None:
@@ -799,7 +802,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         # kappa Clifford action on the leading graded piece
         x = base.project(p, r)
         y = base.cliff_cochain(ks.cochain, x)
-        sol = solve_columns(lift_cols + dbar_cols, dict(y.coeffs))
+        sol = lift_solver.solve(dict(y.coeffs))
         if sol is None:
             raise EngineError("KS action does not lift to the filtration")
         w = Form(m.dim)

@@ -18,16 +18,16 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 
-from .courant import (GenElem, _acc, algebroid_from_basis, clifford_act,
-                      pairing)
+from .courant import (GenElem, _clifford_vec, _generator_tables,
+                      algebroid_from_basis, pairing)
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import Form, SpinOp, insert_sign, popcount, spin_apply
-from .liemodel import LieAlgebroid, LieModel
-from .linalg import (Matrix, Subspace, Vec, _axpy_into, kernel_lift, mat_inv,
-                     mat_mul, matrix_kernel, vec_axpy, vec_scale)
+from .forms import Form, SpinOp, popcount, spin_apply
+from .liemodel import LieAlgebroid, LieModel, _mask_indices
+from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, kernel_lift,
+                     mat_inv, mat_mul, matrix_kernel, vec_axpy, vec_scale)
 from .scalars import I, ONE, QI
 
 Half = QI(Fraction(1, 2))
@@ -94,22 +94,6 @@ def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
 
 
 # -- the spinorial action of J and its eigenprojections ----------------------------
-
-@cache
-def _generator_tables(dim: int) -> tuple:
-    """Clifford action of the coordinate basis x_1..x_dim, e^1..e^dim of E_C
-    on blades: entry [c][mask] is (image mask, sign), or None where the
-    contraction or wedge is zero."""
-    tables = []
-    for c in range(2 * dim):
-        i = c % dim
-        bit = 1 << i
-        want = bit if c < dim else 0   # x_i contracts bit i, e^i wedges it
-        tables.append(tuple(
-            (mask ^ bit, insert_sign(mask, i)) if mask & bit == want else None
-            for mask in range(1 << dim)))
-    return tuple(tables)
-
 
 def _spinorial_N(dim: int, J: Matrix) -> SpinOp:
     """The table of N = 1/2 sum_{a,b} J[b][a] g_b g_s(a) - tr(J)/4, the image
@@ -295,7 +279,7 @@ class GCStruct:
         dim = self.model.dim
         cur: list[Vec] = [{m: ONE} for m in range(1 << dim)]
         for l in self.L.basis:
-            cols = [dict(clifford_act(l, form_of_vec(dim, b)).coeffs) for b in cur]
+            cols = [_clifford_vec(l, b) for b in cur]
             cur = kernel_lift(cols, cur)
             if not cur:
                 break
@@ -314,16 +298,10 @@ class GCStruct:
         identification L* = conj(L); ascending factors act right-to-left."""
         out = Form(self.model.dim)
         for mask, coeff in c.items():
-            idxs = []
-            mm = mask
-            while mm:
-                low = mm & -mm
-                idxs.append(low.bit_length() - 1)
-                mm &= mm - 1
-            term = w
-            for i in reversed(idxs):
-                term = clifford_act(self.dual_basis[i], term)
-            out = out + term.scale(coeff)
+            term = w.coeffs
+            for i in reversed(_mask_indices(mask)):
+                term = _clifford_vec(self.dual_basis[i], term)
+            out = out + Form(self.model.dim, term).scale(coeff)
         return out
 
     def __repr__(self):

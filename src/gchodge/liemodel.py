@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import JacobiFailure, NotClosedUnderBracket, TwistNotClosed
-from .forms import Form, SpinOp, popcount, spin_op
-from .linalg import QuotientSpace, mat_det, solve_columns
+from .forms import Form, SpinOp, insert_sign, popcount, spin_op
+from .linalg import QuotientSpace, Vec, _acc, mat_det, solve_columns
 from .scalars import ONE, QI
 
 
@@ -69,6 +69,41 @@ class LieModel:
     @cached_property
     def dH_table(self) -> SpinOp:
         return spin_op(self.dim, self.d_H)
+
+    @cached_property
+    def dorfman_table(self) -> dict[int, dict[int, Vec]]:
+        """The H-twisted Dorfman bracket on the basis x_1..x_dim, e^1..e^dim of
+        E_C (GenElem.to_coords order): entry [p][q] is the sparse coordinate
+        vector of the bracket of basis elements p and q, zero entries and
+        rows omitted.  With <e^k, [x_i, x_j]_g> = -c for each structure entry
+        (k, i, j, c):
+        [x_i, x_j] = [x_i, x_j]_g + i_{x_i} i_{x_j} H,
+        [x_i, e^k] = i_{x_i} d e^k, [e^k, x_j] = -i_{x_j} d e^k, [e^k, e^l] = 0."""
+        dim = self.dim
+        table: dict[int, dict[int, Vec]] = {}
+
+        def add(p: int, q: int, k: int, v: QI):
+            _acc(table.setdefault(p, {}).setdefault(q, {}), k, v)
+
+        for (k, i, j, c) in self.structure:
+            add(i - 1, j - 1, k - 1, -c)
+            add(j - 1, i - 1, k - 1, c)
+        for mask, h in self.H.coeffs.items():
+            for j in _mask_indices(mask):
+                inner = mask & ~(1 << j)
+                for i in _mask_indices(inner):
+                    (l,) = _mask_indices(inner & ~(1 << i))
+                    s = insert_sign(mask, j) * insert_sign(inner, i)
+                    add(i, j, dim + l, h if s > 0 else -h)
+        for k in range(1, dim + 1):
+            for mask, v in self._dgen[k].coeffs.items():
+                for i in _mask_indices(mask):
+                    (l,) = _mask_indices(mask & ~(1 << i))
+                    t = v if insert_sign(mask, i) > 0 else -v
+                    add(i, dim + k - 1, dim + l, t)
+                    add(dim + k - 1, i, dim + l, -t)
+        return {p: {q: col for q, col in row.items() if col}
+                for p, row in table.items() if any(row.values())}
 
     def bracket_vectors(self, xi, yj):
         """Lie bracket of constant vector fields, coefficient lists (0-based)."""

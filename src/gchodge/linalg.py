@@ -63,6 +63,15 @@ def _axpy_into(u: Vec, z: QI, v: Vec) -> None:
             else:
                 del u[k]
 
+def _acc(d: Vec, k: int, v: QI) -> None:
+    """d[k] += v in place, dropping the key when the sum is zero."""
+    w = d.get(k)
+    t = v if w is None else w + v
+    if t:
+        d[k] = t
+    elif w is not None:
+        del d[k]
+
 def vec_conj(v: Vec) -> Vec:
     return {k: x.conj() for k, x in v.items()}
 
@@ -105,6 +114,14 @@ class Echelon:
         ech = cls()
         ech._rows = {vec_pivot(v): (v, None) for v in basis}
         ech._holders = None
+        return ech
+
+    @classmethod
+    def of_columns(cls, cols: list[Vec]) -> "Echelon":
+        """Tracked echelon of `cols`, tagged by position, for `solve`."""
+        ech = cls(track=True)
+        for j, v in enumerate(cols):
+            ech.insert(v, tag=j)
         return ech
 
     @property
@@ -192,6 +209,17 @@ class Echelon:
         """
         v, _combo, used = self._reduce(v, None)
         return v, used
+
+    def solve(self, v: Vec) -> Vec | None:
+        """Tracked mode: coefficients x, by insertion tag, with
+        sum x_t inserted[t] = v, or None when v leaves the span."""
+        r, used = self.reduce(v)
+        if r:
+            return None
+        out: Vec = {}
+        for p, c in used.items():
+            _axpy_into(out, c, self._rows[p][1])
+        return out
 
     def contains(self, v: Vec) -> bool:
         r, _ = self.reduce(v)
@@ -314,16 +342,7 @@ def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
 
 def solve_columns(cols: list[Vec], target: Vec) -> Vec | None:
     """Coefficients x with sum x_j cols[j] = target, or None."""
-    ech = Echelon(track=True)
-    for j, v in enumerate(cols):
-        ech.insert(v, tag=j)
-    r, used = ech.reduce(target)
-    if r:
-        return None
-    out: Vec = {}
-    for p, c in used.items():
-        _axpy_into(out, c, ech._rows[p][1])
-    return out
+    return Echelon.of_columns(cols).solve(target)
 
 
 class QuotientSpace:

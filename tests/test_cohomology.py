@@ -2,7 +2,8 @@
 
 import pytest
 
-from gchodge.cohomology import (_preimage_in, ddbar_check, delbar_dims,
+from gchodge.cohomology import (_image_of, _preimage_in, chain_subspace,
+                                ddbar_check, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
@@ -15,7 +16,7 @@ from gchodge.scalars import I, QI
 
 from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, complex_torus4,
                       corpus_structures, kt_symplectic_twisted, std_I,
-                      symplectic_torus4, torus_omega)
+                      structures_of, symplectic_torus4, torus_omega)
 
 
 def kt_symplectic_untwisted():
@@ -218,3 +219,43 @@ def test_mhs_graded_hodge_split_h2():
 def test_mhs_wrong_type():
     with pytest.raises(WrongType):
         weight_mhs_check(symplectic_torus4())
+
+
+# -- the Froelicher pages against the intersection formula ------------------------
+
+TORUS8 = ("dim = 8\nH = 0\n\n[symplectic main]\n"
+          "omega = 1 e1^e2 + 1 e3^e4 + 1 e5^e6 + 1 e7^e8\n")
+
+
+def reference_frolicher_pages(s):
+    """E_r^k = Z / (Z cap denom), the pages as computed before the
+    intersection was dropped, asserting that denom lies in Z."""
+    n = s.n
+    dH = s.model.dH_table
+
+    def flevel(j, m):
+        return chain_subspace(s, m - 2 * j)
+
+    def zspace(r, j, m):
+        return _preimage_in(flevel(j, m), dH, flevel(j + r, m + 1))
+
+    pages = {}
+    for r in range(1, n + 2):
+        page = {}
+        for k in range(-n, n + 1):
+            m = k & 1
+            j = (m - k) // 2
+            Z = zspace(r, j, m)
+            denom = zspace(r - 1, j + 1, m).sum(
+                _image_of(zspace(r - 1, j - r + 1, m - 1), dH))
+            assert Z.contains_subspace(denom), (r, k)
+            page[k] = Z.dim - Z.intersect(denom).dim
+        pages[r] = page
+    return pages
+
+
+def test_frolicher_pages_match_intersection_formula():
+    structures = [*corpus_structures(), *structures_of(TORUS8, "torus8")]
+    for name, s in structures:
+        assert frolicher_pages(s).pages == reference_frolicher_pages(s), name
+    assert len(structures) == 18 and structures[-1][0] == "torus8:main"

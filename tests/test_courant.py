@@ -1,14 +1,20 @@
-"""Pairing, Dorfman bracket, B-shifts, Clifford action, axiom suite."""
+"""Pairing, Dorfman bracket, B-shifts, Clifford action, axiom suite; the
+bracket and Clifford tables against the Form-level formulas they replace."""
 
 import random
 
-from gchodge.courant import (GenElem, b_shift, b_shift_form, clifford_act,
+from gchodge import courant
+from gchodge.courant import (GenElem, _bracket_coords, _generator_tables,
+                             b_shift, b_shift_form, clifford_act,
                              courant_axiom_suite, dorfman, pairing,
                              random_gen_elem, random_real_form)
-from gchodge.forms import Form
+from gchodge.forms import Form, insert_sign
 from gchodge.liemodel import LieModel
+from gchodge.modelfile import parse_model
 from gchodge.scalars import I, ONE, QI
 from fractions import Fraction
+
+from test_gcs import CORPUS, SCALE8, dense_model_text
 
 
 ABELIAN = LieModel(4, [])
@@ -78,7 +84,7 @@ def test_axiom_suite_passes():
     for m in (ABELIAN, KT, KT_TW,
               LieModel(4, [], Form.blade(4, [1, 2, 3])),
               LieModel(6, [(6, 1, 2, 1)], Form.blade(6, [1, 3, 5]))):
-        rep = courant_axiom_suite(m, samples=30)
+        rep = courant_axiom_suite(m)
         assert rep.ok, rep.first_failure()
 
 def test_axiom_suite_detects_term_drop():
@@ -91,7 +97,7 @@ def test_axiom_suite_detects_term_drop():
             i = mask.bit_length() - 1
             cov[i] = cov[i] + v
         return GenElem(m.dim, list(good.vec), cov)
-    rep = courant_axiom_suite(KT, samples=30, bracket=corrupted)
+    rep = courant_axiom_suite(KT, bracket=corrupted)
     assert not rep.ok
     failed = {n for n, ok, _ in rep.checks if not ok}
     assert any("C1" in n or "C4" in n or "C5" in n for n in failed)
@@ -102,7 +108,155 @@ def test_axiom_suite_detects_twist_drop():
     def untwisted(m, a, b):
         bare = LieModel(m.dim, m.structure)
         return dorfman(bare, a, b)
-    rep = courant_axiom_suite(KT_TW, samples=30, bracket=untwisted)
+    rep = courant_axiom_suite(KT_TW, bracket=untwisted)
     assert not rep.ok
     failed = {n for n, ok, _ in rep.checks if not ok}
     assert any("B-shift" in n for n in failed)
+
+
+# -- the tables against the Form-level formulas they replace ---------------------
+
+def reference_dorfman(m, a, b):
+    """[X+xi, Y+eta]_H = [X,Y] + i_X d eta - i_Y d xi + i_X i_Y H, from Forms,
+    as the bracket was computed before the structure-constant table."""
+    vec = m.bracket_vectors(a.vec, b.vec)
+    deta = m.d(b.cov_form())
+    dxi = m.d(a.cov_form())
+    one_form = (deta.contract_vector(a.vec)
+                - dxi.contract_vector(b.vec)
+                + m.H.contract_vector(b.vec).contract_vector(a.vec))
+    cov = [QI(0)] * m.dim
+    for mask, v in one_form.coeffs.items():
+        cov[mask.bit_length() - 1] = v
+    return GenElem(m.dim, vec, cov)
+
+
+def reference_clifford(a, w):
+    """(X + xi) . w = i_X w + xi ^ w by the former per-bit loop."""
+    out = {}
+    for mask, v in w.coeffs.items():
+        for i in range(a.dim):
+            bit = 1 << i
+            if a.vec[i] and mask & bit:
+                t = a.vec[i] * v * insert_sign(mask, i)
+                out[mask & ~bit] = out.get(mask & ~bit, QI(0)) + t
+            if a.cov[i] and not mask & bit:
+                t = a.cov[i] * v * insert_sign(mask, i)
+                out[mask | bit] = out.get(mask | bit, QI(0)) + t
+    return Form(w.dim, out)
+
+
+def basis_elems(dim):
+    return ([GenElem.x(dim, i) for i in range(1, dim + 1)]
+            + [GenElem.e(dim, i) for i in range(1, dim + 1)])
+
+
+def differential_models():
+    """Every valid corpus model, the benchmark's kt8, and one corpus model
+    under the benchmark's seeded rational change of basis."""
+    texts = [(p.stem, p.read_text()) for p in sorted(CORPUS.glob("*.gcm"))]
+    texts += [("kt8", SCALE8["kt8"]),
+              ("dense-kt-twisted", dense_model_text("kt-twisted", 3))]
+    for name, text in texts:
+        m = parse_model(text).model(name=name)
+        if m.validate().ok:
+            yield m
+
+
+def test_dorfman_table_matches_form_formula():
+    rng = random.Random(17)
+    names = []
+    for m in differential_models():
+        basis = basis_elems(m.dim)
+        for p, a in enumerate(basis):
+            for q, b in enumerate(basis):
+                want = reference_dorfman(m, a, b)
+                got = m.dorfman_table.get(p, {}).get(q, {})
+                assert got == want.to_coords(), (m.name, p, q)
+                assert dorfman(m, a, b) == want
+        for _ in range(10):
+            a, b = random_gen_elem(m.dim, rng), random_gen_elem(m.dim, rng)
+            assert dorfman(m, a, b) == reference_dorfman(m, a, b), m.name
+        names.append(m.name)
+    assert len(names) == 18 and {"kt8", "dense-kt-twisted"} <= set(names)
+
+
+def test_clifford_act_matches_bit_loop():
+    rng = random.Random(23)
+    for dim in (4, 6, 8):
+        for _ in range(12):
+            a = random_gen_elem(dim, rng)
+            w = random_real_form(dim, rng.randrange(dim + 1), rng) \
+                + random_real_form(dim, rng.randrange(dim + 1), rng).scale(I)
+            assert clifford_act(a, w) == reference_clifford(a, w)
+
+
+# -- each exact check fails on a deliberately broken copy -------------------------
+
+# 3-step nilpotent: d e5 = e12, d e6 = e15, with a closed twist
+NIL6 = LieModel(6, [(5, 1, 2, 1), (6, 1, 5, 1)], Form.blade(6, [2, 3, 4]))
+KT8 = parse_model(SCALE8["kt8"]).model(name="kt8")
+
+
+def sign_flipped(p, q, k):
+    """The table bracket with entry k of [basis p, basis q] negated."""
+    def bracket(m, a, b):
+        table = {r: dict(row) for r, row in m.dorfman_table.items()}
+        table[p][q] = {**table[p][q], k: -table[p][q][k]}
+        return GenElem.from_coords(
+            m.dim, _bracket_coords(table, a.to_coords(), b.to_coords()))
+    return bracket
+
+
+def failed_checks(rep):
+    return {n.split()[0]: w for n, ok, w in rep.checks if not ok}
+
+
+def test_exact_suite_passes_on_every_differential_model():
+    for m in differential_models():
+        rep = courant_axiom_suite(m)
+        assert rep.ok, (m.name, rep.first_failure())
+    assert courant_axiom_suite(NIL6).ok
+
+
+def test_suite_catches_wrong_sign_in_one_vector_entry():
+    # [x1, x2] = -x5 turned into +x5, while [x2, x1] stays +x5
+    failed = failed_checks(courant_axiom_suite(NIL6, bracket=sign_flipped(0, 1, 4)))
+    assert set(failed) == {"C1", "C2", "C4", "C5", "B-shift"}
+    assert failed["C1"] == "a=(1) x1; b=(1) x2; c=(1) x1"
+    assert failed["C2"] == "a=(1) x1; b=(1) x2"
+    assert failed["C4"] == "a=(1) x1; b=(1) x2; sum=(2) x5"
+
+
+def test_suite_catches_wrong_sign_in_one_twist_entry():
+    # [x2, x3] = i_{x2} i_{x3} e234 = e4 turned into -e4: skew and pairing
+    # invariance break, Jacobi and the anchor do not see it
+    failed = failed_checks(courant_axiom_suite(NIL6, bracket=sign_flipped(1, 2, 9)))
+    assert set(failed) == {"C4", "C5"}
+    assert failed["C4"] == "a=(1) x2; b=(1) x3; sum=(2) e4"
+    assert failed["C5"].startswith("a=(1) x2; b=(1) x3; c=(1) x4; value=")
+
+
+def test_suite_catches_generator_table_wrong_on_one_blade(monkeypatch):
+    # e^1 on e2^e4^e7 with its sign flipped, on a dim-8 model: the 50 random
+    # blades of the former sampled suite never reach this entry
+    real = _generator_tables(8)
+    broken = [list(t) for t in real]
+    mask, sign = broken[8][0b01001010]
+    broken[8][0b01001010] = (mask, -sign)
+    broken = tuple(tuple(t) for t in broken)
+    monkeypatch.setattr(courant, "_generator_tables",
+                        lambda dim: broken if dim == 8 else _generator_tables(dim))
+    failed = failed_checks(courant_axiom_suite(KT8))
+    assert set(failed) == {"Clifford"}
+    assert failed["Clifford"] == "a=(1) x1; b=(1) e1; w=e2^e4^e7"
+
+
+def test_suite_catches_missing_dB_term():
+    # the bracket of the base twist on every model: right on the model itself,
+    # but it drops i_X i_Y dB on each B-shifted one
+    def base_twist(m, a, b):
+        return dorfman(LieModel(m.dim, m.structure, NIL6.H), a, b)
+    failed = failed_checks(courant_axiom_suite(NIL6, bracket=base_twist))
+    assert set(failed) == {"B-shift"}
+    assert failed["B-shift"] == "B=e2^e6; a=(1) x1; b=(1) x2"

@@ -420,3 +420,22 @@ def test_graded_span_poly_matches_reference_on_corpus():
             assert got == want, (name, p)
             pairs += 1
     assert pairs >= 30 and kinds >= {"symplectic", "complex"}
+
+
+def test_chain_span_built_once_per_family_and_p(monkeypatch, capsys):
+    """transversality_check spans each chain U_{<=p} once and extends every
+    representative in it, instead of respanning it per representative."""
+    from gchodge import families
+    from gchodge.cli import main as cli_main
+    calls = []
+    real = families._graded_span_poly
+
+    def counting(f, p):
+        calls.append((f.name, p))
+        return real(f, p)
+
+    monkeypatch.setattr(families, "_graded_span_poly", counting)
+    assert cli_main(["family", str(CORPUS / "torus4-symplectic.gcm")]) == 0
+    assert "transversality p=0" in capsys.readouterr().out
+    assert sorted(calls) == [(f, p) for f in ("holo", "scale")
+                             for p in (-2, -1, 0)]

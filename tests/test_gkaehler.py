@@ -197,3 +197,56 @@ def test_gk_deformation_incompatible():
     rep = gk_deformation_check(f1, f2)
     assert not rep.compatible
     assert not all(rep.samples_gk.values())
+
+
+# -- exact checks over every blade and every cochain mask --------------------------
+
+def test_delta_split_catches_one_blade_the_samples_missed():
+    """A broken copy of the bidegree tables whose {delbar+, delbar-} is
+    nonzero on one blade only, a blade that the 12 draws of the former
+    sampled check (seed 5) never reach; the exact check reports NO."""
+    import copy
+    import random
+    from gchodge.forms import spin_apply
+    from gchodge.linalg import vec_add
+    pair = kahler_pair()
+    rng = random.Random(5)
+    drawn = set()
+    for _ in range(12):   # the former draws: a blade, then its coefficient
+        drawn.add(rng.randrange(1 << pair.model.dim))
+        rng.randrange(-2, 3)
+    blade = min(set(range(1 << pair.model.dim)) - drawn)
+    parts = {bd: dict(t) for bd, t in pair.dH_parts.items()}
+    parts[BIDEGREES["delbar+"]][blade] = {0b0011: ONE}
+    parts[BIDEGREES["delbar-"]][0b0011] = {0b0111: ONE}
+    broken = copy.copy(pair)
+    broken.dH_parts = parts
+
+    def anticomm(a, b, v):
+        pa, pb = parts[BIDEGREES[a]], parts[BIDEGREES[b]]
+        return vec_add(spin_apply(pa, spin_apply(pb, v)),
+                       spin_apply(pb, spin_apply(pa, v)))
+
+    assert not any(anticomm("delbar+", "delbar-", {b: ONE}) for b in drawn)
+    assert anticomm("delbar+", "delbar-", {blade: ONE})
+    rep = delta_split_check(broken)
+    assert not rep.anticommute_ok
+    assert "bidegree components of d_H^2 = 0 vanish: NO" in rep.lines()
+    assert delta_split_check(pair).anticommute_ok
+
+
+def test_algebroid_split_check_covers_every_cochain_mask(monkeypatch):
+    from gchodge.liemodel import LieAlgebroid
+    seen = []
+    real = LieAlgebroid.differential
+
+    def recording(self, c):
+        if self.name == combined:   # once per cochain the check tries
+            seen.append(tuple(c))
+        return real(self, c)
+
+    monkeypatch.setattr(LieAlgebroid, "differential", recording)
+    pair = kahler_pair(FLAT4)
+    combined = f"{pair.Lp.name}+{pair.Lm.name}"
+    assert algebroid_split_check(pair.s1.L, pair.Lp, pair.Lm).ok
+    assert sorted(seen) == [(m,) for m in range(1, 1 << pair.s1.L.rank)]
