@@ -8,18 +8,14 @@ Everything is rank arithmetic over Q(i); there is no harmonic theory anywhere.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .courant import random_real_form
 from .errors import WrongType
-from .forms import (Form, SpinOp, mukai_dual, mukai_pairing, popcount,
-                    spin_apply)
+from .forms import Form, SpinOp, mukai_dual, popcount, spin_apply
 from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
-from .linalg import (QuotientSpace, Subspace, Vec, kernel_lift, mat_det,
-                     vec_axpy)
-from .scalars import ONE, QI, ZERO
+from .linalg import QuotientSpace, Subspace, Vec, _axpy_into, kernel_lift
+from .scalars import ONE, QI
 
 
 # -- twisted cohomology --------------------------------------------------------
@@ -71,7 +67,7 @@ class TwistedCohomology:
                        else self.odd.reps[idx - self.dim_even])
             else:
                 rep = (self.even if parity == 0 else self.odd).reps[idx]
-            out = vec_axpy(out, c, rep)
+            _axpy_into(out, c, rep)
         return form_of_vec(self.model.dim, out)
 
     def conj_coords(self, coords: Vec, parity: int | None = None) -> Vec:
@@ -343,7 +339,7 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
 
 @dataclass
 class MukaiQReport:
-    matrix: list[list[QI]]
+    rows: list[Vec]    # row i holds the nonzero Q(rep_i, rep_j) by j
     descends: bool
     nondegenerate: bool
     block_orthogonal: bool | None
@@ -380,55 +376,43 @@ def _mukai_rows(dim: int, left: list[Vec], right: list[Vec]) -> list[Vec]:
     return out
 
 
-def mukai_Q(s: GCStruct, samples: int = 20, seed: int = 11) -> MukaiQReport:
+def mukai_Q(s: GCStruct) -> MukaiQReport:
+    """The Mukai pairing Q on the canonical representatives of H_{d_H},
+    with every verdict exact over the blade basis (Q is bilinear):
+    Q descends when (d_H e_b, rep) = (rep, d_H e_b) = 0 for every blade b
+    and representative; it is nondegenerate when its rows have full rank;
+    the sign s in (d_H w, g) = s (w, d_H g) is the first of +1, -1 that
+    holds on every pair of blades, or None when neither does."""
     m = s.model
     tw = twisted_cohomology(m)
-    vecs = tw.even.reps + tw.odd.reps
-    Q = [[row.get(j, ZERO) for j in range(len(vecs))]
-         for row in _mukai_rows(m.dim, vecs, vecs)]
-    reps = [form_of_vec(m.dim, r) for r in vecs]
-    rng = random.Random(seed)
-    descends = True
-    for _ in range(samples):
-        pert = m.d_H(random_real_form(m.dim, rng.randrange(m.dim + 1), rng))
-        a = rng.randrange(len(reps)) if reps else 0
-        b = rng.randrange(len(reps)) if reps else 0
-        if reps and mukai_pairing(reps[a] + pert, reps[b]) != Q[a][b]:
-            descends = False
-            break
-        if reps and mukai_pairing(reps[a], reps[b] + pert) != Q[a][b]:
-            descends = False
-            break
-    nondeg = bool(mat_det(Q)) if reps else True
+    reps = tw.even.reps + tw.odd.reps
+    rows = _mukai_rows(m.dim, reps, reps)
+    N = 1 << m.dim
+    dH = m.dH_table
+    exact = [dH.get(b, {}) for b in range(N)]
+    descends = not any(_mukai_rows(m.dim, exact, reps)) \
+        and not any(_mukai_rows(m.dim, reps, exact))
+    nondeg = Subspace.span(len(reps), rows).dim == len(reps)
 
     # the grading blocks pair only across opposite degrees
     n = s.n
-    zero = Subspace.zero(1 << m.dim)
+    zero = Subspace.zero(N)
     closed, degree = [], []
     for k in range(-n, n + 1):
-        for v in _preimage_in(s.U_subspace(k), m.dH_table, zero).basis():
+        for v in _preimage_in(s.U_subspace(k), dH, zero).basis():
             closed.append(v)
             degree.append(k)
     orth = all(degree[i] + degree[j] == 0
                for i, row in enumerate(_mukai_rows(m.dim, closed, closed))
                for j in row)
 
-    # measured sign in the integration-by-parts identity
-    sign = None
-    for cand in (1, -1):
-        ok = True
-        for _ in range(samples):
-            w = random_real_form(m.dim, rng.randrange(m.dim + 1), rng)
-            g = random_real_form(m.dim, rng.randrange(m.dim + 1), rng)
-            lhs = mukai_pairing(m.d_H(w), g)
-            rhs = mukai_pairing(w, m.d_H(g))
-            if lhs != (rhs if cand == 1 else -rhs):
-                ok = False
-                break
-        if ok:
-            sign = cand
-            break
-    return MukaiQReport(Q, descends, nondeg, orth, sign)
+    # measured sign in the integration-by-parts identity, on blade pairs
+    blades = [{b: ONE} for b in range(N)]
+    lhs = _mukai_rows(m.dim, exact, blades)
+    rhs = _mukai_rows(m.dim, blades, exact)
+    neg = [{j: -c for j, c in row.items()} for row in rhs]
+    sign = 1 if lhs == rhs else -1 if lhs == neg else None
+    return MukaiQReport(rows, descends, nondeg, orth, sign)
 
 
 # -- strong Lefschetz ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ which proves it for all invariant sections: nothing is sampled.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 
 from .errors import DimensionMismatch
@@ -271,22 +270,6 @@ class AxiomReport:
             s = "pass" if ok else "FAIL"
             out.append(f"{n}: {s}" + (f" witness: {w}" if w and not ok else ""))
         return out
-
-
-def random_gen_elem(dim: int, rng: random.Random) -> GenElem:
-    def coeffs():
-        return [QI(rng.randrange(-2, 3), rng.randrange(-1, 2)) for _ in range(dim)]
-    return GenElem(dim, coeffs(), coeffs())
-
-
-def random_real_form(dim: int, degree: int, rng: random.Random) -> Form:
-    out = Form(dim)
-    for m in range(1 << dim):
-        if bin(m).count("1") == degree:
-            c = rng.randrange(-2, 3)
-            if c:
-                out = out + Form(dim, {m: QI(c)})
-    return out
 
 
 def _basis_elem(dim: int, p: int) -> GenElem:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import Vec, vec_axpy
+from .linalg import Vec, _axpy_into
 from .scalars import ONE, QI
 
 
@@ -252,7 +252,7 @@ def spin_apply(op: SpinOp, v: Vec) -> Vec:
     for j, c in v.items():
         col = op.get(j)
         if col:
-            out = vec_axpy(out, c, col)
+            _axpy_into(out, c, col)
     return out
 
 

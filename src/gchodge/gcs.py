@@ -27,7 +27,7 @@ from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
 from .forms import Form, SpinOp, popcount, spin_apply
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
 from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, kernel_lift,
-                     mat_inv, mat_mul, matrix_kernel, vec_axpy, vec_scale)
+                     mat_inv, mat_mul, matrix_kernel, vec_scale)
 from .scalars import I, ONE, QI
 
 Half = QI(Fraction(1, 2))
@@ -73,7 +73,7 @@ def _split_by_blades(blade_parts: dict, v: Vec) -> dict:
     parts: dict = {}
     for mask, c in v.items():
         for k, p in blade_parts[mask].items():
-            parts[k] = vec_axpy(parts.get(k, {}), c, p)
+            _axpy_into(parts.setdefault(k, {}), c, p)
     return {k: p for k, p in parts.items() if p}
 
 
@@ -86,7 +86,7 @@ def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
         for k, p in parts.items():
             for j, q in _split_by_blades(blade_parts, spin_apply(op, p)).items():
                 key = shift(k, j)
-                cols[key] = vec_axpy(cols.get(key, {}), ONE, q)
+                _axpy_into(cols.setdefault(key, {}), ONE, q)
         for key, col in cols.items():
             if col:
                 tables.setdefault(key, {})[mask] = col
@@ -302,6 +302,17 @@ class GCStruct:
             for i in reversed(_mask_indices(mask)):
                 term = _clifford_vec(self.dual_basis[i], term)
             out = out + Form(self.model.dim, term).scale(coeff)
+        return out
+
+    def cliff_table(self, w: Form) -> SpinOp:
+        """The table of a -> a.w on cochain masks: [mask] is
+        cliff_cochain({mask: 1}, w), built from the mask without its lowest
+        index, which acts last."""
+        out: SpinOp = {0: dict(w.coeffs)}
+        for mask in range(1, 1 << self.L.rank):
+            low = (mask & -mask).bit_length() - 1
+            out[mask] = _clifford_vec(self.dual_basis[low],
+                                      out[mask & (mask - 1)])
         return out
 
     def __repr__(self):

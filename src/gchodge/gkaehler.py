@@ -23,8 +23,8 @@ from .forms import Form, SpinOp, spin_apply
 from .gcs import (GCStruct, _split_by_blades, form_of_vec, pairing_gram,
                   shift_tables)
 from .liemodel import LieAlgebroid
-from .linalg import (QuotientSpace, Subspace, Vec, mat_det, mat_mul, vec_add,
-                     vec_axpy)
+from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, mat_det,
+                     mat_mul, vec_add)
 from .scalars import ONE, QI
 
 
@@ -35,7 +35,7 @@ def _joint_parts(first: GCStruct, second: GCStruct,
     parts: dict[tuple[int, int], Vec] = {}
     for r, p1 in first._blade_parts[mask].items():
         for s, p2 in _split_by_blades(second._blade_parts, p1).items():
-            parts[(r, s)] = vec_axpy(parts.get((r, s), {}), ONE, p2)
+            _axpy_into(parts.setdefault((r, s), {}), ONE, p2)
     return parts
 
 

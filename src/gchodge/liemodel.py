@@ -184,36 +184,37 @@ class LieAlgebroid:
 
     # -- cochain complex ----------------------------------------------------
 
+    @cached_property
+    def _brackets_into(self) -> list[list[tuple[int, int, QI]]]:
+        """[m] -> every (i, j, c), i < j, with c the a_m-component of
+        [a_i, a_j] nonzero."""
+        out: list[list[tuple[int, int, QI]]] = [[] for _ in range(self.rank)]
+        for i in range(self.rank):
+            for j in range(i + 1, self.rank):
+                for m, coeff in enumerate(self.bracket_table[i][j]):
+                    if coeff:
+                        out[m].append((i, j, coeff))
+        return out
+
     def differential(self, c: dict[int, QI]) -> dict[int, QI]:
         """Cartan formula on invariant cochains:
-        (dc)(a_0..a_k) = sum_{p<q} (-1)^{p+q} c([a_p,a_q], ..hat p..hat q..)."""
+        (dc)(a_0..a_k) = sum_{p<q} (-1)^{p+q} c([a_p,a_q], ..hat p..hat q..),
+        summed from the masks of c: the term of mask S at its index m meets
+        each pair (i, j) bracketing into a_m at the mask S - m + i + j."""
         out: dict[int, QI] = {}
-        for target_deg in {popcount(mask) + 1 for mask in c}:
-            for mask in _masks_of_degree(self.rank, target_deg):
-                val = QI(0)
-                idxs = _mask_indices(mask)
-                for p in range(len(idxs)):
-                    for q in range(p + 1, len(idxs)):
-                        rest = mask & ~(1 << idxs[p]) & ~(1 << idxs[q])
-                        br = self.bracket_table[idxs[p]][idxs[q]]
-                        sgn_pq = -1 if (p + q) & 1 else 1
-                        for mth, coeff in enumerate(br):
-                            if not coeff:
-                                continue
-                            bit = 1 << mth
-                            if rest & bit:
-                                continue
-                            cm = c.get(rest | bit)
-                            if not cm:
-                                continue
-                            # c([a_p,a_q], rest) with the bracket argument first:
-                            # move it into ascending position inside rest|bit
-                            ins = popcount(rest & (bit - 1))
-                            sgn = sgn_pq * (-1 if ins & 1 else 1)
-                            term = coeff * cm
-                            val = val + (term if sgn > 0 else -term)
-                if val:
-                    out[mask] = val
+        for S, cS in c.items():
+            for m in _mask_indices(S):
+                rest = S & ~(1 << m)
+                # c's argument order puts the bracket first: ins transpositions
+                ins = popcount(rest & ((1 << m) - 1))
+                for i, j, coeff in self._brackets_into[m]:
+                    pair = (1 << i) | (1 << j)
+                    if rest & pair:
+                        continue
+                    T = rest | pair
+                    pq = popcount(T & ((1 << i) - 1)) + popcount(T & ((1 << j) - 1))
+                    term = coeff * cS
+                    _acc(out, T, -term if (pq + ins) & 1 else term)
         return out
 
     def cohomology(self, k: int) -> QuotientSpace:

@@ -335,7 +335,7 @@ def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
     for combo in matrix_kernel(images):
         v: Vec = {}
         for j, c in combo.items():
-            v = vec_axpy(v, c, basis[j])
+            _axpy_into(v, c, basis[j])
         out.append(v)
     return out
 

@@ -18,8 +18,7 @@ from gchodge.cohomology import (ddbar_check, delbar_dims, frolicher_pages,
                                 hodge_filtration, lefschetz_check,
                                 twisted_cohomology, weight_mhs_check)
 from gchodge.courant import (GenElem, algebroid_from_basis, b_shift,
-                             b_shift_form, courant_axiom_suite, dorfman,
-                             random_gen_elem, random_real_form)
+                             b_shift_form, courant_axiom_suite, dorfman)
 from gchodge.errors import EngineError
 from gchodge.families import (FamilySpec, gcy_check, holomorphy_check,
                               ks_class, q_flatness, symp_filtration_check,
@@ -35,6 +34,8 @@ from gchodge.poly import ParamPoly, PolyForm, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
 import random
+
+from test_courant import random_gen_elem, random_real_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"

@@ -1,5 +1,7 @@
 """Twisted/delbar cohomology, Froelicher pages, ddbar, filtrations, Lefschetz, MHS."""
 
+import copy
+
 import pytest
 
 from gchodge.cohomology import (_image_of, _preimage_in, chain_subspace,
@@ -12,7 +14,7 @@ from gchodge.errors import WrongType
 from gchodge.forms import Form, mukai_pairing
 from gchodge.gcs import make_complex, make_symplectic
 from gchodge.linalg import Subspace
-from gchodge.scalars import I, QI
+from gchodge.scalars import I, ONE, QI
 
 from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, complex_torus4,
                       corpus_structures, kt_symplectic_twisted, std_I,
@@ -136,6 +138,7 @@ def test_mukai_q_descends_everywhere():
     for s in (complex_torus4(), kt_symplectic_twisted()):
         rep = mukai_Q(s)
         assert rep.descends and rep.nondegenerate
+        assert rep.measured_dh_sign == 1
 
 def _pairwise_mukai(s):
     """Q and the block-orthogonality verdict from one mukai_pairing per pair
@@ -153,25 +156,70 @@ def _pairwise_mukai(s):
     return Q, orth
 
 
+def _dense(rows):
+    return [[row.get(j, QI(0)) for j in range(len(rows))] for row in rows]
+
 def test_mukai_q_matches_pairwise_reference():
     names = []
     for name, s in corpus_structures():
         names.append(name)
-        rep = mukai_Q(s, samples=2)
-        assert (rep.matrix, rep.block_orthogonal) == _pairwise_mukai(s), name
+        rep = mukai_Q(s)
+        assert (_dense(rep.rows), rep.block_orthogonal) == _pairwise_mukai(s), name
     assert len(names) >= 10
     # a grading relabelled by a shift pairs blocks j, k with j + k != 0, so
     # the orthogonality test has a failing case to agree on
     s = symplectic_torus4()
     s.U = {k - 2: U for k, U in s.U.items()}
-    rep = mukai_Q(s, samples=2)
+    rep = mukai_Q(s)
     assert rep.block_orthogonal is False
-    assert (rep.matrix, rep.block_orthogonal) == _pairwise_mukai(s)
+    assert (_dense(rep.rows), rep.block_orthogonal) == _pairwise_mukai(s)
 
 def test_mukai_q_sign_dim6():
     s = make_symplectic(ABELIAN6, torus_omega(6))
-    rep = mukai_Q(s, samples=10)
+    rep = mukai_Q(s)
     assert rep.measured_dh_sign == 1  # paper's n there is dim M = 6, even
+
+
+# broken copies: each exact verdict of mukai_Q must fail on its own. The
+# copies replace the model (and the structure's link to it), so the shared
+# module-level models stay intact.
+
+def _with_model(s, **attrs):
+    twisted_cohomology(s.model)     # kept on the model, so the copy shares it
+    m = copy.copy(s.model)
+    vars(m).update(attrs)
+    broken = copy.copy(s)
+    broken.model = m
+    return broken
+
+def _with_even_reps(s, extra):
+    tw = copy.copy(twisted_cohomology(s.model))
+    tw.even = copy.copy(tw.even)
+    tw.even.reps = tw.even.reps + extra
+    return _with_model(s, _twisted_cohomology=tw)
+
+def test_mukai_q_descends_fails_on_a_non_closed_representative():
+    s = kt_symplectic_twisted()
+    e34 = {0b1100: ONE}     # d_H e34 = -e123, so (e4, d_H e34) != 0
+    assert KT_TW.d_H(Form(4, e34)) == -Form.blade(4, [1, 2, 3])
+    assert not mukai_Q(_with_even_reps(s, [e34])).descends
+
+def test_mukai_q_sign_fails_on_a_flipped_dH_entry():
+    s = kt_symplectic_twisted()
+    top = (1 << s.model.dim) - 1
+    dH = {b: dict(col) for b, col in s.model.dH_table.items()}
+    # an entry whose flip is not undone by its mirror (e_b, d_H e_{top^k})
+    b, k = next((b, k) for b, col in dH.items() for k in col if top ^ k != b)
+    dH[b][k] = -dH[b][k]
+    rep = mukai_Q(_with_model(s, dH_table=dH))
+    assert rep.measured_dh_sign is None
+    assert "measured sign" not in "\n".join(rep.lines())
+
+def test_mukai_q_nondegenerate_fails_on_a_duplicated_representative():
+    s = kt_symplectic_twisted()
+    rep0 = twisted_cohomology(s.model).even.reps[0]
+    rep = mukai_Q(_with_even_reps(s, [dict(rep0)]))
+    assert rep.descends and not rep.nondegenerate
 
 
 # -- lefschetz ----------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import random
 from gchodge import courant
 from gchodge.courant import (GenElem, _bracket_coords, _generator_tables,
                              b_shift, b_shift_form, clifford_act,
-                             courant_axiom_suite, dorfman, pairing,
-                             random_gen_elem, random_real_form)
+                             courant_axiom_suite, dorfman, pairing)
 from gchodge.forms import Form, insert_sign
 from gchodge.liemodel import LieModel
 from gchodge.modelfile import parse_model
@@ -20,6 +19,24 @@ from test_gcs import CORPUS, SCALE8, dense_model_text
 ABELIAN = LieModel(4, [])
 KT = LieModel(4, [(4, 1, 2, 1)])
 KT_TW = LieModel(4, [(4, 1, 2, 1)], Form.blade(4, [1, 2, 3]))
+
+
+# seeded random elements for the identity tests; the engine samples nothing
+
+def random_gen_elem(dim: int, rng: random.Random) -> GenElem:
+    def coeffs():
+        return [QI(rng.randrange(-2, 3), rng.randrange(-1, 2)) for _ in range(dim)]
+    return GenElem(dim, coeffs(), coeffs())
+
+
+def random_real_form(dim: int, degree: int, rng: random.Random) -> Form:
+    out = Form(dim)
+    for m in range(1 << dim):
+        if bin(m).count("1") == degree:
+            c = rng.randrange(-2, 3)
+            if c:
+                out = out + Form(dim, {m: QI(c)})
+    return out
 
 
 def test_pairing_values():

@@ -16,7 +16,7 @@ from gchodge.families import (FamilySpec, _clifford_const, _clifford_poly_elem,
                               transversality_check)
 from gchodge.forms import Form, popcount
 from gchodge.gcs import dual_frame, make_complex, make_symplectic
-from gchodge.linalg import mat_inv
+from gchodge.linalg import mat_inv, vec_add
 from gchodge.modelfile import build_family, parse_model
 from gchodge.poly import ParamPoly, PolyForm, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
@@ -339,7 +339,26 @@ def test_gcy_reports_a_broken_chain_identity():
     assert not rep.chain_identity_ok
     assert rep.spinor_closed and rep.iso_ok and rep.period_injective
     assert rep.lines()[-1] == ("chain identity delbar(a rho) = (d_L a) rho "
-                               "on degree-1 cochains: NO")
+                               "on every cochain: NO")
+
+def test_gcy_checks_the_chain_identity_beyond_degree_1():
+    s = make_complex(ABELIAN4, std_I(4))
+    # a copy whose d_L adds e^123 on every degree-2 mask and is right on
+    # every other degree; a check on degree-1 cochains alone passes it
+    broken = copy.copy(s)
+    broken.L = copy.copy(s.L)
+
+    def differential(c):
+        out = s.L.differential(c)
+        if any(popcount(mask) == 2 for mask in c):
+            out = vec_add(out, {0b0111: ONE})
+        return out
+    broken.L.differential = differential
+    assert all(differential({1 << i: ONE}) == s.L.differential({1 << i: ONE})
+               for i in range(s.L.rank))
+    rep = gcy_check(broken)
+    assert not rep.chain_identity_ok
+    assert rep.lines()[-1].endswith("on every cochain: NO")
 
 
 # -- the chain spans against the 2n+1-node reference --------------------------------

@@ -477,3 +477,19 @@ def test_phi_kt_example():
 def test_phi_wrong_type():
     with pytest.raises(WrongType):
         symp_phi(complex_torus4(), Form.one(4))
+
+
+# -- cochain Clifford action -----------------------------------------------------
+
+def test_cliff_table_matches_cliff_cochain():
+    checked = 0
+    for name, s in corpus_structures():
+        if s.spinor is None:
+            continue
+        table = s.cliff_table(s.spinor)
+        assert sorted(table) == list(range(1 << s.L.rank)), name
+        for mask, col in table.items():
+            assert Form(s.model.dim, col) == \
+                s.cliff_cochain({mask: ONE}, s.spinor), (name, mask)
+        checked += 1
+    assert checked >= 10

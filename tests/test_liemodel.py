@@ -7,9 +7,11 @@ import pytest
 from gchodge.courant import GenElem, algebroid_from_basis
 from gchodge.errors import (JacobiFailure, NotClosedUnderBracket, NotIsotropic,
                             TwistNotClosed)
-from gchodge.forms import Form
-from gchodge.liemodel import LieModel
+from gchodge.forms import Form, popcount
+from gchodge.liemodel import LieModel, _mask_indices, _masks_of_degree
 from gchodge.scalars import I, ONE, QI
+
+from test_gcs import SCALE8, corpus_structures, dense_model_text, structures_of
 
 
 def abelian(dim=4, H=None):
@@ -136,3 +138,52 @@ def test_conjugation_equivariance():
     for i in range(4):
         for j in range(4):
             assert [c.conj() for c in L.bracket_table[i][j]] == Lc.bracket_table[i][j]
+
+
+def _differential_by_target(L, c):
+    """The Cartan formula evaluated target mask by target mask over every
+    mask of the next degree: the reference for the source-driven
+    `LieAlgebroid.differential`."""
+    out = {}
+    for target_deg in {popcount(mask) + 1 for mask in c}:
+        for mask in _masks_of_degree(L.rank, target_deg):
+            val = QI(0)
+            idxs = _mask_indices(mask)
+            for p in range(len(idxs)):
+                for q in range(p + 1, len(idxs)):
+                    rest = mask & ~(1 << idxs[p]) & ~(1 << idxs[q])
+                    br = L.bracket_table[idxs[p]][idxs[q]]
+                    sgn_pq = -1 if (p + q) & 1 else 1
+                    for mth, coeff in enumerate(br):
+                        bit = 1 << mth
+                        cm = c.get(rest | bit)
+                        if not coeff or rest & bit or not cm:
+                            continue
+                        ins = popcount(rest & (bit - 1))
+                        term = coeff * cm
+                        val = val + (term if sgn_pq * (-1) ** ins > 0 else -term)
+            if val:
+                out[mask] = val
+    return out
+
+
+def test_differential_matches_the_target_by_target_formula():
+    structures = [*corpus_structures(),
+                  *structures_of(SCALE8["kt8"], "kt8"),
+                  *structures_of(dense_model_text("kt-twisted", 1), "kt-dense")]
+    rng = random.Random(3)
+    algebroids = 0
+    for name, s in structures:
+        for L in (s.L, s.L.conj()):
+            algebroids += 1
+            for mask in range(1 << L.rank):
+                assert L.differential({mask: ONE}) \
+                    == _differential_by_target(L, {mask: ONE}), (name, mask)
+            for _ in range(4):
+                k = rng.randrange(L.rank)
+                c = {mask: QI(rng.randrange(-2, 3), rng.randrange(-1, 2))
+                     for mask in _masks_of_degree(L.rank, k)
+                     if rng.randrange(2)}
+                c = {mask: x for mask, x in c.items() if x}
+                assert L.differential(c) == _differential_by_target(L, c), name
+    assert algebroids >= 30
