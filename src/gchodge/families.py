@@ -5,24 +5,31 @@ holomorphy, symplectic filtration tracking, and Calabi-Yau period data.
 
 The twist is fixed across the family (trivialized product normal form), so
 every derivative here is a formal polynomial derivative and stays exact.
+
+A family applies the operators of a single structure, with ParamPoly values
+in place of QI: the moving chain U_{<=p}(t) is the table of N built from the
+polynomial J(t) by `gcs._spinorial_N`, powered and projected with the same
+`_powers`, `_combine` and projector plan as `GCStruct`'s grading; d_H acts on
+sections through the model's d_H table, and the Mukai pairing of sections is
+a dot product with `mukai_dual`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cohomology import (_preimage_in, chain_subspace, closed_classes,
                          ddbar_check, delbar_cohomology, filtration_subspace,
                          invariant_derham, lefschetz_check, once_per_structure,
                          twisted_cohomology)
-from .courant import GenElem, _generator_tables, pairing
+from .courant import GenElem, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NoInvariantSpinor, NotClosed, SectionNotClosed,
                      SpinorNotClosed, WrongType)
-from .forms import Form, mukai_pairing, popcount, spin_apply
-from .gcs import (GCStruct, Half, _projector_plan, dual_frame, flat_matrix,
-                  form_of_vec, make_complex, make_general, make_symplectic)
+from .forms import Form, mukai_dual, popcount, spin_apply
+from .gcs import (GCStruct, Half, _combine, _powers, _projector_plan,
+                  _spinorial_N, flat_matrix, form_of_vec, make_complex,
+                  make_general, make_symplectic)
 from .liemodel import LieModel
 from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, mat_add,
                      mat_det, mat_inv, mat_mul, mat_vec, solve_columns,
@@ -366,11 +373,10 @@ def gm_derivative(f: FamilySpec, section: PolyForm, direction: int) -> Vec:
 def q_pairing_poly(a: PolyForm, b: PolyForm) -> ParamPoly:
     """Mukai pairing of two polynomial sections as a polynomial in t."""
     out = ParamPoly(a.nvars)
-    for ma, pa in a.coeffs.items():
-        for mb, pb in b.coeffs.items():
-            c = mukai_pairing(Form(a.dim, {ma: ONE}), Form(b.dim, {mb: ONE}))
-            if c:
-                out = out + (pa * pb).scale(c)
+    for mask, pu in mukai_dual(a.dim, a.coeffs).items():
+        pb = b.coeffs.get(mask)
+        if pb is not None:
+            out = out + pu * pb
     return out
 
 
@@ -396,14 +402,11 @@ class QFlatReport:
 
 def _section_is_flat(f: FamilySpec, s: PolyForm) -> bool:
     """Gauss-Manin flat: every parameter derivative is d_H-exact, identically
-    in t (solved monomial-by-monomial)."""
-    cols = list(f.model.dH_table.values())
-    for j in range(f.nvars):
-        ds = s.diff(j)
-        for _e, slice_form in ds.monomial_slices().items():
-            if solve_columns(cols, dict(slice_form.coeffs)) is None:
-                return False
-    return True
+    in t (tested monomial-by-monomial)."""
+    exact = Subspace.span(1 << f.model.dim, f.model.dH_table.values())
+    return all(exact.contains(slice_form.coeffs)
+               for j in range(f.nvars)
+               for slice_form in s.diff(j).monomial_slices().values())
 
 
 def q_flatness(f: FamilySpec, s1: PolyForm, s2: PolyForm) -> QFlatReport:
@@ -479,13 +482,12 @@ def symp_filtration_check(f: FamilySpec, p: int) -> SympFiltrationReport:
     for pt in [f.basepoint] + f.samples:
         s_t = f.structure_at(pt)
         lhs = filtration_subspace(s_t, p)
-        rho_t = (f.omega_t.eval(pt).scale(I) - f.B_t.eval(pt)).exp()
         vecs = []
         for k in range(p + n, -1, -2):
             if k > 2 * n:
                 continue
             for r in derham[k].reps:
-                w = rho_t.wedge(form_of_vec(m.dim, r))
+                w = s_t.spinor.wedge(form_of_vec(m.dim, r))
                 c = tw.parity_coords(w, parity)
                 vecs.append(c if c is not None else {})
         rhs = Subspace.span(h_dim, vecs)
@@ -593,87 +595,22 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
                 out.append(rho_t.wedge(PolyForm(
                     m.dim, nv, {mask: ParamPoly.const(nv, ONE)})))
         return out
-    # polynomial J: the chain's Lagrange projectors, from the nodes of p's
-    # parity class, applied to powers of the polynomial N(t)
-    Jp = f.J_poly()
-    duals = [([Jp[i][a] for i in range(2 * m.dim)], v)
-             for a, v in enumerate(dual_frame(m.dim))]
-    quarter = QI(Fraction(1, 4))
-    trace = ParamPoly(nv)
-    for col, v in duals:
-        trace = trace + _pairing_poly(col, v, m.dim)
-    trace_term = trace.scale(quarter)
-
-    def N_poly(w: PolyForm) -> PolyForm:
-        out = PolyForm(m.dim, nv)
-        for col, v in duals:
-            out = out + _clifford_poly_elem(col, m.dim, nv,
-                                            _clifford_const(v, w))
-        return out.scale(quarter) - w.scale_poly(trace_term)
-
+    # polynomial J(t): the same N table as a fixed structure's, with
+    # polynomial entries, and the sum of the chain's Lagrange projector rows
+    # from the nodes of p's parity class applied to its powers
+    N = _spinorial_N(m.dim, f.J_poly())
     ks, _, vand_inv = _projector_plan(n, p % 2)
-    chain = [row for k, row in zip(ks, vand_inv) if k <= p]
+    chain = [sum(col, QI(0)) for col in
+             zip(*(row for k, row in zip(ks, vand_inv) if k <= p))]
+    one = ParamPoly.const(nv, ONE)
     out = []
     parity = (p + n + f.base_structure().parity) % 2
     for mask in range(1 << m.dim):
         if popcount(mask) % 2 != parity:
             continue
-        powers = [PolyForm(m.dim, nv, {mask: ParamPoly.const(nv, ONE)})]
-        for _ in range(len(ks) - 1):
-            powers.append(N_poly(powers[-1]))
-        acc = PolyForm(m.dim, nv)
-        for row in chain:
-            for c, pw in zip(row, powers):
-                if c:
-                    acc = acc + pw.scale(c)
-        if not acc.is_zero():
-            out.append(acc)
-    return out
-
-
-def _clifford_const(a: GenElem, w: PolyForm) -> PolyForm:
-    """Clifford action of a constant element on a polynomial form."""
-    def term(z):
-        return lambda poly, s: poly.scale(z if s > 0 else -z)
-    return _gamma_sum(w, {c: term(z) for c, z in a.to_coords().items()})
-
-
-def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
-                        w: PolyForm) -> PolyForm:
-    """Clifford action of an element with polynomial coordinates."""
-    def term(pv):
-        return lambda poly, s: poly * pv if s > 0 else (poly * pv).scale(QI(-1))
-    return _gamma_sum(w, {c: term(pv) for c, pv in enumerate(col)
-                          if not pv.is_zero()})
-
-
-def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
-    """sum_c gamma_c(w) over the generator tables of E_C, where terms[c]
-    maps a coefficient of w and a table sign to the c-th coordinate times
-    both; blade by blade, with x_i before e^i for each i."""
-    dim = w.dim
-    gamma = _generator_tables(dim)
-    order = [(gamma[c], terms[c]) for i in range(dim) for c in (i, dim + i)
-             if c in terms]
-    out: dict[int, ParamPoly] = {}
-    for mask, poly in w.coeffs.items():
-        for g, term in order:
-            hit = g[mask]
-            if hit is None:
-                continue
-            k, s = hit
-            t = term(poly, s)
-            out[k] = out[k] + t if k in out else t
-    return PolyForm(dim, w.nvars, out)
-
-
-def _pairing_poly(col: list[ParamPoly], v: GenElem, dim: int) -> ParamPoly:
-    out = ParamPoly(col[0].nvars)
-    for i in range(dim):
-        if v.vec[i]:
-            out = out + col[dim + i].scale(v.vec[i] * Half)
-        if v.cov[i]:
-            out = out + col[i].scale(v.cov[i] * Half)
+        acc = _combine(chain, _powers(N, {mask: one}, len(ks) - 1))
+        if acc:
+            out.append(PolyForm(m.dim, nv, acc))
     return out
 
 

@@ -54,13 +54,6 @@ def flat_matrix(two_form: Form) -> Matrix:
     return M
 
 
-def dual_frame(dim: int) -> list[GenElem]:
-    """The E_C basis dual to the coordinate basis x_1..x_dim, e^1..e^dim under
-    the pairing: 2 e^a for x_a and 2 x_a for e^a."""
-    return [GenElem.e(dim, a + 1, QI(2)) if a < dim
-            else GenElem.x(dim, a - dim + 1, QI(2)) for a in range(2 * dim)]
-
-
 # -- graded splitting -------------------------------------------------------------
 
 def form_of_vec(dim: int, v: Vec) -> Form:
@@ -98,7 +91,8 @@ def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
 def _spinorial_N(dim: int, J: Matrix) -> SpinOp:
     """The table of N = 1/2 sum_{a,b} J[b][a] g_b g_s(a) - tr(J)/4, the image
     of J in the Clifford algebra: g_c is the c-th generator table and s(a)
-    the index of the generator dual to the a-th one under the pairing."""
+    the index of the generator dual to the a-th one under the pairing.  The
+    entries of J may be ParamPoly, for a family's J(t)."""
     gamma = _generator_tables(dim)
     # per column a of J: the generator applied first, then each nonzero
     # 1/2 J[b][a] with its generator, x_i before e^i for each i
@@ -142,9 +136,9 @@ def _projector_plan(n: int, cls: int) -> tuple:
     return ks, tuple(minpoly), tuple(tuple(row) for row in mat_inv(V))
 
 
-def _powers(N: SpinOp, mask: int, count: int) -> list[Vec]:
-    """The blade and its images under N^1..N^count."""
-    powers: list[Vec] = [{mask: ONE}]
+def _powers(N: SpinOp, start: Vec, count: int) -> list[Vec]:
+    """start and its images under N^1..N^count."""
+    powers: list[Vec] = [start]
     for _ in range(count):
         powers.append(spin_apply(N, powers[-1]))
     return powers
@@ -164,7 +158,7 @@ def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
     N must satisfy the class's minimal polynomial on the blade, or its
     spectrum there leaves the class and the projections would be wrong."""
     ks, minpoly, vand_inv = plan
-    powers = _powers(N, mask, len(ks))
+    powers = _powers(N, {mask: ONE}, len(ks))
     if _combine(minpoly, powers):
         raise SpectrumViolation(
             "spinorial operator violates the forced spectrum of the parity "
@@ -209,7 +203,7 @@ class GCStruct:
         # N preserves form parity, so a blade of degree d has parts only in
         # the U_k with k = d - n - parity (mod 2); blade 0 fixes the parity
         # as the class whose minimal polynomial kills it
-        head = _powers(self.N, 0, n + 1)
+        head = _powers(self.N, {0: ONE}, n + 1)
         cls = next((c for c in (0, 1)
                     if not _combine(_projector_plan(n, c)[1], head)), None)
         if cls is None:

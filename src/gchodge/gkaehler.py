@@ -15,7 +15,7 @@ from math import comb
 
 from .cohomology import closed_classes, twisted_cohomology
 from .courant import GenElem, algebroid_from_basis
-from .errors import (MetricNotPositive, NotADecomposition,
+from .errors import (EngineError, MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
 from .families import FamilySpec, ks_class
@@ -432,7 +432,7 @@ def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
         try:
             gk_validate(f1.structure_at(pt), f2.structure_at(pt))
             samples_gk[pt] = True
-        except Exception:
+        except EngineError:
             samples_gk[pt] = False
     k1 = ks_class(f1, direction)
     k2 = ks_class(f2, direction)

@@ -290,6 +290,9 @@ def build_family(mf: ModelFile, block: StructBlock, model: LieModel):
         nvars = int(nv_val)
     except ValueError:
         raise ModelSyntaxError(f"bad variable count {nv_val!r}", nv_lno) from None
+    if nvars < 1:
+        raise ModelSyntaxError(
+            f"variable count must be at least 1, got {nvars}", nv_lno)
     samples = []
     sm = raw("samples", required=False)
     if sm:

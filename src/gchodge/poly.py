@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .forms import Form
+from .forms import Form, spin_apply
 from .linalg import Matrix
 from .scalars import ONE, QI
 
@@ -15,7 +15,11 @@ Expt = tuple[int, ...]
 
 
 class ParamPoly:
-    """Polynomial in t_1..t_m with QI coefficients, exponent-tuple keyed."""
+    """Polynomial in t_1..t_m with QI coefficients, exponent-tuple keyed.
+
+    A ring element for the sparse helpers of `linalg` and `forms`: it is
+    false exactly when zero and adds to a QI from either side, so a vector
+    or a SpinOp may hold ParamPoly values."""
 
     __slots__ = ("nvars", "terms")
 
@@ -37,6 +41,9 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
@@ -54,6 +61,8 @@ class ParamPoly:
             elif w is not None:
                 del out[e]
         return ParamPoly(self.nvars, out)
+
+    __radd__ = __add__
 
     def _co(self, other) -> "ParamPoly":
         if isinstance(other, ParamPoly):
@@ -250,13 +259,7 @@ class PolyForm:
 
 def dH_poly(m, pf: PolyForm) -> PolyForm:
     """d_H applied coefficient-wise (the twist is parameter-independent)."""
-    out = PolyForm(pf.dim, pf.nvars)
-    dH = m.dH_table
-    for mask, p in pf.coeffs.items():
-        for m2, c in dH.get(mask, {}).items():
-            term = p.scale(c)
-            out.coeffs[m2] = out.coeffs[m2] + term if m2 in out.coeffs else term
-    return PolyForm(pf.dim, pf.nvars, out.coeffs)
+    return PolyForm(pf.dim, pf.nvars, spin_apply(m.dH_table, pf.coeffs))
 
 
 # -- polynomial matrices -------------------------------------------------------

@@ -117,6 +117,10 @@ def test_hodge_json_filtration_dims():
 
 
 FAMILY = str(CORPUS / "torus4-symplectic.gcm")
+# a complex family, well formed but for its variable count
+FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
+                    b"variables = %s\n"
+                    b"I = 0, 1, 0, 0; -1, 0, 0, 0; 0, 0, 0, 1; 0, 0, -1, 0\n")
 
 @pytest.mark.parametrize("argv, files, code, expect", [
     (["family", FAMILY, "--at", "x"], {}, 2, "syntax-error"),
@@ -134,6 +138,10 @@ FAMILY = str(CORPUS / "torus4-symplectic.gcm")
      2, "syntax-error: block 's' needs 'omega'"),
     (["family", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[family f]\nkind = complex\n"},
      2, "syntax-error: family 'f' needs 'variables'"),
+    (["family", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"0"}, 2,
+     "syntax-error: variable count must be at least 1, got 0 (line 5"),
+    (["family", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"-2"}, 2,
+     "syntax-error: variable count must be at least 1, got -2 (line 5"),
     (["check", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
     (["family", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
     (["check", str(CORPUS / "kt.gcm"), "--samples", "-5"], {}, 2,
@@ -147,7 +155,8 @@ FAMILY = str(CORPUS / "torus4-symplectic.gcm")
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
-        "family-without-variables", "check-at-x", "family-without-block-at-x",
+        "family-without-variables", "family-zero-variables",
+        "family-negative-variables", "check-at-x", "family-without-block-at-x",
         "negative-samples", "gk-first-missing", "all-without-gcm-files"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any

@@ -1,27 +1,29 @@
 """Families: validation, graphs, KS classes, Gauss-Manin, transversality."""
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
-from gchodge.cohomology import twisted_cohomology
+from gchodge.cohomology import chain_subspace, twisted_cohomology
 from gchodge.courant import GenElem
 from gchodge.errors import EngineError, GraphConditionFailed, SectionNotClosed
-from gchodge.families import (FamilySpec, _clifford_const, _clifford_poly_elem,
-                              _graded_span_poly, _pairing_poly, extend_section,
+from gchodge.courant import _generator_tables
+from gchodge.families import (FamilySpec, _graded_span_poly, extend_section,
                               family_validate, gcy_check, gm_derivative,
                               graph_epsilon, holomorphy_check, ks_class,
-                              q_flatness, symp_filtration_check,
-                              transversality_check)
-from gchodge.forms import Form, popcount
-from gchodge.gcs import dual_frame, make_complex, make_symplectic
-from gchodge.linalg import mat_inv, vec_add
+                              q_flatness, q_pairing_poly,
+                              symp_filtration_check, transversality_check)
+from gchodge.forms import Form, mukai_pairing, popcount
+from gchodge.gcs import Half, make_complex, make_symplectic
+from gchodge.linalg import Subspace, mat_inv, vec_add
 from gchodge.modelfile import build_family, parse_model
-from gchodge.poly import ParamPoly, PolyForm, pmat_from_qi
+from gchodge.poly import ParamPoly, PolyForm, dH_poly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import CORPUS, ABELIAN4, KT, KT_TW, std_I, torus_omega
+from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
+                      torus_omega)
 
 
 def poly_two_form(model, nvars, *terms):
@@ -363,6 +365,52 @@ def test_gcy_checks_the_chain_identity_beyond_degree_1():
 
 # -- the chain spans against the 2n+1-node reference --------------------------------
 
+def _clifford_const(a: GenElem, w: PolyForm) -> PolyForm:
+    """Clifford action of a constant element on a polynomial form."""
+    def term(z):
+        return lambda poly, s: poly.scale(z if s > 0 else -z)
+    return _gamma_sum(w, {c: term(z) for c, z in a.to_coords().items()})
+
+
+def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
+                        w: PolyForm) -> PolyForm:
+    """Clifford action of an element with polynomial coordinates."""
+    def term(pv):
+        return lambda poly, s: poly * pv if s > 0 else (poly * pv).scale(QI(-1))
+    return _gamma_sum(w, {c: term(pv) for c, pv in enumerate(col)
+                          if not pv.is_zero()})
+
+
+def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
+    """sum_c gamma_c(w) over the generator tables of E_C, where terms[c]
+    maps a coefficient of w and a table sign to the c-th coordinate times
+    both; blade by blade, with x_i before e^i for each i."""
+    dim = w.dim
+    gamma = _generator_tables(dim)
+    order = [(gamma[c], terms[c]) for i in range(dim) for c in (i, dim + i)
+             if c in terms]
+    out: dict[int, ParamPoly] = {}
+    for mask, poly in w.coeffs.items():
+        for g, term in order:
+            hit = g[mask]
+            if hit is None:
+                continue
+            k, s = hit
+            t = term(poly, s)
+            out[k] = out[k] + t if k in out else t
+    return PolyForm(dim, w.nvars, out)
+
+
+def _pairing_poly(col: list[ParamPoly], v: GenElem, dim: int) -> ParamPoly:
+    out = ParamPoly(col[0].nvars)
+    for i in range(dim):
+        if v.vec[i]:
+            out = out + col[dim + i].scale(v.vec[i] * Half)
+        if v.cov[i]:
+            out = out + col[i].scale(v.cov[i] * Half)
+    return out
+
+
 def reference_graded_span_poly(f, p):
     """The chain U_{<=p} spanned as _graded_span_poly did before it used one
     parity class: the full 2n+1-node Vandermonde inverse on 2n powers of the
@@ -458,3 +506,88 @@ def test_chain_span_built_once_per_family_and_p(monkeypatch, capsys):
     assert "transversality p=0" in capsys.readouterr().out
     assert sorted(calls) == [(f, p) for f in ("holo", "scale")
                              for p in (-2, -1, 0)]
+
+
+def test_graded_span_poly_spans_the_pointwise_chain():
+    """At the basepoint and at every sample, the polynomial chain spans
+    exactly the chain U_{<=p} of the structure built at that point."""
+    triples = 0
+    kinds = set()
+    for name, f in corpus_families():
+        n = f.model.dim // 2
+        try:
+            f.base_structure()
+        except EngineError:
+            continue
+        kinds.add(f.kind)
+        for p in range(-n, n + 1):
+            span = _graded_span_poly(f, p)
+            for pt in [f.basepoint] + f.samples:
+                try:
+                    s = f.structure_at(pt)
+                except EngineError:
+                    continue
+                got = Subspace.span(1 << f.model.dim,
+                                    [pf.eval(pt).coeffs for pf in span])
+                assert got == chain_subspace(s, p), (name, pt, p)
+                triples += 1
+    assert triples >= 80 and kinds >= {"symplectic", "complex"}
+
+
+# -- polynomial coefficients in the shared sparse helpers ----------------------------
+
+def reference_q_pairing_poly(a, b):
+    """The Mukai pairing of two polynomial sections, one blade pair at a
+    time through mukai_pairing (the former q_pairing_poly)."""
+    out = ParamPoly(a.nvars)
+    for ma, pa in a.coeffs.items():
+        for mb, pb in b.coeffs.items():
+            c = mukai_pairing(Form(a.dim, {ma: ONE}), Form(b.dim, {mb: ONE}))
+            if c:
+                out = out + (pa * pb).scale(c)
+    return out
+
+
+def seeded_section(dim, nvars, rng, blades):
+    """A polynomial section on `blades` random blades, each coefficient a
+    polynomial of degree at most 2 in every variable."""
+    coeffs = {}
+    for mask in rng.sample(range(1 << dim), blades):
+        coeffs[mask] = ParamPoly(nvars, {
+            tuple(rng.randrange(3) for _ in range(nvars)):
+            QI(rng.randrange(-3, 4), rng.randrange(-2, 3)) for _ in range(3)})
+    return PolyForm(dim, nvars, coeffs)
+
+
+@pytest.mark.parametrize("dim, nvars", [(4, 1), (4, 2), (6, 1), (6, 2)])
+def test_q_pairing_poly_matches_pairwise_reference(dim, nvars):
+    rng = random.Random(100 * dim + nvars)
+    nonzero = 0
+    for _ in range(6):
+        a = seeded_section(dim, nvars, rng, (1 << dim) // 2)
+        b = seeded_section(dim, nvars, rng, (1 << dim) // 2)
+        got = q_pairing_poly(a, b)
+        assert got == reference_q_pairing_poly(a, b)
+        nonzero += bool(got)
+    assert nonzero >= 4
+
+
+@pytest.mark.parametrize("model", [KT, KT_TW], ids=["kt", "kt-twisted"])
+def test_dH_poly_is_d_H_on_every_monomial_slice(model):
+    rng = random.Random(7)
+    for nvars in (1, 2):
+        for _ in range(4):
+            pf = seeded_section(model.dim, nvars, rng, 8)
+            want = {e: model.d_H(w) for e, w in pf.monomial_slices().items()}
+            got = dH_poly(model, pf).monomial_slices()
+            assert got == {e: w for e, w in want.items() if not w.is_zero()}
+            assert got
+
+
+def test_param_poly_is_a_ring_element():
+    """What the sparse helpers ask of a coefficient: false exactly when
+    zero, and a sum with a QI on either side."""
+    p = ParamPoly.var(2, 1) + ParamPoly.const(2, QI(1, 1))
+    assert not ParamPoly(2) and p
+    assert QI(0) + p == p and p + QI(0) == p
+    assert ONE + p == p + ONE == ParamPoly(2, {(0, 1): ONE, (0, 0): QI(2, 1)})

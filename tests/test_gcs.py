@@ -14,8 +14,8 @@ from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             WrongType)
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
 from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
-                         dual_frame, make_complex, make_general,
-                         make_symplectic, symp_delta, symp_phi)
+                         make_complex, make_general, make_symplectic,
+                         symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
 from gchodge.linalg import Subspace, mat_identity, mat_inv, vec_axpy
 from gchodge.modelfile import build_structure, parse_model
@@ -249,6 +249,13 @@ def dense_model_text(name, seed):
     basis = dense.random_basis(dense.parse_model_text(text)["dim"],
                                random.Random(seed))
     return dense.transform_model(text, basis, f"{name}, seed {seed}")
+
+
+def dual_frame(dim: int) -> list[GenElem]:
+    """The E_C basis dual to the coordinate basis x_1..x_dim, e^1..e^dim under
+    the pairing: 2 e^a for x_a and 2 x_a for e^a."""
+    return [GenElem.e(dim, a + 1, QI(2)) if a < dim
+            else GenElem.x(dim, a - dim + 1, QI(2)) for a in range(2 * dim)]
 
 
 def reference_grading(s):

@@ -199,6 +199,39 @@ def test_gk_deformation_incompatible():
     assert not all(rep.samples_gk.values())
 
 
+def _failing_at_samples(monkeypatch, exc):
+    """gk_validate as it is at the basepoint, raising exc at every sample."""
+    from gchodge import gkaehler
+    real = gkaehler.gk_validate
+    calls = []
+
+    def fake(s1, s2):
+        calls.append(s1)
+        if len(calls) > 1:
+            raise exc
+        return real(s1, s2)
+    monkeypatch.setattr(gkaehler, "gk_validate", fake)
+    return calls
+
+
+def test_gk_deformation_records_an_engine_error_at_a_sample(monkeypatch):
+    calls = _failing_at_samples(monkeypatch, NotCommuting("at the sample"))
+    rep = gk_deformation_check(constant_complex_family(),
+                               scaling_symplectic_family())
+    assert len(calls) == 2
+    assert list(rep.samples_gk.values()) == [False]
+    assert rep.compatible
+
+
+def test_gk_deformation_lets_a_programming_error_through(monkeypatch):
+    """Only an engine error is a verdict on a sample; any other exception is
+    a fault of the program and propagates."""
+    _failing_at_samples(monkeypatch, TypeError("not a verdict"))
+    with pytest.raises(TypeError, match="not a verdict"):
+        gk_deformation_check(constant_complex_family(),
+                             scaling_symplectic_family())
+
+
 # -- exact checks over every blade and every cochain mask --------------------------
 
 def test_delta_split_catches_one_blade_the_samples_missed():
