@@ -4,17 +4,24 @@ Hodge filtrations, the Mukai pairing on cohomology, strong Lefschetz, and the
 complex-type mixed Hodge structure.
 
 Everything is rank arithmetic over Q(i); there is no harmonic theory anywhere.
+The Froelicher pages come from the persistence pairs of one column reduction
+of d_H in the basis made of the U_k bases.  The delbar cohomology and the
+del-delbar verdict keep their own subspace pipelines, so that E_1 = H_delbar
+and "del-delbar <=> degeneration + Hodge filtration" stay cross-checks and are
+not true by construction.  All three engines reject a structure whose d_H has
+parts beyond del and delbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WrongType
+from .errors import NotIntegrable, WrongType
 from .forms import Form, SpinOp, mukai_dual, popcount, spin_apply
 from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
-from .linalg import QuotientSpace, Subspace, Vec, _axpy_into, kernel_lift
+from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, kernel_lift,
+                     vec_scale)
 from .scalars import ONE, QI
 
 
@@ -99,10 +106,23 @@ def _image_of(V: Subspace, op: SpinOp) -> Subspace:
     return Subspace.span(V.ambient, [spin_apply(op, v) for v in V.basis()])
 
 
+def _integrable_parts(s: GCStruct) -> tuple[SpinOp, SpinOp]:
+    """(del, delbar), the parts of d_H that shift the grading by -1 and +1;
+    raises NotIntegrable when d_H has parts of any other shift, which the
+    bigraded engines would otherwise silently drop."""
+    extra = sorted(set(s.dH_parts) - {-1, 1})
+    if extra:
+        raise NotIntegrable(
+            "d_H shifts the grading by "
+            f"{', '.join(f'{j:+d}' for j in extra)} besides del and delbar",
+            shifts=extra)
+    return s.dH_parts[-1], s.dH_parts[1]
+
+
 def delbar_cohomology(s: GCStruct) -> dict[int, QuotientSpace]:
     """H^k_delbar for k = -n..n, as quotients inside the spinor space."""
     n = s.n
-    delbar = s.dH_parts[1]
+    _del, delbar = _integrable_parts(s)
     out = {}
     for k in range(-n, n + 1):
         basis = s.U_subspace(k).basis()
@@ -149,39 +169,53 @@ class FrolicherReport:
 
 def frolicher_pages(s: GCStruct) -> FrolicherReport:
     """Pages of the bigraded complex W^{p,q} = U_{p-q}, folded along the
-    2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r."""
+    2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r.
+
+    The pages come from the persistence pairs of one column reduction of d_H
+    (Edelsbrunner, Letscher and Zomorodian 2002; Basu and Parida 2017) in
+    the basis made of the canonical U_k bases.  Ascending (k, index) puts
+    the deepest filtration level of each total degree first, so every
+    column is reduced by earlier ones until its low, its nonzero row of
+    largest (k, index), is the low of no earlier column.  A pair from U_k to
+    a low in U_k' is killed by d_r with r = (k - k' + 1)/2; E_r^k is dim U_k
+    less the pairs with r' < r that have an end in U_k."""
     n = s.n
-    dH = s.model.dH_table
-    _fcache: dict[tuple[int, int], Subspace] = {}
-    _zcache: dict[tuple[int, int, int], Subspace] = {}
+    del_, delbar = _integrable_parts(s)
+    # U_k's basis is fully reduced, so a vector of U_k has as coordinates its
+    # own entries at U_k's pivots; row ids ascend with (k, index)
+    bases = {k: s.U[k].basis() for k in range(-n, n + 1)}
+    row_of: dict[int, dict[int, int]] = {}
+    k_of: list[int] = []            # row id -> k
+    for k, basis in bases.items():
+        row_of[k] = {min(v): len(k_of) + i for i, v in enumerate(basis)}
+        k_of += [k] * len(basis)
 
-    def flevel(j: int, m: int) -> Subspace:
-        # F^j on the total degree m: U_k with k <= m-2j, k = m mod 2
-        key = (m - 2 * j, m & 1)
-        if key not in _fcache:
-            _fcache[key] = chain_subspace(s, m - 2 * j)
-        return _fcache[key]
+    def coords(j: int, w: Vec) -> Vec:
+        rows = row_of.get(j, {})
+        return {rows[b]: c for b, c in w.items() if b in rows}
 
-    def zspace(r: int, j: int, m: int) -> Subspace:
-        key = (r, m - 2 * j, m & 1)
-        if key not in _zcache:
-            _zcache[key] = _preimage_in(flevel(j, m), dH, flevel(j + r, m + 1))
-        return _zcache[key]
+    lows: dict[int, Vec] = {}       # low -> reduced column, 1 at its low
+    pairs: list[tuple[int, int]] = []
+    for k, basis in bases.items():
+        for u in basis:
+            col = coords(k - 1, spin_apply(del_, u))
+            col.update(coords(k + 1, spin_apply(delbar, u)))
+            while col:
+                low = max(col)
+                piv = lows.get(low)
+                if piv is None:
+                    lows[low] = vec_scale(col, col[low].inv())
+                    pairs.append((k, k_of[low]))
+                    break
+                _axpy_into(col, -col[low], piv)
 
-    pages: dict[int, dict[int, int]] = {}
     rmax = n + 1
-    for r in range(1, rmax + 1):
-        page = {}
-        for k in range(-n, n + 1):
-            m = k & 1
-            j = (m - k) // 2
-            # Z_{r-1}^{j+1} + d Z_{r-1}^{j-r+1} lies inside Z_r^j: F is
-            # decreasing, d maps F^j_m into F^j_{m+1}, and boundaries are
-            # cycles; so no intersection is needed
-            denom = zspace(r - 1, j + 1, m).sum(
-                _image_of(zspace(r - 1, j - r + 1, m - 1), dH))
-            page[k] = zspace(r, j, m).dim - denom.dim
-        pages[r] = page
+    pages = {r: {k: len(b) for k, b in bases.items()}
+             for r in range(1, rmax + 1)}
+    for k, k_low in pairs:
+        for r in range((k - k_low + 1) // 2 + 1, rmax + 1):
+            pages[r][k] -= 1
+            pages[r][k_low] -= 1
     tw = twisted_cohomology(s.model)
     dtot = sum(delbar_dims(s).values())
     degenerates = pages[1] == pages[rmax]
@@ -212,7 +246,7 @@ def ddbar_check(s: GCStruct) -> DdbarReport:
     N = 1 << s.model.dim
     full = Subspace.full(N)
     zero = Subspace.zero(N)
-    del_, delbar = s.dH_parts[-1], s.dH_parts[1]
+    del_, delbar = _integrable_parts(s)
     ker_del = _preimage_in(full, del_, zero)
     ker_dbar = _preimage_in(full, delbar, zero)
     im_del = _image_of(full, del_)

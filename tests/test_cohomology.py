@@ -5,19 +5,20 @@ import copy
 import pytest
 
 from gchodge.cohomology import (_image_of, _preimage_in, chain_subspace,
-                                ddbar_check, delbar_dims,
+                                ddbar_check, delbar_cohomology, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
                                 weight_mhs_check)
-from gchodge.errors import WrongType
+from gchodge.errors import NotIntegrable, WrongType
 from gchodge.forms import Form, mukai_pairing
 from gchodge.gcs import make_complex, make_symplectic
-from gchodge.linalg import Subspace
+from gchodge.linalg import Echelon, Subspace
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, complex_torus4,
-                      corpus_structures, kt_symplectic_twisted, std_I,
+from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, SCALE8, broken_kt,
+                      build_main, complex_torus4, corpus_structures,
+                      dense_model_text, kt_symplectic_twisted, std_I,
                       structures_of, symplectic_torus4, torus_omega)
 
 
@@ -271,10 +272,6 @@ def test_mhs_wrong_type():
 
 # -- the Froelicher pages against the intersection formula ------------------------
 
-TORUS8 = ("dim = 8\nH = 0\n\n[symplectic main]\n"
-          "omega = 1 e1^e2 + 1 e3^e4 + 1 e5^e6 + 1 e7^e8\n")
-
-
 def reference_frolicher_pages(s):
     """E_r^k = Z / (Z cap denom), the pages as computed before the
     intersection was dropped, asserting that denom lies in Z."""
@@ -302,8 +299,79 @@ def reference_frolicher_pages(s):
     return pages
 
 
+# the base models of the benchmark's dense6 workload
+DENSE6_BASES = ("kt-twisted", "torus6-complex", "torus6-symplectic")
+
+
 def test_frolicher_pages_match_intersection_formula():
-    structures = [*corpus_structures(), *structures_of(TORUS8, "torus8")]
+    structures = [*corpus_structures(),
+                  *(st for name, text in SCALE8.items()
+                    for st in structures_of(text, name)),
+                  *(st for name in DENSE6_BASES
+                    for st in structures_of(dense_model_text(name, 1),
+                                            f"dense-{name}"))]
     for name, s in structures:
-        assert frolicher_pages(s).pages == reference_frolicher_pages(s), name
-    assert len(structures) == 18 and structures[-1][0] == "torus8:main"
+        rep = frolicher_pages(s)
+        assert rep.pages == reference_frolicher_pages(s), name
+        # the sequence starts at H_delbar and converges to H_{d_H}
+        assert rep.pages[1] == delbar_dims(s), name
+        assert (sum(rep.pages[s.n + 1].values())
+                == twisted_cohomology(s.model).total_dim), name
+    names = [name for name, _ in structures]
+    assert len(names) == 22
+    assert {"torus8:main", "kt8:main", "dense-kt-twisted:main",
+            "dense-torus6-complex:main",
+            "dense-torus6-symplectic:main"} <= set(names)
+
+
+# the Iwasawa manifold: nilpotent complex, and its Froelicher spectral
+# sequence does not degenerate at E_1 (no corpus structure has a nonzero d_r)
+IWASAWA = ("dim = 6\nd e5 = -1 e1^e3 + 1 e2^e4\nd e6 = -1 e1^e4 + -1 e2^e3\n"
+           "H = 0\n\n[complex main]\n"
+           "I = 0, 1, 0, 0, 0, 0; -1, 0, 0, 0, 0, 0; 0, 0, 0, 1, 0, 0; "
+           "0, 0, -1, 0, 0, 0; 0, 0, 0, 0, 0, 1; 0, 0, 0, 0, -1, 0\n")
+
+
+def test_frolicher_iwasawa_does_not_degenerate():
+    s = build_main(IWASAWA, "iwasawa")
+    rep = frolicher_pages(s)
+    e1 = {-3: 1, -2: 5, -1: 11, 0: 14, 1: 11, 2: 5, 3: 1}
+    e2 = {-3: 1, -2: 4, -1: 8, 0: 10, 1: 8, 2: 4, 3: 1}
+    assert rep.pages == {1: e1, 2: e2, 3: e2, 4: e2}
+    assert rep.pages == reference_frolicher_pages(s)
+    assert not rep.degenerates
+    assert "degenerates at E_1: NO" in rep.lines()[-1]
+    assert rep.delbar_total == 48 and rep.twisted_total == 36
+
+
+def test_frolicher_pages_use_no_subspace_pipeline(monkeypatch):
+    # the twisted and delbar totals of the report are kept from their own
+    # engines; the pages themselves come from one plain reduction
+    s = build_main(IWASAWA, "iwasawa")
+    twisted_cohomology(s.model)
+    delbar_dims(s)
+    built = []
+
+    def counted(name, orig):
+        def wrapped(*args, **kwargs):
+            built.append(name)
+            return orig(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Echelon, "insert", counted("insert", Echelon.insert))
+    monkeypatch.setattr(Subspace, "__init__",
+                        counted("Subspace", Subspace.__init__))
+    assert not frolicher_pages(s).degenerates
+    assert built == []
+
+
+# -- non-integrable structures ----------------------------------------------------
+
+@pytest.mark.parametrize("engine", [frolicher_pages, delbar_cohomology,
+                                    ddbar_check])
+def test_bigraded_engines_reject_a_non_integrable_structure(engine):
+    broken = broken_kt()
+    assert sorted(broken.dH_parts) == [-3, -1, 1, 3]
+    with pytest.raises(NotIntegrable, match=r"-3, \+3") as err:
+        engine(broken)
+    assert err.value.details == {"shifts": [-3, 3]}
