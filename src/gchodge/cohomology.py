@@ -4,24 +4,34 @@ Hodge filtrations, the Mukai pairing on cohomology, strong Lefschetz, and the
 complex-type mixed Hodge structure.
 
 Everything is rank arithmetic over Q(i); there is no harmonic theory anywhere.
-The Froelicher pages come from the persistence pairs of one column reduction
-of d_H in the basis made of the U_k bases.  The delbar cohomology and the
-del-delbar verdict keep their own subspace pipelines, so that E_1 = H_delbar
-and "del-delbar <=> degeneration + Hodge filtration" stay cross-checks and are
-not true by construction.  All three engines reject a structure whose d_H has
-parts beyond del and delbar.
+The filtrations of H come from adapted bases, each read off one ordered
+column reduction R = D V of d_H that tracks its column operations:
+- in the basis made of the U_k bases, its persistence pairs give the
+  Froelicher pages, and the cycles V_c of its zero columns give the Hodge
+  filtration: F^p H is spanned by the classes born in the U_{<=p} chain, so
+  each F^p is read from one echelon per parity that grows with p;
+- over the blades by descending degree, its essential cycles are a basis of
+  H whose prefixes are the weight filtration W^j, and in those coordinates
+  F~^i cap W^j and its image in Gr_j are rows of one echelon of F~^i.
+A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H.
+The delbar cohomology and the del-delbar verdict keep their own subspace
+pipelines, so that E_1 = H_delbar and "del-delbar <=> degeneration + Hodge
+filtration" stay cross-checks and are not true by construction.  The
+bigraded engines reject a structure whose d_H has parts beyond del and
+delbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .errors import NotIntegrable, WrongType
+from .errors import EngineError, NotIntegrable, WrongType
 from .forms import Form, SpinOp, mukai_dual, popcount, spin_apply
 from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
-from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, kernel_lift,
-                     vec_scale)
+from .linalg import (Echelon, QuotientSpace, Subspace, Vec, _axpy_into,
+                     kernel_lift, vec_conj, vec_scale)
 from .scalars import ONE, QI
 
 
@@ -64,22 +74,6 @@ class TwistedCohomology:
         for k, v in co.items():
             out[self.dim_even + k] = v
         return out
-
-    def rep_form(self, coords: Vec, parity: int | None = None) -> Form:
-        """A representative of the class with the given coordinates."""
-        out: Vec = {}
-        for idx, c in coords.items():
-            if parity is None:
-                rep = (self.even.reps[idx] if idx < self.dim_even
-                       else self.odd.reps[idx - self.dim_even])
-            else:
-                rep = (self.even if parity == 0 else self.odd).reps[idx]
-            _axpy_into(out, c, rep)
-        return form_of_vec(self.model.dim, out)
-
-    def conj_coords(self, coords: Vec, parity: int | None = None) -> Vec:
-        return (self.coords(self.rep_form(coords).conj()) if parity is None
-                else self.parity_coords(self.rep_form(coords, parity).conj(), parity))
 
 
 def twisted_cohomology(m: LieModel) -> TwistedCohomology:
@@ -167,18 +161,62 @@ class FrolicherReport:
         return out
 
 
-def frolicher_pages(s: GCStruct) -> FrolicherReport:
-    """Pages of the bigraded complex W^{p,q} = U_{p-q}, folded along the
-    2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r.
+def _column_reduction(cols: list[Vec]) -> tuple[dict[int, tuple[Vec, Vec]],
+                                                list[tuple[int, Vec]]]:
+    """The ordered column reduction R = D V of the square matrix D whose
+    column c is cols[c] (Edelsbrunner, Letscher and Zomorodian 2002; Basu
+    and Parida 2017): each column in turn is reduced by earlier ones until
+    its low, its largest nonzero row, is the low of no earlier column, and
+    the column operations are kept in V.  Returns {low: (R_c, V_c)}, both
+    scaled to 1 at the low, and [(c, V_c)] for the zero columns of R, where
+    V_c is 1 at c.  V_c is zero past c and R_c past its low, so both lie in
+    every prefix of the numbering that holds c, or the low."""
+    lows: dict[int, tuple[Vec, Vec]] = {}
+    zeros: list[tuple[int, Vec]] = []
+    for c, col in enumerate(cols):
+        ops: Vec = {c: ONE}
+        while col:
+            low = max(col)
+            piv = lows.get(low)
+            if piv is None:
+                inv = col[low].inv()
+                lows[low] = (vec_scale(col, inv), vec_scale(ops, inv))
+                break
+            x = -col[low]
+            _axpy_into(col, x, piv[0])
+            _axpy_into(ops, x, piv[1])
+        else:
+            zeros.append((c, ops))
+    return lows, zeros
 
-    The pages come from the persistence pairs of one column reduction of d_H
-    (Edelsbrunner, Letscher and Zomorodian 2002; Basu and Parida 2017) in
-    the basis made of the canonical U_k bases.  Ascending (k, index) puts
-    the deepest filtration level of each total degree first, so every
-    column is reduced by earlier ones until its low, its nonzero row of
-    largest (k, index), is the low of no earlier column.  A pair from U_k to
-    a low in U_k' is killed by d_r with r = (k - k' + 1)/2; E_r^k is dim U_k
-    less the pairs with r' < r that have an end in U_k."""
+
+class _DHReduction:
+    """The column reduction of d_H in the U-adapted basis, numbered by
+    ascending (k, index) over the canonical U_k bases; `k_of[c]` is the k
+    of number c.  `pairs` holds (k, k_low) for every nonzero column of R,
+    `lows` the rows that are the low of one, and `zeros` the zero columns.
+    `born[k]` holds V_c as a form for every zero column c in U_k whose
+    number is no low: the class of such a cycle is born at U_k, and the
+    classes born in a prefix span the image in H of that prefix's closed
+    forms.  (A plain class, not a dataclass, so that importing the module
+    builds nothing more.)"""
+
+    def __init__(self, bases: dict[int, list[Vec]],
+                 pairs: list[tuple[int, int]], k_of: list[int],
+                 zeros: list[int], lows: set[int],
+                 born: dict[int, list[Vec]]):
+        self.bases = bases
+        self.pairs = pairs
+        self.k_of = k_of
+        self.zeros = zeros
+        self.lows = lows
+        self.born = born
+
+
+def _reduce_d_H(s: GCStruct) -> _DHReduction:
+    """Ascending (k, index) puts the deepest filtration level of each total
+    degree first, and the matching-parity chain U_{<=p} is a prefix of it
+    (the two parities never meet in one column)."""
     n = s.n
     del_, delbar = _integrable_parts(s)
     # U_k's basis is fully reduced, so a vector of U_k has as coordinates its
@@ -186,33 +224,53 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
     bases = {k: s.U[k].basis() for k in range(-n, n + 1)}
     row_of: dict[int, dict[int, int]] = {}
     k_of: list[int] = []            # row id -> k
+    vecs: list[Vec] = []            # row id -> basis vector
     for k, basis in bases.items():
         row_of[k] = {min(v): len(k_of) + i for i, v in enumerate(basis)}
         k_of += [k] * len(basis)
+        vecs += basis
 
     def coords(j: int, w: Vec) -> Vec:
         rows = row_of.get(j, {})
         return {rows[b]: c for b, c in w.items() if b in rows}
 
-    lows: dict[int, Vec] = {}       # low -> reduced column, 1 at its low
-    pairs: list[tuple[int, int]] = []
-    for k, basis in bases.items():
-        for u in basis:
-            col = coords(k - 1, spin_apply(del_, u))
-            col.update(coords(k + 1, spin_apply(delbar, u)))
-            while col:
-                low = max(col)
-                piv = lows.get(low)
-                if piv is None:
-                    lows[low] = vec_scale(col, col[low].inv())
-                    pairs.append((k, k_of[low]))
-                    break
-                _axpy_into(col, -col[low], piv)
+    cols = []
+    for c, u in enumerate(vecs):
+        col = coords(k_of[c] - 1, spin_apply(del_, u))
+        col.update(coords(k_of[c] + 1, spin_apply(delbar, u)))
+        cols.append(col)
+    lows, zeros = _column_reduction(cols)
+    # V_c of a pair's column is nonzero at c and zero past it
+    pairs = [(k_of[max(ops)], k_of[low]) for low, (_r, ops) in lows.items()]
+    # a zero column that is a low is redundant: with R's column of that low
+    # it leaves a cycle of the prefix before it
+    born: dict[int, list[Vec]] = {k: [] for k in bases}
+    for c, ops in zeros:
+        if c not in lows:
+            form: Vec = {}
+            for r, x in ops.items():
+                _axpy_into(form, x, vecs[r])
+            born[k_of[c]].append(form)
+    return _DHReduction(bases, pairs, k_of, [c for c, _ops in zeros],
+                        set(lows), born)
 
+
+def frolicher_pages(s: GCStruct) -> FrolicherReport:
+    """Pages of the bigraded complex W^{p,q} = U_{p-q}, folded along the
+    2-periodicity in (p,q); E_1^k = H^k_delbar, differentials shift k by 1-2r.
+
+    The pages come from the persistence pairs of one column reduction of d_H
+    (Edelsbrunner, Letscher and Zomorodian 2002; Basu and Parida 2017) in
+    the basis made of the canonical U_k bases.  Ascending (k, index) puts
+    the deepest filtration level of each total degree first.  A pair from
+    U_k to a low in U_k' is killed by d_r with r = (k - k' + 1)/2; E_r^k is
+    dim U_k less the pairs with r' < r that have an end in U_k."""
+    n = s.n
+    red = once_per_structure(s, _reduce_d_H)
     rmax = n + 1
-    pages = {r: {k: len(b) for k, b in bases.items()}
+    pages = {r: {k: len(b) for k, b in red.bases.items()}
              for r in range(1, rmax + 1)}
-    for k, k_low in pairs:
+    for k, k_low in red.pairs:
         for r in range((k - k_low + 1) // 2 + 1, rmax + 1):
             pages[r][k] -= 1
             pages[r][k_low] -= 1
@@ -299,10 +357,9 @@ class HodgeReport:
 
 def chain_subspace(s: GCStruct, p: int) -> Subspace:
     """The U_{<=p} chain of matching parity: the sum of U_j, j <= p, j = p mod 2."""
-    out = Subspace.zero(1 << s.model.dim)
-    for j in range(-s.n + ((p + s.n) % 2), p + 1, 2):
-        out = out.sum(s.U_subspace(j))
-    return out
+    return Subspace.span(1 << s.model.dim, [
+        v for j in range(-s.n + ((p + s.n) % 2), p + 1, 2)
+        for v in s.U_subspace(j)._basis])
 
 
 def closed_classes(s: GCStruct, V: Subspace,
@@ -319,37 +376,81 @@ def closed_classes(s: GCStruct, V: Subspace,
         tw.parity_coords(form_of_vec(dim, v), parity) or {} for v in closed])
 
 
+def _hodge_flags(s: GCStruct) -> dict[int, Subspace]:
+    """F^p H for p = -n..n, each in the coordinates of its parity's block
+    of H: the span of the classes born in the U_{<=p} chain of matching
+    parity, read off one echelon per parity that grows with p.  Its
+    dimension is the number of zero columns of R in that chain less the
+    lows there, and the two counts must agree."""
+    n = s.n
+    red = once_per_structure(s, _reduce_d_H)
+    tw = twisted_cohomology(s.model)
+    echs = (Echelon(), Echelon())
+    flags = {}
+    for p in range(-n, n + 1):
+        parity = (p + n + s.parity) % 2
+        q = tw.even if parity == 0 else tw.odd
+        for form in red.born[p]:
+            coords = q.coords(form)
+            if coords is None:
+                raise EngineError("a cycle of the d_H reduction is not closed")
+            echs[p % 2].insert(coords)
+        flags[p] = Subspace(q.dim, echs[p % 2].basis())
+        count = (sum(1 for c in red.zeros if _in_chain(red.k_of[c], p))
+                 - sum(1 for c in red.lows if _in_chain(red.k_of[c], p)))
+        if flags[p].dim != count:
+            raise EngineError(f"dim F^{p} H is {flags[p].dim} by span but "
+                              f"{count} by the column reduction")
+    return flags
+
+
+def _in_chain(k: int, p: int) -> bool:
+    return k <= p and (p - k) % 2 == 0
+
+
 def filtration_subspace(s: GCStruct, p: int) -> Subspace:
     """F^p H: classes representable in the U_{<=p} chain of matching parity."""
-    return closed_classes(s, chain_subspace(s, p), (p + s.n + s.parity) % 2)
+    n = s.n
+    if p > n:
+        p = n if (p - n) % 2 == 0 else n - 1
+    if p >= -n:
+        return once_per_structure(s, _hodge_flags)[p]
+    tw = twisted_cohomology(s.model)
+    return Subspace.zero(tw.dim_even if (p + n + s.parity) % 2 == 0
+                         else tw.dim_odd)
+
+
+def _rank_of_sum(basis: list[Vec], vecs: list[Vec]) -> int:
+    """dim(span(basis) + span(vecs)), for a basis in fully reduced form."""
+    ech = Echelon.of_basis(basis)
+    return len(basis) + sum(1 for v in vecs if ech.insert(v)[0])
 
 
 def hodge_filtration(s: GCStruct) -> HodgeReport:
+    """The Hodge filtration of H and the Hodge condition H = F^p + conj
+    F^{-p-2}, direct, for every p: one rank per p, since the sum is direct
+    exactly when dim(F^p + conj F^q) = dim F^p + dim F^q = dim H.  The
+    class representatives are real forms (d_H is real), so conjugation acts
+    on class coordinates entrywise.  F^{p-2} lies in F^p by construction."""
     n = s.n
     tw = twisted_cohomology(s.model)
     dd = once_per_structure(s, ddbar_check)
     frl = frolicher_pages(s)
     db = delbar_dims(s)
-    filt = {p: filtration_subspace(s, p) for p in range(-n, n + 1)}
+    filt = once_per_structure(s, _hodge_flags)
     hodge_by_p = {}
     for p in range(-n, n + 1):
         parity = (p + n + s.parity) % 2
         h_dim = tw.dim_even if parity == 0 else tw.dim_odd
         fp = filt[p]
-        q = -p - 2
-        fq = filt[q] if q in filt else Subspace.zero(h_dim)
-        fq_conj = Subspace.span(h_dim, [
-            tw.conj_coords(v, parity) for v in fq.basis()])
-        hodge_by_p[p] = (fp.dim + fq_conj.dim == h_dim
-                         and fp.intersect(fq_conj).dim == 0)
-    # nesting and top equalities are structural; verify and fold into hodge_ok
-    nesting = all(filt[p].contains_subspace(filt[p - 2])
-                  for p in range(-n + 2, n + 1))
+        fq = filt.get(-p - 2, Subspace.zero(h_dim))
+        hodge_by_p[p] = (fp.dim + fq.dim == h_dim and _rank_of_sum(
+            fp._basis, [vec_conj(v) for v in fq._basis]) == h_dim)
     top_even = filt[n].dim == (tw.dim_even if (2 * n + s.parity) % 2 == 0
                                else tw.dim_odd)
     top_odd = filt[n - 1].dim == (tw.dim_even if (2 * n - 1 + s.parity) % 2 == 0
                                   else tw.dim_odd)
-    hodge_ok = all(hodge_by_p.values()) and nesting and top_even and top_odd
+    hodge_ok = all(hodge_by_p.values()) and top_even and top_odd
     graded = None
     if dd.holds:
         graded = {}
@@ -361,7 +462,7 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
         delbar_dims=db,
         frolicher_degenerates=frl.degenerates,
         ddbar_holds=dd.holds,
-        filtration=filt,
+        filtration=dict(filt),
         filtration_dims={p: f.dim for p, f in filt.items()},
         hodge_ok=hodge_ok,
         hodge_by_p=hodge_by_p,
@@ -525,58 +626,123 @@ class MHSReport:
         return out
 
 
+class _WeightBasis:
+    """A basis of H adapted to the weight filtration W^j (classes with
+    representatives of form degree >= j), from the column reduction of d_H
+    over the blades numbered by descending (degree, mask), in which the
+    forms of degree >= j are a prefix.  d_H raises the degree, so every
+    low is a zero column, and the V_e of the other zero columns e (the
+    essential ones) have classes that are a basis of H whose first members
+    span W^j.  A class coordinate is numbered by `N - 1 - e`, the blade's
+    place in ascending (degree, mask), so W^j is the coordinates from
+    `start[j]` on, and `gr_dims[j]` of them have degree j.  The V_e are
+    real, as d_H is."""
+
+    def __init__(self, number: list[int], lows: dict[int, tuple[Vec, Vec]],
+                 essential: dict[int, Vec], start: list[int],
+                 gr_dims: list[int]):
+        self.number = number            # blade mask -> e
+        self.lows = lows
+        self.essential = essential      # e -> V_e
+        self.start = start
+        self.gr_dims = gr_dims
+
+    def coords(self, w: Vec) -> Vec:
+        """Class coordinates of a closed form: its largest number is
+        cleared in turn by the V_e or the R column with that leading
+        number, as each of them is 1 there and zero past it."""
+        from heapq import heapify, heappop, heappush   # no import-time cost
+        x = {self.number[b]: c for b, c in w.items()}
+        heap = [-e for e in x]
+        heapify(heap)
+        out: Vec = {}
+        top = len(self.number) - 1
+        while heap:
+            e = -heappop(heap)
+            c = x.get(e)
+            if c is None:
+                continue
+            if e in self.essential:
+                out[top - e] = c
+                vec = self.essential[e]
+            elif e in self.lows:
+                vec = self.lows[e][0]
+            else:
+                raise EngineError("the form is not d_H-closed")
+            _axpy_into(x, -c, vec)
+            for f in vec:
+                if f in x:
+                    heappush(heap, -f)
+        return out
+
+
+def _weight_basis(m: LieModel) -> _WeightBasis:
+    """Built once and kept on the model (models are immutable)."""
+    wb = getattr(m, "_weight_basis", None)
+    if wb is None:
+        N = 1 << m.dim
+        order = sorted(range(N), key=lambda b: (-popcount(b), b))
+        number = [0] * N
+        for e, b in enumerate(order):
+            number[b] = e
+        dH = m.dH_table
+        lows, zeros = _column_reduction(
+            [{number[b]: c for b, c in dH.get(mask, {}).items()}
+             for mask in order])
+        essential = {e: ops for e, ops in zeros if e not in lows}
+        if len(essential) + len(lows) != len(zeros):
+            raise EngineError(
+                "a low of the weight reduction is no zero column")
+        start = [sum(comb(m.dim, d) for d in range(j))
+                 for j in range(m.dim + 2)]
+        gr_dims = [0] * (m.dim + 1)
+        for e in essential:
+            gr_dims[popcount(order[e])] += 1
+        wb = m._weight_basis = _WeightBasis(number, lows, essential, start,
+                                            gr_dims)
+    return wb
+
+
 def weight_mhs_check(s: GCStruct) -> MHSReport:
+    """The weight filtration W^j (classes with representatives of form degree
+    >= j) and the wrapped Hodge filtration F~^i = F^i + F^{i-1} induce a
+    Hodge split on every Gr_j = W^j / W^{j+1}.  In coordinates adapted to W
+    (`_WeightBasis`), F~^i is the span of the classes born in U_{<=i},
+    kept as one echelon that grows with i; its rows with pivots in Gr_j's
+    coordinates give the image of F~^i cap W^j in Gr_j.  The split at (i, j)
+    is one rank of those rows and the conjugates of F~^{-i-2}'s."""
     if s.kind != "complex":
         raise WrongType("weight filtration check requires a complex-type structure")
     dd = once_per_structure(s, ddbar_check)
     if not dd.holds:
         return MHSReport("del-delbar lemma fails at this structure",
                          None, False, None, None)
-    m = s.model
     n = s.n
-    N = 1 << m.dim
-    tw = twisted_cohomology(m)
-    H_dim = tw.total_dim
+    wb = _weight_basis(s.model)
+    red = once_per_structure(s, _reduce_d_H)
 
-    # W^j: classes with representatives of form-degree >= j
-    W: dict[int, Subspace] = {}
-    for j in range(0, 2 * n + 2):
-        span = Subspace.span(N, [{b: ONE} for b in range(N) if popcount(b) >= j])
-        W[j] = closed_classes(s, span)
+    # rows of the echelon of F~^i, for i = -n..n; below -n it is zero and
+    # from n on all of H
+    ech = Echelon()
+    flag: dict[int, list[tuple[int, Vec]]] = {}
+    for i in range(-n, n + 1):
+        for form in red.born[i]:
+            ech.insert(wb.coords(form))
+        flag[i] = [(p, row) for p, row, _c in ech.rows]
 
-    # wrapped filtration F~^k = F^k + F^{k-1} in total coordinates
-    def embed(parity: int, sub: Subspace) -> Subspace:
-        if parity == 0:
-            return Subspace.span(H_dim, sub.basis())
-        return Subspace.span(H_dim, [
-            {kk + tw.dim_even: c for kk, c in v.items()} for v in sub.basis()])
-
-    filt = {}
-    for p in range(-n, n + 1):
-        parity = (p + n + s.parity) % 2
-        filt[p] = embed(parity, filtration_subspace(s, p))
-
-    def filt_ext(k: int) -> Subspace:
-        # extend each parity chain by zero below and by its own top above
-        if k < -n:
-            return Subspace.zero(H_dim)
-        if k > n:
-            return filt[n] if (k - n) % 2 == 0 else filt[n - 1]
-        return filt[k]
-
-    Ft = {k: filt_ext(k).sum(filt_ext(k - 1)) for k in range(-n - 1, n + 3)}
-
-    def conj_total(sub: Subspace) -> Subspace:
-        return Subspace.span(H_dim, [tw.conj_coords(v) for v in sub.basis()])
+    def graded_rows(i: int, j: int) -> list[Vec]:
+        lo, hi = wb.start[j], wb.start[j + 1]
+        rows = flag[min(i, n)] if i >= -n else []
+        return [{c: x for c, x in row.items() if c < hi}
+                for p, row in rows if lo <= p < hi]
 
     gr_dims = {}
     split_by = {}
     graded_hodge: dict[int, list[int]] = {}
     ok = True
     for j in range(0, 2 * n + 1):
-        grq = QuotientSpace(H_dim, W[j].basis(), W[j + 1].basis())
-        gr_dims[j] = grq.dim
-        if grq.dim == 0:
+        gr_dims[j] = gr_dim = wb.gr_dims[j]
+        if gr_dim == 0:
             continue
         dims_along_i = []
         # within weight j the U-grading steps by 2, so the Hodge condition
@@ -584,17 +750,12 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
         for i in range(-n - 1, n + 2):
             if (i - j) % 2:
                 continue
-            part = Ft.get(i, Subspace.zero(H_dim)).intersect(W[j])
-            img = Subspace.span(grq.dim,
-                                [grq.coords(v) or {} for v in part.basis()])
-            conj_part = conj_total(Ft.get(-i - 2, Subspace.zero(H_dim))
-                                   .intersect(W[j]))
-            conj_img = Subspace.span(grq.dim,
-                                     [grq.coords(v) or {} for v in conj_part.basis()])
-            good = (img.dim + conj_img.dim == grq.dim
-                    and img.intersect(conj_img).dim == 0)
+            img = graded_rows(i, j)
+            conj_img = [vec_conj(v) for v in graded_rows(-i - 2, j)]
+            good = (len(img) + len(conj_img) == gr_dim
+                    and _rank_of_sum(img, conj_img) == gr_dim)
             split_by[(i, j)] = good
             ok = ok and good
-            dims_along_i.append(img.dim)
+            dims_along_i.append(len(img))
         graded_hodge[j] = dims_along_i
     return MHSReport(None, gr_dims, ok, split_by, graded_hodge)

@@ -89,10 +89,6 @@ class GenElem:
     def __hash__(self):
         return hash((self.dim, self.vec, self.cov))
 
-    def cov_form(self) -> Form:
-        """The covector part as a 1-form."""
-        return Form(self.dim, {1 << i: c for i, c in enumerate(self.cov) if c})
-
     def to_coords(self) -> dict[int, QI]:
         """Sparse coordinates in E_C: 0..2n-1 tangent, 2n..4n-1 cotangent."""
         out = {}
@@ -257,12 +253,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return all(ok for _n, ok, _w in self.checks)
-
-    def first_failure(self):
-        for n, ok, w in self.checks:
-            if not ok:
-                return n, w
-        return None
 
     def lines(self):
         out = []

@@ -27,6 +27,10 @@ class TwistNotClosed(EngineError):
     code = "twist-not-closed"
 
 
+class StructureNotReal(EngineError):
+    code = "structure-constants-not-real"
+
+
 class NotIsotropic(EngineError):
     code = "not-isotropic"
 

@@ -614,12 +614,6 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
     return out
 
 
-def extend_section(f: FamilySpec, p: int, rep: Form, cap: int | None = None):
-    """Extend a closed basepoint representative in the U_{<=p} chain to a
-    closed polynomial section staying in the moving chain; degree-by-degree."""
-    return _extend_in_chain(f, _chain_span(f, p), rep, cap)
-
-
 def _chain_span(f: FamilySpec, p: int) -> tuple:
     """(span, at_base, d_at_base) for the chain U_{<=p}: its polynomial
     spanning forms shifted to the basepoint, and tracked echelons of their
@@ -632,8 +626,9 @@ def _chain_span(f: FamilySpec, p: int) -> tuple:
             Echelon.of_columns([spin_apply(m.dH_table, w.coeffs) for w in v0]))
 
 
-def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form,
-                     cap: int | None) -> PolyForm:
+def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> PolyForm:
+    """Extend a closed basepoint representative in the chain to a closed
+    polynomial section staying in the moving chain, degree by degree."""
     m = f.model
     span, at_base, d_at_base = chain
     sol = at_base.solve(dict(rep.coeffs))
@@ -643,8 +638,7 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form,
     s_poly = PolyForm(m.dim, nv)
     for k, c in sol.items():
         s_poly = s_poly + span[k].scale(c)
-    cap = cap if cap is not None else max(
-        (pf.max_degree() for pf in span), default=0) + m.dim + 4
+    cap = max((pf.max_degree() for pf in span), default=0) + m.dim + 4
     while True:
         resid = dH_poly(m, s_poly)
         if resid.is_zero():
@@ -702,8 +696,8 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     ks = ks_class(f, direction)
     # target-side solver data: lift a delbar-class in U_{p+2} to a closed
     # form in the chain U_{<=p+2}
-    chain2 = sigma.sum(base.U_subspace(p + 2))
-    closed2 = _preimage_in(chain2, m.dH_table, Subspace.zero(1 << m.dim))
+    closed2 = _preimage_in(chain_subspace(base, p + 2), m.dH_table,
+                           Subspace.zero(1 << m.dim))
     closed2_forms = [form_of_vec(m.dim, v) for v in closed2.basis()]
     lift_cols = [dict(base.project(p + 2, w).coeffs) for w in closed2_forms]
     dbar_cols = [spin_apply(base.dH_parts[1], v)
@@ -711,8 +705,8 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     n_closed2 = len(lift_cols)
     lift_solver = Echelon.of_columns(lift_cols + dbar_cols)
 
-    win = base.U_subspace(p - 2).sum(base.U_subspace(p)).sum(
-        base.U_subspace(p + 2))
+    win = Subspace.span(1 << m.dim, [v for j in (p - 2, p, p + 2)
+                                     for v in base.U_subspace(j).basis()])
     win_coords = closed_classes(base, win, parity)
 
     induced = []
@@ -722,7 +716,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     window_ok = True
     chain = _chain_span(f, p) if reps else None
     for r in reps:
-        s_poly = _extend_in_chain(f, chain, r, None)
+        s_poly = _extend_in_chain(f, chain, r)
         ds = s_poly.diff(direction).eval((QI(0),) * f.nvars)
         coords = tw.parity_coords(ds, parity)
         if coords is None:

@@ -19,9 +19,8 @@ from .errors import (EngineError, MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
 from .families import FamilySpec, ks_class
-from .forms import Form, SpinOp, spin_apply
-from .gcs import (GCStruct, _split_by_blades, form_of_vec, pairing_gram,
-                  shift_tables)
+from .forms import SpinOp, spin_apply
+from .gcs import GCStruct, _split_by_blades, pairing_gram, shift_tables
 from .liemodel import LieAlgebroid
 from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, mat_det,
                      mat_mul, vec_add)
@@ -61,10 +60,6 @@ class GKPair:
                 u_vecs.setdefault(rs, []).append(v)
         self.U2 = {rs: Subspace.span(1 << dim, vs) for rs, vs in u_vecs.items()}
         self.U2_dims = {rs: sp.dim for rs, sp in self.U2.items() if sp.dim}
-
-    def decompose2(self, w: Form) -> dict[tuple[int, int], Form]:
-        return {rs: form_of_vec(w.dim, v) for rs, v
-                in _split_by_blades(self._blade_parts, w.coeffs).items()}
 
     def U2_subspace(self, r: int, s: int) -> Subspace:
         return self.U2.get((r, s), Subspace.zero(1 << self.model.dim))

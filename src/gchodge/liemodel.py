@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import JacobiFailure, NotClosedUnderBracket, TwistNotClosed
+from .errors import (JacobiFailure, NotClosedUnderBracket, StructureNotReal,
+                     TwistNotClosed)
 from .forms import Form, SpinOp, insert_sign, popcount, spin_op
 from .linalg import QuotientSpace, Vec, _acc, mat_det, solve_columns
 from .scalars import ONE, QI
@@ -34,6 +35,12 @@ class LieModel:
             raise TwistNotClosed("twist must be a pure 3-form", degree=sorted(self.H.degrees()))
         if any(v.im for v in self.H.coeffs.values()):
             raise TwistNotClosed("twist 3-form must be real")
+        complex_entries = [(k, i, j) for (k, i, j, c) in self.structure if c.im]
+        if complex_entries:
+            k, i, j = complex_entries[0]
+            raise StructureNotReal(
+                f"structure constants must be real: d e{k} has a non-real "
+                f"coefficient of e{i}^e{j}", entries=complex_entries)
         # d e^k for each generator, 1-based index
         self._dgen = [Form(dim) for _ in range(dim + 1)]
         for (k, i, j, c) in self.structure:

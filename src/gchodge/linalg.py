@@ -273,11 +273,6 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return self.echelon().contains(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check(other)
-        ech = self.echelon()
-        return all(ech.contains(v) for v in other._basis)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -297,15 +292,6 @@ class Subspace:
         zeros = [{} for _ in other._basis]
         return Subspace.span(self.ambient, kernel_lift(
             self._basis + other._basis, self._basis + zeros))
-
-    def quotient_reps(self, sub: "Subspace") -> list[Vec]:
-        """Canonical representatives of self/sub (sub must lie in self)."""
-        self._check(sub)
-        ech = sub.echelon()
-        sub_pivots = set(ech._rows)
-        for v in self._basis:
-            ech.insert(v)
-        return [row for p, row, _c in ech.rows if p not in sub_pivots]
 
     def conj(self) -> "Subspace":
         return Subspace.span(self.ambient, [vec_conj(v) for v in self._basis])
@@ -406,9 +392,6 @@ class QuotientSpace:
 
 Matrix = list[list[QI]]
 
-
-def mat_identity(n: int) -> Matrix:
-    return [[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])

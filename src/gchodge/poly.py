@@ -162,11 +162,6 @@ class PolyForm:
         self.coeffs: dict[int, ParamPoly] = {
             m: p for m, p in (coeffs or {}).items() if not p.is_zero()}
 
-    @classmethod
-    def from_form(cls, f: Form, nvars: int) -> "PolyForm":
-        return cls(f.dim, nvars,
-                   {m: ParamPoly.const(nvars, c) for m, c in f.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -277,21 +272,6 @@ def pmat_eval(M: PolyMatrix, point) -> Matrix:
 
 def pmat_diff(M: PolyMatrix, j: int) -> PolyMatrix:
     return [[p.diff(j) for p in row] for row in M]
-
-
-def pmat_mul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    n, k, m = len(A), len(B), len(B[0])
-    nv = A[0][0].nvars
-    out = [[ParamPoly(nv) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            p = A[i][t]
-            if p.is_zero():
-                continue
-            for j in range(m):
-                if not B[t][j].is_zero():
-                    out[i][j] = out[i][j] + p * B[t][j]
-    return out
 
 
 def pmat_vec(M: PolyMatrix, v: list[ParamPoly]) -> list[ParamPoly]:

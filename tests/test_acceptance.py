@@ -30,12 +30,13 @@ from gchodge.gkaehler import (algebroid_split_check, bigraded_cohomology,
                               gk_deformation_check, gk_validate)
 from gchodge.liemodel import LieModel
 from gchodge.modelfile import build_family, parse_model
-from gchodge.poly import ParamPoly, PolyForm, pmat_from_qi
+from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
 import random
 
-from test_courant import random_gen_elem, random_real_form
+from test_courant import cov_form, random_gen_elem, random_real_form
+from test_families import poly_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -75,8 +76,7 @@ def scaling_family(samples=((QI(Fraction(1, 2)),),)):
     nv = 1
     base = ParamPoly.const(nv, ONE)
     t = ParamPoly.var(nv, 0)
-    omega_t = PolyForm.from_form(w, nv) \
-        + PolyForm.from_form(w, nv).scale_poly(t)
+    omega_t = poly_form(w, nv) + poly_form(w, nv).scale_poly(t)
     return FamilySpec(ABELIAN4, "symplectic", nv, samples=samples,
                       omega_t=omega_t, name="scale")
 
@@ -87,7 +87,7 @@ def test_criterion_01_courant_axioms_and_faults():
 
     def drop_dxi(m, a, b):
         good = dorfman(m, a, b)
-        dxi = m.d(a.cov_form()).contract_vector(b.vec)
+        dxi = m.d(cov_form(a)).contract_vector(b.vec)
         cov = list(good.cov)
         for mask, v in dxi.coeffs.items():
             cov[mask.bit_length() - 1] = cov[mask.bit_length() - 1] + v
@@ -213,7 +213,7 @@ def test_criterion_07_family_ks_and_transversality():
         if tr.constant is not None:
             consts.add(str(tr.constant))
     t = ParamPoly.var(1, 0)
-    rho = PolyForm.from_form(torus_omega(4).scale(I).exp(), 1)  # flat rep
+    rho = poly_form(torus_omega(4).scale(I).exp(), 1)  # flat rep
     qrep = q_flatness(fam, rho, rho.conj())
     ok = (ks.closed and ks.jjandks_ok and psi_ok and trans_ok
           and len(consts) == 1 and qrep.ok)
@@ -227,7 +227,7 @@ def test_criterion_08_holomorphy():
     nv = 2
     t1 = ParamPoly.var(nv, 0)
     t2 = ParamPoly.var(nv, 1)
-    base = PolyForm.from_form(w, nv)
+    base = poly_form(w, nv)
 
     def fam(sign):
         return FamilySpec(
@@ -270,14 +270,14 @@ def test_criterion_10_kahler_pair():
                     It=pmat_from_qi(kahler_I(4), nv))
     f2 = FamilySpec(ABELIAN4, "symplectic", nv,
                     samples=[(QI(Fraction(1, 2)),)],
-                    omega_t=PolyForm.from_form(w, nv)
-                    + PolyForm.from_form(w, nv).scale_poly(t))
+                    omega_t=poly_form(w, nv)
+                    + poly_form(w, nv).scale_poly(t))
     good = gk_deformation_check(f1, f2)
     mu_bad = Form.blade(4, [1, 3]) - Form.blade(4, [2, 4])
     f2bad = FamilySpec(ABELIAN4, "symplectic", nv,
                        samples=[(QI(Fraction(1, 4)),)],
-                       omega_t=PolyForm.from_form(w, nv)
-                       + PolyForm.from_form(mu_bad, nv).scale_poly(t))
+                       omega_t=poly_form(w, nv)
+                       + poly_form(mu_bad, nv).scale_poly(t))
     bad = gk_deformation_check(f1, f2bad)
     ok = (bg.total_ok and sum(bg.dims.values()) == 16 and bg.parity_ok
           and bg.commute_ok

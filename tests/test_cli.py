@@ -177,6 +177,23 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     if "--at" in argv:
         assert "(line" not in out
 
+@pytest.mark.parametrize("command", ["check", "cohomology", "grading", "ddbar",
+                                     "hodge", "lefschetz", "mhs", "family",
+                                     "gcy", "gk", "emit"])
+def test_non_real_structure_constants_exit_2(tmp_path, command):
+    """`d e4 = i e1^e2` names no real Lie algebra: every command rejects the
+    file as input, instead of reporting verdicts on it or failing a later
+    check with a misleading twist error."""
+    text = (CORPUS / "kt.gcm").read_text()
+    assert "d e4 = 1 e1^e2" in text
+    bad = tmp_path / "kt-i.gcm"
+    bad.write_text(text.replace("d e4 = 1 e1^e2", "d e4 = i e1^e2"))
+    code, out = run_cli(command, str(bad), "--json")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["parse input"]
+    assert checks[0]["details"][0].startswith("structure-constants-not-real:")
+
 @pytest.mark.parametrize("argv, code", [
     (["emit", str(CORPUS / "kt.gcm")], 0),
     (["emit", str(CORPUS), "--all", "--json"], 0),

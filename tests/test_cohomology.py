@@ -4,20 +4,23 @@ import copy
 
 import pytest
 
-from gchodge.cohomology import (_image_of, _preimage_in, chain_subspace,
-                                ddbar_check, delbar_cohomology, delbar_dims,
+from gchodge.cohomology import (_image_of, _preimage_in, _weight_basis,
+                                chain_subspace, closed_classes, ddbar_check,
+                                delbar_cohomology, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
                                 weight_mhs_check)
-from gchodge.errors import NotIntegrable, WrongType
-from gchodge.forms import Form, mukai_pairing
+from gchodge.errors import EngineError, NotIntegrable, WrongType
+from gchodge.forms import Form, mukai_pairing, popcount
 from gchodge.gcs import make_complex, make_symplectic
-from gchodge.linalg import Echelon, Subspace
+from gchodge.linalg import Echelon, QuotientSpace, Subspace, vec_axpy, vec_conj
+from gchodge.modelfile import parse_model
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import (ABELIAN4, ABELIAN6, KT, KT_TW, SCALE8, broken_kt,
-                      build_main, complex_torus4, corpus_structures,
+from test_linalg import contains_subspace
+from test_gcs import (ABELIAN4, ABELIAN6, CORPUS, KT, KT_TW, SCALE8,
+                      broken_kt, build_main, complex_torus4, corpus_structures,
                       dense_model_text, kt_symplectic_twisted, std_I,
                       structures_of, symplectic_torus4, torus_omega)
 
@@ -293,7 +296,7 @@ def reference_frolicher_pages(s):
             Z = zspace(r, j, m)
             denom = zspace(r - 1, j + 1, m).sum(
                 _image_of(zspace(r - 1, j - r + 1, m - 1), dH))
-            assert Z.contains_subspace(denom), (r, k)
+            assert contains_subspace(Z, denom), (r, k)
             page[k] = Z.dim - Z.intersect(denom).dim
         pages[r] = page
     return pages
@@ -375,3 +378,250 @@ def test_bigraded_engines_reject_a_non_integrable_structure(engine):
     with pytest.raises(NotIntegrable, match=r"-3, \+3") as err:
         engine(broken)
     assert err.value.details == {"shifts": [-3, 3]}
+
+
+# -- the Hodge and weight filtrations against the subspace pipelines ----------
+
+def reference_chain_subspace(s, p):
+    """The U_{<=p} chain of matching parity, one Subspace.sum per U_j."""
+    out = Subspace.zero(1 << s.model.dim)
+    for j in range(-s.n + ((p + s.n) % 2), p + 1, 2):
+        out = out.sum(s.U_subspace(j))
+    return out
+
+
+def reference_conj_coords(tw, coords, parity=None):
+    """Coordinates of the conjugate class, through a representative form."""
+    out = {}
+    for idx, c in coords.items():
+        if parity is None:
+            rep = (tw.even.reps[idx] if idx < tw.dim_even
+                   else tw.odd.reps[idx - tw.dim_even])
+        else:
+            rep = (tw.even if parity == 0 else tw.odd).reps[idx]
+        out = vec_axpy(out, c, rep)
+    conj = Form(tw.model.dim, out).conj()
+    return (tw.coords(conj) if parity is None
+            else tw.parity_coords(conj, parity))
+
+
+def reference_filtration_subspace(s, p):
+    """F^p H as the classes of the closed forms in the chain."""
+    return closed_classes(s, reference_chain_subspace(s, p),
+                          (p + s.n + s.parity) % 2)
+
+
+def reference_hodge_filtration(s):
+    """(filtration, hodge_ok, hodge_by_p, graded_match) by intersections."""
+    n = s.n
+    tw = twisted_cohomology(s.model)
+    dd = ddbar_check(s)
+    db = delbar_dims(s)
+    filt = {p: reference_filtration_subspace(s, p) for p in range(-n, n + 1)}
+    hodge_by_p = {}
+    for p in range(-n, n + 1):
+        parity = (p + n + s.parity) % 2
+        h_dim = tw.dim_even if parity == 0 else tw.dim_odd
+        fp = filt[p]
+        q = -p - 2
+        fq = filt[q] if q in filt else Subspace.zero(h_dim)
+        fq_conj = Subspace.span(h_dim, [
+            reference_conj_coords(tw, v, parity) for v in fq.basis()])
+        hodge_by_p[p] = (fp.dim + fq_conj.dim == h_dim
+                         and fp.intersect(fq_conj).dim == 0)
+    nesting = all(contains_subspace(filt[p], filt[p - 2])
+                  for p in range(-n + 2, n + 1))
+    top_even = filt[n].dim == (tw.dim_even if (2 * n + s.parity) % 2 == 0
+                               else tw.dim_odd)
+    top_odd = filt[n - 1].dim == (tw.dim_even if (2 * n - 1 + s.parity) % 2 == 0
+                                  else tw.dim_odd)
+    hodge_ok = all(hodge_by_p.values()) and nesting and top_even and top_odd
+    graded = None
+    if dd.holds:
+        graded = {}
+        for p in range(-n, n + 1):
+            lower = filt[p - 2].dim if p - 2 >= -n else 0
+            graded[p] = (filt[p].dim - lower) == db.get(p, 0)
+    return filt, hodge_ok, hodge_by_p, graded
+
+
+def reference_weight_mhs_check(s):
+    """(gr_dims, split_ok, split_by_ij, graded_hodge_dims), or the skip
+    reason, by one intersection and one quotient per (i, j)."""
+    if not ddbar_check(s).holds:
+        return "del-delbar lemma fails at this structure"
+    m = s.model
+    n = s.n
+    N = 1 << m.dim
+    tw = twisted_cohomology(m)
+    H_dim = tw.total_dim
+    W = {}
+    for j in range(0, 2 * n + 2):
+        span = Subspace.span(N, [{b: ONE} for b in range(N) if popcount(b) >= j])
+        W[j] = closed_classes(s, span)
+
+    def embed(parity, sub):
+        if parity == 0:
+            return Subspace.span(H_dim, sub.basis())
+        return Subspace.span(H_dim, [
+            {kk + tw.dim_even: c for kk, c in v.items()} for v in sub.basis()])
+
+    filt = {p: embed((p + n + s.parity) % 2, reference_filtration_subspace(s, p))
+            for p in range(-n, n + 1)}
+
+    def filt_ext(k):
+        if k < -n:
+            return Subspace.zero(H_dim)
+        if k > n:
+            return filt[n] if (k - n) % 2 == 0 else filt[n - 1]
+        return filt[k]
+
+    Ft = {k: filt_ext(k).sum(filt_ext(k - 1)) for k in range(-n - 1, n + 3)}
+
+    def conj_total(sub):
+        return Subspace.span(H_dim, [reference_conj_coords(tw, v)
+                                     for v in sub.basis()])
+
+    gr_dims, split_by, graded_hodge = {}, {}, {}
+    ok = True
+    for j in range(0, 2 * n + 1):
+        grq = QuotientSpace(H_dim, W[j].basis(), W[j + 1].basis())
+        gr_dims[j] = grq.dim
+        if grq.dim == 0:
+            continue
+        dims_along_i = []
+        for i in range(-n - 1, n + 2):
+            if (i - j) % 2:
+                continue
+            part = Ft.get(i, Subspace.zero(H_dim)).intersect(W[j])
+            img = Subspace.span(grq.dim,
+                                [grq.coords(v) or {} for v in part.basis()])
+            conj_part = conj_total(Ft.get(-i - 2, Subspace.zero(H_dim))
+                                   .intersect(W[j]))
+            conj_img = Subspace.span(grq.dim, [grq.coords(v) or {}
+                                               for v in conj_part.basis()])
+            good = (img.dim + conj_img.dim == grq.dim
+                    and img.intersect(conj_img).dim == 0)
+            split_by[(i, j)] = good
+            ok = ok and good
+            dims_along_i.append(img.dim)
+        graded_hodge[j] = dims_along_i
+    return gr_dims, ok, split_by, graded_hodge
+
+
+def assert_filtrations_match_reference(s, name, mhs=True):
+    rep = hodge_filtration(s)
+    filt, hodge_ok, hodge_by_p, graded = reference_hodge_filtration(s)
+    for p in range(-s.n - 2, s.n + 3):
+        want = filt.get(p) if p in filt else reference_filtration_subspace(s, p)
+        assert filtration_subspace(s, p) == want, (name, p)
+    assert rep.filtration == filt, name
+    assert rep.filtration_dims == {p: f.dim for p, f in filt.items()}, name
+    assert (rep.hodge_ok, rep.hodge_by_p, rep.graded_match) \
+        == (hodge_ok, hodge_by_p, graded), name
+    if mhs and s.kind == "complex":
+        rep = weight_mhs_check(s)
+        got = (rep.skipped if rep.skipped else
+               (rep.gr_dims, rep.split_ok, rep.split_by_ij,
+                rep.graded_hodge_dims))
+        assert got == reference_weight_mhs_check(s), name
+
+
+def all_reference_structures():
+    return [*corpus_structures(),
+            *(st for name, text in SCALE8.items()
+              for st in structures_of(text, name)),
+            *(st for name in DENSE6_BASES
+              for st in structures_of(dense_model_text(name, 1),
+                                      f"dense-{name}")),
+            ("iwasawa:main", build_main(IWASAWA, "iwasawa"))]
+
+
+def test_filtrations_match_the_subspace_pipelines():
+    structures = all_reference_structures()
+    for name, s in structures:
+        assert_filtrations_match_reference(s, name)
+    kinds = [s.kind for _name, s in structures]
+    assert len(structures) == 23 and kinds.count("complex") >= 6
+    # the comparison meets both verdicts of the Hodge condition and of the
+    # del-delbar lemma (which decides whether the weight split is checked)
+    hodge = [hodge_filtration(s) for _name, s in structures]
+    assert {r.hodge_ok for r in hodge} == {True, False}
+    assert {r.ddbar_holds for r in hodge} == {True, False}
+
+
+def test_chain_subspace_is_the_sum_of_its_U_j():
+    for name, s in corpus_structures():
+        for p in range(-s.n - 1, s.n + 2):
+            assert chain_subspace(s, p) == reference_chain_subspace(s, p), \
+                (name, p)
+
+
+def test_conjugation_acts_on_class_coordinates_entrywise():
+    # the representatives are real forms, which the Hodge condition and the
+    # weight split rely on to conjugate classes coordinate by coordinate
+    for name, s in corpus_structures():
+        tw = twisted_cohomology(s.model)
+        for q in (tw.even, tw.odd):
+            assert all(not x.im for rep in q.reps for x in rep.values()), name
+        for parity, q in ((0, tw.even), (1, tw.odd)):
+            for idx in range(q.dim):
+                v = {idx: QI(2, 3)}
+                assert reference_conj_coords(tw, v, parity) == vec_conj(v)
+
+
+def test_weight_basis_is_adapted_to_the_weight_filtration():
+    for path in sorted(CORPUS.glob("*.gcm")):
+        try:
+            m = parse_model(path.read_text()).model(path.stem)
+            tw = twisted_cohomology(m)
+        except EngineError:
+            continue
+        wb = _weight_basis(m)
+        N = 1 << m.dim
+        assert sum(wb.gr_dims) == tw.total_dim, path.stem
+        for j in range(m.dim + 1):
+            span = Subspace.span(N, [{b: ONE} for b in range(N)
+                                     if popcount(b) >= j])
+            W = closed_classes_total(m, span)
+            assert W.dim == sum(wb.gr_dims[j:]), (path.stem, j)
+        # the class coordinates of the representatives of H have full rank
+        reps = tw.even.reps + tw.odd.reps
+        assert Subspace.span(N, [wb.coords(r) for r in reps]).dim \
+            == tw.total_dim, path.stem
+
+
+def closed_classes_total(m, V):
+    tw = twisted_cohomology(m)
+    closed = _preimage_in(V, m.dH_table, Subspace.zero(1 << m.dim)).basis()
+    return Subspace.span(tw.total_dim, [tw.coords(Form(m.dim, v)) or {}
+                                        for v in closed])
+
+
+def test_filtrations_use_no_subspace_pipeline(monkeypatch):
+    # the cross-check pipelines (twisted and delbar cohomology, del-delbar)
+    # are built first; the filtrations themselves come from the reductions
+    import gchodge.cohomology as cohomology
+    s = complex_torus4()
+    twisted_cohomology(s.model)
+    delbar_dims(s)
+    ddbar_check_kept = cohomology.once_per_structure(s, ddbar_check)
+    assert ddbar_check_kept.holds
+    called = []
+
+    def counted(name, orig):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return orig(*args, **kwargs)
+        return wrapped
+
+    for name in ("chain_subspace", "closed_classes", "_preimage_in"):
+        monkeypatch.setattr(cohomology, name,
+                            counted(name, getattr(cohomology, name)))
+    monkeypatch.setattr(Subspace, "intersect",
+                        counted("intersect", Subspace.intersect))
+    monkeypatch.setattr(QuotientSpace, "__init__",
+                        counted("QuotientSpace", QuotientSpace.__init__))
+    assert hodge_filtration(s).hodge_ok
+    assert weight_mhs_check(s).split_ok
+    assert called == []

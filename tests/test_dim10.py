@@ -1,0 +1,72 @@
+"""The dim-10 models under tests/models: their twisted dimensions against
+numbers derived by hand, not by the engine, and their filtrations against
+the subspace pipelines of tests/test_cohomology.py.
+
+The complete dim-10 comparison, which adds the weight split of the complex
+10-torus (about 5 s for its reference alone) and the two symplectic models,
+runs when GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
+
+import os
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from gchodge.cohomology import invariant_derham, twisted_cohomology
+from gchodge.modelfile import parse_model
+
+from test_cohomology import assert_filtrations_match_reference
+from test_gcs import build_main
+
+MODELS = Path(__file__).resolve().parent / "models"
+
+
+def torus_betti(dim):
+    return [comb(dim, k) for k in range(dim + 1)]
+
+
+# the Kodaira-Thurston manifold, d e4 = e1^e2: e1, e2, e3 are the closed
+# 1-forms; e12, e13, e23, e14, e24 the closed 2-forms, of which e12 = d e4
+# is exact; Poincare duality gives the rest
+KT_BETTI = [1, 3, 4, 3, 1]
+
+
+def kunneth(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+BETTI = {"torus10-symplectic": torus_betti(10),
+         "torus10-complex": torus_betti(10),
+         "kt10": kunneth(KT_BETTI, torus_betti(6))}
+
+
+def load(name):
+    return (MODELS / f"{name}.gcm").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(BETTI))
+def test_dim10_twisted_dims(name):
+    betti = BETTI[name]
+    assert sum(betti) == (1024 if name.startswith("torus") else 768)
+    m = parse_model(load(name)).model(name)
+    # H = 0, so the twisted cohomology is de Rham cohomology folded by parity
+    assert [invariant_derham(m, k).dim for k in range(11)] == betti
+    tw = twisted_cohomology(m)
+    assert (tw.dim_even, tw.dim_odd) == (sum(betti[0::2]), sum(betti[1::2]))
+
+
+def test_dim10_complex_torus_hodge_filtration_matches_reference():
+    s = build_main(load("torus10-complex"), "torus10-complex")
+    assert_filtrations_match_reference(s, "torus10-complex", mhs=False)
+
+
+@pytest.mark.skipif(os.environ.get("GCHODGE_DIM10") != "1",
+                    reason="the complete dim-10 comparison runs with "
+                           "GCHODGE_DIM10=1")
+@pytest.mark.parametrize("name", sorted(BETTI))
+def test_dim10_filtrations_match_reference(name):
+    assert_filtrations_match_reference(build_main(load(name), name), name)

@@ -10,10 +10,10 @@ from gchodge.cohomology import chain_subspace, twisted_cohomology
 from gchodge.courant import GenElem
 from gchodge.errors import EngineError, GraphConditionFailed, SectionNotClosed
 from gchodge.courant import _generator_tables
-from gchodge.families import (FamilySpec, _graded_span_poly, extend_section,
-                              family_validate, gcy_check, gm_derivative,
-                              graph_epsilon, holomorphy_check, ks_class,
-                              q_flatness, q_pairing_poly,
+from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
+                              _graded_span_poly, family_validate, gcy_check,
+                              gm_derivative, graph_epsilon, holomorphy_check,
+                              ks_class, q_flatness, q_pairing_poly,
                               symp_filtration_check, transversality_check)
 from gchodge.forms import Form, mukai_pairing, popcount
 from gchodge.gcs import Half, make_complex, make_symplectic
@@ -26,11 +26,30 @@ from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
                       torus_omega)
 
 
+def poly_form(f, nvars):
+    """f as a PolyForm with constant coefficients."""
+    return PolyForm(f.dim, nvars,
+                    {m: ParamPoly.const(nvars, c) for m, c in f.coeffs.items()})
+
+
+def pmat_mul(A, B):
+    """The product of two polynomial matrices."""
+    nv = A[0][0].nvars
+    return [[sum((A[i][t] * B[t][j] for t in range(len(B))), ParamPoly(nv))
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def extend_section(f, p, rep):
+    """A closed basepoint representative in the U_{<=p} chain, extended to
+    a closed polynomial section in the moving chain."""
+    return _extend_in_chain(f, _chain_span(f, p), rep)
+
+
 def poly_two_form(model, nvars, *terms):
     """terms: (poly, form) pairs summed into a PolyForm."""
     out = PolyForm(model.dim, nvars)
     for poly, form in terms:
-        out = out + PolyForm.from_form(form, nvars).scale_poly(poly)
+        out = out + poly_form(form, nvars).scale_poly(poly)
     return out
 
 
@@ -48,7 +67,7 @@ def constant_symplectic_family():
     nv = 1
     return FamilySpec(ABELIAN4, "symplectic", nv,
                       samples=[(QI(Fraction(1, 2)),)],
-                      omega_t=PolyForm.from_form(torus_omega(4), nv),
+                      omega_t=poly_form(torus_omega(4), nv),
                       name="torus-constant")
 
 
@@ -63,7 +82,6 @@ def shear_complex_family():
           t.scale(N[i][j]) for j in range(4)] for i in range(4)]
     Pinv = [[ParamPoly.const(nv, ONE if i == j else QI(0)) +
              t.scale(-N[i][j]) for j in range(4)] for i in range(4)]
-    from gchodge.poly import pmat_mul
     It = pmat_mul(P, pmat_mul(pmat_from_qi(I0, nv), Pinv))
     return FamilySpec(ABELIAN4, "complex", nv,
                       samples=[(QI(Fraction(1, 3)),)], It=It,
@@ -178,7 +196,7 @@ def test_ks_class_shear_matches_classical():
 
 def test_gm_derivative_constant_section():
     f = scaling_family()
-    s = PolyForm.from_form(Form.one(4) + torus_omega(4), 1)
+    s = poly_form(Form.one(4) + torus_omega(4), 1)
     coords = gm_derivative(f, s, 0)
     assert not coords
 
@@ -195,9 +213,9 @@ def test_gm_derivative_exponential_section():
 
 def test_gm_rejects_nonclosed_section():
     f = FamilySpec(KT, "symplectic", 1,
-                   omega_t=PolyForm.from_form(
+                   omega_t=poly_form(
                        Form.blade(4, [1, 4]) + Form.blade(4, [2, 3]), 1))
-    bad = PolyForm.from_form(Form.blade(4, [4]), 1)
+    bad = poly_form(Form.blade(4, [4]), 1)
     with pytest.raises(SectionNotClosed):
         gm_derivative(f, bad, 0)
 
@@ -215,14 +233,14 @@ def test_q_constant_on_flat_sections():
     # flat sections with genuinely t-dependent representatives: s0 + t d_H(h)
     w = Form.blade(4, [1, 4]) + Form.blade(4, [2, 3])
     f = FamilySpec(KT, "symplectic", 1, samples=[],
-                   omega_t=PolyForm.from_form(w, 1))
+                   omega_t=poly_form(w, 1))
     nv = 1
     t = ParamPoly.var(nv, 0)
     rho = w.scale(I).exp()
-    pert = PolyForm.from_form(KT.d_H(Form.blade(4, [4])), nv)
+    pert = poly_form(KT.d_H(Form.blade(4, [4])), nv)
     assert not pert.is_zero()
-    s1 = PolyForm.from_form(rho, nv) + pert.scale_poly(t)
-    s2 = PolyForm.from_form(rho.conj(), nv) + pert.scale_poly(t.scale(QI(-2)))
+    s1 = poly_form(rho, nv) + pert.scale_poly(t)
+    s2 = poly_form(rho.conj(), nv) + pert.scale_poly(t.scale(QI(-2)))
     rep = q_flatness(f, s1, s2)
     assert rep.flat == (True, True)
     assert rep.ok
@@ -256,7 +274,7 @@ def test_symp_filtration_scaling():
 
 def test_symp_filtration_skipped_on_kt():
     f = FamilySpec(KT, "symplectic", 1, samples=[],
-                   omega_t=PolyForm.from_form(
+                   omega_t=poly_form(
                        Form.blade(4, [1, 4]) + Form.blade(4, [2, 3]), 1))
     assert symp_filtration_check(f, 0).skipped
 
@@ -323,9 +341,9 @@ def test_transversality_constant_is_global():
 
 def test_transversality_skipped_without_ddbar():
     f = FamilySpec(KT_TW, "symplectic", 1, samples=[],
-                   omega_t=PolyForm.from_form(
+                   omega_t=poly_form(
                        Form.blade(4, [1, 4]) + Form.blade(4, [2, 3]), 1),
-                   B_t=PolyForm.from_form(-Form.blade(4, [3, 4]), 1))
+                   B_t=poly_form(-Form.blade(4, [3, 4]), 1))
     rep = transversality_check(f, 0, 0)
     assert rep.skipped is not None
 

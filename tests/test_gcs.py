@@ -17,9 +17,11 @@ from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
                          make_complex, make_general, make_symplectic,
                          symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
-from gchodge.linalg import Subspace, mat_identity, mat_inv, vec_axpy
+from gchodge.linalg import Subspace, mat_inv, vec_axpy
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import I, ONE, QI
+
+from test_linalg import mat_identity
 
 
 ABELIAN4 = LieModel(4, [], name="torus4")

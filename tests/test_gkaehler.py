@@ -10,7 +10,8 @@ from gchodge.courant import GenElem
 from gchodge.errors import MetricNotPositive, NotADecomposition, NotCommuting
 from gchodge.families import FamilySpec
 from gchodge.forms import Form
-from gchodge.gcs import make_complex, make_general, make_symplectic
+from gchodge.gcs import (_split_by_blades, form_of_vec, make_complex,
+                         make_general, make_symplectic)
 from gchodge.gkaehler import (BIDEGREES, algebroid_split_check,
                               bigraded_cohomology, bigrading, delta_split_check,
                               gk_deformation_check, gk_validate)
@@ -105,7 +106,11 @@ def test_dH_parts_match_per_blade_reference(name):
     model = mf.model(name=name)
     pair = gk_validate(build_structure(mf, mf.block("c"), model),
                        build_structure(mf, mf.block("s"), model))
-    want = reference_dH_parts(pair.decompose2, model,
+    def decompose2(w):
+        return {rs: form_of_vec(w.dim, v) for rs, v
+                in _split_by_blades(pair._blade_parts, w.coeffs).items()}
+
+    want = reference_dH_parts(decompose2, model,
                               lambda k, j: (j[0] - k[0], j[1] - k[1]))
     assert nonempty(pair.dH_parts) == want
     assert set(pair.dH_parts) == set(BIDEGREES.values())

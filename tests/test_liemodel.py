@@ -6,7 +6,7 @@ import pytest
 
 from gchodge.courant import GenElem, algebroid_from_basis
 from gchodge.errors import (JacobiFailure, NotClosedUnderBracket, NotIsotropic,
-                            TwistNotClosed)
+                            StructureNotReal, TwistNotClosed)
 from gchodge.forms import Form, popcount
 from gchodge.liemodel import LieModel, _mask_indices, _masks_of_degree
 from gchodge.scalars import I, ONE, QI
@@ -44,6 +44,17 @@ def test_validate_jacobi_failure():
     assert rep.jacobi_failures and rep.jacobi_failures[0][0] == 4
     with pytest.raises(JacobiFailure):
         rep.raise_on_failure()
+
+def test_non_real_structure_constants_are_rejected():
+    # d e4 = i e1^e2 names no real Lie algebra, so the model is refused
+    # where it is built, as a non-real twist is
+    with pytest.raises(StructureNotReal, match="d e4") as err:
+        LieModel(4, [(4, 1, 2, I)])
+    assert err.value.code == "structure-constants-not-real"
+    assert err.value.details == {"entries": [(4, 1, 2)]}
+    with pytest.raises(StructureNotReal):
+        LieModel(4, [(4, 1, 2, 1), (3, 1, 2, QI(1, 2))])
+    assert LieModel(4, [(4, 1, 2, QI(-3, 0))]).structure[0][3] == QI(-3)
 
 def test_validate_twist_not_closed():
     # non-unimodular d e2 = e12 makes d(e234) = e1234 nonzero

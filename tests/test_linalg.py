@@ -6,9 +6,30 @@ import pytest
 
 from gchodge.errors import DimensionMismatch
 from gchodge.linalg import (Echelon, QuotientSpace, Subspace, mat_det,
-                            mat_identity, mat_inv, mat_mul, matrix_kernel,
-                            solve_columns, vec_axpy, vec_scale)
+                            mat_inv, mat_mul, matrix_kernel, solve_columns,
+                            vec_axpy, vec_scale)
 from gchodge.scalars import I, QI
+
+
+# helpers that only the tests use
+
+def mat_identity(n):
+    return [[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
+
+
+def contains_subspace(big, small):
+    ech = big.echelon()
+    return all(ech.contains(w) for w in small.basis())
+
+
+def quotient_reps(big, sub):
+    """Canonical representatives of big/sub (sub must lie in big): the rows
+    that big's basis adds to sub's echelon."""
+    ech = sub.echelon()
+    sub_pivots = {p for p, _row, _c in ech.rows}
+    for w in big.basis():
+        ech.insert(w)
+    return [row for p, row, _c in ech.rows if p not in sub_pivots]
 
 
 def v(*pairs):
@@ -71,13 +92,13 @@ def test_intersection_modular_law():
         a = Subspace.span(6, [rand_vec(6, rng) for _ in range(2)])
         b = Subspace.span(6, [rand_vec(6, rng) for _ in range(2)])
         m = a.intersect(b)
-        assert a.contains_subspace(m) and b.contains_subspace(m)
+        assert contains_subspace(a, m) and contains_subspace(b, m)
         assert a.sum(b).dim == a.dim + b.dim - m.dim
 
 def test_quotient_reps():
     big = Subspace.span(4, [v((0, 1)), v((1, 1)), v((2, 1))])
     small = Subspace.span(4, [v((0, 1), (1, 1))])
-    reps = big.quotient_reps(small)
+    reps = quotient_reps(big, small)
     assert len(reps) == 2
     q = Subspace.span(4, reps)
     assert big == q.sum(small)
