@@ -553,13 +553,17 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
 # -- strong Lefschetz ----------------------------------------------------------------------
 
 def invariant_derham(m: LieModel, k: int) -> QuotientSpace:
-    """Untwisted invariant de Rham cohomology in degree k."""
-    N = 1 << m.dim
-    d = m.d_table
-    blades_k = [b for b in range(N) if popcount(b) == k]
-    return QuotientSpace.of_map(
-        N, [{b: ONE} for b in blades_k], [d.get(b, {}) for b in blades_k],
-        [d.get(b, {}) for b in range(N) if popcount(b) == k - 1])
+    """Untwisted invariant de Rham cohomology in degree k, built once per
+    degree and kept on the model (models are immutable)."""
+    kept = vars(m).setdefault("_invariant_derham", {})
+    if k not in kept:
+        N = 1 << m.dim
+        d = m.d_table
+        blades_k = [b for b in range(N) if popcount(b) == k]
+        kept[k] = QuotientSpace.of_map(
+            N, [{b: ONE} for b in blades_k], [d.get(b, {}) for b in blades_k],
+            [d.get(b, {}) for b in range(N) if popcount(b) == k - 1])
+    return kept[k]
 
 
 @dataclass

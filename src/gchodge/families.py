@@ -65,6 +65,7 @@ class FamilySpec:
             PolyForm(model.dim, nvars) if kind == "symplectic" else None)
         self.It = It
         self._cache: dict[tuple, GCStruct] = {}
+        self._ks: dict[int, KSReport] = {}   # ks_class by direction
 
     # -- evaluation ---------------------------------------------------------
 
@@ -312,6 +313,10 @@ class KSReport:
 
 
 def ks_class(f: FamilySpec, direction: int) -> KSReport:
+    """The generalized Kodaira-Spencer class of the family in one direction
+    at the basepoint, computed once per direction and kept on the family."""
+    if direction in f._ks:
+        return f._ks[direction]
     base = f.base_structure()
     A, B, lbasis = _frame_graph_blocks(f)
     rank = len(lbasis)
@@ -350,8 +355,9 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
     ok = all(
         Jd[i][j] == two_i * E[i][j] - two_i * E[i][j].conj()
         for i in range(dim2) for j in range(dim2))
-    return KSReport(direction, eps, cochain, closed, coords or {},
-                    not coords, ok, h2)
+    f._ks[direction] = KSReport(direction, eps, cochain, closed, coords or {},
+                                not coords, ok, h2)
+    return f._ks[direction]
 
 
 # -- Gauss-Manin derivative and Q-flatness ----------------------------------------------
@@ -470,7 +476,7 @@ def symp_filtration_check(f: FamilySpec, p: int) -> SympFiltrationReport:
     if f.kind != "symplectic":
         raise WrongType("filtration tracking requires a symplectic family")
     base = f.base_structure()
-    if not lefschetz_check(base).ok:
+    if not once_per_structure(base, lefschetz_check).ok:
         return SympFiltrationReport("strong Lefschetz fails at basepoint", {})
     m = f.model
     n = base.n

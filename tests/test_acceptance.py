@@ -35,7 +35,8 @@ from gchodge.scalars import I, ONE, QI
 
 import random
 
-from test_courant import cov_form, random_gen_elem, random_real_form
+from test_courant import (cov_form, failed_checks, random_gen_elem,
+                          random_real_form, tabulate)
 from test_families import poly_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -93,11 +94,15 @@ def test_criterion_01_courant_axioms_and_faults():
             cov[mask.bit_length() - 1] = cov[mask.bit_length() - 1] + v
         return GenElem(m.dim, list(good.vec), cov)
 
-    def drop_twist(m, a, b):
-        return dorfman(LieModel(m.dim, m.structure), a, b)
+    def drop_twist(m):
+        return LieModel(m.dim, m.structure).dorfman_table
 
-    fault1 = not courant_axiom_suite(KT, bracket=drop_dxi).ok
-    fault2 = not courant_axiom_suite(KT_TW, bracket=drop_twist).ok
+    fault1 = failed_checks(courant_axiom_suite(
+        KT, table_of=lambda m: tabulate(m, drop_dxi))) == {
+        "C4": "a=(1) x1; b=(1) e4; sum=(1) e2",
+        "B-shift": "B=e1^e4; a=(1) x1; b=(1) x1"}
+    fault2 = failed_checks(courant_axiom_suite(KT_TW, table_of=drop_twist)) == {
+        "B-shift": "B=e3^e4; a=(1) x1; b=(1) x2"}
     verdict(1, ok and fault1 and fault2,
             "C1/C2/C4/C5 pass on 6 models over a basis; "
             "injected bracket faults detected")

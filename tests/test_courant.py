@@ -4,7 +4,7 @@ bracket and Clifford tables against the Form-level formulas they replace."""
 import random
 
 from gchodge import courant
-from gchodge.courant import (GenElem, _bracket_coords, _generator_tables,
+from gchodge.courant import (GenElem, _coords_repr, _generator_tables,
                              b_shift, b_shift_form, clifford_act,
                              courant_axiom_suite, dorfman, pairing)
 from gchodge.forms import Form, insert_sign
@@ -29,6 +29,26 @@ def cov_form(a: GenElem) -> Form:
 def first_failure(rep):
     """(name, witness) of the first failing check of an axiom report."""
     return next(((n, w) for n, ok, w in rep.checks if not ok), None)
+
+
+def failed_checks(rep):
+    """{first word of the check name: witness} over the failing checks."""
+    return {n.split()[0]: w for n, ok, w in rep.checks if not ok}
+
+
+def tabulate(m, bracket):
+    """A GenElem-level bracket's structure constants on the coordinate basis,
+    in the layout of `LieModel.dorfman_table` ([p][q] = coords of [b_p, b_q],
+    zero entries and rows omitted), as the axiom suite built them before it
+    took tables: the `table_of` seam for brackets written on elements."""
+    basis = basis_elems(m.dim)
+    table = {}
+    for p, a in enumerate(basis):
+        row = {q: col for q, b in enumerate(basis)
+               if (col := bracket(m, a, b).to_coords())}
+        if row:
+            table[p] = row
+    return table
 
 
 # seeded random elements for the identity tests; the engine samples nothing
@@ -124,21 +144,18 @@ def test_axiom_suite_detects_term_drop():
             i = mask.bit_length() - 1
             cov[i] = cov[i] + v
         return GenElem(m.dim, list(good.vec), cov)
-    rep = courant_axiom_suite(KT, bracket=corrupted)
-    assert not rep.ok
-    failed = {n for n, ok, _ in rep.checks if not ok}
-    assert any("C1" in n or "C4" in n or "C5" in n for n in failed)
+    failed = failed_checks(courant_axiom_suite(
+        KT, table_of=lambda m: tabulate(m, corrupted)))
+    assert failed == {"C4": "a=(1) x1; b=(1) e4; sum=(1) e2",
+                      "B-shift": "B=e1^e4; a=(1) x1; b=(1) x1"}
 
 def test_axiom_suite_detects_twist_drop():
     # dropping i_X i_Y H yields the untwisted Courant algebroid, which passes
     # C1-C5; only the B-shift conjugation check sees the missing twist term.
-    def untwisted(m, a, b):
-        bare = LieModel(m.dim, m.structure)
-        return dorfman(bare, a, b)
-    rep = courant_axiom_suite(KT_TW, bracket=untwisted)
-    assert not rep.ok
-    failed = {n for n, ok, _ in rep.checks if not ok}
-    assert any("B-shift" in n for n in failed)
+    def untwisted(m):
+        return LieModel(m.dim, m.structure).dorfman_table
+    failed = failed_checks(courant_axiom_suite(KT_TW, table_of=untwisted))
+    assert failed == {"B-shift": "B=e3^e4; a=(1) x1; b=(1) x2"}
 
 
 # -- the tables against the Form-level formulas they replace ---------------------
@@ -226,17 +243,12 @@ KT8 = parse_model(SCALE8["kt8"]).model(name="kt8")
 
 
 def sign_flipped(p, q, k):
-    """The table bracket with entry k of [basis p, basis q] negated."""
-    def bracket(m, a, b):
+    """The Dorfman table with entry k of [basis p, basis q] negated."""
+    def table_of(m):
         table = {r: dict(row) for r, row in m.dorfman_table.items()}
         table[p][q] = {**table[p][q], k: -table[p][q][k]}
-        return GenElem.from_coords(
-            m.dim, _bracket_coords(table, a.to_coords(), b.to_coords()))
-    return bracket
-
-
-def failed_checks(rep):
-    return {n.split()[0]: w for n, ok, w in rep.checks if not ok}
+        return table
+    return table_of
 
 
 def test_exact_suite_passes_on_every_differential_model():
@@ -248,20 +260,20 @@ def test_exact_suite_passes_on_every_differential_model():
 
 def test_suite_catches_wrong_sign_in_one_vector_entry():
     # [x1, x2] = -x5 turned into +x5, while [x2, x1] stays +x5
-    failed = failed_checks(courant_axiom_suite(NIL6, bracket=sign_flipped(0, 1, 4)))
-    assert set(failed) == {"C1", "C2", "C4", "C5", "B-shift"}
-    assert failed["C1"] == "a=(1) x1; b=(1) x2; c=(1) x1"
-    assert failed["C2"] == "a=(1) x1; b=(1) x2"
-    assert failed["C4"] == "a=(1) x1; b=(1) x2; sum=(2) x5"
+    failed = failed_checks(courant_axiom_suite(NIL6, table_of=sign_flipped(0, 1, 4)))
+    assert failed == {"C1": "a=(1) x1; b=(1) x2; c=(1) x1",
+                      "C2": "a=(1) x1; b=(1) x2",
+                      "C4": "a=(1) x1; b=(1) x2; sum=(2) x5",
+                      "C5": "a=(1) x1; b=(1) x2; c=(1) e5; value=1",
+                      "B-shift": "B=e1^e5; a=(1) x1; b=(1) x2"}
 
 
 def test_suite_catches_wrong_sign_in_one_twist_entry():
     # [x2, x3] = i_{x2} i_{x3} e234 = e4 turned into -e4: skew and pairing
     # invariance break, Jacobi and the anchor do not see it
-    failed = failed_checks(courant_axiom_suite(NIL6, bracket=sign_flipped(1, 2, 9)))
-    assert set(failed) == {"C4", "C5"}
-    assert failed["C4"] == "a=(1) x2; b=(1) x3; sum=(2) e4"
-    assert failed["C5"].startswith("a=(1) x2; b=(1) x3; c=(1) x4; value=")
+    failed = failed_checks(courant_axiom_suite(NIL6, table_of=sign_flipped(1, 2, 9)))
+    assert failed == {"C4": "a=(1) x2; b=(1) x3; sum=(2) e4",
+                      "C5": "a=(1) x2; b=(1) x3; c=(1) x4; value=1"}
 
 
 def test_suite_catches_generator_table_wrong_on_one_blade(monkeypatch):
@@ -282,8 +294,28 @@ def test_suite_catches_generator_table_wrong_on_one_blade(monkeypatch):
 def test_suite_catches_missing_dB_term():
     # the bracket of the base twist on every model: right on the model itself,
     # but it drops i_X i_Y dB on each B-shifted one
-    def base_twist(m, a, b):
-        return dorfman(LieModel(m.dim, m.structure, NIL6.H), a, b)
-    failed = failed_checks(courant_axiom_suite(NIL6, bracket=base_twist))
-    assert set(failed) == {"B-shift"}
-    assert failed["B-shift"] == "B=e2^e6; a=(1) x1; b=(1) x2"
+    def base_twist(m):
+        return LieModel(m.dim, m.structure, NIL6.H).dorfman_table
+    failed = failed_checks(courant_axiom_suite(NIL6, table_of=base_twist))
+    assert failed == {"B-shift": "B=e2^e6; a=(1) x1; b=(1) x2"}
+
+
+def test_passing_suite_builds_no_gen_elem(monkeypatch):
+    # the suite reads bracket tables only; its witnesses name basis elements
+    # by index, exactly as the GenElem reprs did
+    built = []
+    init = GenElem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GenElem, "__init__", counting_init)
+    for m in (KT_TW, KT8):
+        rep = courant_axiom_suite(m)
+        assert rep.ok, first_failure(rep)
+        assert built == [], m
+    monkeypatch.undo()
+    for dim in (4, 8):
+        for p, a in enumerate(basis_elems(dim)):
+            assert _coords_repr(dim, {p: ONE}) == repr(a)

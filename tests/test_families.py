@@ -1,7 +1,9 @@
 """Families: validation, graphs, KS classes, Gauss-Manin, transversality."""
 
 import copy
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -609,3 +611,38 @@ def test_param_poly_is_a_ring_element():
     assert not ParamPoly(2) and p
     assert QI(0) + p == p and p + QI(0) == p
     assert ONE + p == p + ONE == ParamPoly(2, {(0, 1): ONE, (0, 0): QI(2, 1)})
+
+
+def test_family_command_computes_each_shared_result_once(monkeypatch):
+    # `family corpus --all` asks for the same KS classes, de Rham groups and
+    # Lefschetz verdicts from several checks: each is computed once
+    from gchodge import cli, cohomology, families
+    calls = {"ks": [], "derham": [], "lefschetz": []}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+        return wrapper
+
+    ks = recording("ks", families.ks_class)
+    derham = recording("derham", cohomology.invariant_derham)
+    monkeypatch.setattr(families, "ks_class", ks)
+    monkeypatch.setattr(cli, "ks_class", ks)
+    monkeypatch.setattr(families, "invariant_derham", derham)
+    monkeypatch.setattr(cohomology, "invariant_derham", derham)
+    monkeypatch.setattr(families, "lefschetz_check",
+                        recording("lefschetz", cohomology.lefschetz_check))
+    with redirect_stdout(io.StringIO()):
+        cli.main(["family", str(CORPUS), "--all", "--json"])
+
+    def computed(name):
+        """(distinct arguments, distinct result objects) over the calls."""
+        return (len({args for args, _out in calls[name]}),
+                len({id(out) for _args, out in calls[name]}))
+
+    assert computed("ks") == (9, 9)
+    assert computed("derham") == (20, 20)
+    # once_per_structure keeps the verdict: the check itself runs once each
+    assert len(calls["lefschetz"]) == computed("lefschetz")[0] == 5
