@@ -84,9 +84,7 @@ def cmd_check(mf, model, report, args):
             resid_ok = set(s.dH_parts) <= {-1, 1}
             report.add(f"structure {b.name} ({b.kind})",
                        _verdict(resid_ok),
-                       [f"parity {s.parity}",
-                        "spinor present" if s.spinor is not None
-                        else "no invariant spinor",
+                       [f"parity {s.parity}", "spinor present",
                         f"d_H = del + delbar residual zero: {resid_ok}"])
 
 
@@ -110,8 +108,7 @@ def cmd_grading(mf, model, report, args):
         details = [f"parity {s.parity}",
                    "U dims: " + ", ".join(
                        f"{k}:{d}" for k, d in sorted(s.U_dims.items())),
-                   f"spinor: {s.spinor!r}" if s.spinor is not None
-                   else "spinor: none"]
+                   f"spinor: {s.spinor!r}"]
         ok = sum(s.U_dims.values()) == 1 << model.dim
         if s.kind == "symplectic":
             c = _measure_wedge_constant(s)
@@ -276,10 +273,6 @@ def cmd_gcy(mf, model, report, args):
     from .errors import SpinorNotClosed
     model.require_valid()
     for b, s in _structures(mf, model, report):
-        if s.spinor is None:
-            report.add(f"gcy check for {b.name}", "skipped",
-                       ["no invariant spinor"])
-            continue
         try:
             rep = gcy_check(s)
             ok = (rep.spinor_closed and rep.iso_ok and rep.period_injective

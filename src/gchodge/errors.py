@@ -111,10 +111,6 @@ class SpinorNotClosed(EngineError):
     code = "spinor-not-closed"
 
 
-class NoInvariantSpinor(EngineError):
-    code = "no-invariant-spinor"
-
-
 class ModelSyntaxError(EngineError):
     code = "syntax-error"
 

@@ -24,8 +24,7 @@ from .cohomology import (_preimage_in, chain_subspace, closed_classes,
                          twisted_cohomology)
 from .courant import GenElem, pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
-                     NoInvariantSpinor, NotClosed, SectionNotClosed,
-                     SpinorNotClosed, WrongType)
+                     NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
 from .forms import Form, mukai_dual, popcount, spin_apply
 from .gcs import (GCStruct, Half, _combine, _powers, _projector_plan,
                   _spinorial_N, flat_matrix, form_of_vec, make_complex,
@@ -530,8 +529,6 @@ def gcy_check(s: GCStruct) -> GCYReport:
     a -> a.rho is a chain map (wedge L*, d_L) -> (U, delbar), checked on
     every cochain mask, and it maps H^2(L) isomorphically onto
     H^(2-n)_delbar."""
-    if s.spinor is None:
-        raise NoInvariantSpinor("no invariant pure spinor for this structure")
     rho = s.spinor
     if not s.model.d_H(rho).is_zero():
         raise SpinorNotClosed("pure spinor is not d_H-closed")

@@ -10,6 +10,12 @@ forced spectrum {-in, ..., in}.  N preserves form parity, so a blade of
 degree d has parts only in the U_k with k = d - n - parity (mod 2): each
 blade is projected with the n + 1 or n nodes of its own parity class, and
 N must satisfy that class's minimal polynomial on it.
+
+J is real (and so are H and the structure constants), so N is real and
+complex conjugation maps U_k onto U_{-k}: a blade's part in U_{-k} is the
+conjugate of its part in U_k, and U_{-k} = conj U_k, so only k >= 0 is
+computed.  The pure spinor is the basis vector of the line U_{-n}, checked
+to be annihilated by every element of L's basis.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      TwistWrongType, WrongType)
 from .forms import Form, SpinOp, popcount, spin_apply
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
-from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, kernel_lift,
-                     mat_inv, mat_mul, matrix_kernel, vec_scale)
+from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, mat_inv,
+                     mat_mul, matrix_kernel, vec_conj, vec_scale)
 from .scalars import I, ONE, QI
 
 Half = QI(Fraction(1, 2))
@@ -156,7 +162,9 @@ def _combine(coeffs, vecs: list[Vec]) -> Vec:
 def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
     """The nonzero parts {k: Vec} of a blade in the U_k of one parity class.
     N must satisfy the class's minimal polynomial on the blade, or its
-    spectrum there leaves the class and the projections would be wrong."""
+    spectrum there leaves the class and the projections would be wrong.
+    N is real and the nodes are symmetric, so the Lagrange rows are combined
+    for k >= 0 only and part_{-k} = conj(part_k)."""
     ks, minpoly, vand_inv = plan
     powers = _powers(N, {mask: ONE}, len(ks))
     if _combine(minpoly, powers):
@@ -164,10 +172,12 @@ def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
             "spinorial operator violates the forced spectrum of the parity "
             f"class {{{', '.join(f'{-k}i' for k in ks)}}} on blade {mask}",
             blade=mask)
+    upper = {k: _combine(row, powers)
+             for k, row in zip(ks, vand_inv) if k >= 0}
     parts: dict[int, Vec] = {}
     total: Vec = {}
-    for k, row in zip(ks, vand_inv):
-        comp = _combine(row, powers)
+    for k in ks:
+        comp = upper[k] if k >= 0 else vec_conj(upper[-k])
         if comp:
             parts[k] = comp
             _axpy_into(total, ONE, comp)
@@ -216,15 +226,18 @@ class GCStruct:
         # gives both the spectrum check and the blade's graded parts
         plans = [_projector_plan(n, c) for c in (0, 1)]
         self._blade_parts: dict[int, dict[int, Vec]] = {}
-        ks = range(-n, n + 1)
-        u_vecs: dict[int, list[Vec]] = {k: [] for k in ks}
+        u_vecs: dict[int, list[Vec]] = {k: [] for k in range(n + 1)}
         for mask in range(1 << dim):
             parts = _project_blade(
                 self.N, mask, plans[(popcount(mask) - n - self.parity) % 2])
             for k, comp in parts.items():
-                u_vecs[k].append(comp)
+                if k >= 0:
+                    u_vecs[k].append(comp)
             self._blade_parts[mask] = parts
-        self.U = {k: Subspace.span(1 << dim, u_vecs[k]) for k in ks}
+        # N is real, so U_{-k} = conj U_k
+        upper = {k: Subspace.span(1 << dim, vecs) for k, vecs in u_vecs.items()}
+        ks = range(-n, n + 1)
+        self.U = {k: upper[k] if k >= 0 else upper[-k].conj() for k in ks}
         self.U_dims = {k: self.U[k].dim for k in ks}
 
         # pairing-normalized dual basis of L inside conj(L): <lam^a, l_b> = delta/2
@@ -270,20 +283,15 @@ class GCStruct:
     # -- spinor -----------------------------------------------------------------
 
     def _extract_spinor(self):
-        dim = self.model.dim
-        cur: list[Vec] = [{m: ONE} for m in range(1 << dim)]
-        for l in self.L.basis:
-            cols = [_clifford_vec(l, b) for b in cur]
-            cur = kernel_lift(cols, cur)
-            if not cur:
-                break
-        self.canonical_dim = len(cur)
-        if len(cur) == 1:
-            v = cur[0]
-            lead = min(v, key=lambda m: (popcount(m), m))
-            self.spinor = form_of_vec(dim, vec_scale(v, v[lead].inv()))
-        else:
-            self.spinor = None
+        """The pure spinor spans U_{-n}; it is normalised to 1 at its first
+        blade of lowest degree."""
+        line = self.U[-self.n].basis()
+        if len(line) != 1 or any(_clifford_vec(l, line[0])
+                                 for l in self.L.basis):
+            raise EngineError("U_{-n} is not a line annihilated by L")
+        v = line[0]
+        lead = min(v, key=lambda m: (popcount(m), m))
+        self.spinor = form_of_vec(self.model.dim, vec_scale(v, v[lead].inv()))
 
     # -- cochain Clifford action -------------------------------------------------
 

@@ -294,7 +294,9 @@ class Subspace:
             self._basis + other._basis, self._basis + zeros))
 
     def conj(self) -> "Subspace":
-        return Subspace.span(self.ambient, [vec_conj(v) for v in self._basis])
+        """Entrywise conjugation keeps pivots and pivot entries 1 and zeros
+        at the other pivots, so the conjugate basis is already canonical."""
+        return Subspace(self.ambient, [vec_conj(v) for v in self._basis])
 
 
 def matrix_kernel(cols: list[Vec]) -> list[Vec]:

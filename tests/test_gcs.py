@@ -8,16 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from gchodge.courant import GenElem, clifford_act, pairing
+from gchodge.courant import GenElem, _clifford_vec, clifford_act, pairing
 from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, SpectrumViolation, TwistWrongType,
                             WrongType)
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
-from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
+from gchodge.gcs import (GCStruct, Half, _project_blade, _projector_plan,
                          make_complex, make_general, make_symplectic,
                          symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
-from gchodge.linalg import Subspace, mat_inv, vec_axpy
+from gchodge.linalg import (Subspace, kernel_lift, mat_inv, vec_axpy,
+                            vec_conj, vec_scale)
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import I, ONE, QI
 
@@ -75,6 +76,20 @@ def test_make_general_symplectic_spinor():
 def test_make_general_identity_rejected():
     with pytest.raises(NotAlmostComplex):
         make_general(ABELIAN4, mat_identity(8))
+
+def test_make_general_rejects_a_non_real_J():
+    # i Id squares to -1 and is orthogonal, but conj(U_k) = U_{-k}, which
+    # the grading is built on, needs a real J
+    iId = [[I if i == j else QI(0) for j in range(8)] for i in range(8)]
+    with pytest.raises(NotAlmostComplex, match="real"):
+        make_general(ABELIAN4, iId)
+
+def test_spinor_must_be_annihilated_by_L():
+    # U_{-2} of the complex structure is not the pure spinor line of the
+    # symplectic structure's L
+    cx, sp = complex_torus4(), symplectic_torus4()
+    with pytest.raises(EngineError, match="annihilated by L"):
+        GCStruct(ABELIAN4, cx.J, sp.L)
 
 def test_make_symplectic_twisted_kt():
     s = kt_symplectic_twisted()
@@ -314,12 +329,29 @@ def reference_grading(s):
             {k: U[k].dim for k in ks})
 
 
+def reference_spinor(s):
+    """The pure spinor by the former algorithm: the common kernel of the
+    Clifford actions of L's basis, lifted over all 2^dim blades one element
+    at a time, normalised to 1 at its first blade of lowest degree."""
+    cur = [{m: ONE} for m in range(1 << s.model.dim)]
+    for l in s.L.basis:
+        cur = kernel_lift([_clifford_vec(l, b) for b in cur], cur)
+    [v] = cur
+    lead = min(v, key=lambda m: (popcount(m), m))
+    return Form(s.model.dim, vec_scale(v, v[lead].inv()))
+
+
 def assert_grading_matches_reference(name, s):
+    """The grading and the pure spinor against reference_grading and
+    reference_spinor."""
     N, blade_parts, bases, parity, dims = reference_grading(s)
     assert s.N == N, name
     assert s._blade_parts == blade_parts, name
     assert {k: U.basis() for k, U in s.U.items()} == bases, name
+    assert list(s.U) == list(range(-s.n, s.n + 1)), name
+    assert all(list(p) == sorted(p) for p in s._blade_parts.values()), name
     assert (s.parity, s.U_dims) == (parity, dims), name
+    assert s.spinor == reference_spinor(s), name
 
 
 def test_grading_matches_reference_on_corpus():
@@ -328,6 +360,13 @@ def test_grading_matches_reference_on_corpus():
         assert_grading_matches_reference(name, s)
     assert len(built) >= 15
     assert {s.parity for _, s in built} == {0, 1}
+
+
+def test_conj_of_every_corpus_U_k_is_the_span_of_the_conjugates():
+    for name, s in corpus_structures():
+        for k, U in s.U.items():
+            want = Subspace.span(U.ambient, [vec_conj(v) for v in U.basis()])
+            assert U.conj().basis() == want.basis(), (name, k)
 
 
 @pytest.mark.parametrize("name", sorted(SCALE8))
@@ -342,16 +381,19 @@ def test_grading_matches_reference_on_dense_model():
 
 
 def test_blade_outside_its_parity_class_raises_naming_it():
-    # eigenvalue -i on blade 5 and 0 elsewhere: k = 1 lies outside the class
-    # {-2, 0, 2} of n = 2, cls = 0
+    # a real rotation of blades 5 and 6, with eigenvalues -i and i (k = 1 and
+    # -1), and 0 elsewhere: both lie outside the class {-2, 0, 2} of n = 2,
+    # cls = 0
     plan = _projector_plan(2, 0)
-    N = {5: {5: QI(0, -1)}}
+    N = {5: {6: ONE}, 6: {5: -ONE}}
     assert _project_blade(N, 3, plan) == {0: {3: ONE}}
     with pytest.raises(SpectrumViolation, match=r"on blade 5\b") as exc:
         _project_blade(N, 5, plan)
     assert exc.value.details == {"blade": 5}
-    # the same eigenvalue is in range for the other class
-    assert _project_blade(N, 5, _projector_plan(2, 1)) == {1: {5: ONE}}
+    # the same eigenvalues are in range for the other class: blade 5 is half
+    # the -i eigenvector 5 + i 6 plus half its conjugate
+    assert _project_blade(N, 5, _projector_plan(2, 1)) == {
+        -1: {5: Half, 6: -Half * I}, 1: {5: Half, 6: Half * I}}
 
 
 def test_dim10_symplectic_torus_grading():
@@ -493,8 +535,6 @@ def test_phi_wrong_type():
 def test_cliff_table_matches_cliff_cochain():
     checked = 0
     for name, s in corpus_structures():
-        if s.spinor is None:
-            continue
         table = s.cliff_table(s.spinor)
         assert sorted(table) == list(range(1 << s.L.rank)), name
         for mask, col in table.items():

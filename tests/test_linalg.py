@@ -7,7 +7,7 @@ import pytest
 from gchodge.errors import DimensionMismatch
 from gchodge.linalg import (Echelon, QuotientSpace, Subspace, mat_det,
                             mat_inv, mat_mul, matrix_kernel, solve_columns,
-                            vec_axpy, vec_scale)
+                            vec_axpy, vec_conj, vec_scale)
 from gchodge.scalars import I, QI
 
 
@@ -129,6 +129,18 @@ def test_quotient_space_coords():
 def test_conj_subspace():
     a = Subspace.span(4, [v((0, I), (1, 1))])
     assert a.conj() == Subspace.span(4, [v((0, -I), (1, 1))])
+    # complex entries off the pivots survive the full reduction, so conj()
+    # must agree with a fresh echelonization of the conjugated vectors
+    vecs = [v((0, QI(1, 2)), (2, QI(3, -1)), (3, I)),
+            v((1, QI(0, 2)), (2, QI(1, 1)), (4, QI(-1, 5))),
+            v((0, 1), (1, 1), (3, QI(2, 1)), (4, 7))]
+    b = Subspace.span(5, vecs)
+    assert b.dim == 3
+    assert any(not x.is_real() for w in b.basis() for k, x in w.items()
+               if k != min(w))
+    want = Subspace.span(5, [vec_conj(w) for w in vecs])
+    assert b.conj().basis() == want.basis()
+    assert b.conj().conj() == b
 
 def test_dense_inverse():
     rng = random.Random(2)
