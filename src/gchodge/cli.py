@@ -119,7 +119,7 @@ def cmd_grading(mf, model, report, args):
 def _measure_wedge_constant(s):
     """The section-5.1-style constant in psi^{-1}(xi) phi(a) = c phi(xi ^ a)."""
     from .gcs import flat_matrix, symp_phi
-    from .courant import GenElem, clifford_act
+    from .courant import clifford_act
     from .linalg import mat_inv
     m = s.model
     dim = m.dim
@@ -129,14 +129,15 @@ def _measure_wedge_constant(s):
     for xi in range(1, dim + 1):
         # Y with i_Y omega = -i xi  =>  psi^{-1}(xi) = Y + i sigma(Y)
         ycoords = [Winv[r][xi - 1] * QI(0, -1) for r in range(dim)]
-        Y = GenElem(dim, ycoords, None)
         sigY = Form(dim)
         for i, c in enumerate(ycoords):
             if c:
                 sigY = sigY + sigma.contract_index(i + 1).scale(c)
-        elem = Y + GenElem(dim, None,
-                           [sigY.coeffs.get(1 << k, QI(0)) for k in range(dim)]
-                           ).scale(QI(0, 1))
+        elem = {r: c for r, c in enumerate(ycoords) if c}
+        for k in range(dim):
+            c = sigY.coeffs.get(1 << k)
+            if c:
+                elem[dim + k] = c * QI(0, 1)
         for mask in (0, 1, (1 << dim) - 2):
             a = Form(dim, {mask: QI(1)})
             lhs = clifford_act(elem, symp_phi(s, a))
@@ -349,10 +350,7 @@ def cmd_gk(mf, model, report, args):
                    [f"J1: {dd1.holds}, J2: {dd2.holds}"])
         try:
             sp1 = algebroid_split_check(pair.s1.L, pair.Lp, pair.Lm)
-            from .courant import algebroid_from_basis
-            Lmc = algebroid_from_basis(
-                model, [x.conj() for x in pair.Lm.basis], name="conj(L1-)")
-            sp2 = algebroid_split_check(pair.s2.L, pair.Lp, Lmc)
+            sp2 = algebroid_split_check(pair.s2.L, pair.Lp, pair.Lm.conj())
             report.add(f"gk algebroid decompositions {b.name}",
                        _verdict(sp1.ok and sp2.ok),
                        sp1.lines() + sp2.lines())
@@ -375,7 +373,7 @@ HANDLERS = {
 
 def _parse_at(spec: str) -> dict[int, QI]:
     """The values of a `t1=r[,t2=s...]` spec by parameter number; raises
-    ModelSyntaxError for a malformed entry."""
+    ModelSyntaxError for a malformed entry or a parameter given twice."""
     from .modelfile import _parse_scalar
     vals = {}
     for part in spec.split(","):
@@ -383,7 +381,10 @@ def _parse_at(spec: str) -> dict[int, QI]:
         key = key.strip()
         if not (eq and key[:1] == "t" and key[1:].isdigit()):
             raise ModelSyntaxError(f"bad --at entry {part!r}")
-        vals[int(key[1:])] = _parse_scalar(v.strip(), None)
+        j = int(key[1:])
+        if j in vals:
+            raise ModelSyntaxError(f"--at gives t{j} more than once")
+        vals[j] = _parse_scalar(v.strip(), None)
     return vals
 
 
@@ -430,6 +431,9 @@ def main(argv=None) -> int:
     target = Path(args.target)
     try:
         args.at_values = _parse_at(args.at) if args.at else {}
+        if args.at and args.command != "family":
+            raise ModelSyntaxError(
+                f"--at applies to the family command only, not {args.command}")
     except ModelSyntaxError as e:
         report = Report(args.command, target.name)
         report.add("parse input", "fail", [f"{e.code}: {e}"])

@@ -1,11 +1,15 @@
 """The generalized tangent space E_C = g + g*: pairing, H-twisted Dorfman
 bracket on invariant sections, B-shifts, Clifford action, and the axiom suite.
 
-Both operators are tables on the coordinate basis x_1..x_dim, e^1..e^dim of
-E_C.  The bracket is the bilinear extension of `LieModel.dorfman_table`, one
-structure-constant vector per pair of basis elements; the Clifford action is
-sum_c a_c gamma_c over per-dim generator tables, each sending a blade to at
-most one signed blade.
+An element of E_C is a sparse coordinate vector {index: QI} on the basis
+x_1..x_dim, e^1..e^dim, in the layout of `LieModel.dorfman_table`: x_i at
+index i-1 and e^i at index dim+i-1.  Each public function raises
+DimensionMismatch on a coordinate outside range(2*dim).
+
+Both operators are tables on this basis.  The bracket is the bilinear
+extension of `LieModel.dorfman_table`, one structure-constant vector per pair
+of basis elements; the Clifford action is sum_c a_c gamma_c over per-dim
+generator tables, each sending a blade to at most one signed blade.
 
 On invariant sections the Lie derivative collapses to L_X eta = i_X d eta and
 d of a constant vanishes, so C3 trivializes and C4/C5 take their homogeneous
@@ -16,8 +20,7 @@ which proves it for all invariant sections: nothing is sampled.
 The suite takes the bracket as a table: `table_of(model)` gives the
 structure constants (by default `model.dorfman_table`), and the B-shift check
 compares e^B of each table entry with the entry of the shifted pair in the
-table of the shifted twist H + dB, all as sparse coordinate vectors.  A
-passing suite builds no GenElem; witnesses name basis elements by index.
+table of the shifted twist H + dB.  Witnesses name basis elements by index.
 """
 
 from __future__ import annotations
@@ -32,117 +35,38 @@ from .linalg import Echelon, Vec, _acc, _axpy_into, vec_add
 from .scalars import ONE, QI, ZERO
 
 
-class GenElem:
-    """X + xi in E_C, with 0-based coefficient tuples over x_i and e^i."""
-
-    __slots__ = ("dim", "vec", "cov")
-
-    def __init__(self, dim: int, vec=None, cov=None):
-        self.dim = dim
-        self.vec = tuple(self._co(vec, dim))
-        self.cov = tuple(self._co(cov, dim))
-
-    @staticmethod
-    def _co(x, dim):
-        if x is None:
-            return [QI(0)] * dim
-        out = [v if isinstance(v, QI) else QI(v) for v in x]
-        if len(out) != dim:
-            raise DimensionMismatch(f"expected {dim} coefficients, got {len(out)}")
-        return out
-
-    @classmethod
-    def x(cls, dim: int, i: int, coeff=1) -> "GenElem":
-        v = [QI(0)] * dim
-        v[i - 1] = QI(coeff) if not isinstance(coeff, QI) else coeff
-        return cls(dim, v, None)
-
-    @classmethod
-    def e(cls, dim: int, i: int, coeff=1) -> "GenElem":
-        v = [QI(0)] * dim
-        v[i - 1] = QI(coeff) if not isinstance(coeff, QI) else coeff
-        return cls(dim, None, v)
-
-    def __add__(self, other: "GenElem") -> "GenElem":
-        return GenElem(self.dim, [a + b for a, b in zip(self.vec, other.vec)],
-                       [a + b for a, b in zip(self.cov, other.cov)])
-
-    def __sub__(self, other: "GenElem") -> "GenElem":
-        return GenElem(self.dim, [a - b for a, b in zip(self.vec, other.vec)],
-                       [a - b for a, b in zip(self.cov, other.cov)])
-
-    def __neg__(self) -> "GenElem":
-        return GenElem(self.dim, [-a for a in self.vec], [-a for a in self.cov])
-
-    def scale(self, z) -> "GenElem":
-        z = z if isinstance(z, QI) else QI(z)
-        return GenElem(self.dim, [a * z for a in self.vec], [a * z for a in self.cov])
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def conj(self) -> "GenElem":
-        return GenElem(self.dim, [a.conj() for a in self.vec],
-                       [a.conj() for a in self.cov])
-
-    def is_zero(self) -> bool:
-        return not any(self.vec) and not any(self.cov)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenElem):
-            return NotImplemented
-        return (self.dim, self.vec, self.cov) == (other.dim, other.vec, other.cov)
-
-    def __hash__(self):
-        return hash((self.dim, self.vec, self.cov))
-
-    def to_coords(self) -> dict[int, QI]:
-        """Sparse coordinates in E_C: 0..2n-1 tangent, 2n..4n-1 cotangent."""
-        out = {}
-        for i, c in enumerate(self.vec):
-            if c:
-                out[i] = c
-        for i, c in enumerate(self.cov):
-            if c:
-                out[self.dim + i] = c
-        return out
-
-    @classmethod
-    def from_coords(cls, dim: int, coords: dict[int, QI]) -> "GenElem":
-        v = [QI(0)] * dim
-        c = [QI(0)] * dim
-        for k, z in coords.items():
-            if k < dim:
-                v[k] = z
-            else:
-                c[k - dim] = z
-        return cls(dim, v, c)
-
-    def __repr__(self):
-        return _coords_repr(self.dim, self.to_coords())
-
-
 def _coords_repr(dim: int, u: Vec) -> str:
     """The repr of the element of E_C with sparse coordinates u."""
     return " + ".join(f"({u[k]}) {'x' if k < dim else 'e'}{k % dim + 1}"
                       for k in sorted(u)) or "0"
 
 
-def pairing(a: GenElem, b: GenElem) -> QI:
+def _check_coords(dim: int, *vecs: Vec) -> None:
+    """Raise DimensionMismatch unless every coordinate is in range(2*dim)."""
+    n = 2 * dim
+    for u in vecs:
+        for k in u:
+            if not 0 <= k < n:
+                raise DimensionMismatch(
+                    f"coordinate {k} is outside E_C of dim {dim}")
+
+
+def pairing(dim: int, u: Vec, v: Vec) -> QI:
     """<X+xi, Y+eta> = (xi(Y) + eta(X)) / 2."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("pairing of different dims")
-    s = QI(0)
-    for i in range(a.dim):
-        s = s + a.cov[i] * b.vec[i] + b.cov[i] * a.vec[i]
+    _check_coords(dim, u, v)
+    s = ZERO
+    for k, x in u.items():
+        y = v.get(k + dim if k < dim else k - dim)
+        if y is not None:
+            s = s + x * y
     return s / 2
 
 
-def dorfman(m: LieModel, a: GenElem, b: GenElem) -> GenElem:
+def dorfman(m: LieModel, u: Vec, v: Vec) -> Vec:
     """[X+xi, Y+eta]_H = [X,Y] + i_X d eta - i_Y d xi + i_X i_Y H, as the
     bilinear extension of the model's structure-constant table."""
-    return GenElem.from_coords(
-        m.dim, _bracket_coords(m.dorfman_table, a.to_coords(), b.to_coords()))
+    _check_coords(m.dim, u, v)
+    return _bracket_coords(m.dorfman_table, u, v)
 
 
 def _bracket_coords(table: dict, u: Vec, v: Vec) -> Vec:
@@ -159,16 +83,17 @@ def _bracket_coords(table: dict, u: Vec, v: Vec) -> Vec:
     return out
 
 
-def b_shift(B: Form, a: GenElem) -> GenElem:
+def b_shift(B: Form, u: Vec) -> Vec:
     """e^B (X + xi) = X + xi + i_X B."""
     if not B.is_zero() and not B.is_homogeneous(2):
         raise DimensionMismatch("B-shift requires a homogeneous 2-form")
-    ixB = B.contract_vector(a.vec)
-    cov = list(a.cov)
+    dim = B.dim
+    _check_coords(dim, u)
+    out = dict(u)
+    ixB = B.contract_vector([u.get(i, ZERO) for i in range(dim)])
     for mask, v in ixB.coeffs.items():
-        i = mask.bit_length() - 1
-        cov[i] = cov[i] + v
-    return GenElem(a.dim, list(a.vec), cov)
+        _acc(out, dim + mask.bit_length() - 1, v)
+    return out
 
 
 def b_shift_form(B: Form, w: Form) -> Form:
@@ -194,19 +119,16 @@ def _generator_tables(dim: int) -> tuple:
     return tuple(tables)
 
 
-def clifford_act(a: GenElem, w: Form) -> Form:
+def clifford_act(u: Vec, w: Form) -> Form:
     """(X + xi) . w = i_X w + xi ^ w."""
-    if a.dim != w.dim:
-        raise DimensionMismatch("Clifford action dims differ")
-    return Form(w.dim, _clifford_vec(a, w.coeffs))
+    _check_coords(w.dim, u)
+    return Form(w.dim, _clifford_vec(w.dim, u, w.coeffs))
 
 
-def _clifford_vec(a: GenElem, v: Vec) -> Vec:
-    """sum_c a_c gamma_c(v) over the generator tables, blade by blade with
-    x_i before e^i for each i."""
-    gamma = _generator_tables(a.dim)
-    terms = [(gamma[c], z) for i in range(a.dim)
-             for c, z in ((i, a.vec[i]), (a.dim + i, a.cov[i])) if z]
+def _clifford_vec(dim: int, u: Vec, v: Vec) -> Vec:
+    """sum_c u_c gamma_c(v) over the generator tables, blade by blade."""
+    gamma = _generator_tables(dim)
+    terms = [(gamma[c], z) for c, z in u.items()]
     out: Vec = {}
     for mask, x in v.items():
         for g, z in terms:
@@ -222,13 +144,12 @@ def algebroid_from_basis(m: LieModel, basis, name: str = "") -> LieAlgebroid:
     independence, isotropy, and Dorfman closure."""
     from .errors import NotClosedUnderBracket, NotIsotropic
     basis = list(basis)
-    coords = [b.to_coords() for b in basis]
-    ech = Echelon.of_columns(coords)
+    ech = Echelon.of_columns(basis)
     if ech.dim() != len(basis):
         raise DimensionMismatch("algebroid basis is linearly dependent")
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
-            p = pairing(a, basis[j])
+            p = pairing(m.dim, a, basis[j])
             if p:
                 raise NotIsotropic(
                     f"<basis[{i}], basis[{j}]> = {p}", pair=(i, j), value=str(p))
@@ -236,7 +157,7 @@ def algebroid_from_basis(m: LieModel, basis, name: str = "") -> LieAlgebroid:
     table = [[None] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(rank):
-            br = _bracket_coords(m.dorfman_table, coords[i], coords[j])
+            br = _bracket_coords(m.dorfman_table, basis[i], basis[j])
             sol = ech.solve(br)
             if sol is None:
                 br = _coords_repr(m.dim, br)
@@ -300,11 +221,11 @@ def courant_axiom_suite(m: LieModel,
     and the B-shift conjugation identity that pins the bracket to the model
     twist.  The bracket under test is `table_of(model)`, a structure-constant
     table in the layout of `LieModel.dorfman_table`, read for `m` and for each
-    B-shifted model; every check compares sparse coordinate vectors, so a
-    passing suite builds no GenElem.  Each identity is multilinear, so it is
-    checked on all basis pairs or triples (times every blade for the Clifford
-    relation), which proves it for all invariant sections.  A witness names
-    the basis elements of the first failure."""
+    B-shifted model, and every check compares sparse coordinate vectors.
+    Each identity is multilinear, so it is checked on all basis pairs or
+    triples (times every blade for the Clifford relation), which proves it
+    for all invariant sections.  A witness names the basis elements of the
+    first failure."""
     dim = m.dim
     ids = range(2 * dim)
     names = [_coords_repr(dim, {p: ONE}) for p in ids]

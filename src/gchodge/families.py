@@ -22,7 +22,7 @@ from .cohomology import (_preimage_in, chain_subspace, closed_classes,
                          ddbar_check, delbar_cohomology, filtration_subspace,
                          invariant_derham, lefschetz_check, once_per_structure,
                          twisted_cohomology)
-from .courant import GenElem, pairing
+from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
 from .forms import Form, mukai_dual, popcount, spin_apply
@@ -30,12 +30,12 @@ from .gcs import (GCStruct, Half, _combine, _powers, _projector_plan,
                   _spinorial_N, flat_matrix, form_of_vec, make_complex,
                   make_general, make_symplectic)
 from .liemodel import LieModel
-from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, mat_add,
-                     mat_det, mat_inv, mat_mul, mat_vec, solve_columns,
-                     vec_axpy, vec_scale)
+from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, _axpy_into,
+                     mat_add, mat_det, mat_inv, mat_mul, solve_columns,
+                     vec_add, vec_axpy, vec_conj, vec_scale)
 from .poly import (ParamPoly, PolyForm, PolyMatrix, dH_poly, pmat_diff,
                    pmat_eval, pmat_from_qi, pmat_vec)
-from .scalars import I, ONE, QI
+from .scalars import I, ONE, QI, ZERO
 
 
 class FamilySpec:
@@ -166,7 +166,8 @@ def _l_frame(f: FamilySpec):
         Jp = f.J_poly()
         frame = []
         for l in lbasis:
-            coords = [ParamPoly.const(nv, c) for c in list(l.vec) + list(l.cov)]
+            coords = [ParamPoly.const(nv, l.get(k, ZERO))
+                      for k in range(2 * dim)]
             Jl = pmat_vec(Jp, coords)
             u = [(c - Jl_i.scale(I)).scale(Half) for c, Jl_i in zip(coords, Jl)]
             frame.append(u)
@@ -186,7 +187,7 @@ def _l_frame(f: FamilySpec):
     cols = [{k: c for k, c in enumerate(u) if c} for u in raw_at_base]
     frame = []
     for l in lbasis:
-        sol = solve_columns(cols, l.to_coords())
+        sol = solve_columns(cols, l)
         if sol is None:
             raise EngineError("symplectic frame does not span L at basepoint")
         u = [ParamPoly(nv) for _ in range(2 * dim)]
@@ -198,11 +199,11 @@ def _l_frame(f: FamilySpec):
     return frame, lbasis
 
 
-def _frame_matrix(frame: list[GenElem]) -> Matrix:
+def _frame_matrix(dim: int, frame: list[Vec]) -> Matrix:
     """Columns: the frame elements, then their conjugates, in E_C coordinates."""
-    M = [[QI(0)] * (2 * len(frame)) for _ in range(2 * frame[0].dim)]
-    for a, u in enumerate(frame + [u.conj() for u in frame]):
-        for k, c in u.to_coords().items():
+    M = [[QI(0)] * (2 * len(frame)) for _ in range(2 * dim)]
+    for a, u in enumerate(frame + [vec_conj(u) for u in frame]):
+        for k, c in u.items():
             M[k][a] = c
     return M
 
@@ -212,7 +213,7 @@ def _frame_graph_blocks(f: FamilySpec):
     basis.  A(base) = Id, B(base) = 0."""
     frame, lbasis = _l_frame(f)
     rank = len(lbasis)
-    Minv = pmat_from_qi(mat_inv(_frame_matrix(lbasis)), f.nvars)
+    Minv = pmat_from_qi(mat_inv(_frame_matrix(f.model.dim, lbasis)), f.nvars)
     A = [[None] * rank for _ in range(rank)]
     B = [[None] * rank for _ in range(rank)]
     for a, u in enumerate(frame):
@@ -237,26 +238,26 @@ class GraphReport:
                 f"{'round-trip ok' if self.roundtrip_ok else 'ROUND-TRIP FAILED'}"]
 
 
-def _eps_map(eps: Matrix, lbar: list[GenElem]):
+def _eps_map(eps: Matrix, lbar: list[Vec]):
     """b -> eps(l_b) = sum_a eps[a][b] conj(l_a), given lbar = conj(l)."""
-    def eps_apply(b: int) -> GenElem:
-        out = GenElem(lbar[b].dim)
+    def eps_apply(b: int) -> Vec:
+        out: Vec = {}
         for a, lb in enumerate(lbar):
             if eps[a][b]:
-                out = out + lb.scale(eps[a][b])
+                _axpy_into(out, eps[a][b], lb)
         return out
     return eps_apply
 
 
-def _eps_cochain(lbasis, eps_apply) -> dict[int, QI]:
+def _eps_cochain(dim: int, lbasis, eps_apply) -> dict[int, QI]:
     """Cochain eps(a, b) = <l_a, eps(l_b)>, the sign pinned so the symplectic
     scaling family yields the class i*mu/2."""
     rank = len(lbasis)
     out: dict[int, QI] = {}
     for a in range(rank):
         for b in range(a + 1, rank):
-            val = pairing(lbasis[a], eps_apply(b))
-            back = pairing(lbasis[b], eps_apply(a))
+            val = pairing(dim, lbasis[a], eps_apply(b))
+            back = pairing(dim, lbasis[b], eps_apply(a))
             if back != -val:
                 raise EngineError("deformation graph is not isotropic-skew")
             if val:
@@ -275,11 +276,13 @@ def graph_epsilon(f: FamilySpec, pt) -> GraphReport:
         raise GraphConditionFailed(
             f"L_t meets conj(L_0) at t={pt}: graph condition fails", point=pt)
     eps = mat_mul(Be, mat_inv(Ae))
-    eps_apply = _eps_map(eps, [l.conj() for l in lbasis])
-    cochain = _eps_cochain(lbasis, eps_apply)
+    dim = f.model.dim
+    eps_apply = _eps_map(eps, [vec_conj(l) for l in lbasis])
+    cochain = _eps_cochain(dim, lbasis, eps_apply)
     # round-trip: reassemble J from the graph and compare with J(t)
-    dim2 = 2 * f.model.dim
-    M2 = _frame_matrix([l + eps_apply(a) for a, l in enumerate(lbasis)])
+    dim2 = 2 * dim
+    M2 = _frame_matrix(dim, [vec_add(l, eps_apply(a))
+                             for a, l in enumerate(lbasis)])
     if not mat_det(M2):
         raise GraphConditionFailed("deformed eigenbundle is degenerate", point=pt)
     D = [[QI(0)] * dim2 for _ in range(dim2)]
@@ -327,8 +330,9 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
         raise EngineError("frame is not normalized at the basepoint")
     eps = [[B[i][j].diff(direction).eval(pt) for j in range(rank)]
            for i in range(rank)]
-    eps_apply = _eps_map(eps, [l.conj() for l in lbasis])
-    cochain = _eps_cochain(lbasis, eps_apply)
+    dim = f.model.dim
+    eps_apply = _eps_map(eps, [vec_conj(l) for l in lbasis])
+    cochain = _eps_cochain(dim, lbasis, eps_apply)
     dc = base.L.differential(cochain)
     closed = not dc
     if not closed:
@@ -337,17 +341,17 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
     h2 = base.L.cohomology(2)
     coords = h2.coords(cochain)
     # Eq: J_j = 2i eps - 2i conj(eps), as endomorphisms of E_C
-    dim2 = 2 * f.model.dim
-    Minv = mat_inv(_frame_matrix(lbasis))
+    # E sends the basis vector col to sum_a Minv[a][col] eps(l_a)
+    dim2 = 2 * dim
+    Minv = mat_inv(_frame_matrix(dim, lbasis))
+    eps_l = [eps_apply(a) for a in range(rank)]
     E = [[QI(0)] * dim2 for _ in range(dim2)]
     for col in range(dim2):
-        unit = GenElem.from_coords(f.model.dim, {col: ONE})
-        coeffs = mat_vec(Minv, list(unit.vec) + list(unit.cov))
-        img = GenElem(f.model.dim)
+        img: Vec = {}
         for a in range(rank):
-            if coeffs[a]:
-                img = img + eps_apply(a).scale(coeffs[a])
-        for k, c in img.to_coords().items():
+            if Minv[a][col]:
+                _axpy_into(img, Minv[a][col], eps_l[a])
+        for k, c in img.items():
             E[k][col] = c
     Jd = f.J_dot(direction)
     two_i = 2 * I

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 
-from .courant import (GenElem, _clifford_vec, _generator_tables,
-                      algebroid_from_basis, pairing)
+from .courant import (_clifford_vec, _generator_tables, algebroid_from_basis,
+                      pairing)
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
@@ -241,17 +241,16 @@ class GCStruct:
         self.U_dims = {k: self.U[k].dim for k in ks}
 
         # pairing-normalized dual basis of L inside conj(L): <lam^a, l_b> = delta/2
-        lbar = [b.conj() for b in self.L.basis]
-        G = [[pairing(lb, l) for l in self.L.basis] for lb in lbar]
+        lbar = [vec_conj(b) for b in self.L.basis]
+        G = [[pairing(dim, lb, l) for l in self.L.basis] for lb in lbar]
         Ginv = mat_inv(G)
-        self.Lbar_basis = lbar
-        self.dual_basis = []
-        for a in range(len(lbar)):
-            coeffs = [Ginv[a][g] * Half for g in range(len(lbar))]
-            elem = GenElem(self.model.dim)
-            for g, c in enumerate(coeffs):
+        self.dual_basis: list[Vec] = []
+        for row in Ginv:
+            elem: Vec = {}
+            for g, lb in enumerate(lbar):
+                c = row[g] * Half
                 if c:
-                    elem = elem + lbar[g].scale(c)
+                    _axpy_into(elem, c, lb)
             self.dual_basis.append(elem)
 
     # -- public grading API ----------------------------------------------------
@@ -286,7 +285,7 @@ class GCStruct:
         """The pure spinor spans U_{-n}; it is normalised to 1 at its first
         blade of lowest degree."""
         line = self.U[-self.n].basis()
-        if len(line) != 1 or any(_clifford_vec(l, line[0])
+        if len(line) != 1 or any(_clifford_vec(self.model.dim, l, line[0])
                                  for l in self.L.basis):
             raise EngineError("U_{-n} is not a line annihilated by L")
         v = line[0]
@@ -302,7 +301,7 @@ class GCStruct:
         for mask, coeff in c.items():
             term = w.coeffs
             for i in reversed(_mask_indices(mask)):
-                term = _clifford_vec(self.dual_basis[i], term)
+                term = _clifford_vec(self.model.dim, self.dual_basis[i], term)
             out = out + Form(self.model.dim, term).scale(coeff)
         return out
 
@@ -313,7 +312,7 @@ class GCStruct:
         out: SpinOp = {0: dict(w.coeffs)}
         for mask in range(1, 1 << self.L.rank):
             low = (mask & -mask).bit_length() - 1
-            out[mask] = _clifford_vec(self.dual_basis[low],
+            out[mask] = _clifford_vec(self.model.dim, self.dual_basis[low],
                                       out[mask & (mask - 1)])
         return out
 
@@ -359,9 +358,8 @@ def make_general(m: LieModel, J: Matrix, kind: str = "general") -> GCStruct:
     if len(kernel) != m.dim:
         raise NotAlmostComplex(
             f"+i eigenspace has dim {len(kernel)}, expected {m.dim}")
-    basis = [GenElem.from_coords(m.dim, v) for v in kernel]
     try:
-        L = algebroid_from_basis(m, basis, name="L")
+        L = algebroid_from_basis(m, kernel, name="L")
     except NotClosedUnderBracket as e:
         raise NotIntegrable(f"+i eigenbundle not Dorfman-closed: {e}",
                             **e.details) from e

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import comb
 
 from .cohomology import closed_classes, twisted_cohomology
-from .courant import GenElem, algebroid_from_basis
+from .courant import algebroid_from_basis
 from .errors import (EngineError, MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
@@ -23,7 +23,7 @@ from .forms import SpinOp, spin_apply
 from .gcs import GCStruct, _split_by_blades, pairing_gram, shift_tables
 from .liemodel import LieAlgebroid
 from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, mat_det,
-                     mat_mul, vec_add)
+                     mat_mul, vec_add, vec_conj)
 from .scalars import ONE, QI
 
 
@@ -96,8 +96,8 @@ def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
             raise MetricNotPositive(
                 f"leading principal minor {k} is {d}", order=k)
     dim = s1.model.dim
-    L1 = Subspace.span(2 * dim, [b.to_coords() for b in s1.L.basis])
-    L2 = Subspace.span(2 * dim, [b.to_coords() for b in s2.L.basis])
+    L1 = Subspace.span(2 * dim, s1.L.basis)
+    L2 = Subspace.span(2 * dim, s2.L.basis)
     L2c = L2.conj()
     plus = L1.intersect(L2)
     minus = L1.intersect(L2c)
@@ -105,12 +105,8 @@ def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
         raise MetricNotPositive(
             f"eigenbundle split has dims {plus.dim}+{minus.dim} != {dim}")
     try:
-        Lp = algebroid_from_basis(
-            s1.model, [GenElem.from_coords(dim, v) for v in plus.basis()],
-            name="L1+")
-        Lm = algebroid_from_basis(
-            s1.model, [GenElem.from_coords(dim, v) for v in minus.basis()],
-            name="L1-")
+        Lp = algebroid_from_basis(s1.model, plus.basis(), name="L1+")
+        Lm = algebroid_from_basis(s1.model, minus.basis(), name="L1-")
     except (NotClosedUnderBracket, NotIsotropic) as e:
         raise SplitNotIntegrable(str(e), **e.details) from e
     return GKPair(s1, s2, G, Lp, Lm)
@@ -325,9 +321,8 @@ def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid,
     A = A1 + A2 of the algebroid L (same ambient span required), on every
     nonzero cochain mask."""
     dim = L.ambient.dim
-    span_L = Subspace.span(2 * dim, [b.to_coords() for b in L.basis])
-    span_12 = Subspace.span(2 * dim, [b.to_coords()
-                                      for b in A1.basis + A2.basis])
+    span_L = Subspace.span(2 * dim, L.basis)
+    span_12 = Subspace.span(2 * dim, A1.basis + A2.basis)
     if span_L != span_12 or A1.rank + A2.rank != L.rank:
         raise NotADecomposition("A1 + A2 does not decompose L")
     try:
@@ -440,7 +435,7 @@ def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
     pr = h2p.coords(plus_resid)
     plus_ok = pr is not None and not pr
     c1m = _restrict_cochain(s1.L, k1.cochain, minus_basis)
-    conj_minus = [b.conj() for b in minus_basis]
+    conj_minus = [vec_conj(b) for b in minus_basis]
     c2m_conj = _restrict_cochain(s2.L, k2.cochain, conj_minus)
     c2m = {k: v.conj() for k, v in c2m_conj.items()}
     h2m = pair.Lm.cohomology(2)

@@ -12,7 +12,8 @@ from functools import cached_property
 from .errors import (JacobiFailure, NotClosedUnderBracket, StructureNotReal,
                      TwistNotClosed)
 from .forms import Form, SpinOp, insert_sign, popcount, spin_op
-from .linalg import QuotientSpace, Vec, _acc, mat_det, solve_columns
+from .linalg import (QuotientSpace, Vec, _acc, mat_det, solve_columns,
+                     vec_conj)
 from .scalars import ONE, QI
 
 
@@ -80,7 +81,7 @@ class LieModel:
     @cached_property
     def dorfman_table(self) -> dict[int, dict[int, Vec]]:
         """The H-twisted Dorfman bracket on the basis x_1..x_dim, e^1..e^dim of
-        E_C (GenElem.to_coords order): entry [p][q] is the sparse coordinate
+        E_C (x_i at i-1, e^i at dim+i-1): entry [p][q] is the sparse coordinate
         vector of the bracket of basis elements p and q, zero entries and
         rows omitted.  With <e^k, [x_i, x_j]_g> = -c for each structure entry
         (k, i, j, c):
@@ -184,7 +185,7 @@ class LieAlgebroid:
 
     def __init__(self, ambient: LieModel, basis, bracket_table, name: str = ""):
         self.ambient = ambient
-        self.basis = list(basis)          # list of GenElem
+        self.basis = list(basis)          # E_C coordinate vectors
         self.rank = len(self.basis)
         self.bracket_table = bracket_table  # [i][j] -> list of QI over basis
         self.name = name
@@ -234,13 +235,13 @@ class LieAlgebroid:
 
     def conj(self) -> "LieAlgebroid":
         from .courant import algebroid_from_basis
-        return algebroid_from_basis(self.ambient, [b.conj() for b in self.basis],
+        return algebroid_from_basis(self.ambient,
+                                    [vec_conj(b) for b in self.basis],
                                     name=f"conj({self.name})")
 
     def coords_of(self, elem) -> list[QI]:
         """Coordinates of an E_C element in this algebroid's basis."""
-        cols = [b.to_coords() for b in self.basis]
-        sol = solve_columns(cols, elem.to_coords())
+        sol = solve_columns(self.basis, elem)
         if sol is None:
             raise NotClosedUnderBracket("element is not in the algebroid span")
         return [sol.get(a, QI(0)) for a in range(self.rank)]

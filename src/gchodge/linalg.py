@@ -411,9 +411,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     oi[j] = oi[j] + c * bt[j]
     return out
 
-def mat_vec(a: Matrix, v: list[QI]) -> list[QI]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), QI(0)) for row in a]
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -17,8 +17,8 @@ from gchodge.cli import main as cli_main
 from gchodge.cohomology import (ddbar_check, delbar_dims, frolicher_pages,
                                 hodge_filtration, lefschetz_check,
                                 twisted_cohomology, weight_mhs_check)
-from gchodge.courant import (GenElem, algebroid_from_basis, b_shift,
-                             b_shift_form, courant_axiom_suite, dorfman)
+from gchodge.courant import (algebroid_from_basis, b_shift, b_shift_form,
+                             courant_axiom_suite, dorfman)
 from gchodge.errors import EngineError
 from gchodge.families import (FamilySpec, gcy_check, holomorphy_check,
                               ks_class, q_flatness, symp_filtration_check,
@@ -35,8 +35,10 @@ from gchodge.scalars import I, ONE, QI
 
 import random
 
-from test_courant import (cov_form, failed_checks, random_gen_elem,
-                          random_real_form, tabulate)
+from gchodge.linalg import vec_add, vec_scale
+
+from test_courant import (cov_form, failed_checks, one_form_coords,
+                          random_elem, random_real_form, tabulate, tangent, x)
 from test_families import poly_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -87,12 +89,8 @@ def test_criterion_01_courant_axioms_and_faults():
     ok = all(courant_axiom_suite(m).ok for m in models)
 
     def drop_dxi(m, a, b):
-        good = dorfman(m, a, b)
-        dxi = m.d(cov_form(a)).contract_vector(b.vec)
-        cov = list(good.cov)
-        for mask, v in dxi.coeffs.items():
-            cov[mask.bit_length() - 1] = cov[mask.bit_length() - 1] + v
-        return GenElem(m.dim, list(good.vec), cov)
+        dxi = m.d(cov_form(m.dim, a)).contract_vector(tangent(m.dim, b))
+        return vec_add(dorfman(m, a, b), one_form_coords(m.dim, dxi))
 
     def drop_twist(m):
         return LieModel(m.dim, m.structure).dorfman_table
@@ -115,7 +113,7 @@ def test_criterion_02_b_shift_conjugation():
         for _ in range(100):
             B = random_real_form(m.dim, 2, rng)
             shifted = LieModel(m.dim, m.structure, m.H + m.d(B))
-            a, b = random_gen_elem(m.dim, rng), random_gen_elem(m.dim, rng)
+            a, b = random_elem(m.dim, rng), random_elem(m.dim, rng)
             if b_shift(B, dorfman(m, a, b)) != \
                     dorfman(shifted, b_shift(B, a), b_shift(B, b)):
                 ok = False
@@ -127,9 +125,9 @@ def test_criterion_02_b_shift_conjugation():
 
 
 def test_criterion_03_betti_numbers():
-    Lkt = algebroid_from_basis(KT, [GenElem.x(4, i) for i in range(1, 5)])
+    Lkt = algebroid_from_basis(KT, [x(4, i) for i in range(1, 5)])
     kt_betti = [Lkt.cohomology(k).dim for k in range(5)]
-    La = algebroid_from_basis(ABELIAN4, [GenElem.x(4, i) for i in range(1, 5)])
+    La = algebroid_from_basis(ABELIAN4, [x(4, i) for i in range(1, 5)])
     ab_betti = [La.cohomology(k).dim for k in range(5)]
     tw = twisted_cohomology(KT_TW)
     ok = (kt_betti == [1, 3, 4, 3, 1] and ab_betti == [1, 4, 6, 4, 1]
@@ -198,12 +196,10 @@ def test_criterion_07_family_ks_and_transversality():
     psi_ok = True
     for a in range(1, 5):
         for b in range(a + 1, 5):
-            cov_a = [mu.contract_index(a).coeffs.get(1 << k, QI(0))
-                     for k in range(4)]
-            cov_b = [mu.contract_index(b).coeffs.get(1 << k, QI(0))
-                     for k in range(4)]
-            psi_a = GenElem.x(4, a) - GenElem(4, None, cov_a).scale(I)
-            psi_b = GenElem.x(4, b) - GenElem(4, None, cov_b).scale(I)
+            psi_a = vec_add(x(4, a), vec_scale(
+                one_form_coords(4, mu.contract_index(a)), -I))
+            psi_b = vec_add(x(4, b), vec_scale(
+                one_form_coords(4, mu.contract_index(b)), -I))
             val = base.L.cochain_eval(ks.cochain, [psi_a, psi_b])
             want = half_i * mu.coeffs.get((1 << (a - 1)) | (1 << (b - 1)), QI(0))
             if val != want:
@@ -265,8 +261,7 @@ def test_criterion_10_kahler_pair():
     ds = delta_split_check(pair)
     bc = bigraded_cohomology(pair)
     sp1 = algebroid_split_check(pair.s1.L, pair.Lp, pair.Lm)
-    Lmc = algebroid_from_basis(ABELIAN4, [x.conj() for x in pair.Lm.basis])
-    sp2 = algebroid_split_check(pair.s2.L, pair.Lp, Lmc)
+    sp2 = algebroid_split_check(pair.s2.L, pair.Lp, pair.Lm.conj())
 
     nv = 1
     t = ParamPoly.var(nv, 0)

@@ -625,3 +625,17 @@ def test_filtrations_use_no_subspace_pipeline(monkeypatch):
     assert hodge_filtration(s).hodge_ok
     assert weight_mhs_check(s).split_ok
     assert called == []
+
+
+def test_delbar_dims_are_symmetric_in_k():
+    """h^k_delbar = h^{-k}_delbar: the Mukai pairing pairs U_k with U_{-k}
+    and delbar is skew for it, so it pairs H^k_delbar with H^{-k}_delbar.
+    The duality does not need the del-delbar lemma, which fails on the three
+    Kodaira-Thurston structures of the corpus and on kt8."""
+    structures = [*corpus_structures(), *structures_of(SCALE8["kt8"], "kt8")]
+    for name, s in structures:
+        dims = delbar_dims(s)
+        assert dims == {-k: d for k, d in dims.items()}, (name, dims)
+    no_ddbar = [name for name, s in structures if not ddbar_check(s).holds]
+    assert len(structures) == 18 and len(no_ddbar) == 4
+    assert "kt8:main" in no_ddbar

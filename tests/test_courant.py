@@ -3,14 +3,19 @@ bracket and Clifford tables against the Form-level formulas they replace."""
 
 import random
 
+import pytest
+
 from gchodge import courant
-from gchodge.courant import (GenElem, _coords_repr, _generator_tables,
-                             b_shift, b_shift_form, clifford_act,
-                             courant_axiom_suite, dorfman, pairing)
+from gchodge.courant import (_coords_repr, _generator_tables,
+                             algebroid_from_basis, b_shift, b_shift_form,
+                             clifford_act, courant_axiom_suite, dorfman,
+                             pairing)
+from gchodge.errors import DimensionMismatch
 from gchodge.forms import Form, insert_sign
 from gchodge.liemodel import LieModel
+from gchodge.linalg import Vec, vec_add
 from gchodge.modelfile import parse_model
-from gchodge.scalars import I, ONE, QI
+from gchodge.scalars import I, ONE, QI, ZERO
 from fractions import Fraction
 
 from test_gcs import CORPUS, SCALE8, dense_model_text
@@ -21,9 +26,29 @@ KT = LieModel(4, [(4, 1, 2, 1)])
 KT_TW = LieModel(4, [(4, 1, 2, 1)], Form.blade(4, [1, 2, 3]))
 
 
-def cov_form(a: GenElem) -> Form:
-    """The covector part of a as a 1-form."""
-    return Form(a.dim, {1 << i: c for i, c in enumerate(a.cov) if c})
+def x(dim: int, i: int, c: QI = ONE) -> Vec:
+    """c x_i as E_C coordinates."""
+    return {i - 1: c}
+
+
+def e(dim: int, i: int, c: QI = ONE) -> Vec:
+    """c e^i as E_C coordinates."""
+    return {dim + i - 1: c}
+
+
+def tangent(dim: int, u: Vec) -> list[QI]:
+    """The vector part of u as a dense coefficient list over x_1..x_dim."""
+    return [u.get(i, ZERO) for i in range(dim)]
+
+
+def cov_form(dim: int, u: Vec) -> Form:
+    """The covector part of u as a 1-form."""
+    return Form(dim, {1 << (k - dim): c for k, c in u.items() if k >= dim})
+
+
+def one_form_coords(dim: int, w: Form) -> Vec:
+    """The 1-form w as the covector part of an element of E_C."""
+    return {dim + mask.bit_length() - 1: c for mask, c in w.coeffs.items()}
 
 
 def first_failure(rep):
@@ -37,15 +62,15 @@ def failed_checks(rep):
 
 
 def tabulate(m, bracket):
-    """A GenElem-level bracket's structure constants on the coordinate basis,
-    in the layout of `LieModel.dorfman_table` ([p][q] = coords of [b_p, b_q],
-    zero entries and rows omitted), as the axiom suite built them before it
-    took tables: the `table_of` seam for brackets written on elements."""
+    """A bracket's structure constants on the coordinate basis, in the layout
+    of `LieModel.dorfman_table` ([p][q] = coords of [b_p, b_q], zero entries
+    and rows omitted): the `table_of` seam for brackets written on
+    elements."""
     basis = basis_elems(m.dim)
     table = {}
     for p, a in enumerate(basis):
         row = {q: col for q, b in enumerate(basis)
-               if (col := bracket(m, a, b).to_coords())}
+               if (col := bracket(m, a, b))}
         if row:
             table[p] = row
     return table
@@ -53,10 +78,14 @@ def tabulate(m, bracket):
 
 # seeded random elements for the identity tests; the engine samples nothing
 
-def random_gen_elem(dim: int, rng: random.Random) -> GenElem:
-    def coeffs():
-        return [QI(rng.randrange(-2, 3), rng.randrange(-1, 2)) for _ in range(dim)]
-    return GenElem(dim, coeffs(), coeffs())
+def random_elem(dim: int, rng: random.Random) -> Vec:
+    """x_1..x_dim, then e^1..e^dim, each with a small random coefficient."""
+    out = {}
+    for k in range(2 * dim):
+        c = QI(rng.randrange(-2, 3), rng.randrange(-1, 2))
+        if c:
+            out[k] = c
+    return out
 
 
 def random_real_form(dim: int, degree: int, rng: random.Random) -> Form:
@@ -70,28 +99,28 @@ def random_real_form(dim: int, degree: int, rng: random.Random) -> Form:
 
 
 def test_pairing_values():
-    assert pairing(GenElem.x(4, 1), GenElem.e(4, 1)) == QI(Fraction(1, 2))
-    assert pairing(GenElem.x(4, 1), GenElem.x(4, 2)) == QI(0)
-    a = GenElem.x(4, 1) + GenElem.e(4, 1)
-    assert pairing(a, a) == ONE
+    assert pairing(4, x(4, 1), e(4, 1)) == QI(Fraction(1, 2))
+    assert pairing(4, x(4, 1), x(4, 2)) == QI(0)
+    a = vec_add(x(4, 1), e(4, 1))
+    assert pairing(4, a, a) == ONE
 
 def test_dorfman_kt():
-    out = dorfman(KT, GenElem.x(4, 1), GenElem.x(4, 2))
-    assert out == -GenElem.x(4, 4)
+    out = dorfman(KT, x(4, 1), x(4, 2))
+    assert out == x(4, 4, -ONE)
 
 def test_dorfman_kt_twisted():
-    out = dorfman(KT_TW, GenElem.x(4, 1), GenElem.x(4, 2))
-    assert out == -GenElem.x(4, 4) - GenElem.e(4, 3)
+    out = dorfman(KT_TW, x(4, 1), x(4, 2))
+    assert out == vec_add(x(4, 4, -ONE), e(4, 3, -ONE))
 
 def test_dorfman_abelian():
-    a = GenElem.x(4, 1) + GenElem.e(4, 2)
-    b = GenElem.x(4, 3) + GenElem.e(4, 4)
-    assert dorfman(ABELIAN, a, b).is_zero()
+    a = vec_add(x(4, 1), e(4, 2))
+    b = vec_add(x(4, 3), e(4, 4))
+    assert dorfman(ABELIAN, a, b) == {}
 
 def test_b_shift_on_elements():
     B = Form.blade(4, [1, 2])
-    assert b_shift(B, GenElem.x(4, 1)) == GenElem.x(4, 1) + GenElem.e(4, 2)
-    a = GenElem.x(4, 3) + GenElem.e(4, 1)
+    assert b_shift(B, x(4, 1)) == vec_add(x(4, 1), e(4, 2))
+    a = vec_add(x(4, 3), e(4, 1))
     assert b_shift(Form(4), a) == a
 
 def test_b_shift_on_forms():
@@ -102,20 +131,35 @@ def test_b_shift_preserves_pairing():
     rng = random.Random(2)
     for _ in range(10):
         B = random_real_form(4, 2, rng)
-        a, b = random_gen_elem(4, rng), random_gen_elem(4, rng)
-        assert pairing(b_shift(B, a), b_shift(B, b)) == pairing(a, b)
+        a, b = random_elem(4, rng), random_elem(4, rng)
+        assert pairing(4, b_shift(B, a), b_shift(B, b)) == pairing(4, a, b)
 
 def test_clifford_examples():
-    a = GenElem.x(4, 1) + GenElem.e(4, 1)
+    a = vec_add(x(4, 1), e(4, 1))
     assert clifford_act(a, Form.one(4)) == Form.blade(4, [1])
-    assert clifford_act(GenElem.x(4, 1), Form.blade(4, [1])) == Form.one(4)
+    assert clifford_act(x(4, 1), Form.blade(4, [1])) == Form.one(4)
 
 def test_clifford_relation_random():
     rng = random.Random(3)
     for _ in range(20):
-        a = random_gen_elem(4, rng)
+        a = random_elem(4, rng)
         w = random_real_form(4, rng.randrange(5), rng)
-        assert clifford_act(a, clifford_act(a, w)) == w.scale(pairing(a, a))
+        assert clifford_act(a, clifford_act(a, w)) == w.scale(pairing(4, a, a))
+
+@pytest.mark.parametrize("bad", [{8: ONE}, {-1: ONE}],
+                         ids=["past-end", "negative"])
+def test_out_of_range_coordinate_raises(bad):
+    # x_i sits at i-1 and e^i at dim+i-1, so a dim-4 element has indices
+    # 0..7; index -1 would otherwise read the last generator table silently
+    B = Form.blade(4, [1, 2])
+    x1 = x(4, 1)
+    calls = [lambda: pairing(4, bad, x1), lambda: pairing(4, x1, bad),
+             lambda: dorfman(KT, bad, x1), lambda: dorfman(KT, x1, bad),
+             lambda: b_shift(B, bad), lambda: clifford_act(bad, Form.one(4)),
+             lambda: algebroid_from_basis(KT, [bad])]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
 
 def test_d_H_e_B_conjugation():
     # d_H (e^B w) = e^B d_{H+dB} w on random forms
@@ -137,13 +181,8 @@ def test_axiom_suite_passes():
 def test_axiom_suite_detects_term_drop():
     # dropping the -i_Y d xi term breaks skewness (C4) on KT
     def corrupted(m, a, b):
-        good = dorfman(m, a, b)
-        dxi = m.d(cov_form(a)).contract_vector(b.vec)
-        cov = list(good.cov)
-        for mask, v in dxi.coeffs.items():
-            i = mask.bit_length() - 1
-            cov[i] = cov[i] + v
-        return GenElem(m.dim, list(good.vec), cov)
+        dxi = m.d(cov_form(m.dim, a)).contract_vector(tangent(m.dim, b))
+        return vec_add(dorfman(m, a, b), one_form_coords(m.dim, dxi))
     failed = failed_checks(courant_axiom_suite(
         KT, table_of=lambda m: tabulate(m, corrupted)))
     assert failed == {"C4": "a=(1) x1; b=(1) e4; sum=(1) e2",
@@ -163,36 +202,37 @@ def test_axiom_suite_detects_twist_drop():
 def reference_dorfman(m, a, b):
     """[X+xi, Y+eta]_H = [X,Y] + i_X d eta - i_Y d xi + i_X i_Y H, from Forms,
     as the bracket was computed before the structure-constant table."""
-    vec = m.bracket_vectors(a.vec, b.vec)
-    deta = m.d(cov_form(b))
-    dxi = m.d(cov_form(a))
-    one_form = (deta.contract_vector(a.vec)
-                - dxi.contract_vector(b.vec)
-                + m.H.contract_vector(b.vec).contract_vector(a.vec))
-    cov = [QI(0)] * m.dim
-    for mask, v in one_form.coeffs.items():
-        cov[mask.bit_length() - 1] = v
-    return GenElem(m.dim, vec, cov)
+    dim = m.dim
+    X, Y = tangent(dim, a), tangent(dim, b)
+    deta = m.d(cov_form(dim, b))
+    dxi = m.d(cov_form(dim, a))
+    one_form = (deta.contract_vector(X)
+                - dxi.contract_vector(Y)
+                + m.H.contract_vector(Y).contract_vector(X))
+    vec = {i: c for i, c in enumerate(m.bracket_vectors(X, Y)) if c}
+    return {**vec, **one_form_coords(dim, one_form)}
 
 
 def reference_clifford(a, w):
     """(X + xi) . w = i_X w + xi ^ w by the former per-bit loop."""
+    dim = w.dim
+    X, xi = tangent(dim, a), [a.get(dim + i, ZERO) for i in range(dim)]
     out = {}
     for mask, v in w.coeffs.items():
-        for i in range(a.dim):
+        for i in range(dim):
             bit = 1 << i
-            if a.vec[i] and mask & bit:
-                t = a.vec[i] * v * insert_sign(mask, i)
+            if X[i] and mask & bit:
+                t = X[i] * v * insert_sign(mask, i)
                 out[mask & ~bit] = out.get(mask & ~bit, QI(0)) + t
-            if a.cov[i] and not mask & bit:
-                t = a.cov[i] * v * insert_sign(mask, i)
+            if xi[i] and not mask & bit:
+                t = xi[i] * v * insert_sign(mask, i)
                 out[mask | bit] = out.get(mask | bit, QI(0)) + t
     return Form(w.dim, out)
 
 
 def basis_elems(dim):
-    return ([GenElem.x(dim, i) for i in range(1, dim + 1)]
-            + [GenElem.e(dim, i) for i in range(1, dim + 1)])
+    """x_1..x_dim, e^1..e^dim: the unit vectors of E_C in index order."""
+    return [{p: ONE} for p in range(2 * dim)]
 
 
 def differential_models():
@@ -216,10 +256,10 @@ def test_dorfman_table_matches_form_formula():
             for q, b in enumerate(basis):
                 want = reference_dorfman(m, a, b)
                 got = m.dorfman_table.get(p, {}).get(q, {})
-                assert got == want.to_coords(), (m.name, p, q)
+                assert got == want, (m.name, p, q)
                 assert dorfman(m, a, b) == want
         for _ in range(10):
-            a, b = random_gen_elem(m.dim, rng), random_gen_elem(m.dim, rng)
+            a, b = random_elem(m.dim, rng), random_elem(m.dim, rng)
             assert dorfman(m, a, b) == reference_dorfman(m, a, b), m.name
         names.append(m.name)
     assert len(names) == 18 and {"kt8", "dense-kt-twisted"} <= set(names)
@@ -229,7 +269,7 @@ def test_clifford_act_matches_bit_loop():
     rng = random.Random(23)
     for dim in (4, 6, 8):
         for _ in range(12):
-            a = random_gen_elem(dim, rng)
+            a = random_elem(dim, rng)
             w = random_real_form(dim, rng.randrange(dim + 1), rng) \
                 + random_real_form(dim, rng.randrange(dim + 1), rng).scale(I)
             assert clifford_act(a, w) == reference_clifford(a, w)
@@ -300,22 +340,10 @@ def test_suite_catches_missing_dB_term():
     assert failed == {"B-shift": "B=e2^e6; a=(1) x1; b=(1) x2"}
 
 
-def test_passing_suite_builds_no_gen_elem(monkeypatch):
-    # the suite reads bracket tables only; its witnesses name basis elements
-    # by index, exactly as the GenElem reprs did
-    built = []
-    init = GenElem.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GenElem, "__init__", counting_init)
-    for m in (KT_TW, KT8):
-        rep = courant_axiom_suite(m)
-        assert rep.ok, first_failure(rep)
-        assert built == [], m
-    monkeypatch.undo()
+def test_witness_names_follow_the_coordinate_layout():
+    # the suite's witnesses name basis element p as _coords_repr({p: 1}):
+    # x_i at index i-1, e^i at dim+i-1
     for dim in (4, 8):
-        for p, a in enumerate(basis_elems(dim)):
-            assert _coords_repr(dim, {p: ONE}) == repr(a)
+        names = [_coords_repr(dim, u) for u in basis_elems(dim)]
+        assert names == ([f"(1) x{i}" for i in range(1, dim + 1)]
+                         + [f"(1) e{i}" for i in range(1, dim + 1)])

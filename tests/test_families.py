@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from gchodge.cohomology import chain_subspace, twisted_cohomology
-from gchodge.courant import GenElem
 from gchodge.errors import EngineError, GraphConditionFailed, SectionNotClosed
 from gchodge.courant import _generator_tables
 from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
@@ -19,11 +18,13 @@ from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
                               symp_filtration_check, transversality_check)
 from gchodge.forms import Form, mukai_pairing, popcount
 from gchodge.gcs import Half, make_complex, make_symplectic
-from gchodge.linalg import Subspace, mat_inv, vec_add
+from gchodge.linalg import (Subspace, Vec, mat_inv, vec_add, vec_conj,
+                            vec_scale)
 from gchodge.modelfile import build_family, parse_model
 from gchodge.poly import ParamPoly, PolyForm, dH_poly, pmat_from_qi
-from gchodge.scalars import I, ONE, QI
+from gchodge.scalars import I, ONE, QI, ZERO
 
+from test_courant import one_form_coords, tangent, x
 from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
                       torus_omega)
 
@@ -148,12 +149,10 @@ def test_ks_class_scaling_is_i_mu_over_2():
     half_i = I * QI(Fraction(1, 2))
     for a in range(1, 5):
         for b in range(a + 1, 5):
-            psi_a = GenElem.x(4, a) - GenElem(
-                4, None, [sigma0.contract_index(a).coeffs.get(1 << (k), QI(0))
-                          for k in range(4)]).scale(I)
-            psi_b = GenElem.x(4, b) - GenElem(
-                4, None, [sigma0.contract_index(b).coeffs.get(1 << (k), QI(0))
-                          for k in range(4)]).scale(I)
+            psi_a = vec_add(x(4, a), vec_scale(
+                one_form_coords(4, sigma0.contract_index(a)), -I))
+            psi_b = vec_add(x(4, b), vec_scale(
+                one_form_coords(4, sigma0.contract_index(b)), -I))
             val = base.L.cochain_eval(rep.cochain, [psi_a, psi_b])
             want = half_i * mu.coeffs.get((1 << (a - 1)) | (1 << (b - 1)), QI(0))
             assert val == want
@@ -172,10 +171,8 @@ def test_ks_class_shear_matches_classical():
     I0 = std_I(4)
     Idot = pmat_eval([[p.diff(0) for p in row] for row in f.It], f.basepoint)
     # vector-type basis elements of L (pure tangent part)
-    vec_idx = [a for a, l in enumerate(base.L.basis)
-               if not any(l.cov) and any(l.vec)]
-    cov_idx = [a for a, l in enumerate(base.L.basis)
-               if not any(l.vec) and any(l.cov)]
+    vec_idx = [a for a, l in enumerate(base.L.basis) if l and max(l) < 4]
+    cov_idx = [a for a, l in enumerate(base.L.basis) if l and min(l) >= 4]
     assert len(vec_idx) == 2 and len(cov_idx) == 2
     # H^2(O)-block: cochain vanishes on pairs of vector-type arguments
     for i in vec_idx:
@@ -186,14 +183,15 @@ def test_ks_class_shear_matches_classical():
     # the engine's eps on a vector-type l is  (d/dt)(1 + i I(t))/2 l = i/2 Idot l
     for a in vec_idx:
         l = base.L.basis[a]
-        img = GenElem(4)
+        img = {}
         for be in range(4):
-            if rep.eps_matrix[be][a]:
-                img = img + base.L.basis[be].conj().scale(rep.eps_matrix[be][a])
+            img = vec_add(img, vec_scale(vec_conj(base.L.basis[be]),
+                                         rep.eps_matrix[be][a]))
         want_vec = [QI(0, Fraction(1, 2)) * sum(
-            (Idot[r][c] * l.vec[c] for c in range(4)), QI(0)) for r in range(4)]
-        assert list(img.vec) == want_vec
-        assert not any(img.cov)
+            (Idot[r][c] * l.get(c, ZERO) for c in range(4)), QI(0))
+            for r in range(4)]
+        assert tangent(4, img) == want_vec
+        assert all(k < 4 for k in img)
 
 
 def test_gm_derivative_constant_section():
@@ -385,11 +383,11 @@ def test_gcy_checks_the_chain_identity_beyond_degree_1():
 
 # -- the chain spans against the 2n+1-node reference --------------------------------
 
-def _clifford_const(a: GenElem, w: PolyForm) -> PolyForm:
+def _clifford_const(a: Vec, w: PolyForm) -> PolyForm:
     """Clifford action of a constant element on a polynomial form."""
     def term(z):
         return lambda poly, s: poly.scale(z if s > 0 else -z)
-    return _gamma_sum(w, {c: term(z) for c, z in a.to_coords().items()})
+    return _gamma_sum(w, {c: term(z) for c, z in a.items()})
 
 
 def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
@@ -421,13 +419,11 @@ def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
     return PolyForm(dim, w.nvars, out)
 
 
-def _pairing_poly(col: list[ParamPoly], v: GenElem, dim: int) -> ParamPoly:
+def _pairing_poly(col: list[ParamPoly], v: Vec, dim: int) -> ParamPoly:
+    """<col, v> for polynomial coordinates col: x_i pairs with e^i."""
     out = ParamPoly(col[0].nvars)
-    for i in range(dim):
-        if v.vec[i]:
-            out = out + col[dim + i].scale(v.vec[i] * Half)
-        if v.cov[i]:
-            out = out + col[i].scale(v.cov[i] * Half)
+    for k, c in v.items():
+        out = out + col[(k + dim) % (2 * dim)].scale(c * Half)
     return out
 
 

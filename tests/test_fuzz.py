@@ -56,7 +56,8 @@ def mutated_model(draw):
     return path.name, "\n".join(lines) + "\n"
 
 
-# mostly no --at, since a malformed one ends every command before its file
+# mostly no --at, since a malformed one, or any on a command but family, ends
+# the command before its file
 at_value = st.one_of(st.sampled_from([""] * 8 + AT_VALUES),
                      st.text(alphabet="t0123=,/i- x", max_size=10))
 
