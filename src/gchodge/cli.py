@@ -199,6 +199,9 @@ def cmd_mhs(mf, model, report, args):
 
 
 def cmd_family(mf, model, report, args):
+    if args.at and not any(b.kind == "family" for b in mf.blocks):
+        raise ModelSyntaxError("--at evaluates a family, and the file has "
+                               "no [family] block")
     model.require_valid()
     for b in mf.blocks:
         if b.kind != "family":

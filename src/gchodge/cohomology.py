@@ -9,11 +9,14 @@ column reduction R = D V of d_H that tracks its column operations:
 - in the basis made of the U_k bases, its persistence pairs give the
   Froelicher pages, and the cycles V_c of its zero columns give the Hodge
   filtration: F^p H is spanned by the classes born in the U_{<=p} chain, so
-  each F^p is read from one echelon per parity that grows with p;
+  each F^p is read from one echelon per parity that grows with p; the
+  cycles in that chain span its closed forms, which Griffiths
+  transversality takes as representatives and lifts (`closed_in_chain`);
 - over the blades by descending degree, its essential cycles are a basis of
   H whose prefixes are the weight filtration W^j, and in those coordinates
   F~^i cap W^j and its image in Gr_j are rows of one echelon of F~^i.
-A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H.
+A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H;
+so is the bigraded direct sum of a generalized Kaehler pair.
 The delbar cohomology and the del-delbar verdict keep their own subspace
 pipelines, so that E_1 = H_delbar and "del-delbar <=> degeneration + Hodge
 filtration" stay cross-checks and are not true by construction.  The
@@ -88,12 +91,11 @@ def twisted_cohomology(m: LieModel) -> TwistedCohomology:
 
 # -- delbar cohomology -----------------------------------------------------------
 
-def _preimage_in(V: Subspace, op: SpinOp, W: Subspace) -> Subspace:
-    """{v in V : op(v) in W} computed by exact kernel arithmetic."""
+def _preimage_in(V: Subspace, op: SpinOp) -> Subspace:
+    """{v in V : op(v) = 0} computed by exact kernel arithmetic."""
     basis = V.basis()
-    ech = W.echelon()
-    residuals = [ech.reduce(spin_apply(op, v))[0] for v in basis]
-    return Subspace.span(V.ambient, kernel_lift(residuals, basis))
+    return Subspace.span(V.ambient, kernel_lift(
+        [spin_apply(op, v) for v in basis], basis))
 
 
 def _image_of(V: Subspace, op: SpinOp) -> Subspace:
@@ -194,23 +196,38 @@ class _DHReduction:
     """The column reduction of d_H in the U-adapted basis, numbered by
     ascending (k, index) over the canonical U_k bases; `k_of[c]` is the k
     of number c.  `pairs` holds (k, k_low) for every nonzero column of R,
-    `lows` the rows that are the low of one, and `zeros` the zero columns.
-    `born[k]` holds V_c as a form for every zero column c in U_k whose
-    number is no low: the class of such a cycle is born at U_k, and the
-    classes born in a prefix span the image in H of that prefix's closed
-    forms.  (A plain class, not a dataclass, so that importing the module
-    builds nothing more.)"""
+    `lows` the rows that are the low of one, and `cycles[k]` maps every
+    zero column c in U_k to V_c in those numbers.  The V_c of a prefix's
+    zero columns are a basis of its closed forms (Zomorodian and Carlsson
+    2005); a cycle is formed as a form on first use only.  (A plain class,
+    not a dataclass, so that importing the module builds nothing more.)"""
 
     def __init__(self, bases: dict[int, list[Vec]],
                  pairs: list[tuple[int, int]], k_of: list[int],
-                 zeros: list[int], lows: set[int],
-                 born: dict[int, list[Vec]]):
+                 vecs: list[Vec], cycles: dict[int, dict[int, Vec]],
+                 lows: set[int]):
         self.bases = bases
         self.pairs = pairs
         self.k_of = k_of
-        self.zeros = zeros
+        self.cycles = cycles
         self.lows = lows
-        self.born = born
+        self._vecs = vecs
+        self._forms: dict[int, Vec] = {}
+
+    def cycle(self, c: int) -> Vec:
+        """V_c of the zero column c, as a form."""
+        form = self._forms.get(c)
+        if form is None:
+            form = self._forms[c] = {}
+            for r, x in self.cycles[self.k_of[c]][c].items():
+                _axpy_into(form, x, self._vecs[r])
+        return form
+
+    def born(self, k: int) -> list[Vec]:
+        """The cycles in U_k whose class is born there: those of the zero
+        columns that are no low (with R's column of that low, such a column
+        leaves a cycle of the prefix before it)."""
+        return [self.cycle(c) for c in self.cycles[k] if c not in self.lows]
 
 
 def _reduce_d_H(s: GCStruct) -> _DHReduction:
@@ -242,17 +259,20 @@ def _reduce_d_H(s: GCStruct) -> _DHReduction:
     lows, zeros = _column_reduction(cols)
     # V_c of a pair's column is nonzero at c and zero past it
     pairs = [(k_of[max(ops)], k_of[low]) for low, (_r, ops) in lows.items()]
-    # a zero column that is a low is redundant: with R's column of that low
-    # it leaves a cycle of the prefix before it
-    born: dict[int, list[Vec]] = {k: [] for k in bases}
+    cycles: dict[int, dict[int, Vec]] = {k: {} for k in bases}
     for c, ops in zeros:
-        if c not in lows:
-            form: Vec = {}
-            for r, x in ops.items():
-                _axpy_into(form, x, vecs[r])
-            born[k_of[c]].append(form)
-    return _DHReduction(bases, pairs, k_of, [c for c, _ops in zeros],
-                        set(lows), born)
+        cycles[k_of[c]][c] = ops
+    return _DHReduction(bases, pairs, k_of, vecs, cycles, set(lows))
+
+
+def closed_in_chain(s: GCStruct, p: int) -> Subspace:
+    """The d_H-closed forms in the U_{<=p} chain of matching parity, a
+    prefix of the reduction's order for its parity: the span of the cycles
+    of the chain's zero columns."""
+    red = once_per_structure(s, _reduce_d_H)
+    return Subspace.span(1 << s.model.dim, [
+        red.cycle(c) for k in range(p, -s.n - 1, -2)
+        for c in red.cycles.get(k, ())])
 
 
 def frolicher_pages(s: GCStruct) -> FrolicherReport:
@@ -303,10 +323,9 @@ def ddbar_check(s: GCStruct) -> DdbarReport:
     """Im(del) cap Ker(delbar) = Im(delbar) cap Ker(del) = Im(del delbar)."""
     N = 1 << s.model.dim
     full = Subspace.full(N)
-    zero = Subspace.zero(N)
     del_, delbar = _integrable_parts(s)
-    ker_del = _preimage_in(full, del_, zero)
-    ker_dbar = _preimage_in(full, delbar, zero)
+    ker_del = _preimage_in(full, del_)
+    ker_dbar = _preimage_in(full, delbar)
     im_del = _image_of(full, del_)
     im_dbar = _image_of(full, delbar)
     im_dd = _image_of(im_dbar, del_)
@@ -355,20 +374,13 @@ class HodgeReport:
         return out
 
 
-def chain_subspace(s: GCStruct, p: int) -> Subspace:
-    """The U_{<=p} chain of matching parity: the sum of U_j, j <= p, j = p mod 2."""
-    return Subspace.span(1 << s.model.dim, [
-        v for j in range(-s.n + ((p + s.n) % 2), p + 1, 2)
-        for v in s.U_subspace(j)._basis])
-
-
 def closed_classes(s: GCStruct, V: Subspace,
                    parity: int | None = None) -> Subspace:
     """Classes of the d_H-closed forms in V: coordinates in the H block of
     the given parity, or total coordinates when parity is None."""
     dim = s.model.dim
     tw = twisted_cohomology(s.model)
-    closed = _preimage_in(V, s.model.dH_table, Subspace.zero(1 << dim)).basis()
+    closed = _preimage_in(V, s.model.dH_table).basis()
     if parity is None:
         return Subspace.span(tw.total_dim, [
             tw.coords(form_of_vec(dim, v)) or {} for v in closed])
@@ -390,13 +402,13 @@ def _hodge_flags(s: GCStruct) -> dict[int, Subspace]:
     for p in range(-n, n + 1):
         parity = (p + n + s.parity) % 2
         q = tw.even if parity == 0 else tw.odd
-        for form in red.born[p]:
+        for form in red.born(p):
             coords = q.coords(form)
             if coords is None:
                 raise EngineError("a cycle of the d_H reduction is not closed")
             echs[p % 2].insert(coords)
         flags[p] = Subspace(q.dim, echs[p % 2].basis())
-        count = (sum(1 for c in red.zeros if _in_chain(red.k_of[c], p))
+        count = (sum(len(red.cycles[k]) for k in range(p, -n - 1, -2))
                  - sum(1 for c in red.lows if _in_chain(red.k_of[c], p)))
         if flags[p].dim != count:
             raise EngineError(f"dim F^{p} H is {flags[p].dim} by span but "
@@ -531,10 +543,9 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
 
     # the grading blocks pair only across opposite degrees
     n = s.n
-    zero = Subspace.zero(N)
     closed, degree = [], []
     for k in range(-n, n + 1):
-        for v in _preimage_in(s.U_subspace(k), dH, zero).basis():
+        for v in _preimage_in(s.U_subspace(k), dH).basis():
             closed.append(v)
             degree.append(k)
     orth = all(degree[i] + degree[j] == 0
@@ -730,7 +741,7 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
     ech = Echelon()
     flag: dict[int, list[tuple[int, Vec]]] = {}
     for i in range(-n, n + 1):
-        for form in red.born[i]:
+        for form in red.born(i):
             ech.insert(wb.coords(form))
         flag[i] = [(p, row) for p, row, _c in ech.rows]
 

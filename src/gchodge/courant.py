@@ -32,7 +32,7 @@ from .errors import DimensionMismatch
 from .forms import Form, blade_name, insert_sign
 from .liemodel import LieAlgebroid, LieModel
 from .linalg import Echelon, Vec, _acc, _axpy_into, vec_add
-from .scalars import ONE, QI, ZERO
+from .scalars import Half, ONE, QI, ZERO
 
 
 def _coords_repr(dim: int, u: Vec) -> str:
@@ -59,7 +59,7 @@ def pairing(dim: int, u: Vec, v: Vec) -> QI:
         y = v.get(k + dim if k < dim else k - dim)
         if y is not None:
             s = s + x * y
-    return s / 2
+    return s * Half if s else s
 
 
 def dorfman(m: LieModel, u: Vec, v: Vec) -> Vec:

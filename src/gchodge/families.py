@@ -11,22 +11,24 @@ in place of QI: the moving chain U_{<=p}(t) is the table of N built from the
 polynomial J(t) by `gcs._spinorial_N`, powered and projected with the same
 `_powers`, `_combine` and projector plan as `GCStruct`'s grading; d_H acts on
 sections through the model's d_H table, and the Mukai pairing of sections is
-a dot product with `mukai_dual`.
+a dot product with `mukai_dual`.  Griffiths transversality reads the base
+structure's closed forms in U_{<=p} and U_{<=p+2} off the same d_H reduction
+as its Hodge filtration (`cohomology.closed_in_chain`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import (_preimage_in, chain_subspace, closed_classes,
-                         ddbar_check, delbar_cohomology, filtration_subspace,
+from .cohomology import (closed_classes, closed_in_chain, ddbar_check,
+                         delbar_cohomology, filtration_subspace,
                          invariant_derham, lefschetz_check, once_per_structure,
                          twisted_cohomology)
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
 from .forms import Form, mukai_dual, popcount, spin_apply
-from .gcs import (GCStruct, Half, _combine, _powers, _projector_plan,
+from .gcs import (GCStruct, _combine, _powers, _projector_plan,
                   _spinorial_N, flat_matrix, form_of_vec, make_complex,
                   make_general, make_symplectic)
 from .liemodel import LieModel
@@ -35,7 +37,7 @@ from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, _axpy_into,
                      vec_add, vec_axpy, vec_conj, vec_scale)
 from .poly import (ParamPoly, PolyForm, PolyMatrix, dH_poly, pmat_diff,
                    pmat_eval, pmat_from_qi, pmat_vec)
-from .scalars import I, ONE, QI, ZERO
+from .scalars import Half, I, ONE, QI, ZERO
 
 
 class FamilySpec:
@@ -682,30 +684,23 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     m = f.model
     tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
-    parity2 = parity  # p+2 has the same parity chain
     h_dim = tw.dim_even if parity == 0 else tw.dim_odd
     Fp = filtration_subspace(base, p)
-    Fpm2 = filtration_subspace(base, p - 2) if p - 2 >= -n \
-        else Subspace.zero(h_dim)
-    Fpp2 = filtration_subspace(base, p + 2) if p + 2 <= n \
-        else filtration_subspace(base, n if (n - p) % 2 == 0 else n - 1)
+    Fpm2 = filtration_subspace(base, p - 2)
+    Fpp2 = filtration_subspace(base, p + 2)
     Qdom = QuotientSpace(h_dim, [dict(v) for v in Fp.basis()],
                          [dict(v) for v in Fpm2.basis()])
     Qtar = QuotientSpace(h_dim, [dict(v) for v in Fpp2.basis()],
                          [dict(v) for v in Fp.basis()])
 
     # closed representatives spanning F^p at the basepoint
-    sigma = chain_subspace(base, p)
-    reps = [form_of_vec(m.dim, v)
-            for v in _preimage_in(sigma, m.dH_table,
-                                  Subspace.zero(1 << m.dim)).basis()]
+    reps = [form_of_vec(m.dim, v) for v in closed_in_chain(base, p).basis()]
 
     ks = ks_class(f, direction)
     # target-side solver data: lift a delbar-class in U_{p+2} to a closed
     # form in the chain U_{<=p+2}
-    closed2 = _preimage_in(chain_subspace(base, p + 2), m.dH_table,
-                           Subspace.zero(1 << m.dim))
-    closed2_forms = [form_of_vec(m.dim, v) for v in closed2.basis()]
+    closed2_forms = [form_of_vec(m.dim, v)
+                     for v in closed_in_chain(base, p + 2).basis()]
     lift_cols = [dict(base.project(p + 2, w).coeffs) for w in closed2_forms]
     dbar_cols = [spin_apply(base.dH_parts[1], v)
                  for v in base.U_subspace(p + 1).basis()]
@@ -748,7 +743,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         for k, c in sol.items():
             if k < n_closed2:
                 w = w + closed2_forms[k].scale(c)
-        kc = Qtar.coords(tw.parity_coords(w, parity2))
+        kc = Qtar.coords(tw.parity_coords(w, parity))
         kactions.append(kc if kc is not None else {})
 
     # fit: induced = c * kappa_action as linear maps on the domain quotient

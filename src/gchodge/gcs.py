@@ -34,9 +34,7 @@ from .forms import Form, SpinOp, popcount, spin_apply
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
 from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, mat_inv,
                      mat_mul, matrix_kernel, vec_conj, vec_scale)
-from .scalars import I, ONE, QI
-
-Half = QI(Fraction(1, 2))
+from .scalars import Half, I, ONE, QI
 
 
 # -- E_C matrix plumbing -------------------------------------------------------

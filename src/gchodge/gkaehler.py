@@ -272,24 +272,18 @@ def bigraded_cohomology(pair: GKPair) -> BigradedCohomologyReport:
     b2 = {k: block_coords(pair.s2.U_subspace(k)) for k in range(-n, n + 1)}
     inter_ok = all(blocks[(r, s)] == b1[r].intersect(b2[s])
                    for (r, s) in blocks)
-    decomp_ok = True
-    acc = Subspace.zero(tw.total_dim)
-    for rs, b in blocks.items():
-        if acc.intersect(b).dim:
-            decomp_ok = False
-        acc = acc.sum(b)
-    decomp_ok = decomp_ok and acc.dim == tw.total_dim
-    marg_ok = True
-    for k in range(-n, n + 1):
-        acc1 = Subspace.zero(tw.total_dim)
-        acc2 = Subspace.zero(tw.total_dim)
-        for (r, s), b in blocks.items():
-            if r == k:
-                acc1 = acc1.sum(b)
-            if s == k:
-                acc2 = acc2.sum(b)
-        if acc1 != b1[k] or acc2 != b2[k]:
-            marg_ok = False
+
+    def span_of(keys) -> Subspace:
+        return Subspace.span(tw.total_dim,
+                             [v for rs in keys for v in blocks[rs]._basis])
+
+    # the sum is direct and all of H when the rank of all block bases is
+    # both the sum of the block dims and dim H
+    decomp_ok = (sum(b.dim for b in blocks.values())
+                 == span_of(blocks).dim == tw.total_dim)
+    marg_ok = all(span_of([rs for rs in blocks if rs[0] == k]) == b1[k]
+                  and span_of([rs for rs in blocks if rs[1] == k]) == b2[k]
+                  for k in range(-n, n + 1))
     # block dims agree with the delbar+ cohomology dims
     dims_ok = all(blocks[rs].dim == d for rs, d in dims.items())
     return BigradedCohomologyReport(dims, total_ok and dims_ok, decomp_ok,

@@ -281,10 +281,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, tuple(frozenset(v.items()) for v in self._basis)))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace.span(self.ambient, self._basis + other._basis)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # each kernel vector (x, y) of (x, y) -> sum x_j a_j + sum y_k b_k

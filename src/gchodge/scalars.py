@@ -226,6 +226,7 @@ def _add(a: int, b: int, d: int, c: int, e: int, f: int) -> QI:
 
 ZERO = QI(0)
 ONE = QI(1)
+Half = QI(Fraction(1, 2))
 I = QI(0, 1)
 
 

@@ -148,6 +148,9 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
      2, "syntax-error: --at gives t1 more than once"),
     (["hodge", str(CORPUS / "torus4-kahler.gcm"), "--at", "t1=1"], {}, 2,
      "syntax-error: --at applies to the family command only, not hodge"),
+    (["family", str(CORPUS / "kt.gcm"), "--at", "t1=1"], {}, 2,
+     "syntax-error: --at evaluates a family, and the file has no [family] "
+     "block"),
     (["check", str(CORPUS / "kt.gcm"), "--samples", "-5"], {}, 2,
      "--samples"),
     (["gk", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic t]\n"
@@ -161,12 +164,13 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
         "general-without-J", "gk-symplectic-without-omega",
         "family-without-variables", "family-zero-variables",
         "family-negative-variables", "check-at-x", "family-without-block-at-x",
-        "at-repeated", "hodge-at", "negative-samples", "gk-first-missing",
-        "all-without-gcm-files"])
+        "at-repeated", "hodge-at", "at-without-family", "negative-samples",
+        "gk-first-missing", "all-without-gcm-files"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
-    family, an --all directory without model files), with a report or
+    family or on a file with no [family] block, an --all directory without
+    model files), with a report or
     stderr line and never a traceback; a [gk] block naming
     a structure that does not exist fails its check (exit 1) and names only
     that structure.  An --at value comes from the command line, so its

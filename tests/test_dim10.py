@@ -1,12 +1,13 @@
 """The dim-10 models under tests/models: their twisted dimensions against
-numbers derived by hand, not by the engine, their filtrations against the
-subspace pipelines of tests/test_cohomology.py, and their grading and pure
-spinor against the references of tests/test_gcs.py.
+numbers derived by hand, not by the engine, their filtrations and the closed
+forms of their U_{<=p} chains against the subspace pipelines of
+tests/test_cohomology.py, and their grading and pure spinor against the
+references of tests/test_gcs.py.
 
 The complete dim-10 comparison, which adds the weight split of the complex
-10-torus (about 5 s for its reference alone), the two symplectic models and
-the gradings of the two tori, runs when GCHODGE_DIM10 is set to 1, as the
-`dim10` CI job does."""
+10-torus (about 5 s for its reference alone), the two symplectic models, the
+gradings of the two tori and the chains of the complex 10-torus, runs when
+GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
 
 import os
 from math import comb
@@ -17,7 +18,8 @@ import pytest
 from gchodge.cohomology import invariant_derham, twisted_cohomology
 from gchodge.modelfile import parse_model
 
-from test_cohomology import assert_filtrations_match_reference
+from test_cohomology import (assert_closed_in_chain_matches_reference,
+                             assert_filtrations_match_reference)
 from test_gcs import assert_grading_matches_reference, build_main
 
 MODELS = Path(__file__).resolve().parent / "models"
@@ -70,6 +72,11 @@ def test_dim10_kt_grading_matches_reference():
     assert_grading_matches_reference("kt10", build_main(load("kt10"), "kt10"))
 
 
+def test_dim10_kt_closed_in_chain_matches_reference():
+    assert_closed_in_chain_matches_reference(build_main(load("kt10"), "kt10"),
+                                             "kt10")
+
+
 complete = pytest.mark.skipif(os.environ.get("GCHODGE_DIM10") != "1",
                               reason="the complete dim-10 comparison runs "
                                      "with GCHODGE_DIM10=1")
@@ -85,3 +92,10 @@ def test_dim10_filtrations_match_reference(name):
 @pytest.mark.parametrize("name", ["torus10-complex", "torus10-symplectic"])
 def test_dim10_torus_grading_matches_reference(name):
     assert_grading_matches_reference(name, build_main(load(name), name))
+
+
+@complete
+def test_dim10_complex_torus_closed_in_chain_matches_reference():
+    assert_closed_in_chain_matches_reference(
+        build_main(load("torus10-complex"), "torus10-complex"),
+        "torus10-complex")

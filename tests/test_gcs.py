@@ -13,14 +13,14 @@ from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, SpectrumViolation, TwistWrongType,
                             WrongType)
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
-from gchodge.gcs import (GCStruct, Half, _project_blade, _projector_plan,
+from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
                          make_complex, make_general, make_symplectic,
                          symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
 from gchodge.linalg import (Subspace, Vec, kernel_lift, mat_inv, vec_axpy,
                             vec_conj, vec_scale)
 from gchodge.modelfile import build_structure, parse_model
-from gchodge.scalars import I, ONE, QI
+from gchodge.scalars import Half, I, ONE, QI
 
 from test_linalg import mat_identity
 

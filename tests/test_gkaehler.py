@@ -15,6 +15,7 @@ from gchodge.gkaehler import (BIDEGREES, algebroid_split_check,
                               bigraded_cohomology, bigrading, delta_split_check,
                               gk_deformation_check, gk_validate)
 from gchodge.liemodel import LieModel
+from gchodge.linalg import Subspace
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
@@ -134,6 +135,29 @@ def test_bigraded_cohomology_flat4():
     assert rep.total_matches_twisted
     assert rep.blocks_decompose and rep.intersection_ok and rep.marginals_ok
     assert sum(rep.dims.values()) == 8
+
+@pytest.mark.parametrize("fault", ["overlapping", "missing"])
+def test_bigraded_cohomology_rejects_bad_blocks(monkeypatch, fault):
+    """Blocks whose classes overlap, or that leave a class of H out, are no
+    direct sum of H, and their marginals reproduce neither decomposition:
+    the (2, 0) block also gets the class of the (-2, 0) block (the blocks
+    still span H), or loses its own."""
+    import gchodge.gkaehler as gkaehler
+    pair = kahler_pair()
+    assert pair.U2_dims[(-2, 0)] == pair.U2_dims[(2, 0)] == 1
+    src, dst = pair.U2_subspace(-2, 0), pair.U2_subspace(2, 0)
+    closed_classes = gkaehler.closed_classes
+
+    def patched(s, space, parity=None):
+        if space is dst:   # the block only, not s1's U_2 that equals it
+            space = Subspace.span(space.ambient, dst.basis() + src.basis()) \
+                if fault == "overlapping" else Subspace.zero(space.ambient)
+        return closed_classes(s, space, parity)
+
+    monkeypatch.setattr(gkaehler, "closed_classes", patched)
+    rep = bigraded_cohomology(pair)
+    assert not rep.blocks_decompose
+    assert not rep.marginals_ok
 
 
 def test_algebroid_split_identities():
