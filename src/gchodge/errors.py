@@ -130,3 +130,7 @@ class UnknownGenerator(ModelSyntaxError):
 
 class DimensionOdd(EngineError):
     code = "dimension-odd"
+
+
+class DimensionTooLarge(EngineError):
+    code = "dimension-too-large"

@@ -256,6 +256,27 @@ def spin_apply(op: SpinOp, v: Vec) -> Vec:
     return out
 
 
+def _compose(a: SpinOp, b: SpinOp) -> SpinOp:
+    """The table of a after b."""
+    out: SpinOp = {}
+    for mask, v in b.items():
+        col = spin_apply(a, v)
+        if col:
+            out[mask] = col
+    return out
+
+
+def _table_combine(coeffs, tables: list[SpinOp]) -> SpinOp:
+    """sum_j coeffs[j] tables[j], over the shorter of the two; empty columns
+    are dropped."""
+    out: SpinOp = {}
+    for c, t in zip(coeffs, tables):
+        if c:
+            for mask, v in t.items():
+                _axpy_into(out.setdefault(mask, {}), c, v)
+    return {mask: v for mask, v in out.items() if v}
+
+
 def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
 

@@ -16,6 +16,23 @@ complex conjugation maps U_k onto U_{-k}: a blade's part in U_{-k} is the
 conjugate of its part in U_k, and U_{-k} = conj U_k, so only k >= 0 is
 computed.  The pure spinor is the basis vector of the line U_{-n}, checked
 to be annihilated by every element of L's basis.
+
+N is the sum of one operator per block of J, the finest partition of the
+generators (x_i and e^i as one index) that J does not couple, so U_k is the
+sum over sum k_b = k of the wedge products of the blocks' U_{k_b}
+(Gualtieri's product structures), each block graded on its own blades.  A
+blade is the wedge of its blocks' blades up to the sign of sorting them
+(forms.blade_wedge_sign), which the products carry where blocks interleave,
+as kt's {1, 4} and {2, 3} do; one span per U_k makes them canonical.  A J of
+one block is graded blade by blade and keeps that per-blade table; a product
+builds it only when it is read.
+
+The part D_s of d_H shifting the grading by s in {-3, -1, 1, 3} (d_H has
+Clifford degree 1 and 3) has [N, D_s] = -is D_s.  With C = [N, d_H], an
+integrable structure has [N, C] = -d_H, del = (d_H - iC)/2 and
+delbar = (d_H + iC)/2 (Cavalcanti's d^J = [d, J]); otherwise the four parts
+come by Lagrange over the nodes -is, after checking
+(ad_N^2 + 1)(ad_N^2 + 9) d_H = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +47,8 @@ from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import Form, SpinOp, popcount, spin_apply
+from .forms import (Form, SpinOp, _compose, _table_combine, blade_wedge_sign,
+                    popcount, spin_apply)
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
 from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, mat_inv,
                      mat_mul, matrix_kernel, vec_conj, vec_scale)
@@ -62,32 +80,6 @@ def flat_matrix(two_form: Form) -> Matrix:
 
 def form_of_vec(dim: int, v: Vec) -> Form:
     return Form(dim, dict(v))
-
-
-def _split_by_blades(blade_parts: dict, v: Vec) -> dict:
-    """Split v along per-blade graded parts {mask: {degree: Vec}}; only the
-    non-zero parts are kept."""
-    parts: dict = {}
-    for mask, c in v.items():
-        for k, p in blade_parts[mask].items():
-            _axpy_into(parts.setdefault(k, {}), c, p)
-    return {k: p for k, p in parts.items() if p}
-
-
-def shift_tables(blade_parts: dict, op: SpinOp, shift) -> dict:
-    """Split op along the grading given by per-blade parts: returns
-    {shift(k, j): table of the part of op taking degree k to degree j}."""
-    tables: dict = {}
-    for mask, parts in blade_parts.items():
-        cols: dict = {}
-        for k, p in parts.items():
-            for j, q in _split_by_blades(blade_parts, spin_apply(op, p)).items():
-                key = shift(k, j)
-                _axpy_into(cols.setdefault(key, {}), ONE, q)
-        for key, col in cols.items():
-            if col:
-                tables.setdefault(key, {})[mask] = col
-    return tables
 
 
 # -- the spinorial action of J and its eigenprojections ----------------------------
@@ -157,6 +149,24 @@ def _combine(coeffs, vecs: list[Vec]) -> Vec:
     return out
 
 
+def _ad_split(N: SpinOp, D: SpinOp) -> dict[int, SpinOp]:
+    """The nonzero parts D_s of D that shift the grading by s: N is -ik on
+    U_k, so D_s is the -is eigenpart of ad_N = N∘ - ∘N.  The Lagrange nodes
+    are s = +-1 when ad_N^2 D = -D, else s = +-1, +-3, the spectrum of an
+    operator of Clifford degree 1 and 3 such as d_H."""
+    powers = [D]
+    for n in (1, 3):
+        ks, minpoly, vand_inv = _projector_plan(n, 1)
+        while len(powers) <= len(ks):
+            powers.append(_table_combine((ONE, -ONE), (
+                _compose(N, powers[-1]), _compose(powers[-1], N))))
+        if not _table_combine(minpoly, powers):
+            return {s: t for s, row in zip(ks, vand_inv)
+                    if (t := _table_combine(row, powers))}
+    raise SpectrumViolation(
+        "ad_N violates the forced spectrum {-3i, -i, i, 3i} on d_H")
+
+
 def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
     """The nonzero parts {k: Vec} of a blade in the U_k of one parity class.
     N must satisfy the class's minimal polynomial on the blade, or its
@@ -185,6 +195,85 @@ def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
     return parts
 
 
+def _grade_blades(N: SpinOp, n: int, masks) -> tuple[int, dict]:
+    """(cls, {mask: parts}) for the blades `masks`, which N preserves and
+    which include blade 0.  N preserves form parity, so a blade of degree d has parts
+    only in the U_k with k = d + cls (mod 2), where blade 0 fixes cls as the
+    class whose minimal polynomial kills it; one pass of N-powers per blade,
+    with the nodes of its class only, gives both the spectrum check and the
+    blade's parts."""
+    head = _powers(N, {0: ONE}, n + 1)
+    cls = next((c for c in (0, 1)
+                if not _combine(_projector_plan(n, c)[1], head)), None)
+    if cls is None:
+        raise SpectrumViolation(
+            "spinorial operator violates the forced spectrum "
+            f"{{-i{n}..i{n}}} on blade 0", blade=0)
+    plans = [_projector_plan(n, c) for c in (0, 1)]
+    return cls, {mask: _project_blade(N, mask,
+                                      plans[(popcount(mask) + cls) % 2])
+                 for mask in masks}
+
+
+def _upper_spans(ambient: int, n: int, blade_parts: dict) -> dict:
+    """U_k for 0 <= k <= n, spanned by the blades' parts."""
+    u_vecs: dict[int, list[Vec]] = {k: [] for k in range(n + 1)}
+    for parts in blade_parts.values():
+        for k, comp in parts.items():
+            if k >= 0:
+                u_vecs[k].append(comp)
+    return {k: Subspace.span(ambient, vecs) for k, vecs in u_vecs.items()}
+
+
+def _blocks(J: Matrix, dim: int) -> list[list[int]]:
+    """The finest partition of the generator indices 0..dim-1 that J does not
+    couple: union-find over J's nonzero entries, with x_i and e^i both taken
+    as index i.  Each block is ascending; blocks come by their least index."""
+    block_of = [{i} for i in range(dim)]
+    for b, row in enumerate(J):
+        for a, x in enumerate(row):
+            if x and block_of[a % dim] is not block_of[b % dim]:
+                merged = block_of[a % dim] | block_of[b % dim]
+                for i in merged:
+                    block_of[i] = merged
+    return sorted({min(s): sorted(s) for s in block_of}.values())
+
+
+def _wedge_disjoint(u: Vec, v: Vec) -> Vec:
+    """u ^ v for forms on disjoint sets of generators."""
+    return {a | b: x * y if blade_wedge_sign(a, b) > 0 else -(x * y)
+            for a, x in u.items() for b, y in v.items()}
+
+
+def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
+    """(cls, {k: U_k for k >= 0}) of the product of J's blocks, cls summing
+    the blocks' classes.  A block's N, built on its own blades, is relabelled
+    onto the model's, which keep the order of generators; partial products
+    that the blocks still to come cannot raise to k >= 0 are skipped."""
+    cls, prods, rest = 0, {0: [{0: ONE}]}, dim // 2
+    for block in blocks:
+        m, nb = len(block), len(block) // 2
+        idx = block + [dim + i for i in block]
+        masks = [sum(1 << block[j] for j in range(m) if mask >> j & 1)
+                 for mask in range(1 << m)]
+        Nb = _spinorial_N(m, [[J[r][c] for c in idx] for r in idx])
+        cb, parts = _grade_blades(
+            {masks[a]: {masks[b]: x for b, x in col.items()}
+             for a, col in Nb.items()}, nb, masks)
+        upper = _upper_spans(1 << dim, nb, parts)
+        cls, rest = cls + cb, rest - nb
+        nxt: dict[int, list[Vec]] = {}
+        for kb in range(-nb, nb + 1):
+            basis = (upper[kb] if kb >= 0 else upper[-kb].conj())._basis
+            for k, vecs in prods.items():
+                if k + kb + rest >= 0:
+                    nxt.setdefault(k + kb, []).extend(
+                        _wedge_disjoint(u, v) for u in vecs for v in basis)
+        prods = nxt
+    return cls % 2, {k: Subspace.span(1 << dim, prods.get(k, ()))
+                     for k in range(dim // 2 + 1)}
+
+
 class GCStruct:
     """Validated generalized complex structure with exact grading machinery."""
 
@@ -206,34 +295,14 @@ class GCStruct:
 
     def _build_grading(self):
         dim, n = self.model.dim, self.n
-        self.N = _spinorial_N(dim, self.J)
-
-        # N preserves form parity, so a blade of degree d has parts only in
-        # the U_k with k = d - n - parity (mod 2); blade 0 fixes the parity
-        # as the class whose minimal polynomial kills it
-        head = _powers(self.N, {0: ONE}, n + 1)
-        cls = next((c for c in (0, 1)
-                    if not _combine(_projector_plan(n, c)[1], head)), None)
-        if cls is None:
-            raise SpectrumViolation(
-                "spinorial operator violates the forced spectrum "
-                f"{{-i{n}..i{n}}} on blade 0", blade=0)
+        blocks = _blocks(self.J, dim)
+        if len(blocks) == 1:
+            cls, self._blade_parts = _grade_blades(self.N, n, range(1 << dim))
+            upper = _upper_spans(1 << dim, n, self._blade_parts)
+        else:
+            cls, upper = _product_grading(self.J, dim, blocks)
         self.parity = (n + cls) % 2
-
-        # one pass of N-powers per blade, with the nodes of its class only,
-        # gives both the spectrum check and the blade's graded parts
-        plans = [_projector_plan(n, c) for c in (0, 1)]
-        self._blade_parts: dict[int, dict[int, Vec]] = {}
-        u_vecs: dict[int, list[Vec]] = {k: [] for k in range(n + 1)}
-        for mask in range(1 << dim):
-            parts = _project_blade(
-                self.N, mask, plans[(popcount(mask) - n - self.parity) % 2])
-            for k, comp in parts.items():
-                if k >= 0:
-                    u_vecs[k].append(comp)
-            self._blade_parts[mask] = parts
         # N is real, so U_{-k} = conj U_k
-        upper = {k: Subspace.span(1 << dim, vecs) for k, vecs in u_vecs.items()}
         ks = range(-n, n + 1)
         self.U = {k: upper[k] if k >= 0 else upper[-k].conj() for k in ks}
         self.U_dims = {k: self.U[k].dim for k in ks}
@@ -251,11 +320,35 @@ class GCStruct:
                     _axpy_into(elem, c, lb)
             self.dual_basis.append(elem)
 
+    @cached_property
+    def N(self) -> SpinOp:
+        """The table of J's spinorial action on every blade."""
+        return _spinorial_N(self.model.dim, self.J)
+
+    @cached_property
+    def _blade_parts(self) -> dict[int, dict[int, Vec]]:
+        """Every blade's parts {k: Vec}: kept from the build for one block of
+        J, and built on first use for a product."""
+        return _grade_blades(self.N, self.n, range(1 << self.model.dim))[1]
+
     # -- public grading API ----------------------------------------------------
 
     def decompose(self, w: Form) -> dict[int, Form]:
-        return {k: form_of_vec(w.dim, v) for k, v
-                in _split_by_blades(self._blade_parts, w.coeffs).items()}
+        """w's nonzero parts in the U_k, by Lagrange over w's own N-powers:
+        the even and the odd blades of w each lie in one parity class."""
+        parts: dict[int, Form] = {}
+        for p in (0, 1):
+            start = w.parity_part(p).coeffs
+            ks, minpoly, vand_inv = _projector_plan(
+                self.n, (p + self.n + self.parity) % 2)
+            powers = _powers(self.N, start, len(ks))
+            if _combine(minpoly, powers):
+                raise SpectrumViolation(
+                    "spinorial operator violates the forced spectrum of the "
+                    f"parity class on the degree-{p} (mod 2) part of a form")
+            parts.update((k, form_of_vec(w.dim, comp)) for k, row
+                         in zip(ks, vand_inv) if (comp := _combine(row, powers)))
+        return parts
 
     def project(self, k: int, w: Form) -> Form:
         return self.decompose(w).get(k, Form(w.dim))
@@ -268,8 +361,7 @@ class GCStruct:
         """d_H split by grading shift: -1 is del and +1 is delbar (always
         present, possibly empty); any other key means that d_H leaves
         U_{k-1} + U_{k+1}, so the structure is not integrable."""
-        return {-1: {}, 1: {}, **shift_tables(
-            self._blade_parts, self.model.dH_table, lambda k, j: j - k)}
+        return {-1: {}, 1: {}, **_ad_split(self.N, self.model.dH_table)}
 
     def partial(self, w: Form) -> Form:
         return Form(w.dim, spin_apply(self.dH_parts[-1], w.coeffs))

@@ -19,23 +19,12 @@ from .errors import (EngineError, MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
                      SplitNotIntegrable)
 from .families import FamilySpec, ks_class
-from .forms import SpinOp, spin_apply
-from .gcs import GCStruct, _split_by_blades, pairing_gram, shift_tables
+from .forms import SpinOp, _compose, _table_combine, spin_apply
+from .gcs import GCStruct, _ad_split, form_of_vec, pairing_gram
 from .liemodel import LieAlgebroid
-from .linalg import (QuotientSpace, Subspace, Vec, _axpy_into, mat_det,
-                     mat_mul, vec_add, vec_conj)
+from .linalg import (QuotientSpace, Subspace, Vec, mat_det, mat_mul, vec_add,
+                     vec_conj)
 from .scalars import ONE, QI
-
-
-def _joint_parts(first: GCStruct, second: GCStruct,
-                 mask: int) -> dict[tuple[int, int], Vec]:
-    """Blade `mask` split by `first`'s grading, then each part by `second`'s;
-    keys are (degree for first, degree for second)."""
-    parts: dict[tuple[int, int], Vec] = {}
-    for r, p1 in first._blade_parts[mask].items():
-        for s, p2 in _split_by_blades(second._blade_parts, p1).items():
-            _axpy_into(parts.setdefault((r, s), {}), ONE, p2)
-    return parts
 
 
 class GKPair:
@@ -50,14 +39,14 @@ class GKPair:
         self.Lp = Lp   # L1+ = L1 cap L2
         self.Lm = Lm   # L1- = L1 cap conj(L2)
         self.n = s1.n
-        self._blade_parts: dict[int, dict[tuple[int, int], Vec]] = {}
         dim = self.model.dim
+        # s2's projectors are polynomials in N2, which commutes with N1, so
+        # they split each U1_r into its intersections with the U2_s
         u_vecs: dict[tuple[int, int], list[Vec]] = {}
-        for mask in range(1 << dim):
-            parts = _joint_parts(s1, s2, mask)
-            self._blade_parts[mask] = parts
-            for rs, v in parts.items():
-                u_vecs.setdefault(rs, []).append(v)
+        for r, U in s1.U.items():
+            for v in U._basis:
+                for s, part in s2.decompose(form_of_vec(dim, v)).items():
+                    u_vecs.setdefault((r, s), []).append(part.coeffs)
         self.U2 = {rs: Subspace.span(1 << dim, vs) for rs, vs in u_vecs.items()}
         self.U2_dims = {rs: sp.dim for rs, sp in self.U2.items() if sp.dim}
 
@@ -67,10 +56,14 @@ class GKPair:
     @cached_property
     def dH_parts(self) -> dict[tuple[int, int], SpinOp]:
         """d_H split by bidegree shift: the four BIDEGREES (always present,
-        possibly empty), and any other key only for an invalid pair."""
-        return {**{bd: {} for bd in BIDEGREES.values()}, **shift_tables(
-            self._blade_parts, self.model.dH_table,
-            lambda k, j: (j[0] - k[0], j[1] - k[1]))}
+        possibly empty), and any other key only for an invalid pair.  Each
+        part of s1's split is split again under ad_{N2}, which commutes with
+        ad_{N1}."""
+        parts = {bd: {} for bd in BIDEGREES.values()}
+        for r, part in self.s1.dH_parts.items():
+            for s, t in _ad_split(self.s2.N, part).items():
+                parts[(r, s)] = t
+        return parts
 
 
 def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
@@ -143,14 +136,9 @@ def bigrading(pair: GKPair) -> BigradingReport:
         q = (r - s + n) // 2
         if not (0 <= p <= n and 0 <= q <= n) or d != comb(n, p) * comb(n, q):
             hodge_ok = False
-    # commutation: decompose in the other order and compare
-    commute_ok = True
-    for mask in range(1 << dim):
-        other = {(r, s): v for (s, r), v
-                 in _joint_parts(pair.s2, pair.s1, mask).items()}
-        mine = pair._blade_parts[mask]
-        if {k: v for k, v in other.items() if v} != {k: v for k, v in mine.items() if v}:
-            commute_ok = False
+    # the projectors of each structure are polynomials in its N
+    commute_ok = (_compose(pair.s1.N, pair.s2.N)
+                  == _compose(pair.s2.N, pair.s1.N))
     return BigradingReport(dims, total == 1 << dim, parity_ok, commute_ok,
                            hodge_ok)
 
@@ -159,6 +147,7 @@ def bigrading(pair: GKPair) -> BigradingReport:
 
 BIDEGREES = {"delta+": (-1, -1), "delta-": (-1, 1),
              "delbar+": (1, 1), "delbar-": (1, -1)}
+_PLUS = (ONE, ONE)  # coefficients of a sum of two tables
 
 
 @dataclass
@@ -190,40 +179,23 @@ def delta_split_check(pair: GKPair) -> DeltaReport:
     identity, reported separately."""
     ops = {nm: pair.dH_parts[bd] for nm, bd in BIDEGREES.items()}
     residual_ok = set(pair.dH_parts) <= set(BIDEGREES.values())
-    m1 = _table_sum(ops["delbar+"], ops["delbar-"]) == pair.s1.dH_parts[1]
-    m2 = _table_sum(ops["delbar+"], ops["delta-"]) == pair.s2.dH_parts[1]
+    m1 = (_table_combine(_PLUS, (ops["delbar+"], ops["delbar-"]))
+          == pair.s1.dH_parts[1])
+    m2 = (_table_combine(_PLUS, (ops["delbar+"], ops["delta-"]))
+          == pair.s2.dH_parts[1])
 
     def anticomm(a: str, b: str) -> SpinOp:
-        return _table_sum(_compose(ops[a], ops[b]), _compose(ops[b], ops[a]))
+        return _table_combine(_PLUS, (_compose(ops[a], ops[b]),
+                                      _compose(ops[b], ops[a])))
 
     forced_pairs = [("delta+", "delta-"), ("delta+", "delbar-"),
                     ("delta-", "delbar+"), ("delbar+", "delbar-")]
     diagonal = anticomm("delta+", "delbar+")
     anti_ok = (not any(_compose(ops[nm], ops[nm]) for nm in ops)
                and not any(anticomm(a, b) for a, b in forced_pairs)
-               and not _table_sum(diagonal, anticomm("delta-", "delbar-")))
+               and not _table_combine(
+                   _PLUS, (diagonal, anticomm("delta-", "delbar-"))))
     return DeltaReport(residual_ok, m1, m2, anti_ok, not diagonal)
-
-
-def _compose(a: SpinOp, b: SpinOp) -> SpinOp:
-    """The table of a after b."""
-    out: SpinOp = {}
-    for mask, v in b.items():
-        col = spin_apply(a, v)
-        if col:
-            out[mask] = col
-    return out
-
-
-def _table_sum(a: SpinOp, b: SpinOp) -> SpinOp:
-    out = dict(a)
-    for mask, v in b.items():
-        col = vec_add(out.get(mask, {}), v)
-        if col:
-            out[mask] = col
-        else:
-            out.pop(mask, None)
-    return out
 
 
 # -- bigraded cohomology ----------------------------------------------------------------

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DimensionOdd, EngineError, ModelSyntaxError,
-                     UnknownGenerator)
+from .errors import (DimensionOdd, DimensionTooLarge, EngineError,
+                     ModelSyntaxError, UnknownGenerator)
 from .forms import Form, blade_name, popcount
 from .liemodel import LieModel
 from .poly import ParamPoly, PolyForm, PolyMatrix
@@ -22,6 +22,9 @@ _NUM = re.compile(r"^(-?\d+)(?:/(\d+))?(i?)$")
 _GEN = re.compile(r"^e(\d+)$")
 _VEC = re.compile(r"^x(\d+)$")
 _VAR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
+
+# the largest dimension a file may declare: the spinor space has 2^dim blades
+MAX_DIM = 14
 
 
 @dataclass
@@ -205,6 +208,9 @@ def parse_model(text: str) -> ModelFile:
                     raise ModelSyntaxError(f"bad dimension {val!r}", lno) from None
                 if dim % 2 or dim <= 0:
                     raise DimensionOdd(f"dimension must be even positive, got {dim}")
+                if dim > MAX_DIM:
+                    raise DimensionTooLarge(
+                        f"dimension {dim} exceeds the maximum {MAX_DIM}")
             elif key.startswith("d "):
                 gen = key[2:].strip()
                 gm = _GEN.match(gen)

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from gchodge.cli import main
-from gchodge.errors import DimensionOdd, ModelSyntaxError, UnknownGenerator
+from gchodge.errors import (DimensionOdd, DimensionTooLarge, ModelSyntaxError,
+                            UnknownGenerator)
 from gchodge.forms import Form
-from gchodge.modelfile import emit_model, parse_model
+from gchodge.modelfile import MAX_DIM, emit_model, parse_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,6 +48,11 @@ def test_parse_twisted():
 def test_parse_dimension_odd():
     with pytest.raises(DimensionOdd):
         parse_model("dim = 3\n")
+
+def test_parse_dimension_limit():
+    assert parse_model(f"dim = {MAX_DIM}\n").dim == MAX_DIM == 14
+    with pytest.raises(DimensionTooLarge):
+        parse_model(f"dim = {MAX_DIM + 2}\n")
 
 def test_parse_unknown_generator():
     with pytest.raises(UnknownGenerator):
@@ -159,18 +165,24 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
      1, "unresolved structure references ['s']"),
     (["check", ".", "--all"], {"notes.txt": b"dim = 4\nH = 0\n"}, 2,
      "no .gcm files"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 40\nH = 0\n"}, 2,
+     "dimension-too-large: dimension 40 exceeds the maximum 14"),
+    (["cohomology", "m.gcm"], {"m.gcm": b"dim = 40\nH = 0\n"}, 2,
+     "dimension-too-large"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
         "family-without-variables", "family-zero-variables",
         "family-negative-variables", "check-at-x", "family-without-block-at-x",
         "at-repeated", "hodge-at", "at-without-family", "negative-samples",
-        "gk-first-missing", "all-without-gcm-files"])
+        "gk-first-missing", "all-without-gcm-files", "check-dim-40",
+        "cohomology-dim-40"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
     family or on a file with no [family] block, an --all directory without
-    model files), with a report or
+    model files, a dimension above MAX_DIM, whose 2^dim blades no command
+    could hold), with a report or
     stderr line and never a traceback; a [gk] block naming
     a structure that does not exist fails its check (exit 1) and names only
     that structure.  An --at value comes from the command line, so its

@@ -1,13 +1,14 @@
-"""The dim-10 models under tests/models: their twisted dimensions against
-numbers derived by hand, not by the engine, their filtrations and the closed
-forms of their U_{<=p} chains against the subspace pipelines of
-tests/test_cohomology.py, and their grading and pure spinor against the
-references of tests/test_gcs.py.
+"""The dim-10 and dim-12 models under tests/models: their twisted dimensions
+against numbers derived by hand, not by the engine, their filtrations and
+the closed forms of their U_{<=p} chains against the subspace pipelines of
+tests/test_cohomology.py, and their grading, pure spinor and split of d_H
+against the references of tests/test_gcs.py.
 
-The complete dim-10 comparison, which adds the weight split of the complex
-10-torus (about 5 s for its reference alone), the two symplectic models, the
-gradings of the two tori and the chains of the complex 10-torus, runs when
-GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
+The complete comparison, which adds the weight split of the complex 10-torus
+(about 5 s for its reference alone), the two symplectic models, the gradings
+of the two tori, the chains of the complex 10-torus, and the grading and the
+d_H split of kt12 (about 15 s), runs when GCHODGE_DIM10 is set to 1, as the
+`dim10` CI job does."""
 
 import os
 from math import comb
@@ -20,7 +21,8 @@ from gchodge.modelfile import parse_model
 
 from test_cohomology import (assert_closed_in_chain_matches_reference,
                              assert_filtrations_match_reference)
-from test_gcs import assert_grading_matches_reference, build_main
+from test_gcs import (assert_dH_parts_match_shift_tables,
+                      assert_grading_matches_reference, build_main)
 
 MODELS = Path(__file__).resolve().parent / "models"
 
@@ -46,6 +48,9 @@ def kunneth(a, b):
 BETTI = {"torus10-symplectic": torus_betti(10),
          "torus10-complex": torus_betti(10),
          "kt10": kunneth(KT_BETTI, torus_betti(6))}
+BETTI12 = {"torus12-symplectic": torus_betti(12),
+           "torus12-complex": torus_betti(12),
+           "kt12": kunneth(KT_BETTI, torus_betti(8))}
 
 
 def load(name):
@@ -61,6 +66,20 @@ def test_dim10_twisted_dims(name):
     assert [invariant_derham(m, k).dim for k in range(11)] == betti
     tw = twisted_cohomology(m)
     assert (tw.dim_even, tw.dim_odd) == (sum(betti[0::2]), sum(betti[1::2]))
+
+
+@pytest.mark.parametrize("name", sorted(BETTI12))
+def test_dim12_twisted_dims(name):
+    betti = BETTI12[name]
+    assert sum(betti) == (4096 if name.startswith("torus") else 3072)
+    m = parse_model(load(name)).model(name)
+    assert [invariant_derham(m, k).dim for k in range(13)] == betti
+    tw = twisted_cohomology(m)
+    assert (tw.dim_even, tw.dim_odd) == (sum(betti[0::2]), sum(betti[1::2]))
+
+
+def test_dim10_kt_dH_parts_match_reference_shift_tables():
+    assert_dH_parts_match_shift_tables("kt10", build_main(load("kt10"), "kt10"))
 
 
 def test_dim10_complex_torus_hodge_filtration_matches_reference():
@@ -99,3 +118,10 @@ def test_dim10_complex_torus_closed_in_chain_matches_reference():
     assert_closed_in_chain_matches_reference(
         build_main(load("torus10-complex"), "torus10-complex"),
         "torus10-complex")
+
+
+@complete
+def test_dim12_kt_grading_and_dH_parts_match_reference():
+    s = build_main(load("kt12"), "kt12")
+    assert_grading_matches_reference("kt12", s)
+    assert_dH_parts_match_shift_tables("kt12", s)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,12 +14,12 @@ from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, SpectrumViolation, TwistWrongType,
                             WrongType)
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
-from gchodge.gcs import (GCStruct, _project_blade, _projector_plan,
-                         make_complex, make_general, make_symplectic,
-                         symp_delta, symp_phi)
+from gchodge.gcs import (GCStruct, _blocks, _grade_blades, _project_blade,
+                         _projector_plan, form_of_vec, make_complex,
+                         make_general, make_symplectic, symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
-from gchodge.linalg import (Subspace, Vec, kernel_lift, mat_inv, vec_axpy,
-                            vec_conj, vec_scale)
+from gchodge.linalg import (Subspace, Vec, _axpy_into, kernel_lift, mat_inv,
+                            vec_axpy, vec_conj, vec_scale)
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import Half, I, ONE, QI
 
@@ -390,6 +391,53 @@ def test_blade_outside_its_parity_class_raises_naming_it():
         -1: {5: Half, 6: -Half * I}, 1: {5: Half, 6: Half * I}}
 
 
+def test_block_violation_names_the_blade_on_the_model():
+    # the rotation above, on the blades of generators 3..6: blade 1 << 2 has
+    # the eigenvalue 0, outside the odd class {-i, i}
+    N = {5 << 2: {6 << 2: ONE}, 6 << 2: {5 << 2: -ONE}}
+    with pytest.raises(SpectrumViolation, match=r"on blade 4\b") as exc:
+        _grade_blades(N, 2, [mask << 2 for mask in range(16)])
+    assert exc.value.details == {"blade": 4}
+
+
+def test_blocks_of_J():
+    kt = dict(corpus_structures())["kt:main"]
+    assert _blocks(kt.J, 4) == [[0, 3], [1, 2]]
+    kt8 = build_main(SCALE8["kt8"], "kt8")
+    assert [len(b) for b in _blocks(kt8.J, 8)] == [2, 2, 2, 2]
+    dense = build_main(dense_model_text("torus6-complex", 1), "dense")
+    assert _blocks(dense.J, 6) == [list(range(6))]
+    # a product builds no per-blade table; one block keeps the one its
+    # grading was built from
+    assert "_blade_parts" not in kt8.__dict__
+    assert "_blade_parts" in dense.__dict__
+
+
+def split_by_blades(blade_parts, v):
+    """v split along per-blade graded parts {mask: {degree: Vec}}; only the
+    nonzero parts are kept."""
+    parts = {}
+    for mask, c in v.items():
+        for k, p in blade_parts[mask].items():
+            _axpy_into(parts.setdefault(k, {}), c, p)
+    return {k: p for k, p in parts.items() if p}
+
+
+def test_decompose_matches_per_blade_split():
+    built = [*corpus_structures(), ("kt8", build_main(SCALE8["kt8"], "kt8"))]
+    rng = random.Random(3)
+    for name, s in built:
+        dim = s.model.dim
+        forms = [s.spinor, Form(dim, {m: ONE for m in range(1 << dim)})]
+        for _ in range(3):
+            forms.append(Form(dim, {rng.randrange(1 << dim): QI(
+                rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(5)}))
+        for w in forms:
+            want = {k: form_of_vec(dim, v) for k, v
+                    in split_by_blades(s._blade_parts, w.coeffs).items()}
+            assert s.decompose(w) == want, name
+
+
 def test_dim10_symplectic_torus_grading():
     s = make_symplectic(LieModel(10, [], name="torus10"), torus_omega(10))
     assert s.U_dims == {k: comb(10, k + 5) for k in range(-5, 6)}
@@ -424,6 +472,26 @@ def reference_dH_parts(decompose, model, shift):
               for key, cols in out.items()}
     return {key: t for key, t in tables.items() if t}
 
+def reference_shift_tables(blade_parts, op, shift):
+    """op split along the grading given by per-blade parts: {shift(k, j):
+    table of the part of op taking degree k to degree j}, empty columns and
+    tables dropped."""
+    tables = {}
+    for mask, parts in blade_parts.items():
+        cols = {}
+        for k, p in parts.items():
+            for j, q in split_by_blades(blade_parts, spin_apply(op, p)).items():
+                _axpy_into(cols.setdefault(shift(k, j), {}), ONE, q)
+        for key, col in cols.items():
+            if col:
+                tables.setdefault(key, {})[mask] = col
+    return tables
+
+def assert_dH_parts_match_shift_tables(name, s):
+    want = reference_shift_tables(s._blade_parts, s.model.dH_table,
+                                  lambda k, j: j - k)
+    assert s.dH_parts == {-1: {}, 1: {}, **want}, name
+
 def nonempty(parts):
     return {key: t for key, t in parts.items() if t}
 
@@ -432,6 +500,24 @@ def test_dH_parts_match_per_blade_reference():
         want = reference_dH_parts(s.decompose, s.model, lambda k, j: j - k)
         assert nonempty(s.dH_parts) == want
         assert set(s.dH_parts) == {-1, 1}
+
+def test_dH_parts_match_reference_shift_tables():
+    built = [*corpus_structures(), ("kt8", build_main(SCALE8["kt8"], "kt8")),
+             *structures_of(dense_model_text("torus6-complex", 1), "dense1"),
+             *structures_of(dense_model_text("kt-twisted", 2), "dense2"),
+             ("broken_kt", broken_kt())]
+    for name, s in built:
+        assert_dH_parts_match_shift_tables(name, s)
+    assert len(built) >= 19
+
+def test_dH_parts_outside_the_quartic_raise():
+    # a 5-form acting by wedge has grading shifts of +-5 on the symplectic
+    # 6-torus, outside the spectrum of d_H
+    s = make_symplectic(ABELIAN6, torus_omega(6))
+    five = Form.blade(6, [1, 2, 3, 4, 5])
+    s.model = SimpleNamespace(dim=6, dH_table=spin_op(6, five.wedge))
+    with pytest.raises(SpectrumViolation, match="-3i, -i, i, 3i"):
+        s.dH_parts
 
 def test_del_and_delbar_abelian_zero():
     s = complex_torus4()

@@ -9,8 +9,7 @@ from gchodge.cohomology import ddbar_check
 from gchodge.errors import MetricNotPositive, NotADecomposition, NotCommuting
 from gchodge.families import FamilySpec
 from gchodge.forms import Form
-from gchodge.gcs import (_split_by_blades, form_of_vec, make_complex,
-                         make_general, make_symplectic)
+from gchodge.gcs import make_complex, make_general, make_symplectic
 from gchodge.gkaehler import (BIDEGREES, algebroid_split_check,
                               bigraded_cohomology, bigrading, delta_split_check,
                               gk_deformation_check, gk_validate)
@@ -20,7 +19,8 @@ from gchodge.modelfile import build_structure, parse_model
 from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import ABELIAN4, nonempty, reference_dH_parts, std_I, torus_omega
+from test_gcs import (ABELIAN4, nonempty, reference_dH_parts, split_by_blades,
+                      std_I, torus_omega)
 from test_families import poly_two_form
 
 # flat Kaehler solvable model: d e1 = -e23, d e2 = e13 (isometries of the plane)
@@ -107,13 +107,21 @@ def test_dH_parts_match_per_blade_reference(name):
     pair = gk_validate(build_structure(mf, mf.block("c"), model),
                        build_structure(mf, mf.block("s"), model))
     def decompose2(w):
-        return {rs: form_of_vec(w.dim, v) for rs, v
-                in _split_by_blades(pair._blade_parts, w.coeffs).items()}
+        return {(r, s): q for r, p in pair.s1.decompose(w).items()
+                for s, q in pair.s2.decompose(p).items()}
 
     want = reference_dH_parts(decompose2, model,
                               lambda k, j: (j[0] - k[0], j[1] - k[1]))
     assert nonempty(pair.dH_parts) == want
     assert set(pair.dH_parts) == set(BIDEGREES.values())
+    # U_{r,s} against the per-blade joint split: each blade split by s1's
+    # blade parts, then each part by s2's
+    joint = {}
+    for parts in pair.s1._blade_parts.values():
+        for r, p in parts.items():
+            for s, q in split_by_blades(pair.s2._blade_parts, p).items():
+                joint.setdefault((r, s), []).append(q)
+    assert pair.U2 == {rs: Subspace.span(16, vs) for rs, vs in joint.items()}
 
 def test_both_structures_satisfy_ddbar():
     for model in (ABELIAN4, FLAT4):
