@@ -440,10 +440,11 @@ def _rank_of_sum(basis: list[Vec], vecs: list[Vec]) -> int:
 
 def hodge_filtration(s: GCStruct) -> HodgeReport:
     """The Hodge filtration of H and the Hodge condition H = F^p + conj
-    F^{-p-2}, direct, for every p: one rank per p, since the sum is direct
-    exactly when dim(F^p + conj F^q) = dim F^p + dim F^q = dim H.  The
-    class representatives are real forms (d_H is real), so conjugation acts
-    on class coordinates entrywise.  F^{p-2} lies in F^p by construction."""
+    F^{-p-2}, direct, for every p: one rank per pair {p, -p-2}, since the
+    sum is direct exactly when dim(F^p + conj F^q) = dim F^p + dim F^q =
+    dim H, and F^q + conj F^p is its conjugate.  The class representatives
+    are real forms (d_H is real), so conjugation acts on class coordinates
+    entrywise.  F^{p-2} lies in F^p by construction."""
     n = s.n
     tw = twisted_cohomology(s.model)
     dd = once_per_structure(s, ddbar_check)
@@ -452,6 +453,9 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
     filt = once_per_structure(s, _hodge_flags)
     hodge_by_p = {}
     for p in range(-n, n + 1):
+        if -p - 2 in hodge_by_p:
+            hodge_by_p[p] = hodge_by_p[-p - 2]
+            continue
         parity = (p + n + s.parity) % 2
         h_dim = tw.dim_even if parity == 0 else tw.dim_odd
         fp = filt[p]
@@ -725,7 +729,8 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
     (`_WeightBasis`), F~^i is the span of the classes born in U_{<=i},
     kept as one echelon that grows with i; its rows with pivots in Gr_j's
     coordinates give the image of F~^i cap W^j in Gr_j.  The split at (i, j)
-    is one rank of those rows and the conjugates of F~^{-i-2}'s."""
+    is one rank of those rows and the conjugates of F~^{-i-2}'s, taken once
+    per pair {i, -i-2}, whose two sums are conjugate."""
     if s.kind != "complex":
         raise WrongType("weight filtration check requires a complex-type structure")
     dd = once_per_structure(s, ddbar_check)
@@ -766,9 +771,12 @@ def weight_mhs_check(s: GCStruct) -> MHSReport:
             if (i - j) % 2:
                 continue
             img = graded_rows(i, j)
-            conj_img = [vec_conj(v) for v in graded_rows(-i - 2, j)]
-            good = (len(img) + len(conj_img) == gr_dim
-                    and _rank_of_sum(img, conj_img) == gr_dim)
+            if (-i - 2, j) in split_by:
+                good = split_by[(-i - 2, j)]
+            else:
+                conj_img = [vec_conj(v) for v in graded_rows(-i - 2, j)]
+                good = (len(img) + len(conj_img) == gr_dim
+                        and _rank_of_sum(img, conj_img) == gr_dim)
             split_by[(i, j)] = good
             ok = ok and good
             dims_along_i.append(len(img))

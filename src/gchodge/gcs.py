@@ -24,8 +24,8 @@ sum over sum k_b = k of the wedge products of the blocks' U_{k_b}
 blade is the wedge of its blocks' blades up to the sign of sorting them
 (forms.blade_wedge_sign), which the products carry where blocks interleave,
 as kt's {1, 4} and {2, 3} do; one span per U_k makes them canonical.  A J of
-one block is graded blade by blade and keeps that per-blade table; a product
-builds it only when it is read.
+one block is the product of one factor, and no structure keeps a per-blade
+table.
 
 The part D_s of d_H shifting the grading by s in {-3, -1, 1, 3} (d_H has
 Clifford degree 1 and 3) has [N, D_s] = -is D_s.  With C = [N, d_H], an
@@ -195,13 +195,14 @@ def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
     return parts
 
 
-def _grade_blades(N: SpinOp, n: int, masks) -> tuple[int, dict]:
-    """(cls, {mask: parts}) for the blades `masks`, which N preserves and
-    which include blade 0.  N preserves form parity, so a blade of degree d has parts
-    only in the U_k with k = d + cls (mod 2), where blade 0 fixes cls as the
-    class whose minimal polynomial kills it; one pass of N-powers per blade,
-    with the nodes of its class only, gives both the spectrum check and the
-    blade's parts."""
+def _grade_block(N: SpinOp, n: int, masks, ambient: int) -> tuple[int, dict]:
+    """(cls, {k: U_k for 0 <= k <= n}) for the blades `masks`, which N
+    preserves and which include blade 0.  N preserves form parity, so a blade
+    of degree d has parts only in the U_k with k = d + cls (mod 2), where
+    blade 0 fixes cls as the class whose minimal polynomial kills it; one pass
+    of N-powers per blade, with the nodes of its class only, gives both the
+    spectrum check and the blade's parts, whose k >= 0 ones join the spans
+    as they come."""
     head = _powers(N, {0: ONE}, n + 1)
     cls = next((c for c in (0, 1)
                 if not _combine(_projector_plan(n, c)[1], head)), None)
@@ -210,19 +211,13 @@ def _grade_blades(N: SpinOp, n: int, masks) -> tuple[int, dict]:
             "spinorial operator violates the forced spectrum "
             f"{{-i{n}..i{n}}} on blade 0", blade=0)
     plans = [_projector_plan(n, c) for c in (0, 1)]
-    return cls, {mask: _project_blade(N, mask,
-                                      plans[(popcount(mask) + cls) % 2])
-                 for mask in masks}
-
-
-def _upper_spans(ambient: int, n: int, blade_parts: dict) -> dict:
-    """U_k for 0 <= k <= n, spanned by the blades' parts."""
     u_vecs: dict[int, list[Vec]] = {k: [] for k in range(n + 1)}
-    for parts in blade_parts.values():
+    for mask in masks:
+        parts = _project_blade(N, mask, plans[(popcount(mask) + cls) % 2])
         for k, comp in parts.items():
             if k >= 0:
                 u_vecs[k].append(comp)
-    return {k: Subspace.span(ambient, vecs) for k, vecs in u_vecs.items()}
+    return cls, {k: Subspace.span(ambient, vecs) for k, vecs in u_vecs.items()}
 
 
 def _blocks(J: Matrix, dim: int) -> list[list[int]]:
@@ -257,10 +252,9 @@ def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
         masks = [sum(1 << block[j] for j in range(m) if mask >> j & 1)
                  for mask in range(1 << m)]
         Nb = _spinorial_N(m, [[J[r][c] for c in idx] for r in idx])
-        cb, parts = _grade_blades(
+        cb, upper = _grade_block(
             {masks[a]: {masks[b]: x for b, x in col.items()}
-             for a, col in Nb.items()}, nb, masks)
-        upper = _upper_spans(1 << dim, nb, parts)
+             for a, col in Nb.items()}, nb, masks, 1 << dim)
         cls, rest = cls + cb, rest - nb
         nxt: dict[int, list[Vec]] = {}
         for kb in range(-nb, nb + 1):
@@ -295,12 +289,7 @@ class GCStruct:
 
     def _build_grading(self):
         dim, n = self.model.dim, self.n
-        blocks = _blocks(self.J, dim)
-        if len(blocks) == 1:
-            cls, self._blade_parts = _grade_blades(self.N, n, range(1 << dim))
-            upper = _upper_spans(1 << dim, n, self._blade_parts)
-        else:
-            cls, upper = _product_grading(self.J, dim, blocks)
+        cls, upper = _product_grading(self.J, dim, _blocks(self.J, dim))
         self.parity = (n + cls) % 2
         # N is real, so U_{-k} = conj U_k
         ks = range(-n, n + 1)
@@ -324,12 +313,6 @@ class GCStruct:
     def N(self) -> SpinOp:
         """The table of J's spinorial action on every blade."""
         return _spinorial_N(self.model.dim, self.J)
-
-    @cached_property
-    def _blade_parts(self) -> dict[int, dict[int, Vec]]:
-        """Every blade's parts {k: Vec}: kept from the build for one block of
-        J, and built on first use for a product."""
-        return _grade_blades(self.N, self.n, range(1 << self.model.dim))[1]
 
     # -- public grading API ----------------------------------------------------
 

@@ -4,9 +4,9 @@ import copy
 
 import pytest
 
-from gchodge.cohomology import (_image_of, _preimage_in, _weight_basis,
-                                closed_classes, closed_in_chain, ddbar_check,
-                                delbar_cohomology, delbar_dims,
+from gchodge.cohomology import (_image_of, _preimage_in, _rank_of_sum,
+                                _weight_basis, closed_classes, closed_in_chain,
+                                ddbar_check, delbar_cohomology, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
                                 lefschetz_check, mukai_Q, twisted_cohomology,
@@ -645,6 +645,33 @@ def test_filtrations_use_no_subspace_pipeline(monkeypatch):
     assert hodge_filtration(s).hodge_ok
     assert weight_mhs_check(s).split_ok
     assert called == []
+
+
+@pytest.mark.parametrize("build", [complex_torus4, lambda: build_main(
+    (CORPUS / "torus6-complex.gcm").read_text(), "torus6-complex")],
+    ids=["torus4-complex", "torus6-complex"])
+def test_hodge_condition_ranks_once_per_conjugate_pair(build, monkeypatch):
+    # F^p + conj F^{-p-2} is the conjugate of F^{-p-2} + conj F^p, so the
+    # two share one rank, in H and in every Gr_j of the weight filtration
+    import gchodge.cohomology as cohomology
+    s = build()
+    n = s.n
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rank_of_sum(*args)
+
+    monkeypatch.setattr(cohomology, "_rank_of_sum", counted)
+    rep = hodge_filtration(s)
+    assert rep.hodge_ok
+    assert len(calls) <= len({frozenset((p, -p - 2))
+                              for p in range(-n, n + 1)})
+    calls.clear()
+    mhs = weight_mhs_check(s)
+    assert mhs.split_ok
+    assert len(calls) <= len({(frozenset((i, -i - 2)), j)
+                              for i, j in mhs.split_by_ij})
 
 
 def test_delbar_dims_are_symmetric_in_k():

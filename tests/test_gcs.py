@@ -9,12 +9,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from gchodge.cohomology import delbar_dims, twisted_cohomology
 from gchodge.courant import _clifford_vec, clifford_act, pairing
 from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, SpectrumViolation, TwistWrongType,
                             WrongType)
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
-from gchodge.gcs import (GCStruct, _blocks, _grade_blades, _project_blade,
+from gchodge.gcs import (GCStruct, _blocks, _grade_block, _project_blade,
                          _projector_plan, form_of_vec, make_complex,
                          make_general, make_symplectic, symp_delta, symp_phi)
 from gchodge.liemodel import LieModel
@@ -251,13 +252,20 @@ def corpus_structures():
         yield from structures_of(path.read_text(), path.stem)
 
 
-def dense_model_text(name, seed):
-    """A corpus model under the benchmark's seeded rational change of basis
-    (bench/dense.py, which never calls the engine)."""
+def bench_dense():
+    """The benchmark's change-of-basis module, bench/dense.py, which never
+    calls the engine."""
     spec = importlib.util.spec_from_file_location(
         "bench_dense", CORPUS.parent / "bench" / "dense.py")
     dense = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dense)
+    return dense
+
+
+def dense_model_text(name, seed):
+    """A corpus model under the benchmark's seeded rational change of
+    basis."""
+    dense = bench_dense()
     text = (CORPUS / f"{name}.gcm").read_text()
     basis = dense.random_basis(dense.parse_model_text(text)["dim"],
                                random.Random(seed))
@@ -336,15 +344,27 @@ def reference_spinor(s):
     return Form(s.model.dim, vec_scale(v, v[lead].inv()))
 
 
+def grade_blades(s):
+    """Every blade's parts {mask: {k: Vec}} by the engine's per-blade kernel:
+    _project_blade over all 2^dim blades, each with the plan of its parity
+    class."""
+    cls = (s.parity - s.n) % 2
+    plans = [_projector_plan(s.n, c) for c in (0, 1)]
+    return {mask: _project_blade(s.N, mask, plans[(popcount(mask) + cls) % 2])
+            for mask in range(1 << s.model.dim)}
+
+
 def assert_grading_matches_reference(name, s):
     """The grading and the pure spinor against reference_grading and
-    reference_spinor."""
+    reference_spinor, and the per-blade kernel against the reference's blade
+    parts on the whole spinor space."""
     N, blade_parts, bases, parity, dims = reference_grading(s)
     assert s.N == N, name
-    assert s._blade_parts == blade_parts, name
+    parts = grade_blades(s)
+    assert parts == blade_parts, name
     assert {k: U.basis() for k, U in s.U.items()} == bases, name
     assert list(s.U) == list(range(-s.n, s.n + 1)), name
-    assert all(list(p) == sorted(p) for p in s._blade_parts.values()), name
+    assert all(list(p) == sorted(p) for p in parts.values()), name
     assert (s.parity, s.U_dims) == (parity, dims), name
     assert s.spinor == reference_spinor(s), name
 
@@ -396,7 +416,7 @@ def test_block_violation_names_the_blade_on_the_model():
     # the eigenvalue 0, outside the odd class {-i, i}
     N = {5 << 2: {6 << 2: ONE}, 6 << 2: {5 << 2: -ONE}}
     with pytest.raises(SpectrumViolation, match=r"on blade 4\b") as exc:
-        _grade_blades(N, 2, [mask << 2 for mask in range(16)])
+        _grade_block(N, 2, [mask << 2 for mask in range(16)], 1 << 6)
     assert exc.value.details == {"blade": 4}
 
 
@@ -407,10 +427,23 @@ def test_blocks_of_J():
     assert [len(b) for b in _blocks(kt8.J, 8)] == [2, 2, 2, 2]
     dense = build_main(dense_model_text("torus6-complex", 1), "dense")
     assert _blocks(dense.J, 6) == [list(range(6))]
-    # a product builds no per-blade table; one block keeps the one its
-    # grading was built from
-    assert "_blade_parts" not in kt8.__dict__
-    assert "_blade_parts" in dense.__dict__
+
+
+def test_one_block_kt8_grades_as_its_four_blocks():
+    # kt8 under f^i = e^i +- e^{i+1} with unit steps: its J is one block, so
+    # the one-factor product is pitted against kt8's four-factor one
+    kt8 = build_main(SCALE8["kt8"], "kt8")
+    dense = bench_dense()
+    basis = dense.identity(8)
+    for i in range(7):
+        basis[i][i + 1] = Fraction((-1) ** i)
+    text = dense.transform_model(SCALE8["kt8"], basis, "kt8, unit steps")
+    s = build_main(text, "kt8-one-block")
+    assert len(_blocks(s.J, 8)) == 1 and len(_blocks(kt8.J, 8)) == 4
+    assert (s.parity, s.U_dims) == (kt8.parity, kt8.U_dims)
+    assert delbar_dims(s) == delbar_dims(kt8)
+    tw, tw8 = twisted_cohomology(s.model), twisted_cohomology(kt8.model)
+    assert (tw.dim_even, tw.dim_odd) == (tw8.dim_even, tw8.dim_odd)
 
 
 def split_by_blades(blade_parts, v):
@@ -427,14 +460,14 @@ def test_decompose_matches_per_blade_split():
     built = [*corpus_structures(), ("kt8", build_main(SCALE8["kt8"], "kt8"))]
     rng = random.Random(3)
     for name, s in built:
-        dim = s.model.dim
+        dim, parts = s.model.dim, grade_blades(s)
         forms = [s.spinor, Form(dim, {m: ONE for m in range(1 << dim)})]
         for _ in range(3):
             forms.append(Form(dim, {rng.randrange(1 << dim): QI(
                 rng.randrange(-2, 3), rng.randrange(-2, 3)) for _ in range(5)}))
         for w in forms:
             want = {k: form_of_vec(dim, v) for k, v
-                    in split_by_blades(s._blade_parts, w.coeffs).items()}
+                    in split_by_blades(parts, w.coeffs).items()}
             assert s.decompose(w) == want, name
 
 
@@ -488,7 +521,7 @@ def reference_shift_tables(blade_parts, op, shift):
     return tables
 
 def assert_dH_parts_match_shift_tables(name, s):
-    want = reference_shift_tables(s._blade_parts, s.model.dH_table,
+    want = reference_shift_tables(grade_blades(s), s.model.dH_table,
                                   lambda k, j: j - k)
     assert s.dH_parts == {-1: {}, 1: {}, **want}, name
 

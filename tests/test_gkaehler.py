@@ -19,8 +19,8 @@ from gchodge.modelfile import build_structure, parse_model
 from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import (ABELIAN4, nonempty, reference_dH_parts, split_by_blades,
-                      std_I, torus_omega)
+from test_gcs import (ABELIAN4, grade_blades, nonempty, reference_dH_parts,
+                      split_by_blades, std_I, torus_omega)
 from test_families import poly_two_form
 
 # flat Kaehler solvable model: d e1 = -e23, d e2 = e13 (isometries of the plane)
@@ -117,9 +117,10 @@ def test_dH_parts_match_per_blade_reference(name):
     # U_{r,s} against the per-blade joint split: each blade split by s1's
     # blade parts, then each part by s2's
     joint = {}
-    for parts in pair.s1._blade_parts.values():
+    parts2 = grade_blades(pair.s2)
+    for parts in grade_blades(pair.s1).values():
         for r, p in parts.items():
-            for s, q in split_by_blades(pair.s2._blade_parts, p).items():
+            for s, q in split_by_blades(parts2, p).items():
                 joint.setdefault((r, s), []).append(q)
     assert pair.U2 == {rs: Subspace.span(16, vs) for rs, vs in joint.items()}
 
