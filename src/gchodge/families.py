@@ -14,6 +14,10 @@ sections through the model's d_H table, and the Mukai pairing of sections is
 a dot product with `mukai_dual`.  Griffiths transversality reads the base
 structure's closed forms in U_{<=p} and U_{<=p+2} off the same d_H reduction
 as its Hodge filtration (`cohomology.closed_in_chain`).
+
+Polynomial sections are `Form`s with ParamPoly coefficients: they wedge,
+contract and exponentiate through `Form` itself, and `poly` supplies their
+derivative, evaluation, shift and monomial slices.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .liemodel import LieModel
 from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, _axpy_into,
                      mat_add, mat_det, mat_inv, mat_mul, solve_columns,
                      vec_add, vec_axpy, vec_conj, vec_scale)
-from .poly import (ParamPoly, PolyForm, PolyMatrix, dH_poly, pmat_diff,
-                   pmat_eval, pmat_from_qi, pmat_vec)
+from .poly import (ParamPoly, PolyMatrix, dH_poly, form_diff, form_eval,
+                   form_shift, monomial_slices, pmat_diff, pmat_eval,
+                   pmat_from_qi, pmat_vec)
 from .scalars import Half, I, ONE, QI, ZERO
 
 
@@ -51,7 +56,7 @@ class FamilySpec:
     def __init__(self, model: LieModel, kind: str, nvars: int,
                  samples=(), basepoint=None, name: str = "",
                  Jt: PolyMatrix | None = None,
-                 omega_t: PolyForm | None = None, B_t: PolyForm | None = None,
+                 omega_t: Form | None = None, B_t: Form | None = None,
                  It: PolyMatrix | None = None):
         self.model = model
         self.kind = kind
@@ -61,9 +66,8 @@ class FamilySpec:
             else tuple(QI(0) for _ in range(nvars))
         self.samples = [tuple(s) for s in samples]
         self.Jt = Jt
-        self.omega_t = omega_t
-        self.B_t = B_t if B_t is not None else (
-            PolyForm(model.dim, nvars) if kind == "symplectic" else None)
+        self.omega_t = omega_t if omega_t is not None else Form(model.dim)
+        self.B_t = B_t if B_t is not None else Form(model.dim)
         self.It = It
         self._cache: dict[tuple, GCStruct] = {}
         self._ks: dict[int, KSReport] = {}   # ks_class by direction
@@ -76,8 +80,8 @@ class FamilySpec:
             if self.kind == "general":
                 s = make_general(self.model, pmat_eval(self.Jt, pt))
             elif self.kind == "symplectic":
-                s = make_symplectic(self.model, self.omega_t.eval(pt),
-                                    self.B_t.eval(pt))
+                s = make_symplectic(self.model, form_eval(self.omega_t, pt),
+                                    form_eval(self.B_t, pt))
             elif self.kind == "complex":
                 s = make_complex(self.model, pmat_eval(self.It, pt))
             else:
@@ -109,10 +113,11 @@ class FamilySpec:
             return pmat_eval(pmat_diff(self.J_poly(), j), self.basepoint)
         # symplectic: J = [[bB, -b], [w + BbB, -Bb]] with b = w^{-1}
         dim = self.model.dim
-        W = flat_matrix(self.omega_t.eval(self.basepoint))
-        Wd = flat_matrix(self.omega_t.diff(j).eval(self.basepoint))
-        Bm = flat_matrix(self.B_t.eval(self.basepoint))
-        Bd = flat_matrix(self.B_t.diff(j).eval(self.basepoint))
+        bp = self.basepoint
+        W = flat_matrix(form_eval(self.omega_t, bp))
+        Wd = flat_matrix(form_eval(form_diff(self.omega_t, j), bp))
+        Bm = flat_matrix(form_eval(self.B_t, bp))
+        Bd = flat_matrix(form_eval(form_diff(self.B_t, j), bp))
         b = mat_inv(W)
         bd = [[-x for x in row] for row in mat_mul(b, mat_mul(Wd, b))]
         out = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
@@ -367,23 +372,28 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
 
 # -- Gauss-Manin derivative and Q-flatness ----------------------------------------------
 
-def gm_derivative(f: FamilySpec, section: PolyForm, direction: int) -> Vec:
-    """Class of the formal parameter derivative of a fiberwise-closed
-    polynomial section, at the basepoint, in twisted-cohomology coordinates."""
-    resid = dH_poly(f.model, section)
+def _require_closed(m: LieModel, section: Form) -> None:
+    resid = dH_poly(m, section)
     if not resid.is_zero():
         raise SectionNotClosed("section family is not d_H-closed",
                                residual=repr(resid))
-    ds = section.diff(direction).eval(f.basepoint)
+
+
+def gm_derivative(f: FamilySpec, section: Form, direction: int) -> Vec:
+    """Class of the formal parameter derivative of a fiberwise-closed
+    polynomial section, at the basepoint, in twisted-cohomology coordinates."""
+    _require_closed(f.model, section)
+    ds = form_eval(form_diff(section, direction), f.basepoint)
     coords = twisted_cohomology(f.model).coords(ds)
     if coords is None:
         raise EngineError("derivative of a closed section is not closed")
     return coords
 
 
-def q_pairing_poly(a: PolyForm, b: PolyForm) -> ParamPoly:
-    """Mukai pairing of two polynomial sections as a polynomial in t."""
-    out = ParamPoly(a.nvars)
+def q_pairing_poly(a: Form, b: Form, nvars: int) -> ParamPoly:
+    """Mukai pairing of two polynomial sections as a polynomial in
+    t_1..t_nvars."""
+    out = ParamPoly(nvars)
     for mask, pu in mukai_dual(a.dim, a.coeffs).items():
         pb = b.coeffs.get(mask)
         if pb is not None:
@@ -411,27 +421,27 @@ class QFlatReport:
                 f"{'yes' if self.constant_given_flat else 'NO'}"]
 
 
-def _section_is_flat(f: FamilySpec, s: PolyForm) -> bool:
+def _section_is_flat(f: FamilySpec, s: Form) -> bool:
     """Gauss-Manin flat: every parameter derivative is d_H-exact, identically
     in t (tested monomial-by-monomial)."""
     exact = Subspace.span(1 << f.model.dim, f.model.dH_table.values())
     return all(exact.contains(slice_form.coeffs)
                for j in range(f.nvars)
-               for slice_form in s.diff(j).monomial_slices().values())
+               for slice_form in monomial_slices(form_diff(s, j)).values())
 
 
-def q_flatness(f: FamilySpec, s1: PolyForm, s2: PolyForm) -> QFlatReport:
+def q_flatness(f: FamilySpec, s1: Form, s2: Form) -> QFlatReport:
     """Covariant constancy of Q: the product rule holds for all closed
     sections, and Q is a constant polynomial whenever both sections are
     Gauss-Manin flat."""
     for s in (s1, s2):
-        if not dH_poly(f.model, s).is_zero():
-            raise SectionNotClosed("section family is not d_H-closed")
-    q = q_pairing_poly(s1, s2)
+        _require_closed(f.model, s)
+    nv = f.nvars
+    q = q_pairing_poly(s1, s2, nv)
     rule = all(
-        q.diff(j) == q_pairing_poly(s1.diff(j), s2)
-        + q_pairing_poly(s1, s2.diff(j))
-        for j in range(f.nvars))
+        q.diff(j) == q_pairing_poly(form_diff(s1, j), s2, nv)
+        + q_pairing_poly(s1, form_diff(s2, j), nv)
+        for j in range(nv))
     flat = (_section_is_flat(f, s1), _section_is_flat(f, s2))
     const_ok = q.is_constant() if all(flat) else True
     return QFlatReport(q, rule, flat, const_ok)
@@ -590,19 +600,18 @@ class TransversalityReport:
         return out
 
 
-def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
+def _graded_span_poly(f: FamilySpec, p: int) -> list[Form]:
     """Polynomial forms spanning the chain U_{<=p} of parity p at each t."""
     m = f.model
     n = m.dim // 2
-    nv = f.nvars
+    one = ParamPoly.const(f.nvars, ONE)
     if f.kind == "symplectic":
         rho_t = (f.omega_t.scale(I) - f.B_t).exp()
         out = []
         for mask in range(1 << m.dim):
             d = popcount(mask)
             if d <= p + n and (d - (p + n)) % 2 == 0:
-                out.append(rho_t.wedge(PolyForm(
-                    m.dim, nv, {mask: ParamPoly.const(nv, ONE)})))
+                out.append(rho_t.wedge(Form(m.dim, {mask: one})))
         return out
     # polynomial J(t): the same N table as a fixed structure's, with
     # polynomial entries, and the sum of the chain's Lagrange projector rows
@@ -611,7 +620,6 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
     ks, _, vand_inv = _projector_plan(n, p % 2)
     chain = [sum(col, QI(0)) for col in
              zip(*(row for k, row in zip(ks, vand_inv) if k <= p))]
-    one = ParamPoly.const(nv, ONE)
     out = []
     parity = (p + n + f.base_structure().parity) % 2
     for mask in range(1 << m.dim):
@@ -619,7 +627,7 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[PolyForm]:
             continue
         acc = _combine(chain, _powers(N, {mask: one}, len(ks) - 1))
         if acc:
-            out.append(PolyForm(m.dim, nv, acc))
+            out.append(Form(m.dim, acc))
     return out
 
 
@@ -629,13 +637,13 @@ def _chain_span(f: FamilySpec, p: int) -> tuple:
     values and of their d_H images there; one per (family, p), shared by
     every representative extended in that chain."""
     m = f.model
-    span = [pf.shift(f.basepoint) for pf in _graded_span_poly(f, p)]
-    v0 = [pf.eval((QI(0),) * f.nvars) for pf in span]
+    span = [form_shift(pf, f.basepoint) for pf in _graded_span_poly(f, p)]
+    v0 = [form_eval(pf, (QI(0),) * f.nvars) for pf in span]
     return (span, Echelon.of_columns([dict(w.coeffs) for w in v0]),
             Echelon.of_columns([spin_apply(m.dH_table, w.coeffs) for w in v0]))
 
 
-def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> PolyForm:
+def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
     """Extend a closed basepoint representative in the chain to a closed
     polynomial section staying in the moving chain, degree by degree."""
     m = f.model
@@ -643,16 +651,16 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> PolyForm:
     sol = at_base.solve(dict(rep.coeffs))
     if sol is None:
         raise ExtensionFailed("representative is not in the chain at basepoint")
-    nv = f.nvars
-    s_poly = PolyForm(m.dim, nv)
+    s_poly = Form(m.dim)
     for k, c in sol.items():
         s_poly = s_poly + span[k].scale(c)
-    cap = max((pf.max_degree() for pf in span), default=0) + m.dim + 4
+    cap = max((p.degree() for pf in span for p in pf.coeffs.values()),
+              default=0) + m.dim + 4
     while True:
         resid = dH_poly(m, s_poly)
         if resid.is_zero():
             break
-        slices = resid.monomial_slices()
+        slices = monomial_slices(resid)
         low = min(slices, key=lambda e: (sum(e), e))
         if sum(low) > cap:
             raise ExtensionFailed(
@@ -663,9 +671,9 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> PolyForm:
             raise ExtensionFailed(
                 "residual leaves the image of d_H on the chain at "
                 f"degree {low}")
-        mono = ParamPoly(nv, {low: ONE})
+        mono = ParamPoly(f.nvars, {low: ONE})
         for k, c in csol.items():
-            s_poly = s_poly + span[k].scale_poly(mono.scale(c))
+            s_poly = s_poly + span[k].scale(mono.scale(c))
     return s_poly
 
 
@@ -719,7 +727,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     chain = _chain_span(f, p) if reps else None
     for r in reps:
         s_poly = _extend_in_chain(f, chain, r)
-        ds = s_poly.diff(direction).eval((QI(0),) * f.nvars)
+        ds = form_eval(form_diff(s_poly, direction), (QI(0),) * f.nvars)
         coords = tw.parity_coords(ds, parity)
         if coords is None:
             raise EngineError("derivative of the extension is not closed")

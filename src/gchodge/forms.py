@@ -3,6 +3,10 @@
 A blade mask m encodes e^{i1} ^ ... ^ e^{ik} with 1-based generator index j
 stored in bit j-1, generators always in ascending order.  Mixed-degree sums
 are allowed everywhere (spinor-space elements).
+
+A coefficient is a QI, or a `poly.ParamPoly` for a section that depends on
+the parameters of a family: every operation here asks of a coefficient only
+the ring operations, so one `Form` serves both.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ def sigma_sign(k: int) -> int:
 
 
 class Form:
-    """A multivector with QI coefficients on a 2n-dimensional model."""
+    """A multivector with QI (or ParamPoly) coefficients on a
+    2n-dimensional model."""
 
     __slots__ = ("dim", "coeffs")
 
@@ -126,7 +131,9 @@ class Form:
         return Form(self.dim, {m: -v for m, v in self.coeffs.items()})
 
     def scale(self, z) -> "Form":
-        z = z if isinstance(z, QI) else QI(z)
+        """Multiply by a QI, an int or a ParamPoly."""
+        if isinstance(z, int):
+            z = QI(z)
         if not z:
             return Form(self.dim)
         return Form(self.dim, {m: v * z for m, v in self.coeffs.items()})
@@ -196,8 +203,9 @@ class Form:
         """Exponential of a form with no degree-0 part (nilpotent, exact)."""
         if 0 in self.coeffs:
             raise ValueError("exp only supported for forms without scalar part")
-        out = Form.one(self.dim)
-        term = Form.one(self.dim)
+        # the 1 of the coefficient ring: a ParamPoly form keeps ParamPoly
+        one = next(iter(self.coeffs.values()), ONE) * 0 + ONE
+        out = term = Form(self.dim, {0: one})
         k = 1
         while True:
             term = term.wedge(self)
@@ -217,7 +225,8 @@ class Form:
             return "0"
         parts = []
         for m in self.blades_sorted():
-            c = format_qi(self.coeffs[m])
+            v = self.coeffs[m]
+            c = format_qi(v) if isinstance(v, QI) else f"({v!r})"
             b = blade_name(m)
             if b:
                 parts.append(f"{c} {b}" if c != "1" else b)

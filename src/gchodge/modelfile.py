@@ -15,7 +15,7 @@ from .errors import (DimensionOdd, DimensionTooLarge, EngineError,
                      ModelSyntaxError, UnknownGenerator)
 from .forms import Form, blade_name, popcount
 from .liemodel import LieModel
-from .poly import ParamPoly, PolyForm, PolyMatrix
+from .poly import ParamPoly, PolyMatrix, form_eval, pmat_eval
 from .scalars import ONE, QI, format_qi
 
 _NUM = re.compile(r"^(-?\d+)(?:/(\d+))?(i?)$")
@@ -64,10 +64,10 @@ def _parse_scalar(tok: str, lno: int | None) -> QI:
     return QI(0, val) if m.group(3) else QI(val)
 
 
-def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> PolyForm:
+def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
     """Sum of terms; a term multiplies rational/i literals, t-monomials and
-    one optional blade chain e_a^e_b^..."""
-    out = PolyForm(dim, nvars)
+    one optional blade chain e_a^e_b^...; the coefficients are ParamPoly."""
+    out = Form(dim)
     txt = text.replace("^", " ^ ").replace("-", " + -1 * ").replace("+", " + ")
     for chunk in txt.split("+"):
         chunk = chunk.strip()
@@ -138,7 +138,7 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> PolyForm:
         if blade_sign < 0:
             coeff = coeff.scale(QI(-1))
         mask = blade_mask if blade_mask is not None else 0
-        out = out + PolyForm(dim, nvars, {mask: coeff})
+        out = out + Form(dim, {mask: coeff})
     return out
 
 
@@ -231,9 +231,7 @@ def parse_model(text: str) -> ModelFile:
             elif key == "H":
                 if dim is None:
                     raise ModelSyntaxError("H given before dim", lno)
-                pf = _parse_form_expr(val, dim, 0, lno)
-                H = Form(dim, {m: p.terms.get((), QI(0))
-                               for m, p in pf.coeffs.items()})
+                H = form_eval(_parse_form_expr(val, dim, 0, lno), ())
             else:
                 raise ModelSyntaxError(f"unknown top-level key {key!r}", lno)
         else:
@@ -259,19 +257,18 @@ def build_structure(mf: ModelFile, block: StructBlock, model: LieModel):
         if default is not None and key not in block.data:
             return default
         val, lno = need(key)
-        pf = _parse_form_expr(val, dim, 0, lno)
-        return pf.eval(())
+        return form_eval(_parse_form_expr(val, dim, 0, lno), ())
 
     if block.kind == "symplectic":
         return make_symplectic(model, form_of("omega"), form_of("B", Form(dim)))
     if block.kind == "complex":
         val, lno = need("I")
         It = _parse_matrix(val, dim, 0, lno)
-        return make_complex(model, [[p.eval(()) for p in row] for row in It])
+        return make_complex(model, pmat_eval(It, ()))
     if block.kind == "general":
         val, lno = need("J")
         Jt = _parse_matrix(val, 2 * dim, 0, lno)
-        return make_general(model, [[p.eval(()) for p in row] for row in Jt])
+        return make_general(model, pmat_eval(Jt, ()))
     raise EngineError(f"block {block.name!r} is not a structure block")
 
 
@@ -339,18 +336,16 @@ def _emit_scalar(z: QI) -> str:
     return format_qi(z)
 
 
+def _monomial(e) -> str:
+    return " ".join(f"t{j + 1}" + (f"^{k}" if k > 1 else "")
+                    for j, k in enumerate(e) if k)
+
+
 def _emit_poly(p: ParamPoly) -> str:
     if p.is_zero():
         return "0"
-    bits = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e)):
-        c = p.terms[e]
-        mono = " ".join(
-            f"t{j + 1}" + (f"^{k}" if k > 1 else "")
-            for j, k in enumerate(e) if k)
-        cs = _emit_scalar(c)
-        bits.append(f"{cs} {mono}".strip())
-    return " + ".join(bits)
+    return " + ".join(f"{_emit_scalar(p.terms[e])} {_monomial(e)}".strip()
+                      for e in sorted(p.terms, key=lambda e: (sum(e), e)))
 
 
 def _scalar_pieces(z: QI) -> list[str]:
@@ -364,30 +359,20 @@ def _scalar_pieces(z: QI) -> list[str]:
     return out
 
 
-def _emit_polyform(pf: PolyForm) -> str:
-    if pf.is_zero():
-        return "0"
-    bits = []
-    for mask in sorted(pf.coeffs, key=lambda m: (popcount(m), m)):
-        poly = pf.coeffs[mask]
-        bl = blade_name(mask)
-        for e in sorted(poly.terms, key=lambda e: (sum(e), e)):
-            mono = " ".join(
-                f"t{j + 1}" + (f"^{k}" if k > 1 else "")
-                for j, k in enumerate(e) if k)
-            for cs in _scalar_pieces(poly.terms[e]):
-                bits.append(" ".join(x for x in (cs, mono, bl) if x))
-    return " + ".join(bits)
-
-
 def _emit_form(f: Form) -> str:
+    """A form with QI or ParamPoly coefficients; a QI reads as the constant
+    term {(): c}."""
     if f.is_zero():
         return "0"
     bits = []
     for mask in f.blades_sorted():
+        c = f.coeffs[mask]
+        terms = c.terms if isinstance(c, ParamPoly) else {(): c}
         bl = blade_name(mask)
-        for cs in _scalar_pieces(f.coeffs[mask]):
-            bits.append(f"{cs} {bl}".strip())
+        for e in sorted(terms, key=lambda e: (sum(e), e)):
+            mono = _monomial(e)
+            for cs in _scalar_pieces(terms[e]):
+                bits.append(" ".join(x for x in (cs, mono, bl) if x))
     return " + ".join(bits)
 
 
@@ -413,7 +398,7 @@ def emit_model(mf: ModelFile) -> str:
         for key, (val, lno) in b.data.items():
             if key in ("omega", "B", "H"):
                 pf = _parse_form_expr(val, mf.dim, nvars, lno)
-                out.append(f"{key} = {_emit_polyform(pf)}")
+                out.append(f"{key} = {_emit_form(pf)}")
             elif key in ("I", "J"):
                 size = mf.dim if key == "I" else 2 * mf.dim
                 M = _parse_matrix(val, size, nvars, lno)

@@ -1,11 +1,12 @@
-"""Exact multivariate polynomials over Q(i), and forms/matrices with
-polynomial coefficients.  These carry the parameter dependence of families;
+"""Exact multivariate polynomials over Q(i), and matrices with polynomial
+coefficients.  These carry the parameter dependence of families;
 derivatives are formal, so no approximation enters anywhere.
+
+There is no separate form class: a polynomial section is a `forms.Form`
+with ParamPoly coefficients; the maps below act on it blade by blade.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 from .forms import Form, spin_apply
 from .linalg import Matrix
@@ -151,110 +152,35 @@ class ParamPoly:
         return " + ".join(bits)
 
 
-class PolyForm:
-    """A multivector whose blade coefficients are ParamPoly."""
+# -- forms with ParamPoly coefficients ------------------------------------------
 
-    __slots__ = ("dim", "nvars", "coeffs")
-
-    def __init__(self, dim: int, nvars: int, coeffs=None):
-        self.dim = dim
-        self.nvars = nvars
-        self.coeffs: dict[int, ParamPoly] = {
-            m: p for m, p in (coeffs or {}).items() if not p.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        out = dict(self.coeffs)
-        for m, p in other.coeffs.items():
-            out[m] = out[m] + p if m in out else p
-        return PolyForm(self.dim, self.nvars, out)
-
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return self + other.scale_poly(ParamPoly.const(self.nvars, QI(-1)))
-
-    def scale_poly(self, p: ParamPoly) -> "PolyForm":
-        return PolyForm(self.dim, self.nvars,
-                        {m: q * p for m, q in self.coeffs.items()})
-
-    def scale(self, z: QI) -> "PolyForm":
-        return PolyForm(self.dim, self.nvars,
-                        {m: q.scale(z) for m, q in self.coeffs.items()})
-
-    def wedge(self, other: "PolyForm") -> "PolyForm":
-        from .forms import blade_wedge_sign
-        out: dict[int, ParamPoly] = {}
-        for ma, pa in self.coeffs.items():
-            for mb, pb in other.coeffs.items():
-                if ma & mb:
-                    continue
-                s = blade_wedge_sign(ma, mb)
-                term = pa * pb
-                if s < 0:
-                    term = term.scale(QI(-1))
-                m = ma | mb
-                out[m] = out[m] + term if m in out else term
-        return PolyForm(self.dim, self.nvars, out)
-
-    def contract_index(self, i: int) -> "PolyForm":
-        from .forms import insert_sign
-        bit = 1 << (i - 1)
-        out: dict[int, ParamPoly] = {}
-        for m, p in self.coeffs.items():
-            if m & bit:
-                q = p if insert_sign(m, i - 1) > 0 else p.scale(QI(-1))
-                k = m & ~bit
-                out[k] = out[k] + q if k in out else q
-        return PolyForm(self.dim, self.nvars, out)
-
-    def exp(self) -> "PolyForm":
-        """Exponential of a polynomial form with no scalar part."""
-        if 0 in self.coeffs:
-            raise ValueError("exp needs a form without scalar part")
-        from fractions import Fraction
-        one = PolyForm(self.dim, self.nvars,
-                       {0: ParamPoly.const(self.nvars, ONE)})
-        out = one
-        term = one
-        k = 1
-        while True:
-            term = term.wedge(self)
-            if term.is_zero():
-                return out
-            out = out + term.scale(QI(Fraction(1, factorial(k))))
-            k += 1
-
-    def shift(self, point) -> "PolyForm":
-        return PolyForm(self.dim, self.nvars,
-                        {m: p.shift(point) for m, p in self.coeffs.items()})
-
-    def diff(self, j: int) -> "PolyForm":
-        return PolyForm(self.dim, self.nvars,
-                        {m: p.diff(j) for m, p in self.coeffs.items()})
-
-    def eval(self, point) -> Form:
-        return Form(self.dim, {m: p.eval(point) for m, p in self.coeffs.items()})
-
-    def conj(self) -> "PolyForm":
-        return PolyForm(self.dim, self.nvars,
-                        {m: p.conj() for m, p in self.coeffs.items()})
-
-    def monomial_slices(self) -> dict[Expt, Form]:
-        """Split into Q(i)-forms per exponent tuple."""
-        out: dict[Expt, dict[int, QI]] = {}
-        for m, p in self.coeffs.items():
-            for e, c in p.terms.items():
-                out.setdefault(e, {})[m] = c
-        return {e: Form(self.dim, d) for e, d in out.items()}
-
-    def max_degree(self) -> int:
-        return max((p.degree() for p in self.coeffs.values()), default=0)
+def form_diff(w: Form, j: int) -> Form:
+    """The formal derivative d/dt_{j+1}."""
+    return Form(w.dim, {m: p.diff(j) for m, p in w.coeffs.items()})
 
 
-def dH_poly(m, pf: PolyForm) -> PolyForm:
+def form_eval(w: Form, point) -> Form:
+    """The QI form at a parameter point."""
+    return Form(w.dim, {m: p.eval(point) for m, p in w.coeffs.items()})
+
+
+def form_shift(w: Form, point) -> Form:
+    """Substitute t -> t + point, recentering at the given basepoint."""
+    return Form(w.dim, {m: p.shift(point) for m, p in w.coeffs.items()})
+
+
+def monomial_slices(w: Form) -> dict[Expt, Form]:
+    """Split into QI forms per exponent tuple."""
+    out: dict[Expt, dict[int, QI]] = {}
+    for m, p in w.coeffs.items():
+        for e, c in p.terms.items():
+            out.setdefault(e, {})[m] = c
+    return {e: Form(w.dim, d) for e, d in out.items()}
+
+
+def dH_poly(m, w: Form) -> Form:
     """d_H applied coefficient-wise (the twist is parameter-independent)."""
-    return PolyForm(pf.dim, pf.nvars, spin_apply(m.dH_table, pf.coeffs))
+    return Form(w.dim, spin_apply(m.dH_table, w.coeffs))
 
 
 # -- polynomial matrices -------------------------------------------------------

@@ -79,7 +79,7 @@ def scaling_family(samples=((QI(Fraction(1, 2)),),)):
     nv = 1
     base = ParamPoly.const(nv, ONE)
     t = ParamPoly.var(nv, 0)
-    omega_t = poly_form(w, nv) + poly_form(w, nv).scale_poly(t)
+    omega_t = poly_form(w, nv) + poly_form(w, nv).scale(t)
     return FamilySpec(ABELIAN4, "symplectic", nv, samples=samples,
                       omega_t=omega_t, name="scale")
 
@@ -233,8 +233,8 @@ def test_criterion_08_holomorphy():
     def fam(sign):
         return FamilySpec(
             ABELIAN4, "symplectic", nv,
-            omega_t=base + base.scale_poly(t1),
-            B_t=base.scale_poly(t2).scale(QI(sign)))
+            omega_t=base + base.scale(t1),
+            B_t=base.scale(t2).scale(QI(sign)))
 
     holo = holomorphy_check(fam(+1))
     anti = holomorphy_check(fam(-1))
@@ -271,13 +271,13 @@ def test_criterion_10_kahler_pair():
     f2 = FamilySpec(ABELIAN4, "symplectic", nv,
                     samples=[(QI(Fraction(1, 2)),)],
                     omega_t=poly_form(w, nv)
-                    + poly_form(w, nv).scale_poly(t))
+                    + poly_form(w, nv).scale(t))
     good = gk_deformation_check(f1, f2)
     mu_bad = Form.blade(4, [1, 3]) - Form.blade(4, [2, 4])
     f2bad = FamilySpec(ABELIAN4, "symplectic", nv,
                        samples=[(QI(Fraction(1, 4)),)],
                        omega_t=poly_form(w, nv)
-                       + poly_form(mu_bad, nv).scale_poly(t))
+                       + poly_form(mu_bad, nv).scale(t))
     bad = gk_deformation_check(f1, f2bad)
     ok = (bg.total_ok and sum(bg.dims.values()) == 16 and bg.parity_ok
           and bg.commute_ok

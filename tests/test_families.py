@@ -21,7 +21,8 @@ from gchodge.gcs import make_complex, make_symplectic
 from gchodge.linalg import (Subspace, Vec, mat_inv, vec_add, vec_conj,
                             vec_scale)
 from gchodge.modelfile import build_family, parse_model
-from gchodge.poly import ParamPoly, PolyForm, dH_poly, pmat_from_qi
+from gchodge.poly import (ParamPoly, dH_poly, form_diff, form_eval,
+                          form_shift, monomial_slices, pmat_from_qi)
 from gchodge.scalars import Half, I, ONE, QI, ZERO
 
 from test_cohomology import reference_chain_subspace
@@ -31,9 +32,9 @@ from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
 
 
 def poly_form(f, nvars):
-    """f as a PolyForm with constant coefficients."""
-    return PolyForm(f.dim, nvars,
-                    {m: ParamPoly.const(nvars, c) for m, c in f.coeffs.items()})
+    """f as a polynomial form with constant coefficients."""
+    return Form(f.dim,
+                {m: ParamPoly.const(nvars, c) for m, c in f.coeffs.items()})
 
 
 def pmat_mul(A, B):
@@ -50,10 +51,10 @@ def extend_section(f, p, rep):
 
 
 def poly_two_form(model, nvars, *terms):
-    """terms: (poly, form) pairs summed into a PolyForm."""
-    out = PolyForm(model.dim, nvars)
+    """terms: (poly, form) pairs summed into a polynomial form."""
+    out = Form(model.dim)
     for poly, form in terms:
-        out = out + poly_form(form, nvars).scale_poly(poly)
+        out = out + poly_form(form, nvars).scale(poly)
     return out
 
 
@@ -217,8 +218,22 @@ def test_gm_rejects_nonclosed_section():
                    omega_t=poly_form(
                        Form.blade(4, [1, 4]) + Form.blade(4, [2, 3]), 1))
     bad = poly_form(Form.blade(4, [4]), 1)
-    with pytest.raises(SectionNotClosed):
+    with pytest.raises(SectionNotClosed) as err:
         gm_derivative(f, bad, 0)
+    # d_H e^4 = e^12 on KT, printed as a form with a ParamPoly coefficient
+    assert err.value.details["residual"] == "(1) e1^e2"
+
+
+def test_q_flatness_rejects_nonclosed_section_with_its_residual():
+    f = FamilySpec(KT, "symplectic", 1,
+                   omega_t=poly_form(
+                       Form.blade(4, [1, 4]) + Form.blade(4, [2, 3]), 1))
+    good = poly_form(Form.one(4), 1)
+    bad = poly_form(Form.blade(4, [4]), 1)
+    for s1, s2 in ((bad, good), (good, bad)):
+        with pytest.raises(SectionNotClosed) as err:
+            q_flatness(f, s1, s2)
+        assert err.value.details["residual"] == "(1) e1^e2"
 
 def test_q_flatness_product_rule():
     # e^{i sigma(t)} is closed but not flat; the product rule still holds
@@ -240,8 +255,8 @@ def test_q_constant_on_flat_sections():
     rho = w.scale(I).exp()
     pert = poly_form(KT.d_H(Form.blade(4, [4])), nv)
     assert not pert.is_zero()
-    s1 = poly_form(rho, nv) + pert.scale_poly(t)
-    s2 = poly_form(rho.conj(), nv) + pert.scale_poly(t.scale(QI(-2)))
+    s1 = poly_form(rho, nv) + pert.scale(t)
+    s2 = poly_form(rho.conj(), nv) + pert.scale(t.scale(QI(-2)))
     rep = q_flatness(f, s1, s2)
     assert rep.flat == (True, True)
     assert rep.ok
@@ -305,7 +320,8 @@ def test_extend_section_tracks_moving_filtration():
     s_poly = extend_section(f, -2, base.spinor)
     # the extension of e^{i omega} along sigma(t) = (1+t) omega is e^{i sigma(t)}
     want = f.omega_t.scale(I).exp()
-    assert s_poly.eval((QI(Fraction(1, 2)),)) == want.eval((QI(Fraction(1, 2)),))
+    half = (QI(Fraction(1, 2)),)
+    assert form_eval(s_poly, half) == form_eval(want, half)
 
 def test_transversality_scaling_family():
     f = scaling_family(samples=[(QI(Fraction(1, 2)),)])
@@ -384,7 +400,7 @@ def test_gcy_checks_the_chain_identity_beyond_degree_1():
 
 # -- the chain spans against the 2n+1-node reference --------------------------------
 
-def _clifford_const(a: Vec, w: PolyForm) -> PolyForm:
+def _clifford_const(a: Vec, w: Form) -> Form:
     """Clifford action of a constant element on a polynomial form."""
     def term(z):
         return lambda poly, s: poly.scale(z if s > 0 else -z)
@@ -392,7 +408,7 @@ def _clifford_const(a: Vec, w: PolyForm) -> PolyForm:
 
 
 def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
-                        w: PolyForm) -> PolyForm:
+                        w: Form) -> Form:
     """Clifford action of an element with polynomial coordinates."""
     def term(pv):
         return lambda poly, s: poly * pv if s > 0 else (poly * pv).scale(QI(-1))
@@ -400,7 +416,7 @@ def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
                           if not pv.is_zero()})
 
 
-def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
+def _gamma_sum(w: Form, terms: dict) -> Form:
     """sum_c gamma_c(w) over the generator tables of E_C, where terms[c]
     maps a coefficient of w and a table sign to the c-th coordinate times
     both; blade by blade, with x_i before e^i for each i."""
@@ -417,7 +433,7 @@ def _gamma_sum(w: PolyForm, terms: dict) -> PolyForm:
             k, s = hit
             t = term(poly, s)
             out[k] = out[k] + t if k in out else t
-    return PolyForm(dim, w.nvars, out)
+    return Form(dim, out)
 
 
 def _pairing_poly(col: list[ParamPoly], v: Vec, dim: int) -> ParamPoly:
@@ -443,14 +459,14 @@ def reference_graded_span_poly(f, p):
              for a, v in enumerate(dual_frame(m.dim))]
 
     def N_poly(w):
-        out = PolyForm(m.dim, nv)
+        out = Form(m.dim)
         trace = ParamPoly(nv)
         for col, v in duals:
             out = out + _clifford_poly_elem(col, m.dim, nv,
                                             _clifford_const(v, w))
             trace = trace + _pairing_poly(col, v, m.dim)
         quarter = QI(Fraction(1, 4))
-        return out.scale(quarter) - w.scale_poly(trace.scale(quarter))
+        return out.scale(quarter) - w.scale(trace.scale(quarter))
 
     ks_all = list(range(-n, n + 1))
     vand = mat_inv([[QI(0, -k) ** e for k in ks_all]
@@ -461,10 +477,10 @@ def reference_graded_span_poly(f, p):
     for mask in range(1 << m.dim):
         if popcount(mask) % 2 != parity:
             continue
-        powers = [PolyForm(m.dim, nv, {mask: ParamPoly.const(nv, ONE)})]
+        powers = [Form(m.dim, {mask: ParamPoly.const(nv, ONE)})]
         for _ in range(2 * n):
             powers.append(N_poly(powers[-1]))
-        acc = PolyForm(m.dim, nv)
+        acc = Form(m.dim)
         for k in chain_ks:
             idx = ks_all.index(k)
             for mdx, pw in enumerate(powers):
@@ -497,9 +513,9 @@ def test_graded_span_poly_matches_reference_on_corpus():
             continue
         kinds.add(f.kind)
         for p in range(-n, n + 1):
-            got = [(pf.dim, pf.nvars, pf.coeffs)
-                   for pf in _graded_span_poly(f, p)]
-            want = [(pf.dim, pf.nvars, pf.coeffs)
+            # ParamPoly equality compares nvars too
+            got = [(pf.dim, pf.coeffs) for pf in _graded_span_poly(f, p)]
+            want = [(pf.dim, pf.coeffs)
                     for pf in reference_graded_span_poly(f, p)]
             assert got == want, (name, p)
             pairs += 1
@@ -545,7 +561,7 @@ def test_graded_span_poly_spans_the_pointwise_chain():
                 except EngineError:
                     continue
                 got = Subspace.span(1 << f.model.dim,
-                                    [pf.eval(pt).coeffs for pf in span])
+                                    [form_eval(pf, pt).coeffs for pf in span])
                 assert got == reference_chain_subspace(s, p), (name, pt, p)
                 triples += 1
     assert triples >= 80 and kinds >= {"symplectic", "complex"}
@@ -553,10 +569,10 @@ def test_graded_span_poly_spans_the_pointwise_chain():
 
 # -- polynomial coefficients in the shared sparse helpers ----------------------------
 
-def reference_q_pairing_poly(a, b):
+def reference_q_pairing_poly(a, b, nvars):
     """The Mukai pairing of two polynomial sections, one blade pair at a
     time through mukai_pairing (the former q_pairing_poly)."""
-    out = ParamPoly(a.nvars)
+    out = ParamPoly(nvars)
     for ma, pa in a.coeffs.items():
         for mb, pb in b.coeffs.items():
             c = mukai_pairing(Form(a.dim, {ma: ONE}), Form(b.dim, {mb: ONE}))
@@ -573,7 +589,7 @@ def seeded_section(dim, nvars, rng, blades):
         coeffs[mask] = ParamPoly(nvars, {
             tuple(rng.randrange(3) for _ in range(nvars)):
             QI(rng.randrange(-3, 4), rng.randrange(-2, 3)) for _ in range(3)})
-    return PolyForm(dim, nvars, coeffs)
+    return Form(dim, coeffs)
 
 
 @pytest.mark.parametrize("dim, nvars", [(4, 1), (4, 2), (6, 1), (6, 2)])
@@ -583,8 +599,8 @@ def test_q_pairing_poly_matches_pairwise_reference(dim, nvars):
     for _ in range(6):
         a = seeded_section(dim, nvars, rng, (1 << dim) // 2)
         b = seeded_section(dim, nvars, rng, (1 << dim) // 2)
-        got = q_pairing_poly(a, b)
-        assert got == reference_q_pairing_poly(a, b)
+        got = q_pairing_poly(a, b, nvars)
+        assert got == reference_q_pairing_poly(a, b, nvars)
         nonzero += bool(got)
     assert nonzero >= 4
 
@@ -595,10 +611,85 @@ def test_dH_poly_is_d_H_on_every_monomial_slice(model):
     for nvars in (1, 2):
         for _ in range(4):
             pf = seeded_section(model.dim, nvars, rng, 8)
-            want = {e: model.d_H(w) for e, w in pf.monomial_slices().items()}
-            got = dH_poly(model, pf).monomial_slices()
+            want = {e: model.d_H(w) for e, w in monomial_slices(pf).items()}
+            got = monomial_slices(dH_poly(model, pf))
             assert got == {e: w for e, w in want.items() if not w.is_zero()}
             assert got
+
+
+# -- Form over ParamPoly: the polynomial sections of a family -----------------------
+
+SECTION_SHAPES = [(4, 1), (4, 2), (6, 1), (6, 2)]
+
+
+def section_points(nvars, rng):
+    """A rational and a Gaussian parameter point."""
+    rational = tuple(QI(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+                     for _ in range(nvars))
+    gaussian = tuple(QI(Fraction(rng.randrange(-3, 4), 2),
+                        Fraction(rng.randrange(1, 4), 3))
+                     for _ in range(nvars))
+    return rational, gaussian
+
+
+def without_scalar(w):
+    return Form(w.dim, {m: p for m, p in w.coeffs.items() if m})
+
+
+@pytest.mark.parametrize("dim, nvars", SECTION_SHAPES)
+def test_evaluation_commutes_with_form_operations(dim, nvars):
+    rng = random.Random(31 * dim + nvars)
+    wedges = exps = 0
+    for _ in range(4):
+        a = seeded_section(dim, nvars, rng, (1 << dim) // 4)
+        b = seeded_section(dim, nvars, rng, (1 << dim) // 4)
+        c = seeded_section(dim, nvars, rng, 1).coeffs.popitem()[1] \
+            + ParamPoly.var(nvars, nvars - 1)
+        nil = without_scalar(seeded_section(dim, nvars, rng, 8))
+        i = rng.randrange(1, dim + 1)
+        ab, e = a.wedge(b), nil.exp()
+        wedges += not ab.is_zero()
+        exps += not nil.wedge(nil).is_zero()
+        for pt in section_points(nvars, rng):
+            def at(w):
+                return form_eval(w, pt)
+            assert at(a + b) == at(a) + at(b)
+            assert at(a - b) == at(a) - at(b)
+            assert at(a.scale(c)) == at(a).scale(c.eval(pt))
+            assert at(ab) == at(a).wedge(at(b))
+            assert at(a.contract_index(i)) == at(a).contract_index(i)
+            assert at(e) == at(nil).exp()
+    assert wedges >= 2 and exps >= 1
+
+
+@pytest.mark.parametrize("dim, nvars", SECTION_SHAPES)
+def test_polynomial_maps_of_a_section(dim, nvars):
+    rng = random.Random(53 * dim + nvars)
+    zero = (QI(0),) * nvars
+    for _ in range(4):
+        a = seeded_section(dim, nvars, rng, (1 << dim) // 4)
+        b = seeded_section(dim, nvars, rng, (1 << dim) // 4)
+        # Leibniz over wedge
+        for j in range(nvars):
+            assert form_diff(a.wedge(b), j) == (
+                form_diff(a, j).wedge(b) + a.wedge(form_diff(b, j)))
+        # shifting to a point, then evaluating at 0, evaluates at the point
+        for pt in section_points(nvars, rng):
+            assert form_eval(form_shift(a, pt), zero) == form_eval(a, pt)
+        # the monomial slices sum back to the section
+        back = Form(dim)
+        for e, w in monomial_slices(a).items():
+            back = back + poly_form(w, nvars).scale(ParamPoly(nvars, {e: ONE}))
+        assert back == a
+
+
+@pytest.mark.parametrize("dim, nvars", SECTION_SHAPES)
+def test_exp_of_a_polynomial_form_stays_polynomial(dim, nvars):
+    rng = random.Random(71 * dim + nvars)
+    nil = without_scalar(seeded_section(dim, nvars, rng, 4))
+    e = nil.exp()
+    assert e.coeffs[0] == ParamPoly.const(nvars, ONE)
+    assert all(isinstance(p, ParamPoly) for p in e.coeffs.values())
 
 
 def test_param_poly_is_a_ring_element():
