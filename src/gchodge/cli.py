@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cohomology import (ddbar_check, delbar_dims, frolicher_pages,
@@ -418,7 +419,10 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
     return (1 if report.failed else 0), report.render(args.json, args.quiet)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so repeated `main` calls share it."""
     ap = argparse.ArgumentParser(
         prog="gchodge",
         description="Exact generalized-complex Hodge checks on invariant models")
@@ -430,7 +434,11 @@ def main(argv=None) -> int:
                     help="process every .gcm file under the target directory")
     ap.add_argument("--at", default="",
                     help="evaluate families at t1=r[,t2=s...]")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     target = Path(args.target)
     try:
         args.at_values = _parse_at(args.at) if args.at else {}

@@ -35,7 +35,7 @@ from .gcs import GCStruct, form_of_vec
 from .liemodel import LieModel
 from .linalg import (Echelon, QuotientSpace, Subspace, Vec, _axpy_into,
                      kernel_lift, vec_conj, vec_scale)
-from .scalars import ONE, QI
+from .scalars import ONE
 
 
 # -- twisted cohomology --------------------------------------------------------
@@ -512,18 +512,17 @@ def _mukai_rows(dim: int, left: list[Vec], right: list[Vec]) -> list[Vec]:
     """Row i holds the nonzero Mukai pairings (left[i], right[j]) by j,
     formed from the Mukai dual of left[i] against a coordinate index over
     `right`, so that only nonzero products are computed."""
-    index: dict[int, list[tuple[int, QI]]] = {}
+    index: dict[int, Vec] = {}
     for j, b in enumerate(right):
         for k, y in b.items():
-            index.setdefault(k, []).append((j, y))
+            index.setdefault(k, {})[j] = y
     out = []
     for a in left:
         row: Vec = {}
         for k, x in mukai_dual(dim, a).items():
-            for j, y in index.get(k, ()):
-                t = row.get(j)
-                row[j] = x * y if t is None else t + x * y
-        out.append({j: c for j, c in row.items() if c})
+            if k in index:
+                _axpy_into(row, x, index[k])
+        out.append(row)
     return out
 
 

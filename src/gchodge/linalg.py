@@ -10,14 +10,19 @@ index of the rows holding each coordinate: a reduction visits only the
 pivots among the vector's own coordinates, and an insert back-substitutes
 only into the rows that hold its new pivot, so the work follows the nonzeros
 met, not the rank.
+
+Every sparse accumulation `u += z*v` (reductions, back-substitution, lifts,
+the Mukai rows) runs through one fused kernel, `_axpy_into`, which forms
+each Q(i) entry on its integer triple and normalizes it once.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd
 
 from .errors import DimensionMismatch
-from .scalars import ONE, QI
+from .scalars import ONE, QI, _new
 
 Vec = dict[int, QI]
 
@@ -51,17 +56,50 @@ def vec_axpy(u: Vec, z: QI, v: Vec) -> Vec:
     return out
 
 def _axpy_into(u: Vec, z: QI, v: Vec) -> None:
-    """u += z*v in place, for a nonzero z; keys end in vec_axpy's order."""
+    """u += z*v in place, for a nonzero z; keys end in vec_axpy's order.
+
+    The one multiply-accumulate kernel.  Where z, x = v[k] and u[k] are all
+    QI, x*z + u[k] is formed on the (a, b, d) triples and normalized once;
+    any other value (a ParamPoly) goes through its ring operators."""
+    if type(z) is not QI:
+        for k, x in v.items():
+            _acc(u, k, x * z)
+        return
+    za, zb, zd = z._a, z._b, z._d
+    get = u.get
     for k, x in v.items():
-        y = u.get(k)
-        if y is None:
-            u[k] = x * z
+        y = get(k)
+        if type(x) is not QI or (y is not None and type(y) is not QI):
+            _acc(u, k, x * z)
+            continue
+        c, e, d = x._a, x._b, x._d * zd
+        if not zb:
+            a, b = c * za, e * za
+        elif not e:
+            a, b = c * za, c * zb
         else:
-            t = y + x * z
-            if t:
-                u[k] = t
+            a, b = c * za - e * zb, c * zb + e * za
+        if y is not None:
+            f = y._d
+            if d == f:
+                a += y._a
+                b += y._b
             else:
+                a, b, d = a * f + y._a * d, b * f + y._b * d, d * f
+            if not a and not b:
                 del u[k]
+                continue
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        t = _new(QI)
+        t._a = a
+        t._b = b
+        t._d = d
+        u[k] = t
 
 def _acc(d: Vec, k: int, v: QI) -> None:
     """d[k] += v in place, dropping the key when the sum is zero."""
@@ -181,18 +219,12 @@ class Echelon:
             row, rc = self._rows[p]
             nx = -row[piv]
             row = dict(row)
-            for k, y in v.items():
-                t = row.get(k)
-                if t is None:
-                    row[k] = y * nx
+            _axpy_into(row, nx, v)
+            for k in v:
+                if k in row:
                     holders[k].add(p)
                 else:
-                    t = t + y * nx
-                    if t:
-                        row[k] = t
-                    else:
-                        del row[k]
-                        holders[k].discard(p)
+                    holders[k].discard(p)
             if rc is not None:
                 rc = vec_axpy(rc, nx, combo)
             self._rows[p] = (row, rc)

@@ -111,6 +111,19 @@ def test_at_flag_family_evaluation():
                         "--at", "t1=1/4", "--quiet")
     assert code == 0 and "at t1=1/4" in out
 
+def test_repeated_main_calls_share_no_state():
+    """`main` reuses one argument parser per process, so an `--at` given to
+    one call must not reach the next: the second call answers as a fresh
+    process does."""
+    f = str(CORPUS / "torus4-kahler.gcm")
+    code, _out = run_cli("family", f, "--at", "t1=1", "--quiet")
+    assert code == 0
+    second = run_cli("check", f, "--json")
+    fresh = subprocess.run([sys.executable, "-m", "gchodge", "check", f,
+                            "--json"], env=_src_env(), capture_output=True,
+                           text=True, timeout=120)
+    assert second == (fresh.returncode, fresh.stdout)
+
 def test_hodge_json_filtration_dims():
     code, out = run_cli("hodge", str(CORPUS / "torus4-symplectic.gcm"),
                         "--json")

@@ -1,14 +1,24 @@
-"""Subspace arithmetic: canonical echelon bases, lattice ops, quotients."""
+"""Subspace arithmetic: canonical echelon bases, lattice ops, quotients, and
+the fused multiply-accumulate kernel."""
 
+import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gchodge.errors import DimensionMismatch
-from gchodge.linalg import (Echelon, QuotientSpace, Subspace, mat_det,
-                            mat_inv, mat_mul, matrix_kernel, solve_columns,
-                            vec_axpy, vec_conj, vec_scale)
+from gchodge.linalg import (Echelon, QuotientSpace, Subspace, _axpy_into,
+                            mat_det, mat_inv, mat_mul, matrix_kernel,
+                            solve_columns, vec_axpy, vec_conj, vec_scale)
+from gchodge.poly import ParamPoly
 from gchodge.scalars import I, QI
+
+# the kernel property test's budget; GCHODGE_KERNEL_EXAMPLES sets a larger one
+# for a longer run outside the tier-1 suite
+KERNEL_EXAMPLES = int(os.environ.get("GCHODGE_KERNEL_EXAMPLES", "200"))
 
 
 # helpers that only the tests use
@@ -339,3 +349,94 @@ def test_echelon_of_basis_then_insert_matches_reference():
             assert items(ech.insert(vec)[0]) == items(ref.insert(vec)[0])
         assert [items(b) for b in ech.basis()] == [items(b) for b in ref.basis()]
         assert [items(b) for b in S.basis()] == before  # rows are not shared
+
+
+def test_echelon_holder_index_matches_rows():
+    """After every insert the holder index maps each coordinate to the
+    pivots of exactly the rows nonzero there, also in an echelon made from a
+    canonical basis, whose index the first insert builds."""
+    rng = random.Random(31)
+    checked = 0
+    for trial in range(150):
+        ambient = rng.randrange(1, 12)
+        if trial % 3 == 0:
+            ech = Subspace.span(ambient, rand_family(rng, ambient)).echelon()
+        else:
+            ech = Echelon(track=trial % 3 == 1)
+        for vec in rand_family(rng, ambient):
+            ech.insert(vec)
+            if ech._holders is None:
+                continue
+            rebuilt = {}
+            for p, (row, _rc) in ech._rows.items():
+                for k in row:
+                    rebuilt.setdefault(k, set()).add(p)
+            assert {k: ps for k, ps in ech._holders.items() if ps} == rebuilt
+            checked += 1
+    assert checked > 500
+
+
+# -- the fused multiply-accumulate kernel --------------------------------------
+
+def reference_axpy_into(u, z, v):
+    """u += z*v entry by entry through the QI and ParamPoly operators."""
+    for k, x in v.items():
+        y = u.get(k)
+        if y is None:
+            u[k] = x * z
+        else:
+            t = y + x * z
+            if t:
+                u[k] = t
+            else:
+                del u[k]
+
+
+ints = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+dens = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10**15))
+
+
+@st.composite
+def qis(draw):
+    """Real, imaginary and complex Gaussian rationals, d == 1 and d > 1."""
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    d = draw(dens)
+    a = 0 if kind == "imaginary" else draw(ints)
+    b = 0 if kind == "real" else draw(ints)
+    return QI(Fraction(a, d), Fraction(b, d))
+
+
+nonzero_qis = qis().filter(bool)
+polys = st.dictionaries(st.tuples(st.integers(0, 2)), nonzero_qis,
+                        min_size=1, max_size=3).map(lambda t: ParamPoly(1, t))
+
+
+@st.composite
+def axpy_cases(draw):
+    """(u, z, v): v's keys partly shared with u, some shared entries set to
+    cancel, and on some draws ParamPoly values among the QIs of u, v and z."""
+    value = st.one_of(nonzero_qis, polys) if draw(st.booleans()) \
+        else nonzero_qis
+    z = draw(value)
+    keys = draw(st.lists(st.integers(0, 9), unique=True, max_size=8))
+    v = {k: draw(value) for k in keys}
+    u = {}
+    for k in draw(st.permutations(range(10)))[:draw(st.integers(0, 10))]:
+        if k in v and draw(st.booleans()):
+            u[k] = -(v[k] * z)
+        else:
+            u[k] = draw(value)
+    return u, z, v
+
+
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(case=axpy_cases())
+@example(case=({0: ParamPoly(1, {(1,): QI(2)}), 1: QI(3)}, QI(1, 2),
+               {1: QI(Fraction(1, 2)), 0: QI(5)}))
+def test_axpy_into_matches_entrywise_reference(case):
+    u, z, v = case
+    want = dict(u)
+    reference_axpy_into(want, z, v)
+    _axpy_into(u, z, v)
+    assert list(u.items()) == list(want.items())
