@@ -130,10 +130,7 @@ def _measure_wedge_constant(s):
     for xi in range(1, dim + 1):
         # Y with i_Y omega = -i xi  =>  psi^{-1}(xi) = Y + i sigma(Y)
         ycoords = [Winv[r][xi - 1] * QI(0, -1) for r in range(dim)]
-        sigY = Form(dim)
-        for i, c in enumerate(ycoords):
-            if c:
-                sigY = sigY + sigma.contract_index(i + 1).scale(c)
+        sigY = sigma.contract_vector(ycoords)
         elem = {r: c for r, c in enumerate(ycoords) if c}
         for k in range(dim):
             c = sigY.coeffs.get(1 << k)

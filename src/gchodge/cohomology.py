@@ -92,9 +92,10 @@ def twisted_cohomology(m: LieModel) -> TwistedCohomology:
 # -- delbar cohomology -----------------------------------------------------------
 
 def _preimage_in(V: Subspace, op: SpinOp) -> Subspace:
-    """{v in V : op(v) = 0} computed by exact kernel arithmetic."""
+    """{v in V : op(v) = 0} computed by exact kernel arithmetic; the lift
+    through V's canonical basis is already canonical (`kernel_lift`)."""
     basis = V.basis()
-    return Subspace.span(V.ambient, kernel_lift(
+    return Subspace(V.ambient, kernel_lift(
         [spin_apply(op, v) for v in basis], basis))
 
 

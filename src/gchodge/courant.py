@@ -25,11 +25,10 @@ table of the shifted twist H + dB.  Witnesses name basis elements by index.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import attrgetter
 
 from .errors import DimensionMismatch
-from .forms import Form, blade_name, insert_sign
+from .forms import Form, _generator_tables, blade_name
 from .liemodel import LieAlgebroid, LieModel
 from .linalg import Echelon, Vec, _acc, _axpy_into, vec_add
 from .scalars import Half, ONE, QI, ZERO
@@ -101,22 +100,6 @@ def b_shift_form(B: Form, w: Form) -> Form:
     if not B.is_zero() and not B.is_homogeneous(2):
         raise DimensionMismatch("B-shift requires a homogeneous 2-form")
     return B.exp().wedge(w) if not B.is_zero() else w
-
-
-@cache
-def _generator_tables(dim: int) -> tuple:
-    """Clifford action of the coordinate basis x_1..x_dim, e^1..e^dim of E_C
-    on blades: entry [c][mask] is (image mask, sign), or None where the
-    contraction or wedge is zero."""
-    tables = []
-    for c in range(2 * dim):
-        i = c % dim
-        bit = 1 << i
-        want = bit if c < dim else 0   # x_i contracts bit i, e^i wedges it
-        tables.append(tuple(
-            (mask ^ bit, insert_sign(mask, i)) if mask & bit == want else None
-            for mask in range(1 << dim)))
-    return tuple(tables)
 
 
 def clifford_act(u: Vec, w: Form) -> Form:

@@ -7,10 +7,16 @@ are allowed everywhere (spinor-space elements).
 A coefficient is a QI, or a `poly.ParamPoly` for a section that depends on
 the parameters of a family: every operation here asks of a coefficient only
 the ring operations, so one `Form` serves both.
+
+Blade signs are mask arithmetic with no loop over generators (`popcount` is
+`int.bit_count`); the signs that recur per blade are tables cached per
+dimension: the generators' Clifford action (`_generator_tables`) and the Mukai
+sign of each blade against its complement (`_mukai_signs`).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 from .errors import DimensionMismatch, IndexOutOfRange
@@ -19,23 +25,49 @@ from .scalars import ONE, QI
 
 
 def popcount(m: int) -> int:
-    return bin(m).count("1")
+    return m.bit_count()
 
 
 def blade_wedge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending blades."""
-    s = 0
-    bb = b
-    while bb:
-        j = (bb & -bb).bit_length() - 1
-        s += popcount(a >> (j + 1))
-        bb &= bb - 1
-    return -1 if s & 1 else 1
+    """Sign of sorting the concatenation of two disjoint ascending blades:
+    the parity of the pairs (i in a, j in b) with i > j."""
+    # bit j of s becomes the parity of the bits of a above j (a suffix xor)
+    s = a >> 1
+    k = 1
+    while s >> k:
+        s ^= s >> k
+        k <<= 1
+    return -1 if (s & b).bit_count() & 1 else 1
 
 
 def insert_sign(mask: int, i: int) -> int:
     """Sign for moving generator bit i past the lower bits of mask."""
-    return -1 if popcount(mask & ((1 << i) - 1)) & 1 else 1
+    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+
+
+@cache
+def _generator_tables(dim: int) -> tuple:
+    """Clifford action of the coordinate basis x_1..x_dim, e^1..e^dim of E_C
+    on blades: entry [c][mask] is (image mask, sign), or None where the
+    contraction or wedge is zero."""
+    tables = []
+    for c in range(2 * dim):
+        i = c % dim
+        bit = 1 << i
+        want = bit if c < dim else 0   # x_i contracts bit i, e^i wedges it
+        tables.append(tuple(
+            (mask ^ bit, insert_sign(mask, i)) if mask & bit == want else None
+            for mask in range(1 << dim)))
+    return tuple(tables)
+
+
+@cache
+def _mukai_signs(dim: int) -> tuple[int, ...]:
+    """[m] is the sign of the Mukai pairing of the blade m with its
+    complement: blade_wedge_sign(m, top ^ m) * sigma_sign(|top ^ m|)."""
+    top = (1 << dim) - 1
+    return tuple(blade_wedge_sign(m, top ^ m) * sigma_sign(dim - m.bit_count())
+                 for m in range(1 << dim))
 
 
 def sigma_sign(k: int) -> int:
@@ -120,12 +152,7 @@ class Form:
         return Form(self.dim, c)
 
     def __sub__(self, other: "Form") -> "Form":
-        self._check(other)
-        c = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            w = c.get(m)
-            c[m] = -v if w is None else w - v
-        return Form(self.dim, c)
+        return self + -other
 
     def __neg__(self) -> "Form":
         return Form(self.dim, {m: -v for m, v in self.coeffs.items()})
@@ -246,16 +273,6 @@ def blade_name(mask: int) -> str:
 SpinOp = dict[int, Vec]  # column mask -> sparse image; empty columns omitted
 
 
-def spin_op(dim: int, f) -> SpinOp:
-    """The table of a linear map on forms, one column per basis blade."""
-    cols: SpinOp = {}
-    for mask in range(1 << dim):
-        w = f(Form(dim, {mask: ONE}))
-        if w.coeffs:
-            cols[mask] = dict(w.coeffs)
-    return cols
-
-
 def spin_apply(op: SpinOp, v: Vec) -> Vec:
     out: Vec = {}
     for j, c in v.items():
@@ -305,25 +322,16 @@ def mukai_pairing(a: Form, b: Form) -> QI:
     """Top coefficient of a ^ sigma(b), with the volume e^{1..2n} set to 1."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"form dims differ: {a.dim} vs {b.dim}")
-    top = (1 << a.dim) - 1
     out = QI(0)
-    for m, v in a.coeffs.items():
-        mc = top ^ m
-        w = b.coeffs.get(mc)
-        if w is None:
-            continue
-        s = blade_wedge_sign(m, mc) * sigma_sign(popcount(mc))
-        term = v * w
-        out = out + (term if s > 0 else -term)
+    for k, x in mukai_dual(a.dim, a.coeffs).items():
+        w = b.coeffs.get(k)
+        if w is not None:
+            out = out + x * w
     return out
 
 
 def mukai_dual(dim: int, v: Vec) -> Vec:
     """The vector u with mukai_pairing(v, b) = sum_k u[k] b[k] for every b:
     u[top ^ m] = +-v[m], the sign being mukai_pairing's."""
-    top = (1 << dim) - 1
-    out: Vec = {}
-    for m, x in v.items():
-        mc = top ^ m
-        out[mc] = x if blade_wedge_sign(m, mc) * sigma_sign(popcount(mc)) > 0 else -x
-    return out
+    top, signs = (1 << dim) - 1, _mukai_signs(dim)
+    return {top ^ m: x if signs[m] > 0 else -x for m, x in v.items()}

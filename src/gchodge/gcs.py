@@ -41,18 +41,17 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 
-from .courant import (_clifford_vec, _generator_tables, algebroid_from_basis,
-                      pairing)
+from .courant import _clifford_vec, algebroid_from_basis, pairing
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import (Form, SpinOp, _compose, _table_combine, blade_wedge_sign,
-                    popcount, spin_apply)
+from .forms import (Form, SpinOp, _compose, _generator_tables, _table_combine,
+                    blade_wedge_sign, popcount, spin_apply)
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
 from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, mat_inv,
                      mat_mul, matrix_kernel, vec_conj, vec_scale)
-from .scalars import Half, I, ONE, QI
+from .scalars import Half, I, ONE, QI, ZERO
 
 
 # -- E_C matrix plumbing -------------------------------------------------------
@@ -343,8 +342,10 @@ class GCStruct:
     def dH_parts(self) -> dict[int, SpinOp]:
         """d_H split by grading shift: -1 is del and +1 is delbar (always
         present, possibly empty); any other key means that d_H leaves
-        U_{k-1} + U_{k+1}, so the structure is not integrable."""
-        return {-1: {}, 1: {}, **_ad_split(self.N, self.model.dH_table)}
+        U_{k-1} + U_{k+1}, so the structure is not integrable.  A zero d_H
+        (a torus) splits into nothing without building N."""
+        dH = self.model.dH_table
+        return {-1: {}, 1: {}, **(_ad_split(self.N, dH) if dH else {})}
 
     def partial(self, w: Form) -> Form:
         return Form(w.dim, spin_apply(self.dH_parts[-1], w.coeffs))
@@ -468,21 +469,14 @@ def make_symplectic(m: LieModel, omega: Form, B: Form | None = None) -> GCStruct
         raise DegenerateOmega("omega is not invertible") from None
     MB = flat_matrix(B)
 
+    # J0 of omega, then e^{B} and e^{-B} on E_C: x -> x + i_x B, x - i_x B
     J0 = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
+    EB, EBi = ([[ONE if r == c else ZERO for c in range(2 * dim)]
+                for r in range(2 * dim)] for _ in range(2))
     for i in range(dim):
         for j in range(dim):
-            J0[i][dim + j] = -Mb[i][j]
-            J0[dim + i][j] = Mw[i][j]
-    EB = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
-    EBi = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
-    for i in range(dim):
-        EB[i][i] = ONE
-        EB[dim + i][dim + i] = ONE
-        EBi[i][i] = ONE
-        EBi[dim + i][dim + i] = ONE
-        for j in range(dim):
-            EB[dim + i][j] = MB[i][j]
-            EBi[dim + i][j] = -MB[i][j]
+            J0[i][dim + j], J0[dim + i][j] = -Mb[i][j], Mw[i][j]
+            EB[dim + i][j], EBi[dim + i][j] = MB[i][j], -MB[i][j]
     J = mat_mul(EB, mat_mul(J0, EBi))
 
     s = make_general(m, J, kind="symplectic")
@@ -527,32 +521,18 @@ def _three_zero_parts(H: Form, Imat: Matrix):
     dim = H.dim
     if H.is_zero():
         return Form(dim), Form(dim)
-    # generator e^i splits via the +-i eigenprojectors of I on covectors
-    IT = [[Imat[j][i] for j in range(dim)] for i in range(dim)]
-    p10 = []
-    p01 = []
-    for i in range(dim):
-        row10: dict[int, QI] = {}
-        row01: dict[int, QI] = {}
-        for j in range(dim):
-            # P^{1,0} = (1 - i I*)/2 acting on e^i
-            val10 = (ONE if i == j else QI(0)) - I * IT[i][j]
-            val01 = (ONE if i == j else QI(0)) + I * IT[i][j]
-            if val10:
-                row10[1 << j] = val10 * Half
-            if val01:
-                row01[1 << j] = val01 * Half
-        p10.append(Form(dim, row10))
-        p01.append(Form(dim, row01))
-    out30 = Form(dim)
-    out03 = Form(dim)
-    for mask, v in H.coeffs.items():
-        idxs = [b for b in range(dim) if mask >> b & 1]
-        t30 = p10[idxs[0]].wedge(p10[idxs[1]]).wedge(p10[idxs[2]])
-        t03 = p01[idxs[0]].wedge(p01[idxs[1]]).wedge(p01[idxs[2]])
-        out30 = out30 + t30.scale(v)
-        out03 = out03 + t03.scale(v)
-    return out30, out03
+    # generator e^i splits via the +-i eigenprojectors (1 -+ i I*)/2 of I on
+    # covectors
+    out = []
+    for z in (-I, I):
+        p = [Form(dim, {1 << j: ((ONE if i == j else QI(0)) + z * Imat[j][i])
+                        * Half for j in range(dim)}) for i in range(dim)]
+        part = Form(dim)
+        for mask, v in H.coeffs.items():
+            a, b, c = _mask_indices(mask)
+            part = part + p[a].wedge(p[b]).wedge(p[c]).scale(v)
+        out.append(part)
+    return tuple(out)
 
 
 # -- symplectic phi / delta machinery ---------------------------------------------

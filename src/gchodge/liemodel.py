@@ -3,15 +3,21 @@ its Chevalley-Eilenberg complex, and complex Lie algebroids inside E_C = g + g*.
 
 Structure data lists d e^k directly: an entry (k, i, j, c) contributes
 c * e^i ^ e^j to d e^k, equivalently <e^k, [x_i, x_j]> = -c.
+
+d comes from the structure constants: d = sum_k (d e^k) ^ i_{x_k}, two
+antiderivations agreeing on generators, so each entry (k, i, j, c) is three
+generator-table lookups per blade, and so is each term of H.  One routine
+gives d and d_H on a form's own blades, or as tables over every blade.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import (JacobiFailure, NotClosedUnderBracket, StructureNotReal,
-                     TwistNotClosed)
-from .forms import Form, SpinOp, insert_sign, popcount, spin_op
+from .errors import (DimensionMismatch, DimensionOdd, JacobiFailure,
+                     NotClosedUnderBracket, StructureNotReal, TwistNotClosed)
+from .forms import (Form, SpinOp, _generator_tables, insert_sign, popcount,
+                    spin_apply)
 from .linalg import (QuotientSpace, Vec, _acc, mat_det, solve_columns,
                      vec_conj)
 from .scalars import ONE, QI
@@ -22,7 +28,6 @@ class LieModel:
 
     def __init__(self, dim: int, structure, H: Form | None = None, name: str = ""):
         if dim % 2:
-            from .errors import DimensionOdd
             raise DimensionOdd(f"model dimension must be even, got {dim}")
         self.dim = dim
         self.name = name
@@ -30,7 +35,6 @@ class LieModel:
                                for (k, i, j, c) in structure)
         self.H = H if H is not None else Form(dim)
         if self.H.dim != dim:
-            from .errors import DimensionMismatch
             raise DimensionMismatch("twist form lives on a different dimension")
         if not self.H.is_zero() and not self.H.is_homogeneous(3):
             raise TwistNotClosed("twist must be a pure 3-form", degree=sorted(self.H.degrees()))
@@ -42,41 +46,54 @@ class LieModel:
             raise StructureNotReal(
                 f"structure constants must be real: d e{k} has a non-real "
                 f"coefficient of e{i}^e{j}", entries=complex_entries)
-        # d e^k for each generator, 1-based index
-        self._dgen = [Form(dim) for _ in range(dim + 1)]
-        for (k, i, j, c) in self.structure:
-            self._dgen[k] = self._dgen[k] + Form.blade(dim, (i, j), c)
 
     # -- differentials --------------------------------------------------------
 
+    def _d_columns(self, masks, twisted: bool) -> SpinOp:
+        """d e^m (d_H e^m when twisted) for each blade m in masks, empty
+        columns omitted: c e^i ^ e^j ^ i_{x_k} per entry, c e^p ^ e^q ^ e^r ^
+        per term of H."""
+        dim = self.dim
+        g = _generator_tables(dim)
+        chains = [((g[k - 1], g[dim + j - 1], g[dim + i - 1]), c, -c)
+                  for (k, i, j, c) in self.structure]
+        if twisted:
+            chains += [(tuple(g[dim + p] for p in reversed(_mask_indices(h))),
+                        c, -c) for h, c in self.H.coeffs.items()]
+        cols: SpinOp = {}
+        for mask in masks:
+            col: Vec = {}
+            for tables, c, minus_c in chains:
+                m, sign = mask, 1
+                for t in tables:
+                    hit = t[m]
+                    if hit is None:
+                        break
+                    m, s = hit
+                    sign *= s
+                else:
+                    _acc(col, m, c if sign > 0 else minus_c)
+            if col:
+                cols[mask] = col
+        return cols
+
     def d(self, a: Form) -> Form:
         """Chevalley-Eilenberg differential, a degree-1 antiderivation."""
-        out = Form(self.dim)
-        for mask, v in a.coeffs.items():
-            sign = 1
-            rest = mask
-            while rest:
-                low = rest & -rest
-                i = low.bit_length()  # 1-based generator index
-                dg = self._dgen[i]
-                if not dg.is_zero():
-                    term = dg.wedge(Form(self.dim, {mask & ~low: ONE}))
-                    out = out + term.scale(v * sign)
-                sign = -sign
-                rest &= rest - 1
-        return out
+        return Form(self.dim, spin_apply(self._d_columns(a.coeffs, False),
+                                         a.coeffs))
 
     def d_H(self, a: Form) -> Form:
-        return self.d(a) + self.H.wedge(a)
+        return Form(self.dim, spin_apply(self._d_columns(a.coeffs, True),
+                                         a.coeffs))
 
     # models are immutable, so each operator table is built once, on first use
     @cached_property
     def d_table(self) -> SpinOp:
-        return spin_op(self.dim, self.d)
+        return self._d_columns(range(1 << self.dim), False)
 
     @cached_property
     def dH_table(self) -> SpinOp:
-        return spin_op(self.dim, self.d_H)
+        return self._d_columns(range(1 << self.dim), True)
 
     @cached_property
     def dorfman_table(self) -> dict[int, dict[int, Vec]]:
@@ -104,7 +121,7 @@ class LieModel:
                     s = insert_sign(mask, j) * insert_sign(inner, i)
                     add(i, j, dim + l, h if s > 0 else -h)
         for k in range(1, dim + 1):
-            for mask, v in self._dgen[k].coeffs.items():
+            for mask, v in self.d(Form.blade(dim, [k])).coeffs.items():
                 for i in _mask_indices(mask):
                     (l,) = _mask_indices(mask & ~(1 << i))
                     t = v if insert_sign(mask, i) > 0 else -v
@@ -127,7 +144,7 @@ class LieModel:
         """Check d^2 = 0 on generators and d H = 0."""
         jacobi = []
         for k in range(1, self.dim + 1):
-            r = self.d(self._dgen[k])
+            r = self.d(self.d(Form.blade(self.dim, [k])))
             if not r.is_zero():
                 jacobi.append((k, r))
         dh = self.d(self.H)

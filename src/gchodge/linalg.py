@@ -3,7 +3,11 @@
 Vectors are dicts {coordinate index: QI} with zero entries absent.  A Subspace
 is stored in fully reduced column-echelon form (pivots ascending, pivot entry
 1, pivot coordinate eliminated from every other basis vector), so equal
-subspaces have literally identical bases.
+subspaces have literally identical bases.  Each result is normalised once:
+`Subspace.span`, `matrix_kernel` and `kernel_lift` (through a canonical basis)
+return canonical bases; `kernel_lift(..., canonical=False)` returns the
+tracked echelon's kernel as it comes, for a caller that normalises it anyway
+(`Subspace.intersect`, `QuotientSpace.of_map`).
 
 `Echelon`, the one elimination kernel, keys its rows by pivot and keeps an
 index of the rows holding each coordinate: a reduction visits only the
@@ -22,7 +26,7 @@ from collections import defaultdict
 from math import gcd
 
 from .errors import DimensionMismatch
-from .scalars import ONE, QI, _new
+from .scalars import ONE, QI, _new, _qi
 
 Vec = dict[int, QI]
 
@@ -31,16 +35,7 @@ Vec = dict[int, QI]
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     out = dict(u)
-    for k, x in v.items():
-        y = out.get(k)
-        if y is None:
-            out[k] = x
-        else:
-            z = y + x
-            if z:
-                out[k] = z
-            else:
-                del out[k]
+    _axpy_into(out, ONE, v)
     return out
 
 def vec_scale(v: Vec, z: QI) -> Vec:
@@ -170,21 +165,25 @@ class Echelon:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vec, combo: Vec | None) -> tuple[Vec, Vec | None, Vec]:
-        """(residual, combo, used): used holds the coefficient of each row in
-        v by ascending pivot, which is v's own entry at that pivot."""
+    def _reduce(self, v: Vec, combo: Vec | None,
+                used: Vec | None = None) -> Vec:
+        """The residual of v, reducing combo in place alongside; `used`, when
+        given, receives the coefficient of each row in v by ascending pivot,
+        which is v's own entry there."""
         rows = self._rows
         pivots = [k for k in v if k in rows]
         pivots.sort()
         v = dict(v)
-        used: Vec = {}
         for p in pivots:
-            used[p] = c = v[p]
+            c = v[p]
+            if used is not None:
+                used[p] = c
             row, rc = rows[p]
-            _axpy_into(v, -c, row)
+            c = _qi(-c._a, -c._b, c._d)
+            _axpy_into(v, c, row)
             if combo is not None:
-                _axpy_into(combo, -c, rc)
-        return v, combo, used
+                _axpy_into(combo, c, rc)
+        return v
 
     def insert(self, v: Vec, tag: int | None = None):
         """Insert v; returns (residual, combo) after reduction.
@@ -196,12 +195,12 @@ class Echelon:
             tag = self._n_inserted
         self._n_inserted += 1
         combo = {tag: ONE} if self.track else None
-        v, combo, _used = self._reduce(v, combo)
+        v = self._reduce(v, combo)
         if not v:
             return {}, combo
         piv = vec_pivot(v)
         c = v[piv]
-        if c != ONE:
+        if c._b or c._a != c._d:    # c != 1 in normal form
             inv = c.inv()
             v = vec_scale(v, inv)
             if combo is not None:
@@ -217,7 +216,8 @@ class Echelon:
         # would, on a copy: a row may be a Subspace's basis vector)
         for p in holders.pop(piv, ()):
             row, rc = self._rows[p]
-            nx = -row[piv]
+            nx = row[piv]
+            nx = _qi(-nx._a, -nx._b, nx._d)
             row = dict(row)
             _axpy_into(row, nx, v)
             for k in v:
@@ -239,8 +239,8 @@ class Echelon:
         The second entry maps the pivot of each basis row to the coefficient
         with which that row occurs in v - residual.
         """
-        v, _combo, used = self._reduce(v, None)
-        return v, used
+        used: Vec = {}
+        return self._reduce(v, None, used), used
 
     def solve(self, v: Vec) -> Vec | None:
         """Tracked mode: coefficients x, by insertion tag, with
@@ -319,7 +319,7 @@ class Subspace:
         # gives the meet vector sum x_j a_j: the kernel lifted along (a, 0)
         zeros = [{} for _ in other._basis]
         return Subspace.span(self.ambient, kernel_lift(
-            self._basis + other._basis, self._basis + zeros))
+            self._basis + other._basis, self._basis + zeros, canonical=False))
 
     def conj(self) -> "Subspace":
         """Entrywise conjugation keeps pivots and pivot entries 1 and zeros
@@ -327,28 +327,38 @@ class Subspace:
         return Subspace(self.ambient, [vec_conj(v) for v in self._basis])
 
 
-def matrix_kernel(cols: list[Vec]) -> list[Vec]:
-    """Kernel of the map sending the j-th unit vector to cols[j].
-
-    Returns canonical coefficient vectors (dicts over column indices).
-    """
+def _dependent_combos(cols: list[Vec]) -> list[Vec]:
+    """A kernel basis of the map sending the j-th unit vector to cols[j]: the
+    tracked echelon's combination of each dependent column, not canonical."""
     ech = Echelon(track=True)
     combos = []
     for j, v in enumerate(cols):
         r, combo = ech.insert(v, tag=j)
         if not r:
             combos.append(combo)
-    norm = Echelon()
-    for c in combos:
-        norm.insert(c)
-    return norm.basis()
+    return combos
 
 
-def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
+def matrix_kernel(cols: list[Vec]) -> list[Vec]:
+    """Kernel of the map sending the j-th unit vector to cols[j].
+
+    Returns canonical coefficient vectors (dicts over column indices).
+    """
+    return Subspace.span(len(cols), _dependent_combos(cols))._basis
+
+
+def kernel_lift(images: list[Vec], basis: list[Vec], *,
+                canonical: bool = True) -> list[Vec]:
     """Kernel of the map sending basis[j] to images[j], as combinations of
-    the basis vectors (one per canonical kernel vector of the images)."""
+    the basis vectors, one per canonical kernel vector of the images (with
+    canonical=False, one per dependent combination of the tracked echelon,
+    for a caller that normalises the result).  Canonical through a canonical
+    basis: a lifted vector's pivot is its combination's leading basis
+    vector's, so pivots ascend, and it is 1 there and 0 at the other lifted
+    pivots, as the combinations are."""
     out = []
-    for combo in matrix_kernel(images):
+    for combo in (matrix_kernel(images) if canonical
+                  else _dependent_combos(images)):
         v: Vec = {}
         for j, c in combo.items():
             _axpy_into(v, c, basis[j])
@@ -390,7 +400,7 @@ class QuotientSpace:
                boundaries) -> "QuotientSpace":
         """ker/im at one spot of a complex: the cycles are the combinations of
         `basis` whose `images` cancel; zero boundaries are skipped."""
-        return cls(ambient, kernel_lift(images, basis),
+        return cls(ambient, kernel_lift(images, basis, canonical=False),
                    [b for b in boundaries if b])
 
     @property

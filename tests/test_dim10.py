@@ -7,8 +7,9 @@ against the references of tests/test_gcs.py.
 The complete comparison, which adds the weight split of the complex 10-torus
 (about 5 s for its reference alone), the two symplectic models, the gradings
 of the two tori, the chains of the complex 10-torus, and the grading and the
-d_H split of kt12 (about 15 s), runs when GCHODGE_DIM10 is set to 1, as the
-`dim10` CI job does."""
+d_H split of kt12 (about 15 s), and the d and d_H tables of all six models
+against the per-blade reference of tests/test_liemodel.py, runs when
+GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
 
 import os
 from math import comb
@@ -23,6 +24,7 @@ from test_cohomology import (assert_closed_in_chain_matches_reference,
                              assert_filtrations_match_reference)
 from test_gcs import (assert_dH_parts_match_shift_tables,
                       assert_grading_matches_reference, build_main)
+from test_liemodel import assert_d_tables_match_reference
 
 MODELS = Path(__file__).resolve().parent / "models"
 
@@ -125,3 +127,10 @@ def test_dim12_kt_grading_and_dH_parts_match_reference():
     s = build_main(load("kt12"), "kt12")
     assert_grading_matches_reference("kt12", s)
     assert_dH_parts_match_shift_tables("kt12", s)
+
+
+@complete
+@pytest.mark.parametrize("name", sorted(BETTI) + sorted(BETTI12))
+def test_dim10_and_dim12_d_tables_match_reference(name):
+    assert_d_tables_match_reference(
+        name, parse_model(load(name)).model(name=name))

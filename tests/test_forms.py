@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gchodge.errors import DimensionMismatch
-from gchodge.forms import Form, contract, mukai_pairing, sigma_involution, wedge
+from gchodge.forms import (Form, _mukai_signs, blade_wedge_sign, contract,
+                           insert_sign, mukai_dual, mukai_pairing, popcount,
+                           sigma_involution, sigma_sign, wedge)
 from gchodge.scalars import I, ONE, QI, format_qi
 
 
@@ -241,6 +243,48 @@ def test_sigma_involution_property():
     for _ in range(15):
         a = rand_form(6, rng)
         assert sigma_involution(sigma_involution(a)) == a
+
+
+# -- blade signs ------------------------------------------------------------------
+
+def loop_popcount(m):
+    return bin(m).count("1")
+
+
+def loop_wedge_sign(a, b):
+    """Generator by generator: each bit j of b passes the bits of a above j."""
+    s = 0
+    for j in range(b.bit_length()):
+        if b >> j & 1:
+            s += loop_popcount(a >> (j + 1))
+    return -1 if s & 1 else 1
+
+
+def test_popcount_and_insert_sign_match_loop_references():
+    for m in range(1 << 8):
+        assert popcount(m) == loop_popcount(m), m
+        for i in range(8):
+            want = -1 if loop_popcount(m & ((1 << i) - 1)) & 1 else 1
+            assert insert_sign(m, i) == want, (m, i)
+
+
+def test_blade_wedge_sign_matches_loop_reference_on_every_pair():
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            assert blade_wedge_sign(a, b) == loop_wedge_sign(a, b), (a, b)
+
+
+def test_mukai_sign_table_matches_loop_reference():
+    for dim in range(1, 9):
+        top = (1 << dim) - 1
+        signs = _mukai_signs(dim)
+        assert len(signs) == 1 << dim
+        for m in range(1 << dim):
+            mc = top ^ m
+            assert signs[m] == loop_wedge_sign(m, mc) \
+                * sigma_sign(loop_popcount(mc)), (dim, m)
+        assert mukai_dual(dim, {m: QI(m + 1) for m in range(1 << dim)}) == {
+            top ^ m: QI(m + 1) * signs[m] for m in range(1 << dim)}
 
 
 # -- mukai ----------------------------------------------------------------------

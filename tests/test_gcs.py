@@ -14,7 +14,7 @@ from gchodge.courant import _clifford_vec, clifford_act, pairing
 from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, SpectrumViolation, TwistWrongType,
                             WrongType)
-from gchodge.forms import Form, mukai_pairing, popcount, spin_apply, spin_op
+from gchodge.forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import (GCStruct, _blocks, _grade_block, _project_blade,
                          _projector_plan, form_of_vec, make_complex,
                          make_general, make_symplectic, symp_delta, symp_phi)
@@ -31,6 +31,17 @@ ABELIAN4 = LieModel(4, [], name="torus4")
 ABELIAN6 = LieModel(6, [], name="torus6")
 KT = LieModel(4, [(4, 1, 2, 1)], name="kt")
 KT_TW = LieModel(4, [(4, 1, 2, 1)], Form.blade(4, [1, 2, 3]), name="kt-tw")
+
+
+def spin_op(dim: int, f) -> SpinOp:
+    """The table of a linear map on forms, one column per basis blade, empty
+    columns omitted."""
+    cols: SpinOp = {}
+    for mask in range(1 << dim):
+        w = f(Form(dim, {mask: ONE}))
+        if w.coeffs:
+            cols[mask] = dict(w.coeffs)
+    return cols
 
 
 def std_I(dim):
@@ -551,6 +562,16 @@ def test_dH_parts_outside_the_quartic_raise():
     s.model = SimpleNamespace(dim=6, dH_table=spin_op(6, five.wedge))
     with pytest.raises(SpectrumViolation, match="-3i, -i, i, 3i"):
         s.dH_parts
+
+def test_dH_parts_of_a_torus_build_no_N_table():
+    # d_H = 0 on a torus: nothing to split, so no spinorial table is built
+    for s in (complex_torus4(), symplectic_torus4(),
+              build_main(SCALE8["torus8"], "torus8")):
+        assert s.dH_parts == {-1: {}, 1: {}}
+        assert "N" not in vars(s)
+    s = kt_symplectic_twisted()
+    assert s.dH_parts[1] or s.dH_parts[-1]
+    assert "N" in vars(s)
 
 def test_del_and_delbar_abelian_zero():
     s = complex_torus4()

@@ -5,13 +5,16 @@ import random
 import pytest
 
 from gchodge.courant import algebroid_from_basis
-from gchodge.errors import (JacobiFailure, NotClosedUnderBracket, NotIsotropic,
-                            StructureNotReal, TwistNotClosed)
-from gchodge.forms import Form, popcount
+from gchodge.errors import (EngineError, JacobiFailure, NotClosedUnderBracket,
+                            NotIsotropic, StructureNotReal, TwistNotClosed)
+from gchodge.forms import Form, _compose, popcount
 from gchodge.liemodel import LieModel, _mask_indices, _masks_of_degree
+from gchodge.modelfile import parse_model
+from gchodge.poly import ParamPoly
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import SCALE8, corpus_structures, dense_model_text, structures_of
+from test_gcs import (CORPUS, SCALE8, corpus_structures, dense_model_text,
+                      spin_op, structures_of)
 
 
 def abelian(dim=4, H=None):
@@ -86,6 +89,84 @@ def test_ce_squares_to_zero():
         for _ in range(8):
             f = Form(m.dim, {rng.randrange(1 << m.dim): QI(rng.randrange(-3, 4), 1)})
             assert m.d(m.d(f)).is_zero()
+
+
+def reference_d(m, a):
+    """The Chevalley-Eilenberg differential as a per-blade antiderivation
+    on Forms: d(e^{i1} ^ ... ^ e^{ik}) = sum_p (-1)^(p-1) (d e^{ip}) ^ (the
+    blade without e^{ip}), with d e^k summed from the structure entries."""
+    dim = m.dim
+    dgen = [Form(dim) for _ in range(dim + 1)]
+    for k, i, j, c in m.structure:
+        dgen[k] = dgen[k] + Form.blade(dim, (i, j), c)
+    out = Form(dim)
+    for mask, v in a.coeffs.items():
+        sign = 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            dg = dgen[low.bit_length()]
+            if not dg.is_zero():
+                term = dg.wedge(Form(dim, {mask & ~low: ONE}))
+                out = out + term.scale(v * sign)
+            sign = -sign
+            rest &= rest - 1
+    return out
+
+
+def reference_dH(m, a):
+    return reference_d(m, a) + m.H.wedge(a)
+
+
+def table_models():
+    """(name, model) for every corpus model that builds, kt8, and the three
+    dense6 models of the benchmark at one seed."""
+    texts = [(p.stem, p.read_text()) for p in sorted(CORPUS.glob("*.gcm"))]
+    texts.append(("kt8", SCALE8["kt8"]))
+    texts += [(f"{name}-dense", dense_model_text(name, 5)) for name in
+              ("kt-twisted", "torus6-complex", "torus6-symplectic")]
+    for name, text in texts:
+        try:
+            yield name, parse_model(text).model(name=name)
+        except EngineError:
+            continue
+
+
+def assert_d_tables_match_reference(name, m):
+    """d_table and dH_table against the per-blade reference, d and d_H on
+    seeded multi-blade forms, and d o d = d_H o d_H = 0 on the tables of a
+    valid model."""
+    dim = m.dim
+    assert m.d_table == spin_op(dim, lambda w: reference_d(m, w)), name
+    assert m.dH_table == spin_op(dim, lambda w: reference_dH(m, w)), name
+    rng = random.Random(dim)
+    for _ in range(4):
+        a = Form(dim, {rng.randrange(1 << dim): QI(rng.randrange(-9, 10),
+                                                   rng.randrange(-2, 3))
+                       for _ in range(6)})
+        assert m.d(a) == reference_d(m, a), name
+        assert m.d_H(a) == reference_dH(m, a), name
+    if m.validate().ok:
+        assert _compose(m.d_table, m.d_table) == {}, name
+        assert _compose(m.dH_table, m.dH_table) == {}, name
+
+
+def test_d_tables_match_the_per_blade_reference():
+    models = list(table_models())
+    for name, m in models:
+        assert_d_tables_match_reference(name, m)
+    assert len(models) >= 20
+    assert any(not m.H.is_zero() for _name, m in models)
+
+
+def test_d_of_a_polynomial_form_matches_the_reference():
+    m = LieModel(4, [(4, 1, 2, 1)], Form.blade(4, [1, 2, 3]))
+    t = ParamPoly.var(2, 0)
+    a = Form(4, {0b1000: t, 0b1100: t * t + ParamPoly.const(2, QI(3)),
+                 0b0001: ParamPoly.var(2, 1)})
+    assert m.d(a) == reference_d(m, a)
+    assert m.d_H(a) == reference_dH(m, a)
+    assert not m.d_H(a).is_zero()
 
 
 def test_algebroid_abelian_complex_basis():

@@ -1,5 +1,6 @@
-"""Subspace arithmetic: canonical echelon bases, lattice ops, quotients, and
-the fused multiply-accumulate kernel."""
+"""Subspace arithmetic: canonical echelon bases, lattice ops, quotients, the
+fused multiply-accumulate kernel, and the kernel paths that skip a second
+normalisation."""
 
 import os
 import random
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gchodge.cohomology import _preimage_in
 from gchodge.errors import DimensionMismatch
+from gchodge.forms import spin_apply
 from gchodge.linalg import (Echelon, QuotientSpace, Subspace, _axpy_into,
-                            mat_det, mat_inv, mat_mul, matrix_kernel,
-                            solve_columns, vec_axpy, vec_conj, vec_scale)
+                            kernel_lift, mat_det, mat_inv, mat_mul,
+                            matrix_kernel, solve_columns, vec_axpy, vec_conj,
+                            vec_scale)
 from gchodge.poly import ParamPoly
 from gchodge.scalars import I, QI
 
-# the kernel property test's budget; GCHODGE_KERNEL_EXAMPLES sets a larger one
+# the kernel property tests' budget; GCHODGE_KERNEL_EXAMPLES sets a larger one
 # for a longer run outside the tier-1 suite
 KERNEL_EXAMPLES = int(os.environ.get("GCHODGE_KERNEL_EXAMPLES", "200"))
 
@@ -440,3 +444,75 @@ def test_axpy_into_matches_entrywise_reference(case):
     reference_axpy_into(want, z, v)
     _axpy_into(u, z, v)
     assert list(u.items()) == list(want.items())
+
+
+# -- one normalisation per kernel result -----------------------------------------
+
+@st.composite
+def lift_cases(draw):
+    """(V, op, W, boundary coefficients): V and W subspaces of Q(i)^n, each
+    spanned by sparse vectors with multi-digit entries, some of them
+    combinations of earlier ones; op a sparse map Q(i)^n -> Q(i)^m as a
+    SpinOp, some columns multiples of earlier ones or absent."""
+    n = draw(st.integers(1, 7))
+
+    def family(size):
+        vecs = []
+        for _ in range(size):
+            if vecs and draw(st.booleans()):
+                i, j = draw(st.integers(0, len(vecs) - 1)), \
+                    draw(st.integers(0, len(vecs) - 1))
+                vecs.append(vec_axpy(vecs[i], draw(nonzero_qis), vecs[j]))
+            else:
+                keys = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                     min_size=1, max_size=3))
+                vecs.append({k: draw(nonzero_qis) for k in keys})
+        return vecs
+
+    V = Subspace.span(n, family(draw(st.integers(1, n + 1))))
+    W = Subspace.span(n, family(draw(st.integers(0, n))))
+    m = draw(st.integers(1, 6))
+    op = {}
+    for col in range(n):
+        kind = draw(st.sampled_from(["new", "multiple", "absent"]))
+        if kind == "multiple" and op:
+            src = op[draw(st.sampled_from(sorted(op)))]
+            op[col] = vec_scale(src, draw(nonzero_qis))
+        elif kind != "absent":
+            keys = draw(st.lists(st.integers(0, m - 1), unique=True,
+                                 min_size=1, max_size=2))
+            op[col] = {k: draw(nonzero_qis) for k in keys}
+    coeffs = draw(st.lists(st.one_of(st.just(QI(0)), nonzero_qis), max_size=4))
+    return V, op, W, coeffs
+
+
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(case=lift_cases())
+def test_canonical_lift_paths_match_their_normalised_forms(case):
+    """_preimage_in keeps the lift through V's canonical basis as it is;
+    QuotientSpace.of_map and Subspace.intersect lift the tracked echelon's
+    combinations without normalising them: each equals the path that
+    normalises once more."""
+    V, op, W, coeffs = case
+    basis = V.basis()
+    images = [spin_apply(op, b) for b in basis]
+    lift = kernel_lift(images, basis)
+    got = _preimage_in(V, op)
+    want = Subspace.span(V.ambient, lift)
+    assert [items(b) for b in got.basis()] == [items(b) for b in want.basis()]
+
+    # boundaries: combinations of the cycles, a zero one among them
+    bounds = [{}]
+    for i, c in enumerate(coeffs):
+        if lift:
+            bounds.append(vec_scale(lift[i % len(lift)], c))
+    q = QuotientSpace.of_map(V.ambient, basis, images, bounds)
+    ref = QuotientSpace(V.ambient, lift, [b for b in bounds if b])
+    assert q.reps == ref.reps
+    for probe in basis + lift + W.basis():
+        assert items(q.coords(probe)) == items(ref.coords(probe))
+
+    zeros = [{} for _ in W.basis()]
+    assert V.intersect(W) == Subspace.span(V.ambient, kernel_lift(
+        basis + W.basis(), basis + zeros))
