@@ -242,22 +242,33 @@ def _wedge_disjoint(u: Vec, v: Vec) -> Vec:
 def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
     """(cls, {k: U_k for k >= 0}) of the product of J's blocks, cls summing
     the blocks' classes.  A block's N, built on its own blades, is relabelled
-    onto the model's, which keep the order of generators; partial products
-    that the blocks still to come cannot raise to k >= 0 are skipped."""
+    onto the model's, which keep the order of generators, so a block whose
+    matrix repeats an earlier block's takes that block's U_k bases with their
+    blades relabelled, and is not graded again; partial products that the
+    blocks still to come cannot raise to k >= 0 are skipped."""
     cls, prods, rest = 0, {0: [{0: ONE}]}, dim // 2
+    graded: dict[tuple, tuple] = {}     # block matrix -> (cb, masks, bases)
     for block in blocks:
         m, nb = len(block), len(block) // 2
         idx = block + [dim + i for i in block]
         masks = [sum(1 << block[j] for j in range(m) if mask >> j & 1)
                  for mask in range(1 << m)]
-        Nb = _spinorial_N(m, [[J[r][c] for c in idx] for r in idx])
-        cb, upper = _grade_block(
-            {masks[a]: {masks[b]: x for b, x in col.items()}
-             for a, col in Nb.items()}, nb, masks, 1 << dim)
+        Jb = tuple(tuple(J[r][c] for c in idx) for r in idx)
+        if Jb not in graded:
+            Nb = _spinorial_N(m, Jb)
+            cb, upper = _grade_block(
+                {masks[a]: {masks[b]: x for b, x in col.items()}
+                 for a, col in Nb.items()}, nb, masks, 1 << dim)
+            graded[Jb] = cb, masks, {
+                kb: (upper[kb] if kb >= 0 else upper[-kb].conj())._basis
+                for kb in range(-nb, nb + 1)}
+        cb, first, bases = graded[Jb]
+        relabel = dict(zip(first, masks)) if first is not masks else None
         cls, rest = cls + cb, rest - nb
         nxt: dict[int, list[Vec]] = {}
         for kb in range(-nb, nb + 1):
-            basis = (upper[kb] if kb >= 0 else upper[-kb].conj())._basis
+            basis = bases[kb] if relabel is None else [
+                {relabel[a]: x for a, x in v.items()} for v in bases[kb]]
             for k, vecs in prods.items():
                 if k + kb + rest >= 0:
                     nxt.setdefault(k + kb, []).extend(
@@ -397,7 +408,9 @@ class GCStruct:
 
 # -- constructors ---------------------------------------------------------------
 
-def _validate_J(m: LieModel, J: Matrix):
+def _validate_J(m: LieModel, J: Matrix) -> list[Vec]:
+    """J's sparse columns, once J is checked real, J^2 = -1 column by column,
+    and <Ja, Jb> = <a, b> on every basis pair: 1/2 for x_i with e^i, else 0."""
     n4 = 2 * m.dim
     if len(J) != n4 or any(len(r) != n4 for r in J):
         raise NotAlmostComplex(f"J must be {n4}x{n4}")
@@ -405,30 +418,26 @@ def _validate_J(m: LieModel, J: Matrix):
         for x in row:
             if not x.is_real():
                 raise NotAlmostComplex("J must have real (rational) entries")
-    J2 = mat_mul(J, J)
-    minus = [[QI(-1) if i == j else QI(0) for j in range(n4)] for i in range(n4)]
-    if J2 != minus:
-        raise NotAlmostComplex("J^2 != -1")
-    P = pairing_gram(m.dim)
-    JT = [list(col) for col in zip(*J)]
-    if mat_mul(mat_mul(JT, P), J) != P:
-        raise NotOrthogonal("<Ja, Jb> != <a, b>")
+    cols = [{i: J[i][j] for i in range(n4) if J[i][j]} for j in range(n4)]
+    for j, col in enumerate(cols):
+        sq: Vec = {}
+        for i, x in col.items():
+            _axpy_into(sq, x, cols[i])
+        if sq != {j: -ONE}:
+            raise NotAlmostComplex("J^2 != -1")
+    for a in range(n4):
+        for b in range(a, n4):
+            if pairing(m.dim, cols[a], cols[b]) != (
+                    Half if b - a == m.dim else ZERO):
+                raise NotOrthogonal("<Ja, Jb> != <a, b>")
+    return cols
 
 
 def make_general(m: LieModel, J: Matrix, kind: str = "general") -> GCStruct:
     m.require_valid()
     J = [[x if isinstance(x, QI) else QI(x) for x in row] for row in J]
-    _validate_J(m, J)
-    n4 = 2 * m.dim
-    cols = []
-    for j in range(n4):
-        col: Vec = {}
-        for i in range(n4):
-            x = J[i][j] - (I if i == j else QI(0))
-            if x:
-                col[i] = x
-        cols.append(col)
-    kernel = matrix_kernel(cols)
+    kernel = matrix_kernel([{**col, j: col.get(j, ZERO) - I}   # J - i
+                            for j, col in enumerate(_validate_J(m, J))])
     if len(kernel) != m.dim:
         raise NotAlmostComplex(
             f"+i eigenspace has dim {len(kernel)}, expected {m.dim}")

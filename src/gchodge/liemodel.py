@@ -8,6 +8,9 @@ d comes from the structure constants: d = sum_k (d e^k) ^ i_{x_k}, two
 antiderivations agreeing on generators, so each entry (k, i, j, c) is three
 generator-table lookups per blade, and so is each term of H.  One routine
 gives d and d_H on a form's own blades, or as tables over every blade.
+
+Models are immutable, so each operator table and the validity report are
+computed once per model, on first use.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ class LieModel:
         return Form(self.dim, spin_apply(self._d_columns(a.coeffs, True),
                                          a.coeffs))
 
-    # models are immutable, so each operator table is built once, on first use
     @cached_property
     def d_table(self) -> SpinOp:
         return self._d_columns(range(1 << self.dim), False)
@@ -142,6 +144,10 @@ class LieModel:
 
     def validate(self) -> "ModelReport":
         """Check d^2 = 0 on generators and d H = 0."""
+        return self._validity
+
+    @cached_property
+    def _validity(self) -> "ModelReport":
         jacobi = []
         for k in range(1, self.dim + 1):
             r = self.d(self.d(Form.blade(self.dim, [k])))

@@ -316,19 +316,37 @@ def test_suite_catches_wrong_sign_in_one_twist_entry():
                       "C5": "a=(1) x2; b=(1) x3; c=(1) x4; value=1"}
 
 
-def test_suite_catches_generator_table_wrong_on_one_blade(monkeypatch):
-    # e^1 on e2^e4^e7 with its sign flipped, on a dim-8 model: the 50 random
-    # blades of the former sampled suite never reach this entry
-    real = _generator_tables(8)
-    broken = [list(t) for t in real]
+def broken_generator_tables(monkeypatch):
+    """Substitute dim-8 generator tables with e^1 on e2^e4^e7 sign-flipped."""
+    broken = [list(t) for t in _generator_tables(8)]
     mask, sign = broken[8][0b01001010]
     broken[8][0b01001010] = (mask, -sign)
     broken = tuple(tuple(t) for t in broken)
     monkeypatch.setattr(courant, "_generator_tables",
                         lambda dim: broken if dim == 8 else _generator_tables(dim))
+
+
+def test_suite_catches_generator_table_wrong_on_one_blade(monkeypatch):
+    # e^1 on e2^e4^e7 with its sign flipped, on a dim-8 model: the 50 random
+    # blades of the former sampled suite never reach this entry
+    broken_generator_tables(monkeypatch)
     failed = failed_checks(courant_axiom_suite(KT8))
     assert set(failed) == {"Clifford"}
     assert failed["Clifford"] == "a=(1) x1; b=(1) e1; w=e2^e4^e7"
+
+
+def test_clifford_relation_is_swept_once_per_generator_table(monkeypatch):
+    # the real dim-8 tables, swept first, must not answer for the broken ones
+    # of the same dimension; each table is swept once
+    assert courant_axiom_suite(KT8).ok and courant_axiom_suite(NIL6).ok
+    broken_generator_tables(monkeypatch)
+    failed = failed_checks(courant_axiom_suite(KT8))
+    assert failed == {"Clifford": "a=(1) x1; b=(1) e1; w=e2^e4^e7"}
+    sweeps = []
+    monkeypatch.setattr(courant, "_anticommutator",
+                        lambda *args: sweeps.append(args))
+    assert failed_checks(courant_axiom_suite(KT8)) == failed
+    assert courant_axiom_suite(NIL6).ok and not sweeps
 
 
 def test_suite_catches_missing_dB_term():

@@ -9,11 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from gchodge import gcs
 from gchodge.cohomology import delbar_dims, twisted_cohomology
 from gchodge.courant import _clifford_vec, clifford_act, pairing
 from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
-                            NotIntegrable, SpectrumViolation, TwistWrongType,
-                            WrongType)
+                            NotIntegrable, NotOrthogonal, SpectrumViolation,
+                            TwistWrongType, WrongType)
 from gchodge.forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import (GCStruct, _blocks, _grade_block, _project_blade,
                          _projector_plan, form_of_vec, make_complex,
@@ -96,6 +97,17 @@ def test_make_general_rejects_a_non_real_J():
     iId = [[I if i == j else QI(0) for j in range(8)] for i in range(8)]
     with pytest.raises(NotAlmostComplex, match="real"):
         make_general(ABELIAN4, iId)
+
+def test_make_general_rejects_a_J_that_is_not_orthogonal():
+    # x1 -> 2 x2, x2 -> -x1/2, e1 -> e2, e2 -> -e1, and the standard rotation
+    # on x3, x4, e3, e4: J^2 = -1, but <J x1, J e1> = <2 x2, e2> = 1, not 1/2
+    J = [[QI(0)] * 8 for _ in range(8)]
+    for col, row, c in ((0, 1, 2), (1, 0, Fraction(-1, 2)), (4, 5, 1),
+                        (5, 4, -1), (2, 3, 1), (3, 2, -1), (6, 7, 1),
+                        (7, 6, -1)):
+        J[row][col] = QI(c)
+    with pytest.raises(NotOrthogonal, match=r"^<Ja, Jb> != <a, b>$"):
+        make_general(ABELIAN4, J)
 
 def test_spinor_must_be_annihilated_by_L():
     # U_{-2} of the complex structure is not the pure spinor line of the
@@ -398,6 +410,17 @@ def test_conj_of_every_corpus_U_k_is_the_span_of_the_conjugates():
 @pytest.mark.parametrize("name", sorted(SCALE8))
 def test_grading_matches_reference_at_dim8(name):
     assert_grading_matches_reference(name, build_main(SCALE8[name], name))
+
+
+def test_repeated_blocks_are_graded_once(monkeypatch):
+    # torus8's J is four copies of one 4x4 block: the first is graded and the
+    # other three take its U_k bases, relabelled onto their own blades
+    calls = []
+    monkeypatch.setattr(gcs, "_grade_block",
+                        lambda *args: calls.append(args) or _grade_block(*args))
+    s = build_main(SCALE8["torus8"], "torus8")
+    assert len(_blocks(s.J, 8)) == 4 and len(calls) == 1
+    assert_grading_matches_reference("torus8", s)
 
 
 def test_grading_matches_reference_on_dense_model():

@@ -1,9 +1,13 @@
 """Model validation, CE differential, algebroids, invariant Betti numbers."""
 
+import io
 import random
+from contextlib import redirect_stdout
+from functools import cached_property
 
 import pytest
 
+from gchodge.cli import main
 from gchodge.courant import algebroid_from_basis
 from gchodge.errors import (EngineError, JacobiFailure, NotClosedUnderBracket,
                             NotIsotropic, StructureNotReal, TwistNotClosed)
@@ -36,6 +40,23 @@ def test_validate_abelian():
 
 def test_validate_kt():
     assert kodaira_thurston().validate().ok
+
+def test_validity_is_computed_once_per_model(monkeypatch):
+    # one hodge run asks for validity on each path that builds a structure
+    body = LieModel.__dict__["_validity"].func
+    asked, computed = [], []
+    def counting(self):
+        computed.append(self)
+        return body(self)
+    once = cached_property(counting)
+    once.__set_name__(LieModel, "_validity")
+    monkeypatch.setattr(LieModel, "_validity", once)
+    validate = LieModel.validate
+    monkeypatch.setattr(LieModel, "validate",
+                        lambda self: asked.append(self) or validate(self))
+    with redirect_stdout(io.StringIO()):
+        assert main(["hodge", str(CORPUS / "torus6-kahler.gcm"), "--json"]) == 0
+    assert len(asked) > len(computed) == len({id(m) for m in asked}) == 1
 
 def test_validate_jacobi_failure():
     # d e3 = e12, d e4 = e34 gives d^2 e4 = e124 != 0
