@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .cohomology import (ddbar_check, delbar_dims, frolicher_pages,
                          hodge_filtration, invariant_derham, lefschetz_check,
-                         mukai_Q, once_per_structure, twisted_cohomology,
-                         weight_mhs_check)
+                         mukai_Q, twisted_cohomology, weight_mhs_check)
 from .courant import courant_axiom_suite
 from .errors import EngineError, ModelSyntaxError
 from .families import (family_validate, gcy_check, graph_epsilon,
@@ -25,6 +24,7 @@ from .families import (family_validate, gcy_check, graph_epsilon,
 from .forms import Form
 from .gkaehler import (algebroid_split_check, bigraded_cohomology, bigrading,
                        delta_split_check, gk_deformation_check, gk_validate)
+from .liemodel import once
 from .modelfile import build_family, build_structure, emit_model, parse_model
 from .scalars import QI
 
@@ -91,7 +91,8 @@ def cmd_check(mf, model, report, args):
 
 def cmd_cohomology(mf, model, report, args):
     model.require_valid()
-    betti = [invariant_derham(model, k).dim for k in range(model.dim + 1)]
+    derham = invariant_derham(model)
+    betti = [derham.dim(k) for k in range(model.dim + 1)]
     report.add("invariant de Rham Betti numbers", "pass",
                [" ".join(str(b) for b in betti)])
     tw = twisted_cohomology(model)
@@ -159,7 +160,7 @@ def cmd_ddbar(mf, model, report, args):
         frl = frolicher_pages(s)
         report.add(f"frolicher pages of {b.name}",
                    _verdict(frl.degenerates), frl.lines())
-        dd = once_per_structure(s, ddbar_check)
+        dd = once(s, ddbar_check)
         report.add(f"ddbar lemma for {b.name}", _verdict(dd.holds), dd.lines())
 
 
@@ -182,7 +183,7 @@ def cmd_lefschetz(mf, model, report, args):
     for b, s in _structures(mf, model, report, kinds=("symplectic",)):
         lf = lefschetz_check(s)
         report.add(f"strong Lefschetz for {b.name}", _verdict(lf.ok), lf.lines())
-        dd = once_per_structure(s, ddbar_check)
+        dd = once(s, ddbar_check)
         report.add(f"lefschetz <=> ddbar ({b.name})",
                    _verdict(lf.ok == dd.holds),
                    [f"lefschetz {lf.ok}, ddbar {dd.holds}"])
@@ -251,7 +252,7 @@ def cmd_family(mf, model, report, args):
             report.add(f"family {b.name} holomorphy",
                        _verdict(h.holomorphic), h.lines())
         n = model.dim // 2
-        base_dd = once_per_structure(fam.base_structure(), ddbar_check)
+        base_dd = once(fam.base_structure(), ddbar_check)
         if base_dd.holds:
             for p in range(-n, n - 1):
                 tr = transversality_check(fam, p, 0)
@@ -344,8 +345,8 @@ def cmd_gk(mf, model, report, args):
                    _verdict(bc.total_matches_twisted and bc.blocks_decompose
                             and bc.intersection_ok and bc.marginals_ok),
                    bc.lines())
-        dd1 = once_per_structure(pair.s1, ddbar_check)
-        dd2 = once_per_structure(pair.s2, ddbar_check)
+        dd1 = once(pair.s1, ddbar_check)
+        dd2 = once(pair.s2, ddbar_check)
         report.add(f"gk ddbar both structures {b.name}",
                    _verdict(dd1.holds and dd2.holds),
                    [f"J1: {dd1.holds}, J2: {dd2.holds}"])

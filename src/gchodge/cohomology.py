@@ -4,89 +4,74 @@ Hodge filtrations, the Mukai pairing on cohomology, strong Lefschetz, and the
 complex-type mixed Hodge structure.
 
 Everything is rank arithmetic over Q(i); there is no harmonic theory anywhere.
-The filtrations of H come from adapted bases, each read off one ordered
-column reduction R = D V of d_H that tracks its column operations:
-- in the basis made of the U_k bases, its persistence pairs give the
+Every kernel over image is read off one ordered column reduction R = D V
+that tracks its column operations (`linalg.ColumnReduction`), kept once per
+model, structure or algebroid:
+- d_H over the blades by descending (degree, mask) gives H: its essential
+  cycles of each parity represent a basis of H whose classes from degree j
+  on span the weight filtration W^j; d over the blades gives the invariant
+  de Rham cohomology, delbar over the U_k bases by descending k the delbar
+  cohomology, and d_L and delbar+ the cohomology of an algebroid and the
+  bigraded cohomology of a generalized Kaehler pair;
+- d_H in the basis made of the U_k bases by ascending k, which is not
+  triangular and gives no class coordinates: its persistence pairs give the
   Froelicher pages, and the cycles V_c of its zero columns give the Hodge
   filtration: F^p H is spanned by the classes born in the U_{<=p} chain, so
-  each F^p is read from one echelon per parity that grows with p; the
+  each F^p is read from one echelon per parity that grows with p, whose
+  rows with pivots of degree j give the image of F~^i cap W^j in Gr_j; the
   cycles in that chain span its closed forms, which Griffiths
-  transversality takes as representatives and lifts (`closed_in_chain`);
-- over the blades by descending degree, its essential cycles are a basis of
-  H whose prefixes are the weight filtration W^j, and in those coordinates
-  F~^i cap W^j and its image in Gr_j are rows of one echelon of F~^i.
+  transversality takes as representatives and lifts (`closed_in_chain`).
 A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H;
 so is the bigraded direct sum of a generalized Kaehler pair.
-The delbar cohomology and the del-delbar verdict keep their own subspace
-pipelines, so that E_1 = H_delbar and "del-delbar <=> degeneration + Hodge
-filtration" stay cross-checks and are not true by construction.  The
-bigraded engines reject a structure whose d_H has parts beyond del and
-delbar.
+The delbar cohomology is a reduction of its own and the del-delbar verdict
+keeps its own subspace pipeline, so that E_1 = H_delbar and "del-delbar <=>
+degeneration + Hodge filtration" stay cross-checks and are not true by
+construction.  The bigraded engines reject a structure whose d_H has parts
+beyond del and delbar.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
 
 from .errors import EngineError, NotIntegrable, WrongType
-from .forms import Form, SpinOp, mukai_dual, popcount, spin_apply
+from .forms import (Form, SpinOp, blades_by_degree, mukai_dual, popcount,
+                    spin_apply)
 from .gcs import GCStruct, form_of_vec
-from .liemodel import LieModel
-from .linalg import (Echelon, QuotientSpace, Subspace, Vec, _axpy_into,
-                     kernel_lift, vec_conj, vec_scale)
+from .liemodel import LieModel, once
+from .linalg import (ColumnReduction, Echelon, Subspace, Vec, _axpy_into,
+                     kernel_lift, vec_conj)
 from .scalars import ONE
 
 
 # -- twisted cohomology --------------------------------------------------------
 
-class TwistedCohomology:
+class TwistedCohomology(ColumnReduction):
     """Z2-graded cohomology of d_H on the 2^{2n}-dimensional spinor space,
-    with canonical representatives and exact class coordinates."""
+    from one reduction of d_H over the blades by descending (degree, mask),
+    its classes grouped by parity: d_H maps even blades to odd ones, so each
+    essential cycle has one parity.  The classes of a parity run by
+    ascending (degree, mask) of their leading blades, and d_H raises the
+    degree, so the forms of degree >= j are a prefix of the numbering and
+    the classes from the first of degree j on span the weight filtration
+    W^j within that parity.  The representatives are real, as d_H is."""
 
     def __init__(self, m: LieModel):
-        self.model = m
-        dim = m.dim
-        N = 1 << dim
-        self._N = N
+        m.require_valid()
+        order = blades_by_degree(m.dim)
         dH = m.dH_table
-        evens = [b for b in range(N) if popcount(b) % 2 == 0]
-        odds = [b for b in range(N) if popcount(b) % 2 == 1]
-        self.even = self._quotient(dH, evens, odds)
-        self.odd = self._quotient(dH, odds, evens)
-        self.dim_even = self.even.dim
-        self.dim_odd = self.odd.dim
+        super().__init__(order, [dH.get(b, {}) for b in order],
+                         [popcount(b) & 1 for b in order])
+        self.model = m
+        self.dim_even = self.dim(0)
+        self.dim_odd = self.dim(1)
         self.total_dim = self.dim_even + self.dim_odd
-
-    def _quotient(self, dH: SpinOp, blades, other) -> QuotientSpace:
-        return QuotientSpace.of_map(
-            self._N, [{b: ONE} for b in blades],
-            [dH.get(b, {}) for b in blades], [dH.get(b, {}) for b in other])
-
-    def parity_coords(self, w: Form, parity: int) -> Vec | None:
-        q = self.even if parity == 0 else self.odd
-        return q.coords(dict(w.coeffs))
-
-    def coords(self, w: Form) -> Vec | None:
-        """Total coordinates: even block first, odd block shifted."""
-        ce = self.even.coords(dict(w.parity_part(0).coeffs))
-        co = self.odd.coords(dict(w.parity_part(1).coeffs))
-        if ce is None or co is None:
-            return None
-        out = dict(ce)
-        for k, v in co.items():
-            out[self.dim_even + k] = v
-        return out
 
 
 def twisted_cohomology(m: LieModel) -> TwistedCohomology:
-    """The twisted cohomology of a valid model, built once and kept on the
-    model (models are immutable)."""
-    tw = getattr(m, "_twisted_cohomology", None)
-    if tw is None:
-        m.require_valid()
-        tw = m._twisted_cohomology = TwistedCohomology(m)
-    return tw
+    """The twisted cohomology of a valid model, built once per model."""
+    return once(m, TwistedCohomology)
 
 
 # -- delbar cohomology -----------------------------------------------------------
@@ -116,32 +101,57 @@ def _integrable_parts(s: GCStruct) -> tuple[SpinOp, SpinOp]:
     return s.dH_parts[-1], s.dH_parts[1]
 
 
-def delbar_cohomology(s: GCStruct) -> dict[int, QuotientSpace]:
-    """H^k_delbar for k = -n..n, as quotients inside the spinor space."""
+def _block_reduction(bases: dict, parts) -> tuple[ColumnReduction,
+                                                  list[Vec]]:
+    """(reduction, vectors): the reduction of an operator over the canonical
+    bases of the blocks of a grading, bases[j] for block j, numbered block
+    by block in the order of `bases`, each basis vector labelled (j, its
+    pivot) and grouped by j; and the basis vectors in that numbering.
+    `parts(j)` lists (op, j') for each part of the operator, which maps
+    block j into block j'; a vector of a block has as coordinates its own
+    entries at the block's pivots."""
+    by_pivot = {j: {min(v): v for v in basis} for j, basis in bases.items()}
+    order, vecs, cols = [], [], []
+    for j, basis in by_pivot.items():
+        for p, v in basis.items():
+            order.append((j, p))
+            vecs.append(v)
+            col: Vec = {}
+            for op, t in parts(j):
+                piv = by_pivot.get(t, ())
+                for b, c in spin_apply(op, v).items():
+                    if b in piv:
+                        col[t, b] = c
+            cols.append(col)
+    return ColumnReduction(order, cols, [j for j, _p in order]), vecs
+
+
+def delbar_cohomology(s: GCStruct) -> ColumnReduction:
+    """H^k_delbar for k = -n..n: one reduction of delbar over the canonical
+    U_k bases by descending k, in which delbar is triangular, as it raises
+    k; it shares nothing with the d_H reductions, so that E_1 = H_delbar
+    stays a cross-check."""
     n = s.n
     _del, delbar = _integrable_parts(s)
-    out = {}
-    for k in range(-n, n + 1):
-        basis = s.U_subspace(k).basis()
-        out[k] = QuotientSpace.of_map(
-            1 << s.model.dim, basis, [spin_apply(delbar, v) for v in basis],
-            [spin_apply(delbar, v) for v in s.U_subspace(k - 1).basis()])
-    return out
+    return _block_reduction(
+        {k: s.U_subspace(k).basis() for k in range(n, -n - 1, -1)},
+        lambda k: ((delbar, k + 1),))[0]
 
 
 def delbar_dims(s: GCStruct) -> dict[int, int]:
-    return {k: q.dim for k, q in
-            once_per_structure(s, delbar_cohomology).items()}
+    db = once(s, delbar_cohomology)
+    return {k: db.dim(k) for k in range(-s.n, s.n + 1)}
 
 
-def once_per_structure(s: GCStruct, compute):
-    """compute(s), run once per structure and kept on it (a structure does
-    not change once built): the delbar cohomology and the del-delbar verdict
-    are shared by every check that asks for them."""
-    kept = vars(s).setdefault("_kept", {})
-    if compute not in kept:
-        kept[compute] = compute(s)
-    return kept[compute]
+def delbar_coords(s: GCStruct, k: int, v: Vec) -> Vec | None:
+    """Coordinates of the class of v in H^k_delbar, or None when v is not a
+    delbar-closed vector of U_k; in U_k's canonical basis, v's coordinate
+    at a basis vector is its entry at that vector's pivot."""
+    resid, used = s.U_subspace(k).echelon().reduce(v)
+    if resid:
+        return None
+    return once(s, delbar_cohomology).coords(
+        {(k, p): c for p, c in used.items()}, k)
 
 
 # -- generalized Froelicher spectral sequence --------------------------------------
@@ -164,35 +174,6 @@ class FrolicherReport:
         return out
 
 
-def _column_reduction(cols: list[Vec]) -> tuple[dict[int, tuple[Vec, Vec]],
-                                                list[tuple[int, Vec]]]:
-    """The ordered column reduction R = D V of the square matrix D whose
-    column c is cols[c] (Edelsbrunner, Letscher and Zomorodian 2002; Basu
-    and Parida 2017): each column in turn is reduced by earlier ones until
-    its low, its largest nonzero row, is the low of no earlier column, and
-    the column operations are kept in V.  Returns {low: (R_c, V_c)}, both
-    scaled to 1 at the low, and [(c, V_c)] for the zero columns of R, where
-    V_c is 1 at c.  V_c is zero past c and R_c past its low, so both lie in
-    every prefix of the numbering that holds c, or the low."""
-    lows: dict[int, tuple[Vec, Vec]] = {}
-    zeros: list[tuple[int, Vec]] = []
-    for c, col in enumerate(cols):
-        ops: Vec = {c: ONE}
-        while col:
-            low = max(col)
-            piv = lows.get(low)
-            if piv is None:
-                inv = col[low].inv()
-                lows[low] = (vec_scale(col, inv), vec_scale(ops, inv))
-                break
-            x = -col[low]
-            _axpy_into(col, x, piv[0])
-            _axpy_into(ops, x, piv[1])
-        else:
-            zeros.append((c, ops))
-    return lows, zeros
-
-
 class _DHReduction:
     """The column reduction of d_H in the U-adapted basis, numbered by
     ascending (k, index) over the canonical U_k bases; `k_of[c]` is the k
@@ -200,18 +181,22 @@ class _DHReduction:
     `lows` the rows that are the low of one, and `cycles[k]` maps every
     zero column c in U_k to V_c in those numbers.  The V_c of a prefix's
     zero columns are a basis of its closed forms (Zomorodian and Carlsson
-    2005); a cycle is formed as a form on first use only.  (A plain class,
-    not a dataclass, so that importing the module builds nothing more.)"""
+    2005); a cycle is formed as a form on first use only.  del lowers k, so
+    the order is not triangular and the reduction gives no class
+    coordinates.  (A plain class, not a dataclass, so that importing the
+    module builds nothing more.)"""
 
-    def __init__(self, bases: dict[int, list[Vec]],
-                 pairs: list[tuple[int, int]], k_of: list[int],
-                 vecs: list[Vec], cycles: dict[int, dict[int, Vec]],
-                 lows: set[int]):
+    def __init__(self, bases: dict[int, list[Vec]], red: ColumnReduction,
+                 vecs: list[Vec]):
         self.bases = bases
-        self.pairs = pairs
-        self.k_of = k_of
-        self.cycles = cycles
-        self.lows = lows
+        self.k_of = k_of = red.groups
+        self.lows = red.lows
+        # V_c of a pair's column is nonzero at c and zero past it
+        self.pairs = [(k_of[max(ops)], k_of[low])
+                      for low, (_r, ops) in red.lows.items()]
+        self.cycles: dict[int, dict[int, Vec]] = {k: {} for k in bases}
+        for c, ops in red.cycles.items():
+            self.cycles[k_of[c]][c] = ops
         self._vecs = vecs
         self._forms: dict[int, Vec] = {}
 
@@ -237,40 +222,17 @@ def _reduce_d_H(s: GCStruct) -> _DHReduction:
     (the two parities never meet in one column)."""
     n = s.n
     del_, delbar = _integrable_parts(s)
-    # U_k's basis is fully reduced, so a vector of U_k has as coordinates its
-    # own entries at U_k's pivots; row ids ascend with (k, index)
     bases = {k: s.U[k].basis() for k in range(-n, n + 1)}
-    row_of: dict[int, dict[int, int]] = {}
-    k_of: list[int] = []            # row id -> k
-    vecs: list[Vec] = []            # row id -> basis vector
-    for k, basis in bases.items():
-        row_of[k] = {min(v): len(k_of) + i for i, v in enumerate(basis)}
-        k_of += [k] * len(basis)
-        vecs += basis
-
-    def coords(j: int, w: Vec) -> Vec:
-        rows = row_of.get(j, {})
-        return {rows[b]: c for b, c in w.items() if b in rows}
-
-    cols = []
-    for c, u in enumerate(vecs):
-        col = coords(k_of[c] - 1, spin_apply(del_, u))
-        col.update(coords(k_of[c] + 1, spin_apply(delbar, u)))
-        cols.append(col)
-    lows, zeros = _column_reduction(cols)
-    # V_c of a pair's column is nonzero at c and zero past it
-    pairs = [(k_of[max(ops)], k_of[low]) for low, (_r, ops) in lows.items()]
-    cycles: dict[int, dict[int, Vec]] = {k: {} for k in bases}
-    for c, ops in zeros:
-        cycles[k_of[c]][c] = ops
-    return _DHReduction(bases, pairs, k_of, vecs, cycles, set(lows))
+    red, vecs = _block_reduction(
+        bases, lambda k: ((del_, k - 1), (delbar, k + 1)))
+    return _DHReduction(bases, red, vecs)
 
 
 def closed_in_chain(s: GCStruct, p: int) -> Subspace:
     """The d_H-closed forms in the U_{<=p} chain of matching parity, a
     prefix of the reduction's order for its parity: the span of the cycles
     of the chain's zero columns."""
-    red = once_per_structure(s, _reduce_d_H)
+    red = once(s, _reduce_d_H)
     return Subspace.span(1 << s.model.dim, [
         red.cycle(c) for k in range(p, -s.n - 1, -2)
         for c in red.cycles.get(k, ())])
@@ -287,7 +249,7 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
     U_k to a low in U_k' is killed by d_r with r = (k - k' + 1)/2; E_r^k is
     dim U_k less the pairs with r' < r that have an end in U_k."""
     n = s.n
-    red = once_per_structure(s, _reduce_d_H)
+    red = once(s, _reduce_d_H)
     rmax = n + 1
     pages = {r: {k: len(b) for k, b in red.bases.items()}
              for r in range(1, rmax + 1)}
@@ -379,14 +341,11 @@ def closed_classes(s: GCStruct, V: Subspace,
                    parity: int | None = None) -> Subspace:
     """Classes of the d_H-closed forms in V: coordinates in the H block of
     the given parity, or total coordinates when parity is None."""
-    dim = s.model.dim
     tw = twisted_cohomology(s.model)
     closed = _preimage_in(V, s.model.dH_table).basis()
-    if parity is None:
-        return Subspace.span(tw.total_dim, [
-            tw.coords(form_of_vec(dim, v)) or {} for v in closed])
-    return Subspace.span(tw.dim_even if parity == 0 else tw.dim_odd, [
-        tw.parity_coords(form_of_vec(dim, v), parity) or {} for v in closed])
+    return Subspace.span(
+        tw.total_dim if parity is None else tw.dim(parity),
+        [tw.coords(v, parity) or {} for v in closed])
 
 
 def _hodge_flags(s: GCStruct) -> dict[int, Subspace]:
@@ -396,19 +355,18 @@ def _hodge_flags(s: GCStruct) -> dict[int, Subspace]:
     dimension is the number of zero columns of R in that chain less the
     lows there, and the two counts must agree."""
     n = s.n
-    red = once_per_structure(s, _reduce_d_H)
+    red = once(s, _reduce_d_H)
     tw = twisted_cohomology(s.model)
     echs = (Echelon(), Echelon())
     flags = {}
     for p in range(-n, n + 1):
         parity = (p + n + s.parity) % 2
-        q = tw.even if parity == 0 else tw.odd
         for form in red.born(p):
-            coords = q.coords(form)
+            coords = tw.coords(form, parity)
             if coords is None:
                 raise EngineError("a cycle of the d_H reduction is not closed")
             echs[p % 2].insert(coords)
-        flags[p] = Subspace(q.dim, echs[p % 2].basis())
+        flags[p] = Subspace(tw.dim(parity), echs[p % 2].basis())
         count = (sum(len(red.cycles[k]) for k in range(p, -n - 1, -2))
                  - sum(1 for c in red.lows if _in_chain(red.k_of[c], p)))
         if flags[p].dim != count:
@@ -427,10 +385,9 @@ def filtration_subspace(s: GCStruct, p: int) -> Subspace:
     if p > n:
         p = n if (p - n) % 2 == 0 else n - 1
     if p >= -n:
-        return once_per_structure(s, _hodge_flags)[p]
+        return once(s, _hodge_flags)[p]
     tw = twisted_cohomology(s.model)
-    return Subspace.zero(tw.dim_even if (p + n + s.parity) % 2 == 0
-                         else tw.dim_odd)
+    return Subspace.zero(tw.dim((p + n + s.parity) % 2))
 
 
 def _rank_of_sum(basis: list[Vec], vecs: list[Vec]) -> int:
@@ -448,25 +405,22 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
     entrywise.  F^{p-2} lies in F^p by construction."""
     n = s.n
     tw = twisted_cohomology(s.model)
-    dd = once_per_structure(s, ddbar_check)
+    dd = once(s, ddbar_check)
     frl = frolicher_pages(s)
     db = delbar_dims(s)
-    filt = once_per_structure(s, _hodge_flags)
+    filt = once(s, _hodge_flags)
     hodge_by_p = {}
     for p in range(-n, n + 1):
         if -p - 2 in hodge_by_p:
             hodge_by_p[p] = hodge_by_p[-p - 2]
             continue
-        parity = (p + n + s.parity) % 2
-        h_dim = tw.dim_even if parity == 0 else tw.dim_odd
+        h_dim = tw.dim((p + n + s.parity) % 2)
         fp = filt[p]
         fq = filt.get(-p - 2, Subspace.zero(h_dim))
         hodge_by_p[p] = (fp.dim + fq.dim == h_dim and _rank_of_sum(
             fp._basis, [vec_conj(v) for v in fq._basis]) == h_dim)
-    top_even = filt[n].dim == (tw.dim_even if (2 * n + s.parity) % 2 == 0
-                               else tw.dim_odd)
-    top_odd = filt[n - 1].dim == (tw.dim_even if (2 * n - 1 + s.parity) % 2 == 0
-                                  else tw.dim_odd)
+    top_even = filt[n].dim == tw.dim((2 * n + s.parity) % 2)
+    top_odd = filt[n - 1].dim == tw.dim((2 * n - 1 + s.parity) % 2)
     hodge_ok = all(hodge_by_p.values()) and top_even and top_odd
     graded = None
     if dd.holds:
@@ -536,7 +490,7 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
     holds on every pair of blades, or None when neither does."""
     m = s.model
     tw = twisted_cohomology(m)
-    reps = tw.even.reps + tw.odd.reps
+    reps = tw.reps(0) + tw.reps(1)
     rows = _mukai_rows(m.dim, reps, reps)
     N = 1 << m.dim
     dH = m.dH_table
@@ -567,18 +521,18 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
 
 # -- strong Lefschetz ----------------------------------------------------------------------
 
-def invariant_derham(m: LieModel, k: int) -> QuotientSpace:
-    """Untwisted invariant de Rham cohomology in degree k, built once per
-    degree and kept on the model (models are immutable)."""
-    kept = vars(m).setdefault("_invariant_derham", {})
-    if k not in kept:
-        N = 1 << m.dim
-        d = m.d_table
-        blades_k = [b for b in range(N) if popcount(b) == k]
-        kept[k] = QuotientSpace.of_map(
-            N, [{b: ONE} for b in blades_k], [d.get(b, {}) for b in blades_k],
-            [d.get(b, {}) for b in range(N) if popcount(b) == k - 1])
-    return kept[k]
+def invariant_derham(m: LieModel) -> ColumnReduction:
+    """Untwisted invariant de Rham cohomology in every degree, grouped by
+    degree, from one reduction of d over the blades by descending (degree,
+    mask); built once per model."""
+    return once(m, _reduce_d)
+
+
+def _reduce_d(m: LieModel) -> ColumnReduction:
+    order = blades_by_degree(m.dim)
+    d = m.d_table
+    return ColumnReduction(order, [d.get(b, {}) for b in order],
+                           [popcount(b) for b in order])
 
 
 @dataclass
@@ -604,23 +558,24 @@ def lefschetz_check(s: GCStruct) -> LefschetzReport:
         raise WrongType("strong Lefschetz requires a symplectic-type structure")
     m = s.model
     n = s.n
+    derham = invariant_derham(m)
     verdicts = {}
     witness = None
     for k in range(n + 1):
-        hk = invariant_derham(m, k)
-        h2nk = invariant_derham(m, 2 * n - k)
+        reps = derham.reps(k)
+        dual = derham.dim(2 * n - k)
         power = Form.one(m.dim)
         for _ in range(n - k):
             power = power.wedge(s.omega)
         cols = []
-        for r in hk.reps:
+        for r in reps:
             img = power.wedge(form_of_vec(m.dim, r))
-            cols.append(h2nk.coords(dict(img.coeffs)) or {})
-        rank = Subspace.span(max(h2nk.dim, 1), cols).dim
-        ok = rank == hk.dim == h2nk.dim
+            cols.append(derham.coords(img.coeffs, 2 * n - k) or {})
+        rank = Subspace.span(max(dual, 1), cols).dim
+        ok = rank == len(reps) == dual
         verdicts[k] = ok
         if not ok and witness is None:
-            kernel = kernel_lift(cols, hk.reps)
+            kernel = kernel_lift(cols, reps)
             if kernel:
                 witness = form_of_vec(m.dim, kernel[0])
     return LefschetzReport(verdicts, witness)
@@ -645,123 +600,45 @@ class MHSReport:
         return out
 
 
-class _WeightBasis:
-    """A basis of H adapted to the weight filtration W^j (classes with
-    representatives of form degree >= j), from the column reduction of d_H
-    over the blades numbered by descending (degree, mask), in which the
-    forms of degree >= j are a prefix.  d_H raises the degree, so every
-    low is a zero column, and the V_e of the other zero columns e (the
-    essential ones) have classes that are a basis of H whose first members
-    span W^j.  A class coordinate is numbered by `N - 1 - e`, the blade's
-    place in ascending (degree, mask), so W^j is the coordinates from
-    `start[j]` on, and `gr_dims[j]` of them have degree j.  The V_e are
-    real, as d_H is."""
-
-    def __init__(self, number: list[int], lows: dict[int, tuple[Vec, Vec]],
-                 essential: dict[int, Vec], start: list[int],
-                 gr_dims: list[int]):
-        self.number = number            # blade mask -> e
-        self.lows = lows
-        self.essential = essential      # e -> V_e
-        self.start = start
-        self.gr_dims = gr_dims
-
-    def coords(self, w: Vec) -> Vec:
-        """Class coordinates of a closed form: its largest number is
-        cleared in turn by the V_e or the R column with that leading
-        number, as each of them is 1 there and zero past it."""
-        from heapq import heapify, heappop, heappush   # no import-time cost
-        x = {self.number[b]: c for b, c in w.items()}
-        heap = [-e for e in x]
-        heapify(heap)
-        out: Vec = {}
-        top = len(self.number) - 1
-        while heap:
-            e = -heappop(heap)
-            c = x.get(e)
-            if c is None:
-                continue
-            if e in self.essential:
-                out[top - e] = c
-                vec = self.essential[e]
-            elif e in self.lows:
-                vec = self.lows[e][0]
-            else:
-                raise EngineError("the form is not d_H-closed")
-            _axpy_into(x, -c, vec)
-            for f in vec:
-                if f in x:
-                    heappush(heap, -f)
-        return out
-
-
-def _weight_basis(m: LieModel) -> _WeightBasis:
-    """Built once and kept on the model (models are immutable)."""
-    wb = getattr(m, "_weight_basis", None)
-    if wb is None:
-        N = 1 << m.dim
-        order = sorted(range(N), key=lambda b: (-popcount(b), b))
-        number = [0] * N
-        for e, b in enumerate(order):
-            number[b] = e
-        dH = m.dH_table
-        lows, zeros = _column_reduction(
-            [{number[b]: c for b, c in dH.get(mask, {}).items()}
-             for mask in order])
-        essential = {e: ops for e, ops in zeros if e not in lows}
-        if len(essential) + len(lows) != len(zeros):
-            raise EngineError(
-                "a low of the weight reduction is no zero column")
-        start = [sum(comb(m.dim, d) for d in range(j))
-                 for j in range(m.dim + 2)]
-        gr_dims = [0] * (m.dim + 1)
-        for e in essential:
-            gr_dims[popcount(order[e])] += 1
-        wb = m._weight_basis = _WeightBasis(number, lows, essential, start,
-                                            gr_dims)
-    return wb
-
-
 def weight_mhs_check(s: GCStruct) -> MHSReport:
     """The weight filtration W^j (classes with representatives of form degree
     >= j) and the wrapped Hodge filtration F~^i = F^i + F^{i-1} induce a
-    Hodge split on every Gr_j = W^j / W^{j+1}.  In coordinates adapted to W
-    (`_WeightBasis`), F~^i is the span of the classes born in U_{<=i},
-    kept as one echelon that grows with i; its rows with pivots in Gr_j's
-    coordinates give the image of F~^i cap W^j in Gr_j.  The split at (i, j)
-    is one rank of those rows and the conjugates of F~^{-i-2}'s, taken once
-    per pair {i, -i-2}, whose two sums are conjugate."""
+    Hodge split on every Gr_j = W^j / W^{j+1}.  A class coordinate of
+    either parity is adapted to W (`TwistedCohomology`): W^j is the
+    coordinates from the first of degree j on, and Gr_j's are those of
+    degree j.  Gr_j lies in the parity of j, where F~^i is one F^p, p in
+    {i, i-1}, so the rows of F^p's echelon with pivots in Gr_j's coordinates
+    give the image of F~^i cap W^j in Gr_j.  The split at (i, j) is one rank
+    of those rows and the conjugates of F~^{-i-2}'s, taken once per pair
+    {i, -i-2}, whose two sums are conjugate."""
     if s.kind != "complex":
         raise WrongType("weight filtration check requires a complex-type structure")
-    dd = once_per_structure(s, ddbar_check)
+    dd = once(s, ddbar_check)
     if not dd.holds:
         return MHSReport("del-delbar lemma fails at this structure",
                          None, False, None, None)
     n = s.n
-    wb = _weight_basis(s.model)
-    red = once_per_structure(s, _reduce_d_H)
-
-    # rows of the echelon of F~^i, for i = -n..n; below -n it is zero and
-    # from n on all of H
-    ech = Echelon()
-    flag: dict[int, list[tuple[int, Vec]]] = {}
-    for i in range(-n, n + 1):
-        for form in red.born(i):
-            ech.insert(wb.coords(form))
-        flag[i] = [(p, row) for p, row, _c in ech.rows]
+    tw = twisted_cohomology(s.model)
+    # the degree of each class of either parity, ascending
+    degrees = [[popcount(tw.order[e]) for e in tw.classes[q]] for q in (0, 1)]
+    pivots: dict[int, list[int]] = {}
 
     def graded_rows(i: int, j: int) -> list[Vec]:
-        lo, hi = wb.start[j], wb.start[j + 1]
-        rows = flag[min(i, n)] if i >= -n else []
+        p = i if (i + n + s.parity - j) % 2 == 0 else i - 1
+        rows = filtration_subspace(s, p)._basis
+        if p not in pivots:
+            pivots[p] = [min(row) for row in rows]
+        lo, hi = (bisect_left(degrees[j % 2], d) for d in (j, j + 1))
+        first, end = (bisect_left(pivots[p], c) for c in (lo, hi))
         return [{c: x for c, x in row.items() if c < hi}
-                for p, row in rows if lo <= p < hi]
+                for row in rows[first:end]]
 
     gr_dims = {}
     split_by = {}
     graded_hodge: dict[int, list[int]] = {}
     ok = True
     for j in range(0, 2 * n + 1):
-        gr_dims[j] = gr_dim = wb.gr_dims[j]
+        gr_dims[j] = gr_dim = degrees[j % 2].count(j)
         if gr_dim == 0:
             continue
         dims_along_i = []

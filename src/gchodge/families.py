@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import (closed_classes, closed_in_chain, ddbar_check,
-                         delbar_cohomology, filtration_subspace,
-                         invariant_derham, lefschetz_check, once_per_structure,
-                         twisted_cohomology)
+                         delbar_coords, delbar_dims, filtration_subspace,
+                         invariant_derham, lefschetz_check, twisted_cohomology)
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
@@ -35,7 +34,7 @@ from .forms import Form, mukai_dual, popcount, spin_apply
 from .gcs import (GCStruct, _combine, _powers, _projector_plan,
                   _spinorial_N, flat_matrix, form_of_vec, make_complex,
                   make_general, make_symplectic)
-from .liemodel import LieModel
+from .liemodel import LieModel, once
 from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, _axpy_into,
                      mat_add, mat_det, mat_inv, mat_mul, solve_columns,
                      vec_add, vec_axpy, vec_conj, vec_scale)
@@ -311,7 +310,6 @@ class KSReport:
     class_coords: Vec
     class_is_zero: bool
     jjandks_ok: bool
-    h2: QuotientSpace
 
     def lines(self):
         return [f"KS class (dir t{self.direction + 1}): "
@@ -345,8 +343,7 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
     if not closed:
         raise NotClosed("linearized Maurer-Cartan fails: d_L(eps_dot) != 0",
                         residual=dc)
-    h2 = base.L.cohomology(2)
-    coords = h2.coords(cochain)
+    coords = base.L.cohomology().coords(cochain, 2)
     # Eq: J_j = 2i eps - 2i conj(eps), as endomorphisms of E_C
     # E sends the basis vector col to sum_a Minv[a][col] eps(l_a)
     dim2 = 2 * dim
@@ -366,7 +363,7 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
         Jd[i][j] == two_i * E[i][j] - two_i * E[i][j].conj()
         for i in range(dim2) for j in range(dim2))
     f._ks[direction] = KSReport(direction, eps, cochain, closed, coords or {},
-                                not coords, ok, h2)
+                                not coords, ok)
     return f._ks[direction]
 
 
@@ -384,7 +381,7 @@ def gm_derivative(f: FamilySpec, section: Form, direction: int) -> Vec:
     polynomial section, at the basepoint, in twisted-cohomology coordinates."""
     _require_closed(f.model, section)
     ds = form_eval(form_diff(section, direction), f.basepoint)
-    coords = twisted_cohomology(f.model).coords(ds)
+    coords = twisted_cohomology(f.model).coords(ds.coeffs)
     if coords is None:
         raise EngineError("derivative of a closed section is not closed")
     return coords
@@ -491,27 +488,25 @@ def symp_filtration_check(f: FamilySpec, p: int) -> SympFiltrationReport:
     if f.kind != "symplectic":
         raise WrongType("filtration tracking requires a symplectic family")
     base = f.base_structure()
-    if not once_per_structure(base, lefschetz_check).ok:
+    if not once(base, lefschetz_check).ok:
         return SympFiltrationReport("strong Lefschetz fails at basepoint", {})
     m = f.model
     n = base.n
     tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
-    h_dim = tw.dim_even if parity == 0 else tw.dim_odd
-    derham = {k: invariant_derham(m, k) for k in range(0, 2 * n + 1)}
+    derham = invariant_derham(m)
+    reps = {k: derham.reps(k) for k in range(p + n, -1, -2) if k <= 2 * n}
     per = {}
     for pt in [f.basepoint] + f.samples:
         s_t = f.structure_at(pt)
         lhs = filtration_subspace(s_t, p)
         vecs = []
-        for k in range(p + n, -1, -2):
-            if k > 2 * n:
-                continue
-            for r in derham[k].reps:
+        for k_reps in reps.values():
+            for r in k_reps:
                 w = s_t.spinor.wedge(form_of_vec(m.dim, r))
-                c = tw.parity_coords(w, parity)
+                c = tw.coords(w.coeffs, parity)
                 vecs.append(c if c is not None else {})
-        rhs = Subspace.span(h_dim, vecs)
+        rhs = Subspace.span(tw.dim(parity), vecs)
         per[pt] = lhs == rhs
     return SympFiltrationReport(None, per)
 
@@ -549,9 +544,8 @@ def gcy_check(s: GCStruct) -> GCYReport:
     if not s.model.d_H(rho).is_zero():
         raise SpinorNotClosed("pure spinor is not d_H-closed")
     dim = s.model.dim
-    h2 = s.L.cohomology(2)
-    db = once_per_structure(s, delbar_cohomology)
-    target = db[2 - s.n]
+    h_L = s.L.cohomology()
+    k = 2 - s.n
     act = s.cliff_table(rho)
     # chain identity delbar(a rho) = (d_L a) rho: both sides are linear in
     # a, so checking every nonzero mask proves it on every cochain
@@ -560,15 +554,16 @@ def gcy_check(s: GCStruct) -> GCYReport:
         == Form(dim, spin_apply(act, s.L.differential({mask: ONE})))
         for mask in range(1, 1 << s.L.rank))
     cols = []
-    for rep in h2.reps:
-        coords = target.coords(spin_apply(act, rep))
+    for rep in h_L.reps(2):
+        coords = delbar_coords(s, k, spin_apply(act, rep))
         if coords is None:
             raise EngineError("image of an H^2(L) class is not delbar-closed")
         cols.append(coords)
-    rank = Subspace.span(max(target.dim, 1), cols).dim
-    iso = rank == h2.dim == target.dim
-    injective = rank == h2.dim
-    return GCYReport(True, (h2.dim, target.dim), iso, injective, chain_ok)
+    target = delbar_dims(s)[k]
+    rank = Subspace.span(max(target, 1), cols).dim
+    iso = rank == h_L.dim(2) == target
+    injective = rank == h_L.dim(2)
+    return GCYReport(True, (h_L.dim(2), target), iso, injective, chain_ok)
 
 
 # -- Griffiths transversality -------------------------------------------------------------------
@@ -680,19 +675,18 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
 def transversality_check(f: FamilySpec, p: int, direction: int) -> TransversalityReport:
     base = f.base_structure()
     n = base.n
-    dd0 = once_per_structure(base, ddbar_check)
+    dd0 = once(base, ddbar_check)
     if not dd0.holds:
         return TransversalityReport(
             "basepoint does not satisfy the del-delbar lemma",
             {}, False, False, [], [], [], None, False)
     samples_good = {}
     for pt in f.samples:
-        samples_good[pt] = once_per_structure(
-            f.structure_at(pt), ddbar_check).holds
+        samples_good[pt] = once(f.structure_at(pt), ddbar_check).holds
     m = f.model
     tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
-    h_dim = tw.dim_even if parity == 0 else tw.dim_odd
+    h_dim = tw.dim(parity)
     Fp = filtration_subspace(base, p)
     Fpm2 = filtration_subspace(base, p - 2)
     Fpp2 = filtration_subspace(base, p + 2)
@@ -728,14 +722,14 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     for r in reps:
         s_poly = _extend_in_chain(f, chain, r)
         ds = form_eval(form_diff(s_poly, direction), (QI(0),) * f.nvars)
-        coords = tw.parity_coords(ds, parity)
+        coords = tw.coords(ds.coeffs, parity)
         if coords is None:
             raise EngineError("derivative of the extension is not closed")
         if not Fpp2.contains(coords):
             transversal = False
         if not win_coords.contains(coords):
             window_ok = False
-        dom = Qdom.coords(tw.parity_coords(r, parity))
+        dom = Qdom.coords(tw.coords(r.coeffs, parity))
         tarc = Qtar.coords(coords)
         if dom is None or tarc is None:
             raise EngineError("class bookkeeping failure in transversality")
@@ -751,7 +745,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         for k, c in sol.items():
             if k < n_closed2:
                 w = w + closed2_forms[k].scale(c)
-        kc = Qtar.coords(tw.parity_coords(w, parity))
+        kc = Qtar.coords(tw.coords(w.coeffs, parity))
         kactions.append(kc if kc is not None else {})
 
     # fit: induced = c * kappa_action as linear maps on the domain quotient

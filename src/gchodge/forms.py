@@ -28,6 +28,14 @@ def popcount(m: int) -> int:
     return m.bit_count()
 
 
+def blades_by_degree(rank: int) -> list[int]:
+    """The masks over `rank` generators by descending (degree, mask): an
+    operator that raises the degree maps each blade only to blades before
+    it."""
+    return sorted(range(1 << rank), key=lambda b: (popcount(b), b),
+                  reverse=True)
+
+
 def blade_wedge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint ascending blades:
     the parity of the pairs (i in a, j in b) with i > j."""

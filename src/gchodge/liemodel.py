@@ -10,7 +10,8 @@ generator-table lookups per blade, and so is each term of H.  One routine
 gives d and d_H on a form's own blades, or as tables over every blade.
 
 Models are immutable, so each operator table and the validity report are
-computed once per model, on first use.
+computed once per model, on first use; `once` keeps what is derived from a
+model, a structure or an algebroid, such as its cohomology, on it.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 
 from .errors import (DimensionMismatch, DimensionOdd, JacobiFailure,
                      NotClosedUnderBracket, StructureNotReal, TwistNotClosed)
-from .forms import (Form, SpinOp, _generator_tables, insert_sign, popcount,
-                    spin_apply)
-from .linalg import (QuotientSpace, Vec, _acc, mat_det, solve_columns,
+from .forms import (Form, SpinOp, _generator_tables, blades_by_degree,
+                    insert_sign, popcount, spin_apply)
+from .linalg import (ColumnReduction, Vec, _acc, mat_det, solve_columns,
                      vec_conj)
 from .scalars import ONE, QI
 
@@ -248,13 +249,11 @@ class LieAlgebroid:
                     _acc(out, T, -term if (pq + ins) & 1 else term)
         return out
 
-    def cohomology(self, k: int) -> QuotientSpace:
-        """H^k as a quotient of cochain space, masks over 2^rank coords."""
-        basis = [{m: ONE} for m in _masks_of_degree(self.rank, k)]
-        return QuotientSpace.of_map(
-            1 << self.rank, basis, [self.differential(c) for c in basis],
-            [self.differential({m: ONE})
-             for m in _masks_of_degree(self.rank, k - 1)])
+    def cohomology(self) -> ColumnReduction:
+        """H(L) in every degree, grouped by degree, from one reduction of d_L
+        over the cochain masks by descending (degree, mask); kept on the
+        algebroid."""
+        return once(self, _reduce_d_L)
 
     def conj(self) -> "LieAlgebroid":
         from .courant import algebroid_from_basis
@@ -285,12 +284,20 @@ class LieAlgebroid:
         return out
 
 
-def _masks_of_degree(rank: int, k: int):
-    if k < 0 or k > rank:
-        return
-    for m in range(1 << rank):
-        if popcount(m) == k:
-            yield m
+def _reduce_d_L(L: LieAlgebroid) -> ColumnReduction:
+    order = blades_by_degree(L.rank)
+    return ColumnReduction(order, [L.differential({b: ONE}) for b in order],
+                           [popcount(b) for b in order])
+
+
+def once(obj, compute):
+    """compute(obj), run once per object and kept on it: a model, a
+    structure or an algebroid does not change once built, so what is
+    derived from it is shared by every check that asks for it."""
+    kept = vars(obj).setdefault("_kept", {})
+    if compute not in kept:
+        kept[compute] = compute(obj)
+    return kept[compute]
 
 
 def _mask_indices(mask: int):

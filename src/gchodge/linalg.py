@@ -1,13 +1,19 @@
-"""Exact linear algebra over Q(i): sparse vectors, canonical subspaces, quotients.
+"""Exact linear algebra over Q(i): sparse vectors, canonical subspaces,
+quotients, and the kernel over the image of an operator.
 
 Vectors are dicts {coordinate index: QI} with zero entries absent.  A Subspace
 is stored in fully reduced column-echelon form (pivots ascending, pivot entry
 1, pivot coordinate eliminated from every other basis vector), so equal
 subspaces have literally identical bases.  Each result is normalised once:
 `Subspace.span`, `matrix_kernel` and `kernel_lift` (through a canonical basis)
-return canonical bases; `kernel_lift(..., canonical=False)` returns the
-tracked echelon's kernel as it comes, for a caller that normalises it anyway
-(`Subspace.intersect`, `QuotientSpace.of_map`).
+return canonical bases; `Subspace.intersect` lifts the tracked echelon's
+kernel as it comes, since it normalises the meet anyway.
+
+Every kernel over image of an operator (a cohomology) is read off one ordered
+column reduction, `ColumnReduction`: its essential cycles represent the
+classes, and one pass over a vector gives its class coordinates.
+`QuotientSpace` is the quotient of two given subspaces, for the flag
+quotients of a filtration.
 
 `Echelon`, the one elimination kernel, keys its rows by pivot and keeps an
 index of the rows holding each coordinate: a reduction visits only the
@@ -22,10 +28,12 @@ each Q(i) entry on its integer triple and normalizes it once.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
+from functools import cached_property
 from math import gcd
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EngineError
 from .scalars import ONE, QI, _new, _qi
 
 Vec = dict[int, QI]
@@ -316,10 +324,12 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # each kernel vector (x, y) of (x, y) -> sum x_j a_j + sum y_k b_k
-        # gives the meet vector sum x_j a_j: the kernel lifted along (a, 0)
+        # gives the meet vector sum x_j a_j: the kernel lifted along (a, 0),
+        # the tracked echelon's as it comes, since span normalises it
         zeros = [{} for _ in other._basis]
-        return Subspace.span(self.ambient, kernel_lift(
-            self._basis + other._basis, self._basis + zeros, canonical=False))
+        return Subspace.span(self.ambient, _lift(
+            _dependent_combos(self._basis + other._basis),
+            self._basis + zeros))
 
     def conj(self) -> "Subspace":
         """Entrywise conjugation keeps pivots and pivot entries 1 and zeros
@@ -347,18 +357,19 @@ def matrix_kernel(cols: list[Vec]) -> list[Vec]:
     return Subspace.span(len(cols), _dependent_combos(cols))._basis
 
 
-def kernel_lift(images: list[Vec], basis: list[Vec], *,
-                canonical: bool = True) -> list[Vec]:
+def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
     """Kernel of the map sending basis[j] to images[j], as combinations of
-    the basis vectors, one per canonical kernel vector of the images (with
-    canonical=False, one per dependent combination of the tracked echelon,
-    for a caller that normalises the result).  Canonical through a canonical
-    basis: a lifted vector's pivot is its combination's leading basis
-    vector's, so pivots ascend, and it is 1 there and 0 at the other lifted
-    pivots, as the combinations are."""
+    the basis vectors, one per canonical kernel vector of the images.
+    Canonical through a canonical basis: a lifted vector's pivot is its
+    combination's leading basis vector's, so pivots ascend, and it is 1
+    there and 0 at the other lifted pivots, as the combinations are."""
+    return _lift(matrix_kernel(images), basis)
+
+
+def _lift(combos: list[Vec], basis: list[Vec]) -> list[Vec]:
+    """sum_j combo[j] basis[j] for each combination."""
     out = []
-    for combo in (matrix_kernel(images) if canonical
-                  else _dependent_combos(images)):
+    for combo in combos:
         v: Vec = {}
         for j, c in combo.items():
             _axpy_into(v, c, basis[j])
@@ -395,14 +406,6 @@ class QuotientSpace:
                 self._rep_index[p] = len(self.reps)
                 self.reps.append(row)
 
-    @classmethod
-    def of_map(cls, ambient: int, basis: list[Vec], images: list[Vec],
-               boundaries) -> "QuotientSpace":
-        """ker/im at one spot of a complex: the cycles are the combinations of
-        `basis` whose `images` cancel; zero boundaries are skipped."""
-        return cls(ambient, kernel_lift(images, basis, canonical=False),
-                   [b for b in boundaries if b])
-
     @property
     def dim(self) -> int:
         return len(self.reps)
@@ -423,9 +426,122 @@ class QuotientSpace:
             return None
         return out
 
-    def class_is_zero(self, v: Vec) -> bool:
-        c = self.coords(v)
-        return c is not None and not c
+
+# -- kernel over image by one ordered column reduction ---------------------------
+
+class ColumnReduction:
+    """The ordered column reduction R = D V of an operator D, from which its
+    kernel over its image is read (Edelsbrunner, Letscher and Zomorodian
+    2002; Zomorodian and Carlsson 2005).
+
+    D's columns are numbered by `order`, a list of coordinate labels: cols[c]
+    is the column of label order[c], keyed by labels, and groups[c] the
+    group of that label (a degree, a parity, a block of a grading).  Each
+    column in turn is reduced by earlier ones until its low, its largest
+    nonzero number, is the low of no earlier column, and the column
+    operations are kept in V.  `lows` maps each low to (R_c, V_c) and
+    `cycles` each zero column c of R to V_c, in numbers, each scaled to 1 at
+    the low or at c; V_c is zero past c and R_c past its low, so both lie in
+    every prefix of the numbering that holds c, or the low.
+
+    When D maps each label only to labels numbered before it (d by
+    descending degree) and D^2 = 0, every low is a zero column, and the V_e
+    of the other zero columns e, the essential cycles, represent a basis of
+    ker D / im D: `classes[g]` lists those of group g by descending number,
+    and class coordinates run over the groups in ascending order and within
+    each along that list.  Nothing past the reduction is formed before it is
+    read, so a reduction in another order can share the object for its
+    lows and cycles alone.
+    """
+
+    def __init__(self, order: list, cols: list[Vec], groups: list):
+        self.order = order
+        self.groups = groups
+        self.number = number = {b: c for c, b in enumerate(order)}
+        lows: dict[int, tuple[Vec, Vec]] = {}
+        cycles: dict[int, Vec] = {}
+        for c, col in enumerate(cols):
+            col = {number[b]: x for b, x in col.items()}
+            ops: Vec = {c: ONE}
+            while col:
+                low = max(col)
+                piv = lows.get(low)
+                if piv is None:
+                    inv = col[low].inv()
+                    lows[low] = (vec_scale(col, inv), vec_scale(ops, inv))
+                    break
+                x = -col[low]
+                _axpy_into(col, x, piv[0])
+                _axpy_into(ops, x, piv[1])
+            else:
+                cycles[c] = ops
+        self.lows = lows
+        self.cycles = cycles
+
+    @cached_property
+    def classes(self) -> dict:
+        """group -> the numbers of its essential cycles, descending; every
+        group of a label is present.  Raises EngineError when a low is no
+        zero column, as only a D with D^2 = 0 in a triangular order
+        ensures."""
+        if not self.lows.keys() <= self.cycles.keys():
+            raise EngineError("a low of the column reduction is no zero column")
+        out: dict = {g: [] for g in sorted(set(self.groups))}
+        for e in sorted(self.cycles, reverse=True):
+            if e not in self.lows:
+                out[self.groups[e]].append(e)
+        return out
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """essential number -> its class coordinate over all groups."""
+        return {e: i for i, e in enumerate(
+            e for es in self.classes.values() for e in es)}
+
+    def dim(self, g) -> int:
+        return len(self.classes.get(g, ()))
+
+    def reps(self, g) -> list[Vec]:
+        """The essential cycles of group g keyed by labels, in coordinate
+        order: representatives of a basis of its classes."""
+        order = self.order
+        return [{order[f]: x for f, x in self.cycles[e].items()}
+                for e in self.classes.get(g, ())]
+
+    def coords(self, v: Vec, g=None) -> Vec | None:
+        """Class coordinates of v, keyed by labels: its largest number is
+        cleared in turn by the essential cycle or the R column with that
+        leading number, as each is 1 there and zero past it.  None when v is
+        not closed; with a group g, also when v has a part outside g, and
+        the coordinates are those within g."""
+        number, groups, lows = self.number, self.groups, self.lows
+        position = self._position
+        x = {number[b]: c for b, c in v.items()}
+        pending = sorted(x)         # numbers to clear, the largest last
+        out: Vec = {}
+        while pending:
+            e = pending.pop()
+            c = x.get(e)
+            if c is None:
+                continue
+            if g is not None and groups[e] != g:
+                return None
+            i = position.get(e)
+            if i is not None:
+                out[i] = c
+                vec = self.cycles[e]
+            elif e in lows:
+                vec = lows[e][0]
+            else:
+                return None
+            _axpy_into(x, -c, vec)
+            for f in vec:
+                if f in x:
+                    insort(pending, f)
+        if g is None or not out:
+            return out
+        start = position[self.classes[g][0]]
+        return {i - start: c for i, c in out.items()}
 
 
 # -- dense matrices (small, over QI) -----------------------------------------

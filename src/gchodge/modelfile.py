@@ -45,12 +45,6 @@ class ModelFile:
     def model(self, name: str = "") -> LieModel:
         return LieModel(self.dim, self.structure, self.H, name=name)
 
-    def block(self, name: str) -> StructBlock:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise EngineError(f"no block named {name!r}")
-
 
 def _parse_scalar(tok: str, lno: int | None) -> QI:
     m = _NUM.match(tok)

@@ -126,9 +126,9 @@ def test_criterion_02_b_shift_conjugation():
 
 def test_criterion_03_betti_numbers():
     Lkt = algebroid_from_basis(KT, [x(4, i) for i in range(1, 5)])
-    kt_betti = [Lkt.cohomology(k).dim for k in range(5)]
+    kt_betti = [Lkt.cohomology().dim(k) for k in range(5)]
     La = algebroid_from_basis(ABELIAN4, [x(4, i) for i in range(1, 5)])
-    ab_betti = [La.cohomology(k).dim for k in range(5)]
+    ab_betti = [La.cohomology().dim(k) for k in range(5)]
     tw = twisted_cohomology(KT_TW)
     ok = (kt_betti == [1, 3, 4, 3, 1] and ab_betti == [1, 4, 6, 4, 1]
           and (tw.dim_even, tw.dim_odd) == (6, 6))

@@ -69,7 +69,7 @@ def test_parse_errors_carry_position():
 def test_parse_rational_literals():
     mf = parse_model("dim = 4\nH = 0\n\n[symplectic s]\n"
                      "omega = 3/2 e1^e2 + 1 e3^e4\nB = 0\n")
-    val, _ = mf.block("s").data["omega"]
+    val, _ = next(b for b in mf.blocks if b.name == "s").data["omega"]
     assert "3/2" in val
 
 def test_emit_parse_roundtrip_corpus():
@@ -247,18 +247,24 @@ def test_closed_stdout_ends_without_traceback(argv, code):
 
 
 def test_hodge_builds_twisted_cohomology_once(monkeypatch):
-    from gchodge.cohomology import TwistedCohomology
+    """`hodge` reads the Hodge filtration, the Mukai pairing and the
+    Froelicher totals, and `mhs` the weight split, off one reduction of d_H
+    over the blades: the only reduction whose labels are blades."""
+    from gchodge.linalg import ColumnReduction
     built = []
-    init = TwistedCohomology.__init__
+    init = ColumnReduction.__init__
 
-    def counting_init(self, m):
-        built.append(m)
-        init(self, m)
+    def counting_init(self, order, cols, groups):
+        built.append((type(self).__name__, order))
+        init(self, order, cols, groups)
 
-    monkeypatch.setattr(TwistedCohomology, "__init__", counting_init)
-    code, _out = run_cli("hodge", str(CORPUS / "torus6-kahler.gcm"))
-    assert code == 0
-    assert len(built) == 1
+    monkeypatch.setattr(ColumnReduction, "__init__", counting_init)
+    for command, name in (("hodge", "torus6-kahler"), ("mhs", "torus6-complex")):
+        built.clear()
+        code, _out = run_cli(command, str(CORPUS / f"{name}.gcm"))
+        assert code == 0
+        assert [kind for kind, order in built if isinstance(order[0], int)] \
+            == ["TwistedCohomology"], command
 
 
 def test_structure_results_computed_once(monkeypatch):

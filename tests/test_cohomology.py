@@ -4,8 +4,8 @@ import copy
 
 import pytest
 
-from gchodge.cohomology import (_image_of, _preimage_in, _rank_of_sum,
-                                _weight_basis, closed_classes, closed_in_chain,
+from gchodge.cohomology import (TwistedCohomology, _image_of, _preimage_in,
+                                _rank_of_sum, closed_classes, closed_in_chain,
                                 ddbar_check, delbar_cohomology, delbar_dims,
                                 filtration_subspace, frolicher_pages,
                                 hodge_filtration, invariant_derham,
@@ -14,6 +14,7 @@ from gchodge.cohomology import (_image_of, _preimage_in, _rank_of_sum,
 from gchodge.errors import EngineError, NotIntegrable, WrongType
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import make_complex, make_symplectic
+from gchodge.liemodel import once
 from gchodge.linalg import (Echelon, QuotientSpace, Subspace, kernel_lift,
                             vec_axpy, vec_conj)
 from gchodge.modelfile import parse_model
@@ -46,8 +47,8 @@ def test_twisted_kt_twisted():
     assert (tw.dim_even, tw.dim_odd) == (6, 6)
 
 def test_invariant_derham_betti():
-    assert [invariant_derham(KT, k).dim for k in range(5)] == [1, 3, 4, 3, 1]
-    assert [invariant_derham(ABELIAN4, k).dim for k in range(5)] == [1, 4, 6, 4, 1]
+    assert [invariant_derham(KT).dim(k) for k in range(5)] == [1, 3, 4, 3, 1]
+    assert [invariant_derham(ABELIAN4).dim(k) for k in range(5)] == [1, 4, 6, 4, 1]
 
 
 # -- delbar cohomology -----------------------------------------------------------
@@ -150,7 +151,7 @@ def _pairwise_mukai(s):
     of forms: the reference for mukai_Q's index-driven products."""
     m = s.model
     tw = twisted_cohomology(m)
-    reps = [Form(m.dim, dict(r)) for r in tw.even.reps + tw.odd.reps]
+    reps = [Form(m.dim, dict(r)) for r in tw.reps(0) + tw.reps(1)]
     Q = [[mukai_pairing(a, b) for b in reps] for a in reps]
     blocks = {k: _preimage_in(s.U_subspace(k), m.dH_table).basis()
               for k in range(-s.n, s.n + 1)}
@@ -189,18 +190,22 @@ def test_mukai_q_sign_dim6():
 # module-level models stay intact.
 
 def _with_model(s, **attrs):
-    twisted_cohomology(s.model)     # kept on the model, so the copy shares it
+    """A copy of the model with attrs replaced; it starts from the results
+    kept on the model, twisted cohomology included, in a dict of its own."""
+    twisted_cohomology(s.model)
     m = copy.copy(s.model)
-    vars(m).update(attrs)
+    vars(m).update({"_kept": dict(vars(s.model)["_kept"]), **attrs})
     broken = copy.copy(s)
     broken.model = m
     return broken
 
 def _with_even_reps(s, extra):
-    tw = copy.copy(twisted_cohomology(s.model))
-    tw.even = copy.copy(tw.even)
-    tw.even.reps = tw.even.reps + extra
-    return _with_model(s, _twisted_cohomology=tw)
+    """A copy whose twisted cohomology lists the forms of `extra` after its
+    even representatives."""
+    tw = twisted_cohomology(s.model)
+    broken = copy.copy(tw)
+    broken.reps = lambda g: tw.reps(g) + (extra if g == 0 else [])
+    return _with_model(s, _kept={TwistedCohomology: broken})
 
 def test_mukai_q_descends_fails_on_a_non_closed_representative():
     s = kt_symplectic_twisted()
@@ -221,7 +226,7 @@ def test_mukai_q_sign_fails_on_a_flipped_dH_entry():
 
 def test_mukai_q_nondegenerate_fails_on_a_duplicated_representative():
     s = kt_symplectic_twisted()
-    rep0 = twisted_cohomology(s.model).even.reps[0]
+    rep0 = twisted_cohomology(s.model).reps(0)[0]
     rep = mukai_Q(_with_even_reps(s, [dict(rep0)]))
     assert rep.descends and not rep.nondegenerate
 
@@ -405,17 +410,11 @@ def reference_chain_subspace(s, p):
 
 def reference_conj_coords(tw, coords, parity=None):
     """Coordinates of the conjugate class, through a representative form."""
+    reps = tw.reps(0) + tw.reps(1) if parity is None else tw.reps(parity)
     out = {}
     for idx, c in coords.items():
-        if parity is None:
-            rep = (tw.even.reps[idx] if idx < tw.dim_even
-                   else tw.odd.reps[idx - tw.dim_even])
-        else:
-            rep = (tw.even if parity == 0 else tw.odd).reps[idx]
-        out = vec_axpy(out, c, rep)
-    conj = Form(tw.model.dim, out).conj()
-    return (tw.coords(conj) if parity is None
-            else tw.parity_coords(conj, parity))
+        out = vec_axpy(out, c, reps[idx])
+    return tw.coords(Form(tw.model.dim, out).conj().coeffs, parity)
 
 
 def reference_filtration_subspace(s, p):
@@ -582,40 +581,47 @@ def test_conjugation_acts_on_class_coordinates_entrywise():
     # weight split rely on to conjugate classes coordinate by coordinate
     for name, s in corpus_structures():
         tw = twisted_cohomology(s.model)
-        for q in (tw.even, tw.odd):
-            assert all(not x.im for rep in q.reps for x in rep.values()), name
-        for parity, q in ((0, tw.even), (1, tw.odd)):
-            for idx in range(q.dim):
+        for parity in (0, 1):
+            assert all(not x.im for rep in tw.reps(parity)
+                       for x in rep.values()), name
+            for idx in range(tw.dim(parity)):
                 v = {idx: QI(2, 3)}
                 assert reference_conj_coords(tw, v, parity) == vec_conj(v)
 
 
 def test_weight_basis_is_adapted_to_the_weight_filtration():
+    """The classes of degree >= j span W^j, the classes of the closed forms
+    of degree >= j, and each representative has its own unit coordinate."""
     for path in sorted(CORPUS.glob("*.gcm")):
         try:
             m = parse_model(path.read_text()).model(path.stem)
             tw = twisted_cohomology(m)
         except EngineError:
             continue
-        wb = _weight_basis(m)
         N = 1 << m.dim
-        assert sum(wb.gr_dims) == tw.total_dim, path.stem
-        for j in range(m.dim + 1):
+        degrees = [popcount(tw.order[e]) for q in (0, 1)
+                   for e in tw.classes[q]]
+        assert len(degrees) == tw.total_dim, path.stem
+        for q in (0, 1):
+            block = [popcount(tw.order[e]) for e in tw.classes[q]]
+            assert block == sorted(block), (path.stem, q)
+            assert all(d % 2 == q for d in block), (path.stem, q)
+        for j in range(m.dim + 2):
             span = Subspace.span(N, [{b: ONE} for b in range(N)
                                      if popcount(b) >= j])
             W = closed_classes_total(m, span)
-            assert W.dim == sum(wb.gr_dims[j:]), (path.stem, j)
-        # the class coordinates of the representatives of H have full rank
-        reps = tw.even.reps + tw.odd.reps
-        assert Subspace.span(N, [wb.coords(r) for r in reps]).dim \
-            == tw.total_dim, path.stem
+            assert W == Subspace.span(tw.total_dim, [
+                {i: ONE} for i, d in enumerate(degrees) if d >= j]), \
+                (path.stem, j)
+        reps = tw.reps(0) + tw.reps(1)
+        assert [tw.coords(r) for r in reps] == [
+            {i: ONE} for i in range(tw.total_dim)], path.stem
 
 
 def closed_classes_total(m, V):
     tw = twisted_cohomology(m)
     closed = _preimage_in(V, m.dH_table).basis()
-    return Subspace.span(tw.total_dim, [tw.coords(Form(m.dim, v)) or {}
-                                        for v in closed])
+    return Subspace.span(tw.total_dim, [tw.coords(v) or {} for v in closed])
 
 
 def test_filtrations_use_no_subspace_pipeline(monkeypatch):
@@ -625,7 +631,7 @@ def test_filtrations_use_no_subspace_pipeline(monkeypatch):
     s = complex_torus4()
     twisted_cohomology(s.model)
     delbar_dims(s)
-    ddbar_check_kept = cohomology.once_per_structure(s, ddbar_check)
+    ddbar_check_kept = once(s, ddbar_check)
     assert ddbar_check_kept.holds
     called = []
 

@@ -1,5 +1,7 @@
 """Every top-level function and class of the engine, and every method, has a
 caller in the engine, so a deletion that leaves a helper behind fails here.
+A method counts as called only through an attribute read (`x.name`), so a
+local variable or a field of the same name does not hide it.
 
 The one exception is the library surface that nothing inside the engine
 calls: the names the package exports (`gchodge.__all__`) and the paper-level
@@ -25,17 +27,18 @@ def _defs_and_uses():
 @cache
 def _parse(root: Path):
     """({(module, qualified name, public)} of the top-level functions and
-    classes and of the methods, {(name, module, owner)} of every name read
-    in the engine under root, where the owner is the top-level function or
-    class, or the method, whose body reads it.  Dunder names are left out."""
+    classes and of the methods, {(name, module, owner, attribute)} of every
+    name read in the engine under root, where the owner is the top-level
+    function or class, or the method, whose body reads it, and `attribute`
+    says whether it is read as an attribute.  Dunder names are left out."""
     defs, uses = set(), set()
 
     def record(node, mod, owner):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                uses.add((sub.id, mod, owner))
+                uses.add((sub.id, mod, owner, False))
             elif isinstance(sub, ast.Attribute):
-                uses.add((sub.attr, mod, owner))
+                uses.add((sub.attr, mod, owner, True))
 
     def is_def(node):
         return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -73,14 +76,17 @@ def exported_names():
 
 def unreferenced_names(public: bool):
     """The private (or public) functions, classes and methods read nowhere
-    outside their own body; an import alone does not count as a use."""
+    outside their own body, a method only as an attribute; an import alone
+    does not count as a use."""
     defs, uses = _defs_and_uses()
     out = []
     for mod, qual, is_public in defs:
         if is_public != public:
             continue
         name = qual.rsplit(".", 1)[-1]
-        if not any(n == name and (m, o) != (mod, qual) for n, m, o in uses):
+        method = "." in qual
+        if not any(n == name and (m, o) != (mod, qual) and (attr or not method)
+                   for n, m, o, attr in uses):
             out.append(f"{mod}.{qual}")
     return sorted(out)
 
@@ -141,3 +147,16 @@ def test_a_public_name_only_tests_read_is_caught(tmp_path, monkeypatch):
                "HOLDER = Holder()\n")
     assert set(unreferenced_names(public=True)) - allowed_public_names() \
         == {"linalg.test_only", "linalg.Holder.peek"}
+
+
+def test_a_method_named_like_a_local_variable_is_caught(tmp_path, monkeypatch):
+    """A copy of the engine plus a public method that only tests would call,
+    named like a local variable that the engine reads."""
+    _copy_with(tmp_path, monkeypatch, "linalg",
+               "\n\nclass Shelf:\n    def __init__(self):\n"
+               "        self.k = 0\n\n"
+               "    def stock(self):\n        return self.k\n\n\n"
+               "def count_stock(k):\n    stock = Shelf().k + k\n"
+               "    return stock\n\n\nSHELF = count_stock(0)\n")
+    assert set(unreferenced_names(public=True)) - allowed_public_names() \
+        == {"linalg.Shelf.stock"}

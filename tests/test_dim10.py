@@ -7,16 +7,22 @@ against the references of tests/test_gcs.py.
 The complete comparison, which adds the weight split of the complex 10-torus
 (about 5 s for its reference alone), the two symplectic models, the gradings
 of the two tori, the chains of the complex 10-torus, and the grading and the
-d_H split of kt12 (about 15 s), and the d and d_H tables of all six models
-against the per-blade reference of tests/test_liemodel.py, runs when
+d_H split of kt12 (about 15 s), the d and d_H tables of all six models
+against the per-blade reference of tests/test_liemodel.py, every dimension
+the reductions report against the subspace pipelines of
+tests/test_reduction.py, and the digests of the reports, runs when
 GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
 
+import hashlib
+import io
 import os
+from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from gchodge.cli import main
 from gchodge.cohomology import invariant_derham, twisted_cohomology
 from gchodge.modelfile import parse_model
 
@@ -25,6 +31,7 @@ from test_cohomology import (assert_closed_in_chain_matches_reference,
 from test_gcs import (assert_dH_parts_match_shift_tables,
                       assert_grading_matches_reference, build_main)
 from test_liemodel import assert_d_tables_match_reference
+from test_reduction import assert_dims_match_reference
 
 MODELS = Path(__file__).resolve().parent / "models"
 
@@ -65,7 +72,7 @@ def test_dim10_twisted_dims(name):
     assert sum(betti) == (1024 if name.startswith("torus") else 768)
     m = parse_model(load(name)).model(name)
     # H = 0, so the twisted cohomology is de Rham cohomology folded by parity
-    assert [invariant_derham(m, k).dim for k in range(11)] == betti
+    assert [invariant_derham(m).dim(k) for k in range(11)] == betti
     tw = twisted_cohomology(m)
     assert (tw.dim_even, tw.dim_odd) == (sum(betti[0::2]), sum(betti[1::2]))
 
@@ -75,7 +82,7 @@ def test_dim12_twisted_dims(name):
     betti = BETTI12[name]
     assert sum(betti) == (4096 if name.startswith("torus") else 3072)
     m = parse_model(load(name)).model(name)
-    assert [invariant_derham(m, k).dim for k in range(13)] == betti
+    assert [invariant_derham(m).dim(k) for k in range(13)] == betti
     tw = twisted_cohomology(m)
     assert (tw.dim_even, tw.dim_odd) == (sum(betti[0::2]), sum(betti[1::2]))
 
@@ -134,3 +141,73 @@ def test_dim12_kt_grading_and_dH_parts_match_reference():
 def test_dim10_and_dim12_d_tables_match_reference(name):
     assert_d_tables_match_reference(
         name, parse_model(load(name)).model(name=name))
+
+
+@complete
+@pytest.mark.parametrize("name", sorted(BETTI) + sorted(BETTI12))
+def test_dim10_and_dim12_dims_match_reference(name):
+    assert_dims_match_reference(name, build_main(load(name), name))
+
+
+# (exit code, sha256 of the stdout of `gchodge <command> <model> --json`),
+# recorded before the cohomology engines moved to one column reduction
+REPORT_DIGESTS = {
+    ("cohomology", "kt10"):
+        (0, "aa65713cabe50e4886c46c53d59856d8d6f2f7eb72a0b7700a8914e754a180a4"),
+    ("cohomology", "kt12"):
+        (0, "a1ffb2d8ecf795ea1042086e3926e823d13cadb17a753bf9f4dcbca24be03490"),
+    ("cohomology", "torus10-complex"):
+        (0, "477712a42feb052efd8098a0cbac92efc9101f4b83341101cad5d48735c5531a"),
+    ("cohomology", "torus10-symplectic"):
+        (0, "15b56e6fa2812a30578abcbf1292e2e5b1e13ca2a47871d95f0f164002d693f6"),
+    ("cohomology", "torus12-complex"):
+        (0, "1c59dc4deaae86435087f5a11a390261b653494c4a87c4780b0a1b0e7ace4862"),
+    ("cohomology", "torus12-symplectic"):
+        (0, "b204ffcb4fa6004c4f2b384e16cacd2193f70a64688889bec48f20e422ef0ad3"),
+    ("ddbar", "kt10"):
+        (1, "619ab5137ee3c326887afab14ff6154ad19f04a2e9485a87131bdaafcb27e181"),
+    ("ddbar", "kt12"):
+        (1, "bde760793ab907ff8db8545181d617f70aab84df7395e77e747611d4c3233c2d"),
+    ("ddbar", "torus10-complex"):
+        (0, "fe595c429279b38aa1b04e4edf1823c9103a5804e9feeae5df21ca680e4b9769"),
+    ("ddbar", "torus10-symplectic"):
+        (0, "9fe94ea3d408990afba01bca67a6dc42895d93c77e028eea32dedf3bbad57c06"),
+    ("ddbar", "torus12-complex"):
+        (0, "b3049947b078c1b1d7d83eb36ce03477df399a72a6b00197ec4f20acd7f78dea"),
+    ("ddbar", "torus12-symplectic"):
+        (0, "e82da0c468d3c4fe37571d7c15f9c8ba272d826b19f1d5a578f43e059391e8a6"),
+    ("hodge", "kt10"):
+        (1, "f106cfdf5a3aa0a25fce83ce9340ce468d23acb1c6d42a0a7abe6ee6f9c24664"),
+    ("hodge", "kt12"):
+        (1, "d31faa1c2c2b5ea174c1198b26adbdab010e858d836be324dd6216a5d9436eba"),
+    ("hodge", "torus10-complex"):
+        (0, "ce1554f31c2ebbedb7af054e07e9e5e5d603bce99a916a61b3aabb4a0258171b"),
+    ("hodge", "torus10-symplectic"):
+        (0, "6972e1da87b9fa1eda90ab493c9a80401835984efc2f115226da6628a15233af"),
+    ("hodge", "torus12-complex"):
+        (0, "a9cc017fb72a324fc2e1e39dd1fb09b97c06ef442c8cc07993a9efded0fc6c9c"),
+    ("hodge", "torus12-symplectic"):
+        (0, "b1c3bac09455584337d7ce98d8b07f4205f603a7b62054af5b197e38f64b3a25"),
+    ("lefschetz", "kt10"):
+        (1, "88ddf4b23aa0d0daba57cfc1bc4508fc90ca708e1ec74b6d53e41ea6ac73d0f2"),
+    ("lefschetz", "kt12"):
+        (1, "77e89df94f1ffb553dd5cf5b525fc61286f0c31a2f430a9a97d16413abe4d8fd"),
+    ("lefschetz", "torus10-symplectic"):
+        (0, "a4e8893c690407d090a64eb0c4ebca60217a1bf5a9714366e1f778e5024dbf47"),
+    ("lefschetz", "torus12-symplectic"):
+        (0, "82de242b5d04d1c399657623837d093e676b3dfd2c1a672606cf28bd36f4cc9e"),
+    ("mhs", "torus10-complex"):
+        (0, "3be9d5f6b9bf4c18d13c5e41bab2a09347c27b0dcd4764b0bbaa484a5c812e27"),
+    ("mhs", "torus12-complex"):
+        (0, "aaff646c8a96dc4d88e09377703f401d996b2abb6e7d71a730a7b821c292d0bf"),
+}
+
+
+@complete
+@pytest.mark.parametrize("command,name", sorted(REPORT_DIGESTS))
+def test_dim10_and_dim12_report_digests(command, name):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([command, str(MODELS / f"{name}.gcm"), "--json"])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) \
+        == REPORT_DIGESTS[(command, name)]

@@ -104,8 +104,9 @@ def test_dH_parts_match_per_blade_reference(name):
     path = Path(__file__).resolve().parent.parent / "corpus" / f"{name}.gcm"
     mf = parse_model(path.read_text())
     model = mf.model(name=name)
-    pair = gk_validate(build_structure(mf, mf.block("c"), model),
-                       build_structure(mf, mf.block("s"), model))
+    blocks = {b.name: b for b in mf.blocks}
+    pair = gk_validate(build_structure(mf, blocks["c"], model),
+                       build_structure(mf, blocks["s"], model))
     def decompose2(w):
         return {(r, s): q for r, p in pair.s1.decompose(w).items()
                 for s, q in pair.s2.decompose(p).items()}

@@ -130,7 +130,7 @@ def test_quotient_space_coords():
     bounds = [v((0, 1))]
     q = QuotientSpace(4, cycles, bounds)
     assert q.dim == 2
-    assert q.class_is_zero(v((0, 5)))
+    assert q.coords(v((0, 5))) == {}     # a boundary: the zero class
     c = q.coords(v((1, 2), (0, 7)))
     assert c is not None and len(c) == 1
     assert q.coords(v((3, 1))) is None  # not a cycle
@@ -450,7 +450,7 @@ def test_axpy_into_matches_entrywise_reference(case):
 
 @st.composite
 def lift_cases(draw):
-    """(V, op, W, boundary coefficients): V and W subspaces of Q(i)^n, each
+    """(V, op, W): V and W subspaces of Q(i)^n, each
     spanned by sparse vectors with multi-digit entries, some of them
     combinations of earlier ones; op a sparse map Q(i)^n -> Q(i)^m as a
     SpinOp, some columns multiples of earlier ones or absent."""
@@ -482,8 +482,7 @@ def lift_cases(draw):
             keys = draw(st.lists(st.integers(0, m - 1), unique=True,
                                  min_size=1, max_size=2))
             op[col] = {k: draw(nonzero_qis) for k in keys}
-    coeffs = draw(st.lists(st.one_of(st.just(QI(0)), nonzero_qis), max_size=4))
-    return V, op, W, coeffs
+    return V, op, W
 
 
 @settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
@@ -491,27 +490,15 @@ def lift_cases(draw):
 @given(case=lift_cases())
 def test_canonical_lift_paths_match_their_normalised_forms(case):
     """_preimage_in keeps the lift through V's canonical basis as it is;
-    QuotientSpace.of_map and Subspace.intersect lift the tracked echelon's
-    combinations without normalising them: each equals the path that
-    normalises once more."""
-    V, op, W, coeffs = case
+    Subspace.intersect lifts the tracked echelon's combinations without
+    normalising them: each equals the path that normalises once more."""
+    V, op, W = case
     basis = V.basis()
     images = [spin_apply(op, b) for b in basis]
     lift = kernel_lift(images, basis)
     got = _preimage_in(V, op)
     want = Subspace.span(V.ambient, lift)
     assert [items(b) for b in got.basis()] == [items(b) for b in want.basis()]
-
-    # boundaries: combinations of the cycles, a zero one among them
-    bounds = [{}]
-    for i, c in enumerate(coeffs):
-        if lift:
-            bounds.append(vec_scale(lift[i % len(lift)], c))
-    q = QuotientSpace.of_map(V.ambient, basis, images, bounds)
-    ref = QuotientSpace(V.ambient, lift, [b for b in bounds if b])
-    assert q.reps == ref.reps
-    for probe in basis + lift + W.basis():
-        assert items(q.coords(probe)) == items(ref.coords(probe))
 
     zeros = [{} for _ in W.basis()]
     assert V.intersect(W) == Subspace.span(V.ambient, kernel_lift(
