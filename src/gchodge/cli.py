@@ -292,6 +292,7 @@ def cmd_gk(mf, model, report, args):
     model.require_valid()
     built = {}
     fams = {}
+    broken = {}     # structure name -> its build error
     for b in mf.blocks:
         try:
             if b.kind in ("symplectic", "complex", "general"):
@@ -300,8 +301,8 @@ def cmd_gk(mf, model, report, args):
                 fams[b.name] = build_family(mf, b, model)
         except ModelSyntaxError:
             raise
-        except EngineError:
-            pass
+        except EngineError as e:
+            broken[b.name] = f"structure {b.name}: {e.code}: {e}"
     for b in mf.blocks:
         if b.kind != "gk":
             continue
@@ -321,10 +322,12 @@ def cmd_gk(mf, model, report, args):
             continue
         names = [b.data.get("first", ("", 0))[0].strip(),
                  b.data.get("second", ("", 0))[0].strip()]
-        missing = [nm for nm in names if nm not in built]
+        failed = [broken[nm] for nm in names if nm in broken]
+        missing = [nm for nm in names if nm not in built and nm not in broken]
         if missing:
-            report.add(f"gk {b.name}", "fail",
-                       [f"unresolved structure references {missing}"])
+            failed.append(f"unresolved structure references {missing}")
+        if failed:
+            report.add(f"gk {b.name}", "fail", failed)
             continue
         try:
             pair = gk_validate(built[names[0]], built[names[1]])

@@ -20,7 +20,9 @@ model, structure or algebroid:
   each F^p is read from one echelon per parity that grows with p, whose
   rows with pivots of degree j give the image of F~^i cap W^j in Gr_j; the
   cycles in that chain span its closed forms, which Griffiths
-  transversality takes as representatives and lifts (`closed_in_chain`).
+  transversality takes as representatives and lifts (`closed_in_chain`),
+  and the nested F^{p-2} in F^p give the graded pieces Gr_F^p, whose
+  coordinates are entries at pivots (`graded_coords`).
 A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H;
 so is the bigraded direct sum of a generalized Kaehler pair.
 The delbar cohomology is a reduction of its own and the del-delbar verdict
@@ -390,6 +392,24 @@ def filtration_subspace(s: GCStruct, p: int) -> Subspace:
     return Subspace.zero(tw.dim((p + n + s.parity) % 2))
 
 
+def graded_coords(s: GCStruct, p: int, v: Vec) -> Vec | None:
+    """Coordinates of v + F^{p-2} in Gr_F^p = F^p / F^{p-2}, or None when v
+    leaves F^p; v is in the class coordinates of p's parity.  F^{p-2} lies
+    in F^p and both are fully reduced, so the pivots of F^{p-2} are among
+    those of F^p, and the rows of F^p at the other pivots, which vanish at
+    every pivot of F^p but their own, represent a basis of Gr_F^p by
+    ascending pivot: the coordinate at such a row is the entry at its pivot
+    of v's residual mod F^{p-2}."""
+    top = filtration_subspace(s, p)
+    if not top.contains(v):
+        return None
+    lower = filtration_subspace(s, p - 2)
+    resid, _ = lower.echelon().reduce(v)
+    low = {min(row) for row in lower._basis}
+    graded = [q for q in (min(row) for row in top._basis) if q not in low]
+    return {i: resid[q] for i, q in enumerate(graded) if q in resid}
+
+
 def _rank_of_sum(basis: list[Vec], vecs: list[Vec]) -> int:
     """dim(span(basis) + span(vecs)), for a basis in fully reduced form."""
     ech = Echelon.of_basis(basis)
@@ -416,7 +436,7 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
             continue
         h_dim = tw.dim((p + n + s.parity) % 2)
         fp = filt[p]
-        fq = filt.get(-p - 2, Subspace.zero(h_dim))
+        fq = filtration_subspace(s, -p - 2)
         hodge_by_p[p] = (fp.dim + fq.dim == h_dim and _rank_of_sum(
             fp._basis, [vec_conj(v) for v in fq._basis]) == h_dim)
     top_even = filt[n].dim == tw.dim((2 * n + s.parity) % 2)
@@ -426,7 +446,7 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
     if dd.holds:
         graded = {}
         for p in range(-n, n + 1):
-            lower = filt[p - 2].dim if p - 2 >= -n else 0
+            lower = filtration_subspace(s, p - 2).dim
             graded[p] = (filt[p].dim - lower) == db.get(p, 0)
     return HodgeReport(
         twisted_dims=(tw.dim_even, tw.dim_odd),

@@ -9,11 +9,13 @@ every derivative here is a formal polynomial derivative and stays exact.
 A family applies the operators of a single structure, with ParamPoly values
 in place of QI: the moving chain U_{<=p}(t) is the table of N built from the
 polynomial J(t) by `gcs._spinorial_N`, powered and projected with the same
-`_powers`, `_combine` and projector plan as `GCStruct`'s grading; d_H acts on
-sections through the model's d_H table, and the Mukai pairing of sections is
-a dot product with `mukai_dual`.  Griffiths transversality reads the base
-structure's closed forms in U_{<=p} and U_{<=p+2} off the same d_H reduction
-as its Hodge filtration (`cohomology.closed_in_chain`).
+`_powers`, `_combine` and projector plan as `GCStruct`'s grading, J(t) of a
+complex family is `gcs.complex_J` of I(t), d_H acts on sections through the
+model's d_H table, and the Mukai pairing of sections is `forms.mukai_pairing`.
+Griffiths transversality reads the base structure's closed forms in U_{<=p}
+and U_{<=p+2} off the same d_H reduction as its Hodge filtration
+(`cohomology.closed_in_chain`), and the classes in Gr_F^p and Gr_F^{p+2} off
+its Hodge flags (`cohomology.graded_coords`).
 
 Polynomial sections are `Form`s with ParamPoly coefficients: they wedge,
 contract and exponentiate through `Form` itself, and `poly` supplies their
@@ -26,16 +28,17 @@ from dataclasses import dataclass
 
 from .cohomology import (closed_classes, closed_in_chain, ddbar_check,
                          delbar_coords, delbar_dims, filtration_subspace,
-                         invariant_derham, lefschetz_check, twisted_cohomology)
+                         graded_coords, invariant_derham, lefschetz_check,
+                         twisted_cohomology)
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
-from .forms import Form, mukai_dual, popcount, spin_apply
+from .forms import Form, mukai_pairing, popcount, spin_apply
 from .gcs import (GCStruct, _combine, _powers, _projector_plan,
-                  _spinorial_N, flat_matrix, form_of_vec, make_complex,
-                  make_general, make_symplectic)
+                  _spinorial_N, complex_J, flat_matrix, form_of_vec,
+                  make_complex, make_general, make_symplectic)
 from .liemodel import LieModel, once
-from .linalg import (Echelon, Matrix, QuotientSpace, Subspace, Vec, _axpy_into,
+from .linalg import (Echelon, Matrix, Subspace, Vec, _axpy_into,
                      mat_add, mat_det, mat_inv, mat_mul, solve_columns,
                      vec_add, vec_axpy, vec_conj, vec_scale)
 from .poly import (ParamPoly, PolyMatrix, dH_poly, form_diff, form_eval,
@@ -96,14 +99,7 @@ class FamilySpec:
         if self.kind == "general":
             return self.Jt
         if self.kind == "complex":
-            dim = self.model.dim
-            nv = self.nvars
-            out = [[ParamPoly(nv) for _ in range(2 * dim)] for _ in range(2 * dim)]
-            for i in range(dim):
-                for j in range(dim):
-                    out[i][j] = self.It[i][j].scale(QI(-1))
-                    out[dim + i][dim + j] = self.It[j][i]
-            return out
+            return complex_J(self.It)
         return None
 
     def J_dot(self, j: int) -> Matrix:
@@ -274,7 +270,7 @@ def _eps_cochain(dim: int, lbasis, eps_apply) -> dict[int, QI]:
 def graph_epsilon(f: FamilySpec, pt) -> GraphReport:
     pt = tuple(pt)
     s_t = f.structure_at(pt)
-    A, B, lbasis = _frame_graph_blocks(f)
+    A, B, lbasis = once(f, _frame_graph_blocks)
     rank = len(lbasis)
     Ae = [[A[i][j].eval(pt) for j in range(rank)] for i in range(rank)]
     Be = [[B[i][j].eval(pt) for j in range(rank)] for i in range(rank)]
@@ -325,7 +321,7 @@ def ks_class(f: FamilySpec, direction: int) -> KSReport:
     if direction in f._ks:
         return f._ks[direction]
     base = f.base_structure()
-    A, B, lbasis = _frame_graph_blocks(f)
+    A, B, lbasis = once(f, _frame_graph_blocks)
     rank = len(lbasis)
     pt = f.basepoint
     A0 = [[A[i][j].eval(pt) for j in range(rank)] for i in range(rank)]
@@ -389,13 +385,8 @@ def gm_derivative(f: FamilySpec, section: Form, direction: int) -> Vec:
 
 def q_pairing_poly(a: Form, b: Form, nvars: int) -> ParamPoly:
     """Mukai pairing of two polynomial sections as a polynomial in
-    t_1..t_nvars."""
-    out = ParamPoly(nvars)
-    for mask, pu in mukai_dual(a.dim, a.coeffs).items():
-        pb = b.coeffs.get(mask)
-        if pb is not None:
-            out = out + pu * pb
-    return out
+    t_1..t_nvars (a QI zero when no blades meet, hence the sum)."""
+    return ParamPoly(nvars) + mukai_pairing(a, b)
 
 
 @dataclass
@@ -686,14 +677,6 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     m = f.model
     tw = twisted_cohomology(m)
     parity = (p + n + base.parity) % 2
-    h_dim = tw.dim(parity)
-    Fp = filtration_subspace(base, p)
-    Fpm2 = filtration_subspace(base, p - 2)
-    Fpp2 = filtration_subspace(base, p + 2)
-    Qdom = QuotientSpace(h_dim, [dict(v) for v in Fp.basis()],
-                         [dict(v) for v in Fpm2.basis()])
-    Qtar = QuotientSpace(h_dim, [dict(v) for v in Fpp2.basis()],
-                         [dict(v) for v in Fp.basis()])
 
     # closed representatives spanning F^p at the basepoint
     reps = [form_of_vec(m.dim, v) for v in closed_in_chain(base, p).basis()]
@@ -725,12 +708,12 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         coords = tw.coords(ds.coeffs, parity)
         if coords is None:
             raise EngineError("derivative of the extension is not closed")
-        if not Fpp2.contains(coords):
+        tarc = graded_coords(base, p + 2, coords)
+        if tarc is None:
             transversal = False
         if not win_coords.contains(coords):
             window_ok = False
-        dom = Qdom.coords(tw.coords(r.coeffs, parity))
-        tarc = Qtar.coords(coords)
+        dom = graded_coords(base, p, tw.coords(r.coeffs, parity))
         if dom is None or tarc is None:
             raise EngineError("class bookkeeping failure in transversality")
         domain.append(dom)
@@ -745,7 +728,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         for k, c in sol.items():
             if k < n_closed2:
                 w = w + closed2_forms[k].scale(c)
-        kc = Qtar.coords(tw.coords(w.coeffs, parity))
+        kc = graded_coords(base, p + 2, tw.coords(w.coeffs, parity))
         kactions.append(kc if kc is not None else {})
 
     # fit: induced = c * kappa_action as linear maps on the domain quotient

@@ -306,18 +306,23 @@ class GCStruct:
         self.U = {k: upper[k] if k >= 0 else upper[-k].conj() for k in ks}
         self.U_dims = {k: self.U[k].dim for k in ks}
 
-        # pairing-normalized dual basis of L inside conj(L): <lam^a, l_b> = delta/2
+    @cached_property
+    def dual_basis(self) -> list[Vec]:
+        """The pairing-normalized dual basis of L inside conj(L):
+        <lam^a, l_b> = delta/2; formed on first use, by the cochain Clifford
+        action only."""
         lbar = [vec_conj(b) for b in self.L.basis]
-        G = [[pairing(dim, lb, l) for l in self.L.basis] for lb in lbar]
-        Ginv = mat_inv(G)
-        self.dual_basis: list[Vec] = []
-        for row in Ginv:
+        G = [[pairing(self.model.dim, lb, l) for l in self.L.basis]
+             for lb in lbar]
+        out: list[Vec] = []
+        for row in mat_inv(G):
             elem: Vec = {}
             for g, lb in enumerate(lbar):
                 c = row[g] * Half
                 if c:
                     _axpy_into(elem, c, lb)
-            self.dual_basis.append(elem)
+            out.append(elem)
+        return out
 
     @cached_property
     def N(self) -> SpinOp:
@@ -381,18 +386,12 @@ class GCStruct:
 
     def cliff_cochain(self, c: dict[int, QI], w: Form) -> Form:
         """Clifford action of a wedge^k L* cochain through the half-normalized
-        identification L* = conj(L); ascending factors act right-to-left."""
-        out = Form(self.model.dim)
-        for mask, coeff in c.items():
-            term = w.coeffs
-            for i in reversed(_mask_indices(mask)):
-                term = _clifford_vec(self.model.dim, self.dual_basis[i], term)
-            out = out + Form(self.model.dim, term).scale(coeff)
-        return out
+        identification L* = conj(L), read off `cliff_table(w)`."""
+        return Form(self.model.dim, spin_apply(self.cliff_table(w), c))
 
     def cliff_table(self, w: Form) -> SpinOp:
-        """The table of a -> a.w on cochain masks: [mask] is
-        cliff_cochain({mask: 1}, w), built from the mask without its lowest
+        """The table of a -> a.w on cochain masks: ascending factors act
+        right-to-left, so [mask] is built from the mask without its lowest
         index, which acts last."""
         out: SpinOp = {0: dict(w.coeffs)}
         for mask in range(1, 1 << self.L.rank):
@@ -515,14 +514,23 @@ def make_complex(m: LieModel, Imat: Matrix) -> GCStruct:
         raise TwistWrongType(
             "twist has a (3,0)+(0,3) component",
             part30=repr(h30), part03=repr(h03))
-    J = [[QI(0)] * (2 * dim) for _ in range(2 * dim)]
+    s = make_general(m, complex_J(Imat), kind="complex")
+    s.Imat = Imat
+    return s
+
+
+def complex_J(Imat: Matrix) -> Matrix:
+    """J = diag(-I, I^T) of a complex structure I: -I on vectors, I^T on
+    covectors.  The entries may be ParamPoly, for a family's I(t); the zero
+    is taken from them, as `Form.exp` takes its one."""
+    dim = len(Imat)
+    zero = Imat[0][0] * 0
+    J = [[zero] * (2 * dim) for _ in range(2 * dim)]
     for i in range(dim):
         for j in range(dim):
             J[i][j] = -Imat[i][j]
-            J[dim + i][dim + j] = Imat[j][i]  # I^T on covectors
-    s = make_general(m, J, kind="complex")
-    s.Imat = Imat
-    return s
+            J[dim + i][dim + j] = Imat[j][i]
+    return J
 
 
 def _three_zero_parts(H: Form, Imat: Matrix):

@@ -1,5 +1,5 @@
-"""Exact linear algebra over Q(i): sparse vectors, canonical subspaces,
-quotients, and the kernel over the image of an operator.
+"""Exact linear algebra over Q(i): sparse vectors, canonical subspaces, and
+the kernel over the image of an operator.
 
 Vectors are dicts {coordinate index: QI} with zero entries absent.  A Subspace
 is stored in fully reduced column-echelon form (pivots ascending, pivot entry
@@ -12,8 +12,6 @@ kernel as it comes, since it normalises the meet anyway.
 Every kernel over image of an operator (a cohomology) is read off one ordered
 column reduction, `ColumnReduction`: its essential cycles represent the
 classes, and one pass over a vector gives its class coordinates.
-`QuotientSpace` is the quotient of two given subspaces, for the flag
-quotients of a filtration.
 
 `Echelon`, the one elimination kernel, keys its rows by pivot and keeps an
 index of the rows holding each coordinate: a reduction visits only the
@@ -132,7 +130,7 @@ class Echelon:
     with the vector's original coefficient there.  A holder index maps each
     coordinate to the pivots of the rows nonzero at it, so an insert
     back-substitutes its new pivot into exactly the rows that hold it.  The
-    rows are sorted by pivot only when they are read (`rows`, `basis`).
+    rows are sorted by pivot only when they are read (`basis`).
 
     Tracked mode records, for every stored row, the coefficients expressing it
     in terms of the inserted vectors (by insertion tag), which yields kernels
@@ -164,11 +162,6 @@ class Echelon:
         for j, v in enumerate(cols):
             ech.insert(v, tag=j)
         return ech
-
-    @property
-    def rows(self) -> list[tuple[int, Vec, Vec | None]]:
-        """(pivot, vec, combo) for every row, by ascending pivot."""
-        return [(p, *self._rows[p]) for p in sorted(self._rows)]
 
     def dim(self) -> int:
         return len(self._rows)
@@ -380,51 +373,6 @@ def _lift(combos: list[Vec], basis: list[Vec]) -> list[Vec]:
 def solve_columns(cols: list[Vec], target: Vec) -> Vec | None:
     """Coefficients x with sum x_j cols[j] = target, or None."""
     return Echelon.of_columns(cols).solve(target)
-
-
-class QuotientSpace:
-    """Exact quotient cycles/boundaries with canonical representatives.
-
-    In the fully reduced joint echelon the rows at non-boundary pivots have
-    zero entries at every boundary pivot, so they form a canonical complement
-    of the boundaries; reducing a vector against the boundary echelon alone
-    strips its boundary part exactly, and rep coefficients sit at rep pivots.
-    """
-
-    def __init__(self, ambient: int, cycles: list[Vec], boundaries: list[Vec]):
-        self.ambient = ambient
-        self._bound = Echelon()
-        for b in boundaries:
-            self._bound.insert(b)
-        full = Echelon.of_basis(self._bound.basis())
-        for z in cycles:
-            full.insert(z)
-        self.reps: list[Vec] = []
-        self._rep_index: dict[int, int] = {}   # rep pivot -> position in reps
-        for p, row, _c in full.rows:
-            if p not in self._bound._rows:
-                self._rep_index[p] = len(self.reps)
-                self.reps.append(row)
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def coords(self, v: Vec) -> Vec | None:
-        """Coordinates of [v] in the representative basis; None if v is not
-        in cycles + boundaries."""
-        r, _ = self._bound.reduce(v)
-        index = self._rep_index
-        out: Vec = {}
-        # reps are zero at each other's pivots: one ascending pass, as in
-        # Echelon.reduce
-        for p in sorted(k for k in r if k in index):
-            i = index[p]
-            out[i] = c = r[p]
-            _axpy_into(r, -c, self.reps[i])
-        if r:
-            return None
-        return out
 
 
 # -- kernel over image by one ordered column reduction ---------------------------

@@ -176,6 +176,11 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
                                 b"omega = 1 e1^e2 + 1 e3^e4\n"
                                 b"[gk pair]\nfirst = s\nsecond = t\n"},
      1, "unresolved structure references ['s']"),
+    (["gk", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic bad]\n"
+                                b"omega = 1 e1^e2\n[symplectic t]\n"
+                                b"omega = 1 e1^e2 + 1 e3^e4\n"
+                                b"[gk pair]\nfirst = bad\nsecond = t\n"},
+     1, "structure bad: degenerate-omega: omega^n = 0"),
     (["check", ".", "--all"], {"notes.txt": b"dim = 4\nH = 0\n"}, 2,
      "no .gcm files"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 40\nH = 0\n"}, 2,
@@ -188,8 +193,8 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
         "family-without-variables", "family-zero-variables",
         "family-negative-variables", "check-at-x", "family-without-block-at-x",
         "at-repeated", "hodge-at", "at-without-family", "negative-samples",
-        "gk-first-missing", "all-without-gcm-files", "check-dim-40",
-        "cohomology-dim-40"])
+        "gk-first-missing", "gk-first-fails-to-build", "all-without-gcm-files",
+        "check-dim-40", "cohomology-dim-40"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
@@ -198,7 +203,8 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     could hold), with a report or
     stderr line and never a traceback; a [gk] block naming
     a structure that does not exist fails its check (exit 1) and names only
-    that structure.  An --at value comes from the command line, so its
+    that structure, and one naming a structure that fails to build reports
+    that build's error.  An --at value comes from the command line, so its
     report line gives no model-file position."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

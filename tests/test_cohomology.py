@@ -1,26 +1,31 @@
 """Twisted/delbar cohomology, Froelicher pages, ddbar, filtrations, Lefschetz, MHS."""
 
 import copy
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gchodge.cohomology import (TwistedCohomology, _image_of, _preimage_in,
-                                _rank_of_sum, closed_classes, closed_in_chain,
-                                ddbar_check, delbar_cohomology, delbar_dims,
+from gchodge.cohomology import (TwistedCohomology, _hodge_flags, _image_of,
+                                _preimage_in, _rank_of_sum, closed_classes,
+                                closed_in_chain, ddbar_check,
+                                delbar_cohomology, delbar_dims,
                                 filtration_subspace, frolicher_pages,
-                                hodge_filtration, invariant_derham,
-                                lefschetz_check, mukai_Q, twisted_cohomology,
-                                weight_mhs_check)
+                                graded_coords, hodge_filtration,
+                                invariant_derham, lefschetz_check, mukai_Q,
+                                twisted_cohomology, weight_mhs_check)
 from gchodge.errors import EngineError, NotIntegrable, WrongType
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import make_complex, make_symplectic
 from gchodge.liemodel import once
-from gchodge.linalg import (Echelon, QuotientSpace, Subspace, kernel_lift,
-                            vec_axpy, vec_conj)
+from gchodge.linalg import (Echelon, Subspace, kernel_lift, vec_axpy, vec_conj,
+                            vec_scale)
 from gchodge.modelfile import parse_model
 from gchodge.scalars import I, ONE, QI
 
-from test_linalg import contains_subspace
+from reference_linalg import QuotientSpace
+from test_linalg import KERNEL_EXAMPLES, contains_subspace, items, nonzero_qis
 from test_gcs import (ABELIAN4, ABELIAN6, CORPUS, KT, KT_TW, SCALE8,
                       broken_kt, build_main, complex_torus4, corpus_structures,
                       dense_model_text, kt_symplectic_twisted, std_I,
@@ -576,6 +581,97 @@ def test_closed_in_chain_matches_the_kernel_on_the_chain():
         assert_closed_in_chain_matches_reference(s, name)
 
 
+# -- the graded pieces Gr_F^p = F^p / F^{p-2} ---------------------------------------
+
+def assert_graded_coords_match_the_quotient(s, probes, name):
+    """graded_coords at p = -n-2..n+2 against the quotient of the two flags
+    (as transversality read Gr_F^p before), key order included, on the
+    probes of p's parity, on every basis vector of F^{p-2}, F^p and F^{p+2},
+    and on the sums of consecutive ones; returns how often the result was
+    None (v leaves F^p), the zero class and a nonzero class."""
+    seen = {"none": 0, "zero": 0, "class": 0}
+    for p in range(-s.n - 2, s.n + 3):
+        Fp, Fpm2 = filtration_subspace(s, p), filtration_subspace(s, p - 2)
+        q = QuotientSpace(Fp.ambient, Fp.basis(), Fpm2.basis())
+        vecs = [*probes[(p + s.n + s.parity) % 2],
+                *(b for j in (p - 2, p, p + 2)
+                  for b in filtration_subspace(s, j).basis())]
+        vecs += [vec_axpy(a, ONE, b) for a, b in zip(vecs, vecs[1:])]
+        for v in vecs:
+            got = graded_coords(s, p, v)
+            assert items(got) == items(q.coords(v)), (name, p, v)
+            seen["none" if got is None else "class" if got else "zero"] += 1
+    return seen
+
+
+@st.composite
+def nested_flags(draw):
+    """(s, probes): a stand-in structure whose Hodge flags are random, and
+    probes of either parity.  Each parity class of p in -n..n holds a chain
+    of canonical subspaces of Q(i)^ambient, each F^p spanned by F^{p-2} and
+    up to two vectors: sparse ones with multi-digit entries, or multiples of
+    a vector of F^{p-2}.  The probes are sparse vectors and combinations of
+    two vectors of one flag."""
+    n = draw(st.integers(1, 3))
+    ambient = draw(st.integers(1, 7))
+
+    def sparse():
+        keys = draw(st.lists(st.integers(0, ambient - 1), unique=True,
+                             min_size=1, max_size=3))
+        return {k: draw(nonzero_qis) for k in keys}
+
+    flags = {}
+    for p in range(-n, n + 1):
+        below = flags[p - 2].basis() if p - 2 >= -n else []
+        new = []
+        for _ in range(draw(st.integers(0, 2))):
+            if below and draw(st.booleans()):
+                new.append(vec_scale(draw(st.sampled_from(below)),
+                                     draw(nonzero_qis)))
+            else:
+                new.append(sparse())
+        flags[p] = Subspace.span(ambient, below + new)
+    probes = {0: [], 1: []}
+    for p, F in flags.items():
+        basis = F.basis()
+        if basis:
+            probes[(p + n) % 2].append(vec_axpy(
+                draw(st.sampled_from(basis)), draw(nonzero_qis),
+                draw(st.sampled_from(basis))))
+    for parity in (0, 1):
+        probes[parity] += [sparse() for _ in range(draw(st.integers(0, 2)))]
+    # what filtration_subspace reads: the flags kept by `once`, and the
+    # dimension of H for the zero flags below -n
+    tw = SimpleNamespace(dim=lambda parity: ambient)
+    s = SimpleNamespace(n=n, parity=0, _kept={_hodge_flags: flags},
+                        model=SimpleNamespace(_kept={TwistedCohomology: tw}))
+    return s, probes
+
+
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(case=nested_flags())
+def test_graded_coords_match_the_quotient_on_random_flags(case):
+    s, probes = case
+    assert_graded_coords_match_the_quotient(s, probes, "random")
+
+
+def test_graded_coords_match_the_quotient_on_corpus_and_scale8_flags():
+    structures = [*corpus_structures(),
+                  *(entry for name, text in SCALE8.items()
+                    for entry in structures_of(text, name))]
+    seen = {"none": 0, "zero": 0, "class": 0}
+    for name, s in structures:
+        tw = twisted_cohomology(s.model)
+        # unit vectors, most of which leave the deeper flags
+        probes = {q: [{k: QI(2, -1)} for k in range(0, tw.dim(q), 3)]
+                  for q in (0, 1)}
+        for key, count in assert_graded_coords_match_the_quotient(
+                s, probes, name).items():
+            seen[key] += count
+    assert len(structures) == 19 and all(seen.values()), seen
+
+
 def test_conjugation_acts_on_class_coordinates_entrywise():
     # the representatives are real forms, which the Hodge condition and the
     # weight split rely on to conjugate classes coordinate by coordinate
@@ -646,8 +742,6 @@ def test_filtrations_use_no_subspace_pipeline(monkeypatch):
                             counted(name, getattr(cohomology, name)))
     monkeypatch.setattr(Subspace, "intersect",
                         counted("intersect", Subspace.intersect))
-    monkeypatch.setattr(QuotientSpace, "__init__",
-                        counted("QuotientSpace", QuotientSpace.__init__))
     assert hodge_filtration(s).hodge_ok
     assert weight_mhs_check(s).split_ok
     assert called == []

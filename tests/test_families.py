@@ -17,12 +17,12 @@ from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
                               ks_class, q_flatness, q_pairing_poly,
                               symp_filtration_check, transversality_check)
 from gchodge.forms import Form, mukai_pairing, popcount
-from gchodge.gcs import make_complex, make_symplectic
+from gchodge.gcs import complex_J, make_complex, make_symplectic
 from gchodge.linalg import (Subspace, Vec, mat_inv, vec_add, vec_conj,
                             vec_scale)
 from gchodge.modelfile import build_family, parse_model
 from gchodge.poly import (ParamPoly, dH_poly, form_diff, form_eval,
-                          form_shift, monomial_slices, pmat_from_qi)
+                          form_shift, monomial_slices, pmat_eval, pmat_from_qi)
 from gchodge.scalars import Half, I, ONE, QI, ZERO
 
 from test_cohomology import reference_chain_subspace
@@ -539,6 +539,56 @@ def test_chain_span_built_once_per_family_and_p(monkeypatch, capsys):
     assert "transversality p=0" in capsys.readouterr().out
     assert sorted(calls) == [(f, p) for f in ("holo", "scale")
                              for p in (-2, -1, 0)]
+
+
+def test_frame_blocks_built_once_per_family(monkeypatch, capsys):
+    """The frame blocks of L_t, a polynomial inversion of the frame matrix,
+    are built once per family and shared by the graph at every sample and
+    the KS class in every direction."""
+    from gchodge import families
+    from gchodge.cli import main as cli_main
+    calls = []
+    real = families._frame_graph_blocks
+
+    def counting(f):
+        calls.append(f.name)
+        return real(f)
+
+    monkeypatch.setattr(families, "_frame_graph_blocks", counting)
+    assert cli_main(["family", str(CORPUS / "torus4-symplectic.gcm")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("graph at t=") == 3 and "KS class (dir t2)" in out
+    assert sorted(calls) == ["holo", "scale"]
+
+
+def test_complex_J_commutes_with_evaluation():
+    """complex_J of a matrix of polynomials, evaluated at a point, is
+    complex_J of the matrix evaluated there; a complex family's J(t) is
+    that J, equal at the basepoint and every sample to the J of the
+    structure built there."""
+    rng = random.Random(41)
+
+    def rand_poly(nv):
+        return ParamPoly(nv, {tuple(rng.randrange(3) for _ in range(nv)):
+                              QI(rng.randrange(-4, 5), rng.randrange(-2, 3))
+                              for _ in range(rng.randrange(3))})
+
+    for dim in (2, 4, 6):
+        nv = rng.randrange(1, 3)
+        It = [[rand_poly(nv) for _ in range(dim)] for _ in range(dim)]
+        for _ in range(3):
+            pt = tuple(QI(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+                       for _ in range(nv))
+            assert pmat_eval(complex_J(It), pt) == \
+                complex_J(pmat_eval(It, pt)), (dim, pt)
+    checked = 0
+    for name, f in corpus_families():
+        if f.kind != "complex":
+            continue
+        for pt in [f.basepoint] + f.samples:
+            assert pmat_eval(f.J_poly(), pt) == f.structure_at(pt).J, (name, pt)
+            checked += 1
+    assert checked >= 4
 
 
 def test_graded_span_poly_spans_the_pointwise_chain():

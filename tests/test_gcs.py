@@ -1,7 +1,9 @@
 """Constructors, grading projectors, del/delbar, and the symplectic phi map."""
 
 import importlib.util
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -19,7 +21,7 @@ from gchodge.forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
 from gchodge.gcs import (GCStruct, _blocks, _grade_block, _project_blade,
                          _projector_plan, form_of_vec, make_complex,
                          make_general, make_symplectic, symp_delta, symp_phi)
-from gchodge.liemodel import LieModel
+from gchodge.liemodel import LieModel, _mask_indices
 from gchodge.linalg import (Subspace, Vec, _axpy_into, kernel_lift, mat_inv,
                             vec_axpy, vec_conj, vec_scale)
 from gchodge.modelfile import build_structure, parse_model
@@ -689,13 +691,55 @@ def test_phi_wrong_type():
 
 # -- cochain Clifford action -----------------------------------------------------
 
+def reference_cliff_cochain(s, c, w):
+    """The cochain Clifford action mask by mask, through the half-normalized
+    identification L* = conj(L), ascending factors acting right-to-left (the
+    engine's action before it read the table)."""
+    out = Form(s.model.dim)
+    for mask, coeff in c.items():
+        term = w.coeffs
+        for i in reversed(_mask_indices(mask)):
+            term = _clifford_vec(s.model.dim, s.dual_basis[i], term)
+        out = out + Form(s.model.dim, term).scale(coeff)
+    return out
+
+
 def test_cliff_table_matches_cliff_cochain():
+    """Every column of the table, and the action of a cochain of several
+    masks, equal the per-mask reference."""
+    rng = random.Random(23)
     checked = 0
     for name, s in corpus_structures():
         table = s.cliff_table(s.spinor)
         assert sorted(table) == list(range(1 << s.L.rank)), name
         for mask, col in table.items():
             assert Form(s.model.dim, col) == \
-                s.cliff_cochain({mask: ONE}, s.spinor), (name, mask)
+                reference_cliff_cochain(s, {mask: ONE}, s.spinor), (name, mask)
+        for w in (s.spinor, s.spinor.conj()):
+            c = {mask: QI(rng.randrange(-3, 4), rng.randrange(-2, 3))
+                 for mask in rng.sample(range(1 << s.L.rank), 4)}
+            assert s.cliff_cochain(c, w) == reference_cliff_cochain(s, c, w), \
+                (name, c)
         checked += 1
     assert checked >= 10
+
+
+def test_dual_basis_is_formed_by_the_cochain_action_only(monkeypatch):
+    """A structure inverts L's pairing matrix for its dual basis on first
+    use: hodge never forms it, and gcy, whose chain identity takes the
+    cochain Clifford action, does."""
+    from gchodge.cli import main as cli_main
+    formed = []
+    real = GCStruct.__dict__["dual_basis"].func
+
+    def counting(self):
+        formed.append(self.kind)
+        return real(self)
+
+    monkeypatch.setattr(GCStruct, "dual_basis", property(counting))
+    with redirect_stdout(io.StringIO()):
+        assert cli_main(["hodge", str(CORPUS / "torus6-kahler.gcm")]) == 0
+    assert formed == []
+    with redirect_stdout(io.StringIO()):
+        cli_main(["gcy", str(CORPUS / "torus4-kahler.gcm")])
+    assert formed

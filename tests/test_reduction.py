@@ -28,11 +28,11 @@ from gchodge.cohomology import (_preimage_in, closed_classes, delbar_coords,
 from gchodge.errors import EngineError
 from gchodge.forms import popcount, spin_apply
 from gchodge.gkaehler import BIDEGREES, bigraded_cohomology, gk_validate
-from gchodge.linalg import (ColumnReduction, QuotientSpace, Subspace,
-                            kernel_lift, vec_axpy)
+from gchodge.linalg import ColumnReduction, Subspace, kernel_lift, vec_axpy
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import ONE, QI
 
+from reference_linalg import QuotientSpace
 from test_cohomology import DENSE6_BASES, reference_chain_subspace
 from test_gcs import (CORPUS, SCALE8, corpus_structures, dense_model_text,
                       structures_of)
