@@ -5,8 +5,9 @@ complex-type mixed Hodge structure.
 
 Everything is rank arithmetic over Q(i); there is no harmonic theory anywhere.
 Every kernel over image is read off one ordered column reduction R = D V
-that tracks its column operations (`linalg.ColumnReduction`), kept once per
-model, structure or algebroid:
+that keeps its column operations (`linalg.ColumnReduction`, the loop that
+every kernel and solve also runs), kept once per model, structure or
+algebroid:
 - d_H over the blades by descending (degree, mask) gives H: its essential
   cycles of each parity represent a basis of H whose classes from degree j
   on span the weight filtration W^j; d over the blades gives the invariant

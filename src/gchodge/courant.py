@@ -34,7 +34,7 @@ from operator import attrgetter
 from .errors import DimensionMismatch
 from .forms import Form, _generator_tables, blade_name
 from .liemodel import LieAlgebroid, LieModel
-from .linalg import Echelon, Vec, _acc, _axpy_into, vec_add
+from .linalg import Vec, _acc, _axpy_into, solve, vec_add
 from .scalars import Half, ONE, QI, ZERO
 
 
@@ -131,8 +131,13 @@ def algebroid_from_basis(m: LieModel, basis, name: str = "") -> LieAlgebroid:
     independence, isotropy, and Dorfman closure."""
     from .errors import NotClosedUnderBracket, NotIsotropic
     basis = list(basis)
-    ech = Echelon.of_columns(basis)
-    if ech.dim() != len(basis):
+    rank = len(basis)
+    # the table is filled below, once the basis is checked; the reduction of
+    # the basis is kept on the algebroid for its coordinate solves
+    table = [[None] * rank for _ in range(rank)]
+    L = LieAlgebroid(m, basis, table, name=name)
+    lows = L.span_lows()
+    if len(lows) != rank:
         raise DimensionMismatch("algebroid basis is linearly dependent")
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
@@ -140,19 +145,17 @@ def algebroid_from_basis(m: LieModel, basis, name: str = "") -> LieAlgebroid:
             if p:
                 raise NotIsotropic(
                     f"<basis[{i}], basis[{j}]> = {p}", pair=(i, j), value=str(p))
-    rank = len(basis)
-    table = [[None] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(rank):
             br = _bracket_coords(m.dorfman_table, basis[i], basis[j])
-            sol = ech.solve(br)
+            sol = solve(lows, br)
             if sol is None:
                 br = _coords_repr(m.dim, br)
                 raise NotClosedUnderBracket(
                     f"[basis[{i}], basis[{j}]] leaves the span: {br}",
                     pair=(i, j), residual=br)
             table[i][j] = [sol.get(t, ZERO) for t in range(rank)]
-    return LieAlgebroid(m, basis, table, name=name)
+    return L
 
 
 # -- axiom suite ---------------------------------------------------------------

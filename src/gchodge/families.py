@@ -38,9 +38,9 @@ from .gcs import (GCStruct, _combine, _powers, _projector_plan,
                   _spinorial_N, complex_J, flat_matrix, form_of_vec,
                   make_complex, make_general, make_symplectic)
 from .liemodel import LieModel, once
-from .linalg import (Echelon, Matrix, Subspace, Vec, _axpy_into,
-                     mat_add, mat_det, mat_inv, mat_mul, solve_columns,
-                     vec_add, vec_axpy, vec_conj, vec_scale)
+from .linalg import (Matrix, Subspace, Vec, _axpy_into, mat_add, mat_det,
+                     mat_inv, mat_mul, reduce_columns, solve, vec_add,
+                     vec_axpy, vec_conj, vec_scale)
 from .poly import (ParamPoly, PolyMatrix, dH_poly, form_diff, form_eval,
                    form_shift, monomial_slices, pmat_diff, pmat_eval,
                    pmat_from_qi, pmat_vec)
@@ -187,9 +187,10 @@ def _l_frame(f: FamilySpec):
     # recombine constantly so the frame hits the canonical basis at basepoint
     raw_at_base = [[p.eval(f.basepoint) for p in u] for u in raw]
     cols = [{k: c for k, c in enumerate(u) if c} for u in raw_at_base]
+    lows = reduce_columns(cols)[0]
     frame = []
     for l in lbasis:
-        sol = solve_columns(cols, l)
+        sol = solve(lows, l)
         if sol is None:
             raise EngineError("symplectic frame does not span L at basepoint")
         u = [ParamPoly(nv) for _ in range(2 * dim)]
@@ -619,14 +620,16 @@ def _graded_span_poly(f: FamilySpec, p: int) -> list[Form]:
 
 def _chain_span(f: FamilySpec, p: int) -> tuple:
     """(span, at_base, d_at_base) for the chain U_{<=p}: its polynomial
-    spanning forms shifted to the basepoint, and tracked echelons of their
-    values and of their d_H images there; one per (family, p), shared by
+    spanning forms shifted to the basepoint, and the lows of the column
+    reductions of their values and of their d_H images there, over which
+    coefficients in the span are solved; one per (family, p), shared by
     every representative extended in that chain."""
     m = f.model
     span = [form_shift(pf, f.basepoint) for pf in _graded_span_poly(f, p)]
     v0 = [form_eval(pf, (QI(0),) * f.nvars) for pf in span]
-    return (span, Echelon.of_columns([dict(w.coeffs) for w in v0]),
-            Echelon.of_columns([spin_apply(m.dH_table, w.coeffs) for w in v0]))
+    return (span, reduce_columns(w.coeffs for w in v0)[0],
+            reduce_columns(spin_apply(m.dH_table, w.coeffs)
+                           for w in v0)[0])
 
 
 def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
@@ -634,7 +637,7 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
     polynomial section staying in the moving chain, degree by degree."""
     m = f.model
     span, at_base, d_at_base = chain
-    sol = at_base.solve(dict(rep.coeffs))
+    sol = solve(at_base, rep.coeffs)
     if sol is None:
         raise ExtensionFailed("representative is not in the chain at basepoint")
     s_poly = Form(m.dim)
@@ -652,7 +655,7 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
             raise ExtensionFailed(
                 f"no polynomial extension found below degree {cap}")
         target = slices[low].scale(QI(-1))
-        csol = d_at_base.solve(dict(target.coeffs))
+        csol = solve(d_at_base, target.coeffs)
         if csol is None:
             raise ExtensionFailed(
                 "residual leaves the image of d_H on the chain at "
@@ -690,7 +693,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     dbar_cols = [spin_apply(base.dH_parts[1], v)
                  for v in base.U_subspace(p + 1).basis()]
     n_closed2 = len(lift_cols)
-    lift_solver = Echelon.of_columns(lift_cols + dbar_cols)
+    lift_lows = reduce_columns(lift_cols + dbar_cols)[0]
 
     win = Subspace.span(1 << m.dim, [v for j in (p - 2, p, p + 2)
                                      for v in base.U_subspace(j).basis()])
@@ -721,7 +724,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         # kappa Clifford action on the leading graded piece
         x = base.project(p, r)
         y = base.cliff_cochain(ks.cochain, x)
-        sol = lift_solver.solve(dict(y.coeffs))
+        sol = solve(lift_lows, y.coeffs)
         if sol is None:
             raise EngineError("KS action does not lift to the filtration")
         w = Form(m.dim)
@@ -734,24 +737,21 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     # fit: induced = c * kappa_action as linear maps on the domain quotient
     const = None
     proportional = True
-    ech = Echelon(track=True)
-    recorded: list[int] = []
-    for i, dom in enumerate(domain):
-        r_vec, combo = ech.insert(dom, tag=i)
-        if r_vec:
-            recorded.append(i)
-        else:
-            # dependent: linearity demands the same relation among images
-            ti: Vec = {}
-            ki: Vec = {}
-            for j, c in combo.items():
-                if j == i:
-                    continue
-                ti = vec_axpy(ti, -c, induced[j])
-                ki = vec_axpy(ki, -c, kactions[j])
-            if ti != induced[i] or ki != kactions[i]:
-                proportional = False
-    for i in recorded:
+    relations = reduce_columns(domain)[1]
+    for i, rel in relations.items():
+        # dependent: linearity demands the same relation among images
+        ti: Vec = {}
+        ki: Vec = {}
+        for j, c in rel.items():
+            if j == i:
+                continue
+            ti = vec_axpy(ti, -c, induced[j])
+            ki = vec_axpy(ki, -c, kactions[j])
+        if ti != induced[i] or ki != kactions[i]:
+            proportional = False
+    for i in range(len(domain)):
+        if i in relations:
+            continue
         ti, ki = induced[i], kactions[i]
         if not ki:
             if ti:

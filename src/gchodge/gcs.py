@@ -386,18 +386,29 @@ class GCStruct:
 
     def cliff_cochain(self, c: dict[int, QI], w: Form) -> Form:
         """Clifford action of a wedge^k L* cochain through the half-normalized
-        identification L* = conj(L), read off `cliff_table(w)`."""
-        return Form(self.model.dim, spin_apply(self.cliff_table(w), c))
+        identification L* = conj(L), read off the columns of `cliff_table(w)`
+        at c's masks."""
+        return Form(self.model.dim, spin_apply(self._cliff_columns(w, c), c))
 
     def cliff_table(self, w: Form) -> SpinOp:
-        """The table of a -> a.w on cochain masks: ascending factors act
-        right-to-left, so [mask] is built from the mask without its lowest
-        index, which acts last."""
+        """The table of a -> a.w on every cochain mask."""
+        return self._cliff_columns(w, range(1 << self.L.rank))
+
+    def _cliff_columns(self, w: Form, masks) -> SpinOp:
+        """The columns of a -> a.w at masks, in ascending order when masks
+        ascend: ascending factors act right-to-left, so each column is built
+        from the column of the mask without its lowest index, which acts
+        last, and only those prefixes are built."""
         out: SpinOp = {0: dict(w.coeffs)}
-        for mask in range(1, 1 << self.L.rank):
-            low = (mask & -mask).bit_length() - 1
-            out[mask] = _clifford_vec(self.model.dim, self.dual_basis[low],
-                                      out[mask & (mask - 1)])
+        for mask in masks:
+            todo = []
+            while mask not in out:
+                todo.append(mask)
+                mask &= mask - 1
+            for m in reversed(todo):
+                low = (m & -m).bit_length() - 1
+                out[m] = _clifford_vec(self.model.dim, self.dual_basis[low],
+                                       out[m & (m - 1)])
         return out
 
     def __repr__(self):

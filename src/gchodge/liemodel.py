@@ -22,8 +22,8 @@ from .errors import (DimensionMismatch, DimensionOdd, JacobiFailure,
                      NotClosedUnderBracket, StructureNotReal, TwistNotClosed)
 from .forms import (Form, SpinOp, _generator_tables, blades_by_degree,
                     insert_sign, popcount, spin_apply)
-from .linalg import (ColumnReduction, Vec, _acc, mat_det, solve_columns,
-                     vec_conj)
+from .linalg import (ColumnReduction, Lows, Vec, _acc, mat_det,
+                     reduce_columns, solve, vec_conj)
 from .scalars import ONE, QI
 
 
@@ -261,9 +261,14 @@ class LieAlgebroid:
                                     [vec_conj(b) for b in self.basis],
                                     name=f"conj({self.name})")
 
+    def span_lows(self) -> Lows:
+        """The lows of the column reduction of the basis, over which span
+        elements are solved; kept on the algebroid."""
+        return once(self, _reduce_basis)
+
     def coords_of(self, elem) -> list[QI]:
         """Coordinates of an E_C element in this algebroid's basis."""
-        sol = solve_columns(self.basis, elem)
+        sol = solve(self.span_lows(), elem)
         if sol is None:
             raise NotClosedUnderBracket("element is not in the algebroid span")
         return [sol.get(a, QI(0)) for a in range(self.rank)]
@@ -282,6 +287,10 @@ class LieAlgebroid:
             if d:
                 out = out + val * d
         return out
+
+
+def _reduce_basis(L: LieAlgebroid) -> Lows:
+    return reduce_columns(L.basis)[0]
 
 
 def _reduce_d_L(L: LieAlgebroid) -> ColumnReduction:

@@ -6,15 +6,18 @@ is stored in fully reduced column-echelon form (pivots ascending, pivot entry
 1, pivot coordinate eliminated from every other basis vector), so equal
 subspaces have literally identical bases.  Each result is normalised once:
 `Subspace.span`, `matrix_kernel` and `kernel_lift` (through a canonical basis)
-return canonical bases; `Subspace.intersect` lifts the tracked echelon's
-kernel as it comes, since it normalises the meet anyway.
+return canonical bases; `Subspace.intersect` lifts the reduction's kernel as
+it comes, since it normalises the meet anyway.
 
-Every kernel over image of an operator (a cohomology) is read off one ordered
-column reduction, `ColumnReduction`: its essential cycles represent the
-classes, and one pass over a vector gives its class coordinates.
+Every kernel, lift, intersection and solve, and every kernel over image of
+an operator (a cohomology), is read off one ordered column reduction,
+`reduce_columns`, which keeps its column operations: the cycles of its zero
+columns span the kernel, `solve` clears a target low by low, and
+`ColumnReduction`'s essential cycles represent the classes, one pass over a
+vector giving its class coordinates.
 
-`Echelon`, the one elimination kernel, keys its rows by pivot and keeps an
-index of the rows holding each coordinate: a reduction visits only the
+`Echelon`, the canonical basis accumulator, keys its rows by pivot and keeps
+an index of the rows holding each coordinate: a reduction visits only the
 pivots among the vector's own coordinates, and an insert back-substitutes
 only into the rows that hold its new pivot, so the work follows the nonzeros
 met, not the rank.
@@ -121,8 +124,7 @@ def vec_pivot(v: Vec) -> int:
 # -- reduced echelon accumulator ---------------------------------------------
 
 class Echelon:
-    """Incremental fully reduced echelon basis with optional combination
-    tracking.
+    """Incremental fully reduced echelon basis.
 
     Rows are keyed by pivot: each row is 1 at its pivot and zero at every
     other pivot.  Reducing a vector is therefore one pass over the pivots
@@ -131,135 +133,88 @@ class Echelon:
     coordinate to the pivots of the rows nonzero at it, so an insert
     back-substitutes its new pivot into exactly the rows that hold it.  The
     rows are sorted by pivot only when they are read (`basis`).
-
-    Tracked mode records, for every stored row, the coefficients expressing it
-    in terms of the inserted vectors (by insertion tag), which yields kernels
-    and coordinate solves.
     """
 
-    def __init__(self, track: bool = False):
-        # pivot -> (vec, combo); coordinate -> pivots of the rows nonzero there
-        self._rows: dict[int, tuple[Vec, Vec | None]] = {}
+    def __init__(self):
+        # pivot -> row; coordinate -> pivots of the rows nonzero there
+        self._rows: dict[int, Vec] = {}
         self._holders: dict[int, set[int]] | None = defaultdict(set)
-        self.track = track
-        self._n_inserted = 0
 
     @classmethod
     def of_basis(cls, basis: list[Vec]) -> "Echelon":
-        """Untracked echelon whose rows are `basis`, which must already be in
-        fully reduced form (a Subspace basis): inserting it would leave every
-        row unchanged.  The holder index is built by the first insert, since
+        """Echelon whose rows are `basis`, which must already be in fully
+        reduced form (a Subspace basis): inserting it would leave every row
+        unchanged.  The holder index is built by the first insert, since
         most such echelons only reduce."""
         ech = cls()
-        ech._rows = {vec_pivot(v): (v, None) for v in basis}
+        ech._rows = {vec_pivot(v): v for v in basis}
         ech._holders = None
         return ech
 
-    @classmethod
-    def of_columns(cls, cols: list[Vec]) -> "Echelon":
-        """Tracked echelon of `cols`, tagged by position, for `solve`."""
-        ech = cls(track=True)
-        for j, v in enumerate(cols):
-            ech.insert(v, tag=j)
-        return ech
+    def reduce(self, v: Vec) -> tuple[Vec, Vec]:
+        """Reduce v without inserting; returns (residual, row-coefficients).
 
-    def dim(self) -> int:
-        return len(self._rows)
+        The second entry maps the pivot of each basis row to the coefficient
+        with which that row occurs in v - residual: v's own entry there, by
+        ascending pivot.
+        """
+        return self._reduce(v)
 
-    def _reduce(self, v: Vec, combo: Vec | None,
-                used: Vec | None = None) -> Vec:
-        """The residual of v, reducing combo in place alongside; `used`, when
-        given, receives the coefficient of each row in v by ascending pivot,
-        which is v's own entry there."""
+    def _reduce(self, v: Vec) -> tuple[Vec, Vec]:
+        """`reduce`, which `insert` calls under this name so that the
+        benchmark's `linalg.reduce.calls` counts only reductions asked for."""
         rows = self._rows
         pivots = [k for k in v if k in rows]
         pivots.sort()
         v = dict(v)
+        used: Vec = {}
         for p in pivots:
-            c = v[p]
-            if used is not None:
-                used[p] = c
-            row, rc = rows[p]
-            c = _qi(-c._a, -c._b, c._d)
-            _axpy_into(v, c, row)
-            if combo is not None:
-                _axpy_into(combo, c, rc)
-        return v
+            used[p] = c = v[p]
+            _axpy_into(v, _qi(-c._a, -c._b, c._d), rows[p])
+        return v, used
 
-    def insert(self, v: Vec, tag: int | None = None):
-        """Insert v; returns (residual, combo) after reduction.
-
-        Residual empty means v was dependent; combo (tracked mode) expresses
-        the residual as inserted[tags] coefficients, including tag itself.
-        """
-        if tag is None:
-            tag = self._n_inserted
-        self._n_inserted += 1
-        combo = {tag: ONE} if self.track else None
-        v = self._reduce(v, combo)
+    def insert(self, v: Vec) -> tuple[Vec, Vec]:
+        """Insert v; returns what `reduce` returns before the insert, the
+        residual scaled to 1 at its pivot when it becomes a row.  An empty
+        residual means v was dependent."""
+        v, used = self._reduce(v)
         if not v:
-            return {}, combo
+            return v, used
         piv = vec_pivot(v)
         c = v[piv]
         if c._b or c._a != c._d:    # c != 1 in normal form
-            inv = c.inv()
-            v = vec_scale(v, inv)
-            if combo is not None:
-                combo = vec_scale(combo, inv)
+            v = vec_scale(v, c.inv())
         holders = self._holders
         if holders is None:
             holders = self._holders = defaultdict(set)
-            for p, (row, _rc) in self._rows.items():
+            for p, row in self._rows.items():
                 for k in row:
                     holders[k].add(p)
         # back-substitute into the rows that hold piv, keeping the basis fully
         # reduced; only the coordinates of v change in them (as vec_axpy
         # would, on a copy: a row may be a Subspace's basis vector)
         for p in holders.pop(piv, ()):
-            row, rc = self._rows[p]
+            row = self._rows[p]
             nx = row[piv]
-            nx = _qi(-nx._a, -nx._b, nx._d)
             row = dict(row)
-            _axpy_into(row, nx, v)
+            _axpy_into(row, _qi(-nx._a, -nx._b, nx._d), v)
             for k in v:
                 if k in row:
                     holders[k].add(p)
                 else:
                     holders[k].discard(p)
-            if rc is not None:
-                rc = vec_axpy(rc, nx, combo)
-            self._rows[p] = (row, rc)
-        self._rows[piv] = (v, combo)
+            self._rows[p] = row
+        self._rows[piv] = v
         for k in v:
             holders[k].add(piv)
-        return v, combo
-
-    def reduce(self, v: Vec) -> tuple[Vec, Vec]:
-        """Reduce v without inserting; returns (residual, row-coefficients).
-
-        The second entry maps the pivot of each basis row to the coefficient
-        with which that row occurs in v - residual.
-        """
-        used: Vec = {}
-        return self._reduce(v, None, used), used
-
-    def solve(self, v: Vec) -> Vec | None:
-        """Tracked mode: coefficients x, by insertion tag, with
-        sum x_t inserted[t] = v, or None when v leaves the span."""
-        r, used = self.reduce(v)
-        if r:
-            return None
-        out: Vec = {}
-        for p, c in used.items():
-            _axpy_into(out, c, self._rows[p][1])
-        return out
+        return v, used
 
     def contains(self, v: Vec) -> bool:
         r, _ = self.reduce(v)
         return not r
 
     def basis(self) -> list[Vec]:
-        return [self._rows[p][0] for p in sorted(self._rows)]
+        return [self._rows[p] for p in sorted(self._rows)]
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -317,11 +272,11 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # each kernel vector (x, y) of (x, y) -> sum x_j a_j + sum y_k b_k
-        # gives the meet vector sum x_j a_j: the kernel lifted along (a, 0),
-        # the tracked echelon's as it comes, since span normalises it
+        # gives the meet vector sum x_j a_j: the reduction's cycles lifted
+        # along (a, 0) as they come, since span normalises them
         zeros = [{} for _ in other._basis]
         return Subspace.span(self.ambient, _lift(
-            _dependent_combos(self._basis + other._basis),
+            reduce_columns(self._basis + other._basis)[1].values(),
             self._basis + zeros))
 
     def conj(self) -> "Subspace":
@@ -330,24 +285,66 @@ class Subspace:
         return Subspace(self.ambient, [vec_conj(v) for v in self._basis])
 
 
-def _dependent_combos(cols: list[Vec]) -> list[Vec]:
-    """A kernel basis of the map sending the j-th unit vector to cols[j]: the
-    tracked echelon's combination of each dependent column, not canonical."""
-    ech = Echelon(track=True)
-    combos = []
-    for j, v in enumerate(cols):
-        r, combo = ech.insert(v, tag=j)
-        if not r:
-            combos.append(combo)
-    return combos
+# -- kernels and solves by one ordered column reduction -------------------------
+
+Lows = dict[int, tuple[Vec, Vec]]
+
+
+def reduce_columns(cols) -> tuple[Lows, dict[int, Vec]]:
+    """The ordered column reduction R = D V of a map D whose columns cols[c]
+    are keyed by numbers (Edelsbrunner, Letscher and Zomorodian 2002;
+    Zomorodian and Carlsson 2005): (lows, cycles).
+
+    Each column in turn is reduced by earlier ones until its low, its
+    largest nonzero number, is the low of no earlier column, and the column
+    operations are kept in V.  `lows` maps each low to (R_c, V_c) and
+    `cycles` each zero column c of R to V_c, each scaled to 1 at the low or
+    at c; V_c is zero past c and R_c past its low.  R_c is nonzero exactly
+    when column c leaves the span of the earlier ones, so every V_c is a
+    combination of such columns and c, and the cycles are a basis of D's
+    kernel."""
+    lows: Lows = {}
+    cycles: dict[int, Vec] = {}
+    for c, col in enumerate(cols):
+        col = dict(col)
+        ops: Vec = {c: ONE}
+        while col:
+            low = max(col)
+            piv = lows.get(low)
+            if piv is None:
+                inv = col[low].inv()
+                lows[low] = (vec_scale(col, inv), vec_scale(ops, inv))
+                break
+            x = -col[low]
+            _axpy_into(col, x, piv[0])
+            _axpy_into(ops, x, piv[1])
+        else:
+            cycles[c] = ops
+    return lows, cycles
+
+
+def solve(lows: Lows, v: Vec) -> Vec | None:
+    """Coefficients x with sum x_c cols[c] = v, over the lows of the
+    reduction of cols, or None when v leaves their span: v's largest number
+    is cleared in turn by the R_c of that low, and x gathers the V_c."""
+    v = dict(v)
+    out: Vec = {}
+    while v:
+        low = max(v)
+        piv = lows.get(low)
+        if piv is None:
+            return None
+        c = v[low]
+        _axpy_into(v, -c, piv[0])
+        _axpy_into(out, c, piv[1])
+    return out
 
 
 def matrix_kernel(cols: list[Vec]) -> list[Vec]:
-    """Kernel of the map sending the j-th unit vector to cols[j].
-
-    Returns canonical coefficient vectors (dicts over column indices).
-    """
-    return Subspace.span(len(cols), _dependent_combos(cols))._basis
+    """Kernel of the map sending the j-th unit vector to cols[j]: the span
+    of the reduction's cycles, as canonical coefficient vectors (dicts over
+    column indices)."""
+    return Subspace.span(len(cols), reduce_columns(cols)[1].values())._basis
 
 
 def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
@@ -359,38 +356,26 @@ def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
     return _lift(matrix_kernel(images), basis)
 
 
-def _lift(combos: list[Vec], basis: list[Vec]) -> list[Vec]:
-    """sum_j combo[j] basis[j] for each combination."""
+def _lift(coeffs, basis: list[Vec]) -> list[Vec]:
+    """sum_j x[j] basis[j] for each coefficient vector x in coeffs."""
     out = []
-    for combo in combos:
+    for x in coeffs:
         v: Vec = {}
-        for j, c in combo.items():
+        for j, c in x.items():
             _axpy_into(v, c, basis[j])
         out.append(v)
     return out
 
 
-def solve_columns(cols: list[Vec], target: Vec) -> Vec | None:
-    """Coefficients x with sum x_j cols[j] = target, or None."""
-    return Echelon.of_columns(cols).solve(target)
-
-
-# -- kernel over image by one ordered column reduction ---------------------------
-
 class ColumnReduction:
-    """The ordered column reduction R = D V of an operator D, from which its
-    kernel over its image is read (Edelsbrunner, Letscher and Zomorodian
-    2002; Zomorodian and Carlsson 2005).
+    """The ordered column reduction R = D V of an operator D
+    (`reduce_columns`), from which its kernel over its image is read.
 
     D's columns are numbered by `order`, a list of coordinate labels: cols[c]
     is the column of label order[c], keyed by labels, and groups[c] the
-    group of that label (a degree, a parity, a block of a grading).  Each
-    column in turn is reduced by earlier ones until its low, its largest
-    nonzero number, is the low of no earlier column, and the column
-    operations are kept in V.  `lows` maps each low to (R_c, V_c) and
-    `cycles` each zero column c of R to V_c, in numbers, each scaled to 1 at
-    the low or at c; V_c is zero past c and R_c past its low, so both lie in
-    every prefix of the numbering that holds c, or the low.
+    group of that label (a degree, a parity, a block of a grading).  `lows`
+    and `cycles` are the reduction's, in numbers; V_c and R_c lie in every
+    prefix of the numbering that holds c, or the low.
 
     When D maps each label only to labels numbered before it (d by
     descending degree) and D^2 = 0, every low is a zero column, and the V_e
@@ -406,25 +391,8 @@ class ColumnReduction:
         self.order = order
         self.groups = groups
         self.number = number = {b: c for c, b in enumerate(order)}
-        lows: dict[int, tuple[Vec, Vec]] = {}
-        cycles: dict[int, Vec] = {}
-        for c, col in enumerate(cols):
-            col = {number[b]: x for b, x in col.items()}
-            ops: Vec = {c: ONE}
-            while col:
-                low = max(col)
-                piv = lows.get(low)
-                if piv is None:
-                    inv = col[low].inv()
-                    lows[low] = (vec_scale(col, inv), vec_scale(ops, inv))
-                    break
-                x = -col[low]
-                _axpy_into(col, x, piv[0])
-                _axpy_into(ops, x, piv[1])
-            else:
-                cycles[c] = ops
-        self.lows = lows
-        self.cycles = cycles
+        self.lows, self.cycles = reduce_columns(
+            {number[b]: x for b, x in col.items()} for col in cols)
 
     @cached_property
     def classes(self) -> dict:

@@ -1,6 +1,7 @@
 """Families: validation, graphs, KS classes, Gauss-Manin, transversality."""
 
 import copy
+import hashlib
 import io
 import random
 from contextlib import redirect_stdout
@@ -785,3 +786,41 @@ def test_family_command_computes_each_shared_result_once(monkeypatch):
     assert computed("derham") == (4, 4)
     # `once` keeps the verdict: the check itself runs once each
     assert len(calls["lefschetz"]) == computed("lefschetz")[0] == 5
+
+
+def transversality_pins():
+    """Every corpus family, direction and p = -n-2 .. n+2: the report's
+    vectors with their key order, or the error it raised, as text."""
+    for name, f in corpus_families():
+        try:
+            f.base_structure()
+        except EngineError:
+            continue
+        n = f.model.dim // 2
+        for direction in range(f.nvars):
+            for p in range(-n - 2, n + 3):
+                try:
+                    r = transversality_check(f, p, direction)
+                except EngineError as e:
+                    yield f"{name} {direction} {p} {type(e).__name__}: {e}"
+                    continue
+                vecs = [[list(v.items()) for v in vs]
+                        for vs in (r.domain, r.induced, r.kappa_action)]
+                yield (f"{name} {direction} {p} {r.skipped} {vecs} "
+                       f"{r.constant} {r.proportional}")
+
+
+# the digest of transversality_pins(), which every solve in
+# transversality_check feeds
+TRANSVERSALITY_SHA256 = \
+    "745d04118e78ec1ca3ae691be43e1ec960208adc19fe4c2c2f7a494b4f8d0c78"
+
+
+def test_transversality_vectors_are_pinned():
+    """domain, induced and kappa_action (key order included), constant and
+    proportional of every corpus family, direction and p: the solves of
+    _extend_in_chain and of the lift into F^{p+2} have no other guard, as
+    --json prints only the verdicts and c."""
+    text = "\n".join(transversality_pins())
+    assert text.count("\n") >= 60
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSVERSALITY_SHA256

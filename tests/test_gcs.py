@@ -724,6 +724,46 @@ def test_cliff_table_matches_cliff_cochain():
     assert checked >= 10
 
 
+def test_cliff_cochain_builds_only_the_masks_it_applies(monkeypatch):
+    """On random cochains, including 2-cochains as the KS action applies,
+    the action equals the full table applied to the cochain, and it builds
+    one column per nonzero mask of the cochain and lowest-bit-stripped
+    prefix of one, no other."""
+    rng = random.Random(41)
+    calls = []
+    real = gcs._clifford_vec
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    checked = 0
+    for name, s in corpus_structures():
+        rank = s.L.rank
+        for w in (s.spinor, s.spinor.conj()):
+            table = s.cliff_table(w)
+            for size, masks in ((2, [m for m in range(1 << rank)
+                                     if popcount(m) == 2]),
+                                (3, range(1 << rank))):
+                chosen = rng.sample(list(masks), min(size, len(masks)))
+                c = {m: QI(rng.randrange(1, 4), rng.randrange(-2, 3))
+                     for m in chosen}
+                prefixes = set()
+                for m in c:
+                    while m:
+                        prefixes.add(m)
+                        m &= m - 1
+                monkeypatch.setattr(gcs, "_clifford_vec", counting)
+                calls.clear()
+                got = s.cliff_cochain(c, w)
+                monkeypatch.setattr(gcs, "_clifford_vec", real)
+                assert got == Form(s.model.dim, spin_apply(table, c)), \
+                    (name, c)
+                assert len(calls) == len(prefixes), (name, c)
+        checked += 1
+    assert checked >= 10
+
+
 def test_dual_basis_is_formed_by_the_cochain_action_only(monkeypatch):
     """A structure inverts L's pairing matrix for its dual basis on first
     use: hodge never forms it, and gcy, whose chain identity takes the

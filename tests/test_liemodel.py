@@ -13,6 +13,7 @@ from gchodge.errors import (EngineError, JacobiFailure, NotClosedUnderBracket,
                             NotIsotropic, StructureNotReal, TwistNotClosed)
 from gchodge.forms import Form, _compose, popcount
 from gchodge.liemodel import LieModel, _mask_indices
+from gchodge.linalg import _axpy_into
 from gchodge.modelfile import parse_model
 from gchodge.poly import ParamPoly
 from gchodge.scalars import I, ONE, QI
@@ -212,6 +213,37 @@ def test_algebroid_not_isotropic():
     m = abelian()
     with pytest.raises(NotIsotropic):
         algebroid_from_basis(m, [{0: ONE}, {4: ONE}])    # x1, e1
+
+
+def test_algebroid_reduces_its_basis_once(monkeypatch):
+    """algebroid_from_basis reduces the basis once, for the bracket table,
+    and keeps the reduction on the algebroid: coords_of and cochain_eval
+    solve over it without reducing the basis again."""
+    from gchodge import liemodel
+    calls = []
+    real = liemodel.reduce_columns
+
+    def counting(cols):
+        calls.append(len(cols))
+        return real(cols)
+
+    monkeypatch.setattr(liemodel, "reduce_columns", counting)
+    m = kodaira_thurston()
+    L = algebroid_from_basis(m, full_tangent_basis(m))
+    assert calls == [4]
+    rng = random.Random(3)
+    for _ in range(5):
+        coords = [QI(rng.randrange(-3, 4), rng.randrange(-2, 3))
+                  for _ in range(4)]
+        elem = {}
+        for c, b in zip(coords, L.basis):
+            if c:
+                _axpy_into(elem, c, b)
+        assert L.coords_of(elem) == coords
+        assert L.cochain_eval({0b0011: ONE}, [L.basis[0], elem]) == coords[1]
+    assert calls == [4]
+    with pytest.raises(NotClosedUnderBracket):
+        L.coords_of({4: ONE})     # e1 leaves the span of x1..x4
 
 
 def test_algebroid_differential_kt():

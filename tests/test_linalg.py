@@ -1,6 +1,7 @@
 """Subspace arithmetic: canonical echelon bases, lattice ops, quotients, the
-fused multiply-accumulate kernel, and the kernel paths that skip a second
-normalisation."""
+fused multiply-accumulate kernel, the kernel paths that skip a second
+normalisation, and the kernels and solves of the ordered column reduction
+against the tracked echelon they replaced."""
 
 import os
 import random
@@ -15,11 +16,15 @@ from gchodge.errors import DimensionMismatch
 from gchodge.forms import spin_apply
 from gchodge.linalg import (Echelon, Subspace, _axpy_into, kernel_lift,
                             mat_det, mat_inv, mat_mul, matrix_kernel,
-                            solve_columns, vec_axpy, vec_conj, vec_scale)
+                            reduce_columns, solve, vec_axpy, vec_conj,
+                            vec_scale)
 from gchodge.poly import ParamPoly
 from gchodge.scalars import I, QI
 
-from reference_linalg import QuotientSpace
+from reference_linalg import (QuotientSpace, TrackedEchelon,
+                              dependent_combos, tracked_intersect,
+                              tracked_kernel_lift, tracked_matrix_kernel,
+                              tracked_solve)
 
 # the kernel property tests' budget; GCHODGE_KERNEL_EXAMPLES sets a larger one
 # for a longer run outside the tier-1 suite
@@ -38,8 +43,8 @@ def contains_subspace(big, small):
 
 
 def echelon_rows(ech):
-    """(pivot, vec, combo) for every row of an Echelon, by ascending pivot."""
-    return [(p, *ech._rows[p]) for p in sorted(ech._rows)]
+    """(pivot, vec) for every row of an Echelon, by ascending pivot."""
+    return [(p, ech._rows[p]) for p in sorted(ech._rows)]
 
 
 def quotient_reps(big, sub):
@@ -49,7 +54,7 @@ def quotient_reps(big, sub):
     sub_pivots = set(ech._rows)
     for w in big.basis():
         ech.insert(w)
-    return [row for p, row, _c in echelon_rows(ech) if p not in sub_pivots]
+    return [row for p, row in echelon_rows(ech) if p not in sub_pivots]
 
 
 def v(*pairs):
@@ -123,13 +128,13 @@ def test_kernel_and_solve():
     ker = matrix_kernel(cols)
     assert len(ker) == 1
     assert ker[0] == v((0, 1), (1, 1), (2, -1))
-    sol = solve_columns(cols, v((0, 2), (1, 3)))
+    sol = solve(reduce_columns(cols)[0], v((0, 2), (1, 3)))
     assert sol is not None
     total = {}
     for j, c in sol.items():
         total = vec_axpy(total, c, cols[j])
     assert total == v((0, 2), (1, 3))
-    assert solve_columns([v((0, 1))], v((1, 1))) is None
+    assert solve(reduce_columns([v((0, 1))])[0], v((1, 1))) is None
 
 def test_quotient_space_coords():
     cycles = [v((0, 1)), v((1, 1)), v((0, 1), (2, 1))]
@@ -314,26 +319,34 @@ def test_pivot_indexed_echelon_matches_list_scan_reference():
     for trial in range(120):
         ambient = rng.randrange(1, 13)
         vecs = rand_family(rng, ambient)
-        track = trial % 2 == 0
-        new, ref = Echelon(track=track), ListEchelon(track=track)
+        # the engine's echelon, and the tracked one kept as the reference
+        new, ref = Echelon(), ListEchelon()
+        tracked, tref = TrackedEchelon(), ListEchelon(track=True)
         for j, vec in enumerate(vecs):
+            got, want = new.insert(vec), ref.insert(vec)
+            assert items(got[0]) == items(want[0])
             tag = rng.choice([None, 100 + j])
-            got, want = new.insert(vec, tag), ref.insert(vec, tag)
+            got, want = tracked.insert(vec, tag), tref.insert(vec, tag)
             assert items(got[0]) == items(want[0])
             assert items(got[1]) == items(want[1])
         assert [items(b) for b in new.basis()] == [items(b) for b in ref.basis()]
-        assert [(p, items(r), items(c)) for p, r, c in echelon_rows(new)] == \
-            [(p, items(r), items(c)) for p, r, c in ref.rows]
+        assert [(p, items(r)) for p, r in echelon_rows(new)] == \
+            [(p, items(r)) for p, r, _c in ref.rows]
+        assert [(p, items(r), items(c)) for p, r, c in tracked.rows()] == \
+            [(p, items(r), items(c)) for p, r, c in tref.rows]
         probes = rand_family(rng, ambient)
         for probe in probes:
             (res, used), (rres, rused) = new.reduce(probe), ref.reduce(probe)
             assert items(res) == items(rres)
             pivots = [p for p, _r, _c in ref.rows]
             assert items(used) == [(pivots[i], c) for i, c in rused.items()]
-        assert [items(k) for k in matrix_kernel(vecs)] == \
-            [items(k) for k in list_matrix_kernel(vecs)]
+        # the reduction's kernel and solves, as values: its key order is its
+        # own
+        assert matrix_kernel(vecs) == list_matrix_kernel(vecs)
+        lows = reduce_columns(vecs)[0]
         for target in probes + vecs[:2]:
-            assert items(solve_columns(vecs, target)) == \
+            assert solve(lows, target) == list_solve_columns(vecs, target)
+            assert items(tracked_solve(vecs, target)) == \
                 items(list_solve_columns(vecs, target))
         # cycles/boundaries: boundaries inside the cycles
         bounds = [vec_axpy({}, rand_qi(rng, 2), u)
@@ -372,13 +385,13 @@ def test_echelon_holder_index_matches_rows():
         if trial % 3 == 0:
             ech = Subspace.span(ambient, rand_family(rng, ambient)).echelon()
         else:
-            ech = Echelon(track=trial % 3 == 1)
+            ech = Echelon()
         for vec in rand_family(rng, ambient):
             ech.insert(vec)
             if ech._holders is None:
                 continue
             rebuilt = {}
-            for p, (row, _rc) in ech._rows.items():
+            for p, row in ech._rows.items():
                 for k in row:
                     rebuilt.setdefault(k, set()).add(p)
             assert {k: ps for k, ps in ech._holders.items() if ps} == rebuilt
@@ -496,7 +509,7 @@ def lift_cases(draw):
 @given(case=lift_cases())
 def test_canonical_lift_paths_match_their_normalised_forms(case):
     """_preimage_in keeps the lift through V's canonical basis as it is;
-    Subspace.intersect lifts the tracked echelon's combinations without
+    Subspace.intersect lifts the reduction's cycles without
     normalising them: each equals the path that normalises once more."""
     V, op, W = case
     basis = V.basis()
@@ -509,3 +522,63 @@ def test_canonical_lift_paths_match_their_normalised_forms(case):
     zeros = [{} for _ in W.basis()]
     assert V.intersect(W) == Subspace.span(V.ambient, kernel_lift(
         basis + W.basis(), basis + zeros))
+
+
+# -- the ordered column reduction against the tracked echelon ----------------------
+
+@st.composite
+def column_sets(draw):
+    """(ambient, cols, basis, targets): sparse columns with multi-digit
+    entries, many of them zero, multiples or combinations of earlier ones;
+    a vector for each column to lift along; and targets, some combinations
+    of the columns and some arbitrary (mostly outside their span)."""
+    n = draw(st.integers(1, 7))
+
+    def sparse(ambient):
+        keys = draw(st.lists(st.integers(0, ambient - 1), unique=True,
+                             min_size=1, max_size=3))
+        return {k: draw(nonzero_qis) for k in keys}
+
+    def combination(vecs):
+        w = {}
+        for u in draw(st.lists(st.sampled_from(vecs), min_size=1,
+                               max_size=3)):
+            _axpy_into(w, draw(nonzero_qis), u)
+        return w
+
+    cols = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["new", "combination", "zero"]))
+        if kind == "combination" and cols:
+            cols.append(combination(cols))
+        elif kind == "zero":
+            cols.append({})
+        else:
+            cols.append(sparse(n))
+    m = draw(st.integers(1, 6))
+    basis = [sparse(m) for _ in cols]
+    targets = [combination(cols) if draw(st.booleans()) else sparse(n)
+               for _ in range(draw(st.integers(1, 4)))]
+    return n, cols, basis, targets
+
+
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(case=column_sets())
+def test_reduction_matches_the_tracked_echelon_reference(case):
+    """Each dependent column's relation (the cycle of its zero column),
+    matrix_kernel, kernel_lift, Subspace.intersect and solve, None outside
+    the span included, equal the tracked echelon's, as values: a column has
+    a nonzero reduced column exactly when the tracked echelon makes it a new
+    row, so both express through the same greedily independent columns."""
+    n, cols, basis, targets = case
+    lows, cycles = reduce_columns(cols)
+    assert cycles == dependent_combos(cols)
+    assert matrix_kernel(cols) == tracked_matrix_kernel(cols)
+    assert kernel_lift(cols, basis) == tracked_kernel_lift(cols, basis)
+    for target in targets + cols:
+        assert solve(lows, target) == tracked_solve(cols, target)
+    half = len(cols) // 2
+    a = Subspace.span(n, cols[:half] + targets[1:])
+    b = Subspace.span(n, cols[half:] + targets[:1])
+    assert a.intersect(b) == tracked_intersect(a, b)
