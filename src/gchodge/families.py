@@ -9,7 +9,7 @@ every derivative here is a formal polynomial derivative and stays exact.
 A family applies the operators of a single structure, with ParamPoly values
 in place of QI: the moving chain U_{<=p}(t) is the table of N built from the
 polynomial J(t) by `gcs._spinorial_N`, powered and projected with the same
-`_powers`, `_combine` and projector plan as `GCStruct`'s grading, J(t) of a
+`_powers`, `_combine` and projector plan as `GCStruct.decompose`, J(t) of a
 complex family is `gcs.complex_J` of I(t), d_H acts on sections through the
 model's d_H table, and the Mukai pairing of sections is `forms.mukai_pairing`.
 Griffiths transversality reads the base structure's closed forms in U_{<=p}

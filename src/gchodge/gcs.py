@@ -5,17 +5,14 @@ and the symplectic phi/delta machinery.
 The grading operator N is the image of J under so(E) = wedge^2 E inside the
 Clifford algebra, built as a table from the generator tables of E_C's
 coordinate basis (each sends a blade to at most one signed blade); U_k is
-its -ik eigenspace, realized exactly by Lagrange interpolation over the
-forced spectrum {-in, ..., in}.  N preserves form parity, so a blade of
-degree d has parts only in the U_k with k = d - n - parity (mod 2): each
-blade is projected with the n + 1 or n nodes of its own parity class, and
-N must satisfy that class's minimal polynomial on it.
-
-J is real (and so are H and the structure constants), so N is real and
-complex conjugation maps U_k onto U_{-k}: a blade's part in U_{-k} is the
-conjugate of its part in U_k, and U_{-k} = conj U_k, so only k >= 0 is
-computed.  The pure spinor is the basis vector of the line U_{-n}, checked
-to be annihilated by every element of L's basis.
+its -ik eigenspace over the forced spectrum {-in, ..., in}.  N preserves
+form parity, so U_k is ker(N + ik) on the blades of degree k + n + parity
+(mod 2).  J is real, so N is real and U_{-k} = conj U_k: only k >= 0 is
+computed, and N satisfies a parity class's minimal polynomial on its blades
+exactly when the dims of its nodes' kernels add up to their number.  Lagrange
+interpolation over N's powers splits a form into its parts (`decompose`).
+The pure spinor, the basis vector of the line U_{-n}, is checked to be
+annihilated by every element of L's basis.
 
 N is the sum of one operator per block of J, the finest partition of the
 generators (x_i and e^i as one index) that J does not couple, so U_k is the
@@ -167,10 +164,10 @@ def _ad_split(N: SpinOp, D: SpinOp) -> dict[int, SpinOp]:
 
 
 def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
-    """The nonzero parts {k: Vec} of a blade in the U_k of one parity class.
-    N must satisfy the class's minimal polynomial on the blade, or its
-    spectrum there leaves the class and the projections would be wrong.
-    N is real and the nodes are symmetric, so the Lagrange rows are combined
+    """The nonzero parts {k: Vec} of a blade in the U_k of one parity class,
+    which sum to the blade as the Lagrange rows sum to 1.  N must satisfy the
+    class's minimal polynomial on the blade, or the projections would be
+    wrong.  N is real and the nodes are symmetric, so the rows are combined
     for k >= 0 only and part_{-k} = conj(part_k)."""
     ks, minpoly, vand_inv = plan
     powers = _powers(N, {mask: ONE}, len(ks))
@@ -181,27 +178,16 @@ def _project_blade(N: SpinOp, mask: int, plan: tuple) -> dict[int, Vec]:
             blade=mask)
     upper = {k: _combine(row, powers)
              for k, row in zip(ks, vand_inv) if k >= 0}
-    parts: dict[int, Vec] = {}
-    total: Vec = {}
-    for k in ks:
-        comp = upper[k] if k >= 0 else vec_conj(upper[-k])
-        if comp:
-            parts[k] = comp
-            _axpy_into(total, ONE, comp)
-    if total != {mask: ONE}:
-        raise SpectrumViolation("eigenprojections do not resolve identity",
-                                blade=mask)
-    return parts
+    return {k: comp for k in ks
+            if (comp := upper[k] if k >= 0 else vec_conj(upper[-k]))}
 
 
 def _grade_block(N: SpinOp, n: int, masks, ambient: int) -> tuple[int, dict]:
-    """(cls, {k: U_k for 0 <= k <= n}) for the blades `masks`, which N
-    preserves and which include blade 0.  N preserves form parity, so a blade
-    of degree d has parts only in the U_k with k = d + cls (mod 2), where
-    blade 0 fixes cls as the class whose minimal polynomial kills it; one pass
-    of N-powers per blade, with the nodes of its class only, gives both the
-    spectrum check and the blade's parts, whose k >= 0 ones join the spans
-    as they come."""
+    """(cls, {k: U_k for 0 <= k <= n}) for the ascending blades `masks`, which
+    N preserves and which include blade 0, whose class's minimal polynomial
+    fixes cls: U_k is ker(N + ik) on the blades of degree k + cls (mod 2).
+    When the dims, those of k != 0 taken twice, fall short of a class's size,
+    the blades are projected one by one to name the first it does not kill."""
     head = _powers(N, {0: ONE}, n + 1)
     cls = next((c for c in (0, 1)
                 if not _combine(_projector_plan(n, c)[1], head)), None)
@@ -209,14 +195,23 @@ def _grade_block(N: SpinOp, n: int, masks, ambient: int) -> tuple[int, dict]:
         raise SpectrumViolation(
             "spinorial operator violates the forced spectrum "
             f"{{-i{n}..i{n}}} on blade 0", blade=0)
-    plans = [_projector_plan(n, c) for c in (0, 1)]
-    u_vecs: dict[int, list[Vec]] = {k: [] for k in range(n + 1)}
-    for mask in masks:
-        parts = _project_blade(N, mask, plans[(popcount(mask) + cls) % 2])
-        for k, comp in parts.items():
-            if k >= 0:
-                u_vecs[k].append(comp)
-    return cls, {k: Subspace.span(ambient, vecs) for k, vecs in u_vecs.items()}
+    classes = [[mask for mask in masks if popcount(mask) % 2 == p] for p in (0, 1)]
+    size, upper = [0, 0], {}
+    for k in range(n + 1):
+        part = classes[(k + cls) % 2]
+        cols = [dict(N.get(mask, ())) for mask in part]
+        for mask, col in zip(part, cols):
+            _acc(col, mask, QI(0, k))
+        upper[k] = Subspace(ambient, [{part[j]: x for j, x in v.items()}
+                                      for v in matrix_kernel(cols)])
+        size[(k + cls) % 2] += upper[k].dim * (2 if k else 1)
+    if size != [len(part) for part in classes]:
+        for mask in masks:
+            _project_blade(N, mask, _projector_plan(
+                n, (popcount(mask) + cls) % 2))
+        raise SpectrumViolation(
+            "spinorial operator does not keep the span of the block's blades")
+    return cls, upper
 
 
 def _blocks(J: Matrix, dim: int) -> list[list[int]]:

@@ -4,17 +4,16 @@ the kernel over the image of an operator.
 Vectors are dicts {coordinate index: QI} with zero entries absent.  A Subspace
 is stored in fully reduced column-echelon form (pivots ascending, pivot entry
 1, pivot coordinate eliminated from every other basis vector), so equal
-subspaces have literally identical bases.  Each result is normalised once:
-`Subspace.span`, `matrix_kernel` and `kernel_lift` (through a canonical basis)
-return canonical bases; `Subspace.intersect` lifts the reduction's kernel as
-it comes, since it normalises the meet anyway.
+subspaces have literally identical bases, and each result is normalised once.
 
-Every kernel, lift, intersection and solve, and every kernel over image of
-an operator (a cohomology), is read off one ordered column reduction,
-`reduce_columns`, which keeps its column operations: the cycles of its zero
-columns span the kernel, `solve` clears a target low by low, and
-`ColumnReduction`'s essential cycles represent the classes, one pass over a
-vector giving its class coordinates.
+A kernel (`matrix_kernel`; `kernel_lift` and `Subspace.intersect` lift one
+through a canonical basis) is read off the fully reduced `Echelon` of the
+map's rows, where each free column's vector is already canonical.  Every
+solve, and every kernel over image of an operator (a cohomology), is read
+off one ordered column reduction, `reduce_columns`, which keeps its column
+operations: `solve` clears a target low by low, and `ColumnReduction`'s
+essential cycles represent the classes, one pass over a vector giving its
+class coordinates.
 
 `Echelon`, the canonical basis accumulator, keys its rows by pivot and keeps
 an index of the rows holding each coordinate: a reduction visits only the
@@ -152,12 +151,8 @@ class Echelon:
         return ech
 
     def reduce(self, v: Vec) -> tuple[Vec, Vec]:
-        """Reduce v without inserting; returns (residual, row-coefficients).
-
-        The second entry maps the pivot of each basis row to the coefficient
-        with which that row occurs in v - residual: v's own entry there, by
-        ascending pivot.
-        """
+        """Reduce v without inserting: (residual, the coefficient of each
+        basis row in v - residual by ascending pivot, v's own entry there)."""
         return self._reduce(v)
 
     def _reduce(self, v: Vec) -> tuple[Vec, Vec]:
@@ -272,12 +267,9 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         # each kernel vector (x, y) of (x, y) -> sum x_j a_j + sum y_k b_k
-        # gives the meet vector sum x_j a_j: the reduction's cycles lifted
-        # along (a, 0) as they come, since span normalises them
-        zeros = [{} for _ in other._basis]
-        return Subspace.span(self.ambient, _lift(
-            reduce_columns(self._basis + other._basis)[1].values(),
-            self._basis + zeros))
+        # has its pivot among the a_j, so sum x_j a_j is canonical
+        return Subspace(self.ambient, kernel_lift(
+            self._basis + other._basis, self._basis + [{}] * other.dim))
 
     def conj(self) -> "Subspace":
         """Entrywise conjugation keeps pivots and pivot entries 1 and zeros
@@ -341,18 +333,31 @@ def solve(lows: Lows, v: Vec) -> Vec | None:
 
 
 def matrix_kernel(cols: list[Vec]) -> list[Vec]:
-    """Kernel of the map sending the j-th unit vector to cols[j]: the span
-    of the reduction's cycles, as canonical coefficient vectors (dicts over
-    column indices)."""
-    return Subspace.span(len(cols), reduce_columns(cols)[1].values())._basis
+    """Kernel of the map sending the j-th unit vector to cols[j], as
+    canonical coefficient vectors (dicts over column indices).  With columns
+    numbered from the right, each row of the reduced echelon of the map's
+    rows has its largest column as pivot, so the vector of a free column f
+    is 1 at f, zero at the other free ones and -row[f] at each row's pivot."""
+    last = len(cols) - 1
+    rows: dict = defaultdict(dict)
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][last - j] = x
+    ech = Echelon()
+    for row in rows.values():
+        ech.insert(row)
+    kernel = {f: {f: ONE} for f in range(len(cols)) if last - f not in ech._rows}
+    for p, row in ech._rows.items():
+        for q, x in row.items():
+            if q != p:
+                kernel[last - q][last - p] = -x
+    return list(kernel.values())
 
 
 def kernel_lift(images: list[Vec], basis: list[Vec]) -> list[Vec]:
     """Kernel of the map sending basis[j] to images[j], as combinations of
-    the basis vectors, one per canonical kernel vector of the images.
-    Canonical through a canonical basis: a lifted vector's pivot is its
-    combination's leading basis vector's, so pivots ascend, and it is 1
-    there and 0 at the other lifted pivots, as the combinations are."""
+    the basis vectors; canonical through a canonical basis, as each lifted
+    vector is 1 at its leading basis vector's pivot and 0 at the others'."""
     return _lift(matrix_kernel(images), basis)
 
 

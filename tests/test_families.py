@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from gchodge.cohomology import twisted_cohomology
-from gchodge.errors import EngineError, GraphConditionFailed, SectionNotClosed
+from gchodge.errors import (EngineError, ExtensionFailed, GraphConditionFailed,
+                            SectionNotClosed)
 from gchodge.courant import _generator_tables
 from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
                               _graded_span_poly, family_validate, gcy_check,
@@ -323,6 +324,27 @@ def test_extend_section_tracks_moving_filtration():
     want = f.omega_t.scale(I).exp()
     half = (QI(Fraction(1, 2)),)
     assert form_eval(s_poly, half) == form_eval(want, half)
+
+def test_extension_corrects_by_the_d_H_solve_on_a_non_closed_chain(
+        monkeypatch):
+    # on kt (d e4 = e12) the chain spanned by e3 + t e4 and e4 + t e3 is not
+    # closed: extending e3 along the first form leaves d_H = t e12, which the
+    # solve over the chain's d_H images at t = 0 cancels with -t (e4 + t e3)
+    from gchodge import families
+    f = FamilySpec(KT, "general", 1)
+    t = ParamPoly.var(1, 0)
+    e3, e4 = poly_form(Form.blade(4, [3]), 1), poly_form(Form.blade(4, [4]), 1)
+    span = [e3 + e4.scale(t), e4 + e3.scale(t)]
+    monkeypatch.setattr(families, "_graded_span_poly", lambda f, p: span)
+    s_poly = _extend_in_chain(f, _chain_span(f, 0), Form.blade(4, [3]))
+    assert s_poly == e3.scale(ParamPoly.const(1, ONE) - t * t)
+    assert not dH_poly(KT, span[0]).is_zero()
+    assert dH_poly(KT, s_poly).is_zero()
+    # without the second form, d_H of the first leaves the chain's image
+    span.pop()
+    with pytest.raises(ExtensionFailed, match="leaves the image of d_H"):
+        _extend_in_chain(f, _chain_span(f, 0), Form.blade(4, [3]))
+
 
 def test_transversality_scaling_family():
     f = scaling_family(samples=[(QI(Fraction(1, 2)),)])

@@ -5,11 +5,14 @@ import io
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gchodge import gcs
 from gchodge.cohomology import delbar_dims, twisted_cohomology
@@ -18,16 +21,17 @@ from gchodge.errors import (DegenerateOmega, EngineError, NotAlmostComplex,
                             NotIntegrable, NotOrthogonal, SpectrumViolation,
                             TwistWrongType, WrongType)
 from gchodge.forms import Form, SpinOp, mukai_pairing, popcount, spin_apply
-from gchodge.gcs import (GCStruct, _blocks, _grade_block, _project_blade,
-                         _projector_plan, form_of_vec, make_complex,
+from gchodge.gcs import (GCStruct, _blocks, _combine, _grade_block, _powers,
+                         _project_blade, _projector_plan, _spinorial_N,
+                         complex_J, flat_matrix, form_of_vec, make_complex,
                          make_general, make_symplectic, symp_delta, symp_phi)
 from gchodge.liemodel import LieModel, _mask_indices
 from gchodge.linalg import (Subspace, Vec, _axpy_into, kernel_lift, mat_inv,
-                            vec_axpy, vec_conj, vec_scale)
+                            mat_mul, vec_axpy, vec_conj, vec_scale)
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import Half, I, ONE, QI
 
-from test_linalg import mat_identity
+from test_linalg import KERNEL_EXAMPLES, mat_identity
 
 
 ABELIAN4 = LieModel(4, [], name="torus4")
@@ -425,10 +429,95 @@ def test_repeated_blocks_are_graded_once(monkeypatch):
     assert_grading_matches_reference("torus8", s)
 
 
-def test_grading_matches_reference_on_dense_model():
-    s = build_main(dense_model_text("torus6-complex", 1), "dense")
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name",
+                         ["kt-twisted", "torus6-complex", "torus6-symplectic"])
+def test_grading_matches_reference_on_dense_model(name, seed):
+    s = build_main(dense_model_text(name, seed), f"dense {name}")
     assert any(len(col) > 1 for col in s.N.values())
-    assert_grading_matches_reference("dense", s)
+    assert_grading_matches_reference(name, s)
+
+
+def project_blades(N, n, masks, ambient):
+    """_grade_block's (cls, {k: U_k for 0 <= k <= n}) by the per-blade
+    kernel: every blade through _project_blade with the plan of its class,
+    blade 0 fixing cls, and the k >= 0 parts spanned."""
+    plans = [_projector_plan(n, c) for c in (0, 1)]
+    cls = 0 if not _combine(plans[0][1], _powers(N, {0: ONE}, n + 1)) else 1
+    u_vecs = {k: [] for k in range(n + 1)}
+    for mask in masks:
+        parts = _project_blade(N, mask, plans[(popcount(mask) + cls) % 2])
+        for k, comp in parts.items():
+            if k >= 0:
+                u_vecs[k].append(comp)
+    return cls, {k: Subspace.span(ambient, vecs) for k, vecs in u_vecs.items()}
+
+
+def block_matrix(a, b, c, d):
+    """[[a, b], [c, d]] from four square blocks."""
+    return ([ra + rb for ra, rb in zip(a, b)]
+            + [rc + rd for rc, rd in zip(c, d)])
+
+
+def neg(a):
+    return [[-x for x in row] for row in a]
+
+
+@st.composite
+def one_block_J(draw):
+    """A real J of one block at dim 4 or 6: the standard symplectic or complex
+    J conjugated by A + A^{-T} for a rational A = L U with unit triangular
+    L, U and nonzero entries off the diagonal, then by a B-shift."""
+    dim = draw(st.sampled_from((4, 6)))
+    entry = st.sampled_from([QI(Fraction(a, b)) for a in (1, -1, 2, -2, 3)
+                             for b in (1, 2)])
+    zero, one = [[QI(0)] * dim for _ in range(dim)], mat_identity(dim)
+    L, U = mat_identity(dim), mat_identity(dim)
+    for i in range(dim):
+        for j in range(i):
+            L[i][j], U[j][i] = draw(entry), draw(entry)
+    A = mat_mul(L, U)
+    Ai = mat_inv(A)
+    if draw(st.booleans()):
+        J0 = complex_J(std_I(dim))
+    else:
+        W = flat_matrix(torus_omega(dim))
+        J0 = block_matrix(zero, neg(mat_inv(W)), W, zero)
+    MB = flat_matrix(Form(dim, {
+        mask: QI(c) for mask in range(1 << dim)
+        if popcount(mask) == 2 and (c := draw(st.integers(-2, 2)))}))
+    # J = e^B M J0 M^{-1} e^{-B} with M = A + A^{-T}
+    J = reduce(mat_mul, [
+        block_matrix(one, zero, MB, one),
+        block_matrix(A, zero, zero, [list(r) for r in zip(*Ai)]), J0,
+        block_matrix(Ai, zero, zero, [list(r) for r in zip(*A)]),
+        block_matrix(one, zero, neg(MB), one)])
+    assume(len(_blocks(J, dim)) == 1)
+    return dim, J
+
+
+# a quarter of the kernel budget: each example projects up to 64 dense
+# blades one by one for the reference
+@settings(max_examples=KERNEL_EXAMPLES // 4, deadline=None, derandomize=True,
+          database=None)
+@given(one_block_J())
+def test_grade_block_matches_per_blade_projection_on_random_J(dim_J):
+    dim, J = dim_J
+    gcs._validate_J(LieModel(dim, []), J)
+    N, n, masks = _spinorial_N(dim, J), dim // 2, range(1 << dim)
+    assert _grade_block(N, n, masks, 1 << dim) == project_blades(
+        N, n, masks, 1 << dim)
+
+
+def test_valid_block_takes_powers_of_blade_0_only(monkeypatch):
+    s = build_main(dense_model_text("torus6-complex", 1), "dense")
+    N, starts = s.N, []
+    monkeypatch.setattr(gcs, "_powers", lambda N, start, count:
+                        starts.append(start) or _powers(N, start, count))
+    cls, upper = _grade_block(N, 3, range(64), 64)
+    assert starts == [{0: ONE}]
+    assert upper == {k: s.U[k] for k in range(4)}
+    assert (s.parity - s.n) % 2 == cls
 
 
 def test_blade_outside_its_parity_class_raises_naming_it():
@@ -454,6 +543,19 @@ def test_block_violation_names_the_blade_on_the_model():
     with pytest.raises(SpectrumViolation, match=r"on blade 4\b") as exc:
         _grade_block(N, 2, [mask << 2 for mask in range(16)], 1 << 6)
     assert exc.value.details == {"blade": 4}
+
+
+def test_defective_in_range_eigenvalue_raises_naming_its_blade():
+    # N e_3 = e_5 and N e_5 = 0 on the even blades of a block with n = 2:
+    # the eigenvalue 0 is in the class {-2i, 0, 2i} but N is not
+    # diagonalisable there, so ker N on the even blades is one short of
+    # them; the odd blades rotate in pairs with eigenvalues -i and i
+    N = {3: {5: ONE}}
+    for a, b in ((1, 2), (4, 7), (8, 11), (13, 14)):
+        N[a], N[b] = {b: ONE}, {a: -ONE}
+    with pytest.raises(SpectrumViolation, match=r"on blade 3\b") as exc:
+        _grade_block(N, 2, range(16), 1 << 4)
+    assert exc.value.details == {"blade": 3}
 
 
 def test_blocks_of_J():
