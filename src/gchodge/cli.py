@@ -6,12 +6,11 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cohomology import (ddbar_check, delbar_dims, frolicher_pages,
                          hodge_filtration, invariant_derham, lefschetz_check,
@@ -420,30 +419,79 @@ def run_file(command: str, path: Path, args) -> tuple[int, str]:
     return (1 if report.failed else 0), report.render(args.json, args.quiet)
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing keeps no state
-    in it, so repeated `main` calls share it."""
-    ap = argparse.ArgumentParser(
-        prog="gchodge",
-        description="Exact generalized-complex Hodge checks on invariant models")
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("target", help=".gcm file (or directory with --all)")
-    ap.add_argument("--json", action="store_true", help="structured output")
-    ap.add_argument("--quiet", action="store_true", help="verdict lines only")
-    ap.add_argument("--all", action="store_true",
-                    help="process every .gcm file under the target directory")
-    ap.add_argument("--at", default="",
-                    help="evaluate families at t1=r[,t2=s...]")
-    return ap
+USAGE = ("usage: gchodge [-h] [--json] [--quiet] [--all] [--at AT] "
+         "command target")
+HELP = f"""{USAGE}
+
+Exact generalized-complex Hodge checks on invariant models
+
+positional arguments:
+  command     one of {", ".join(COMMANDS)}
+  target      .gcm file (or directory with --all)
+
+options:
+  -h, --help  show this help message and exit
+  --json      structured output
+  --quiet     verdict lines only
+  --all       process every .gcm file under the target directory
+  --at AT     evaluate families at t1=r[,t2=s...]"""
+FLAGS = ("--json", "--quiet", "--all")
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | int:
+    """The command line `<command> <target> [--json] [--quiet] [--all]
+    [--at VALUE | --at=VALUE]`, options anywhere, as a namespace; or the
+    exit code when there is nothing to run: 0 after printing the help for
+    -h/--help, 2 after a usage error on stderr."""
+    args = SimpleNamespace(json=False, quiet=False, all=False, at=None)
+    pos = []
+    it = iter(argv)
+    for tok in it:
+        if tok in ("-h", "--help"):
+            print(HELP)
+            return 0
+        if tok in FLAGS:
+            setattr(args, tok[2:], True)
+            continue
+        if tok == "--at":
+            value = next(it, None)
+            if value is None or value.startswith("-"):
+                return _usage_error("argument --at: expected one argument")
+        elif tok.startswith("--at="):
+            value = tok[5:]
+        elif tok.startswith("-") and tok != "-":
+            return _usage_error(f"unrecognized argument {tok!r}")
+        else:
+            pos.append(tok)
+            continue
+        if args.at is not None:
+            return _usage_error("argument --at: given more than once")
+        args.at = value
+    if len(pos) < 2:
+        missing = ("command, target", "target")[len(pos)]
+        return _usage_error(f"the following arguments are required: {missing}")
+    if len(pos) > 2:
+        return _usage_error(f"unrecognized argument {pos[2]!r}")
+    args.command, args.target = pos
+    if args.command not in COMMANDS:
+        return _usage_error(f"invalid command {args.command!r} (choose from "
+                            f"{', '.join(COMMANDS)})")
+    return args
+
+
+def _usage_error(reason: str) -> int:
+    print(f"{USAGE}\ngchodge: error: {reason}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):
+        return args
     target = Path(args.target)
     try:
-        args.at_values = _parse_at(args.at) if args.at else {}
-        if args.at and args.command != "family":
+        args.at_values = {} if args.at is None else _parse_at(args.at)
+        if args.at is not None and args.command != "family":
             raise ModelSyntaxError(
                 f"--at applies to the family command only, not {args.command}")
     except ModelSyntaxError as e:

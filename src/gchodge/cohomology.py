@@ -27,10 +27,11 @@ algebroid:
 A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H;
 so is the bigraded direct sum of a generalized Kaehler pair.
 The delbar cohomology is a reduction of its own and the del-delbar verdict
-keeps its own subspace pipeline, so that E_1 = H_delbar and "del-delbar <=>
-degeneration + Hodge filtration" stay cross-checks and are not true by
-construction.  The bigraded engines reject a structure whose d_H has parts
-beyond del and delbar.
+keeps its own subspace pipeline (the images of del, delbar and del delbar,
+and the kernels of delbar on Im del and of del on Im delbar), so that
+E_1 = H_delbar and "del-delbar <=> degeneration + Hodge filtration" stay
+cross-checks and are not true by construction.  The bigraded engines reject
+a structure whose d_H has parts beyond del and delbar.
 """
 
 from __future__ import annotations
@@ -290,13 +291,13 @@ def ddbar_check(s: GCStruct) -> DdbarReport:
     N = 1 << s.model.dim
     full = Subspace.full(N)
     del_, delbar = _integrable_parts(s)
-    ker_del = _preimage_in(full, del_)
-    ker_dbar = _preimage_in(full, delbar)
     im_del = _image_of(full, del_)
     im_dbar = _image_of(full, delbar)
     im_dd = _image_of(im_dbar, del_)
-    A = im_del.intersect(ker_dbar)
-    B = im_dbar.intersect(ker_del)
+    # Im del cap Ker delbar and Im delbar cap Ker del, as the kernels of
+    # delbar on Im del and of del on Im delbar
+    A = _preimage_in(im_del, delbar)
+    B = _preimage_in(im_dbar, del_)
     holds = A == B == im_dd
     witness = None
     if not holds:
@@ -492,14 +493,40 @@ def _mukai_rows(dim: int, left: list[Vec], right: list[Vec]) -> list[Vec]:
     for j, b in enumerate(right):
         for k, y in b.items():
             index.setdefault(k, {})[j] = y
-    out = []
-    for a in left:
-        row: Vec = {}
-        for k, x in mukai_dual(dim, a).items():
-            if k in index:
-                _axpy_into(row, x, index[k])
-        out.append(row)
-    return out
+    return [_mukai_row(dim, a, index) for a in left]
+
+
+def _mukai_row(dim: int, a: Vec, index: dict[int, Vec]) -> Vec:
+    row: Vec = {}
+    for k, x in mukai_dual(dim, a).items():
+        if k in index:
+            _axpy_into(row, x, index[k])
+    return row
+
+
+def _pairs_off_opposite(dim: int, blocks: dict[int, list[Vec]]):
+    """For each vector a of each blocks[k], its nonzero Mukai pairings with
+    the vectors of the blocks l >= k with l != -k, as a row by position
+    (`_mukai_rows` over an index that grows by block).  On a 2n-dimensional
+    model (b, a) = (-1)^n (a, b), so these rows are zero exactly when every
+    pair of blocks with k + l != 0 pairs to zero."""
+    index: dict[int, Vec] = {}
+    entries = {}    # block -> its (coordinate, position, entry) triples
+    pos = 0
+    for k in sorted(blocks, reverse=True):
+        entries[k] = []
+        for b in blocks[k]:
+            for c, y in b.items():
+                index.setdefault(c, {})[pos] = y
+                entries[k].append((c, pos, y))
+            pos += 1
+        out = entries.get(-k, ())      # present from k = 0 down
+        for c, j, _y in out:
+            del index[c][j]
+        for a in blocks[k]:
+            yield _mukai_row(dim, a, index)
+        for c, j, y in out:
+            index[c][j] = y
 
 
 def mukai_Q(s: GCStruct) -> MukaiQReport:
@@ -520,16 +547,11 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
         and not any(_mukai_rows(m.dim, reps, exact))
     nondeg = Subspace.span(len(reps), rows).dim == len(reps)
 
-    # the grading blocks pair only across opposite degrees
-    n = s.n
-    closed, degree = [], []
-    for k in range(-n, n + 1):
-        for v in _preimage_in(s.U_subspace(k), dH).basis():
-            closed.append(v)
-            degree.append(k)
-    orth = all(degree[i] + degree[j] == 0
-               for i, row in enumerate(_mukai_rows(m.dim, closed, closed))
-               for j in row)
+    # the grading blocks pair only across opposite degrees: the closed forms
+    # of each U_k against those of every U_l with l != -k
+    closed = {k: _preimage_in(s.U_subspace(k), dH).basis()
+              for k in range(-s.n, s.n + 1)}
+    orth = not any(_pairs_off_opposite(m.dim, closed))
 
     # measured sign in the integration-by-parts identity, on blade pairs
     blades = [{b: ONE} for b in range(N)]

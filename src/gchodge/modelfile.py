@@ -16,7 +16,7 @@ from .errors import (DimensionOdd, DimensionTooLarge, EngineError,
 from .forms import Form, blade_name, popcount
 from .liemodel import LieModel
 from .poly import ParamPoly, PolyMatrix, form_eval, pmat_eval
-from .scalars import ONE, QI, format_qi
+from .scalars import I, ONE, QI, format_qi
 
 _NUM = re.compile(r"^(-?\d+)(?:/(\d+))?(i?)$")
 _GEN = re.compile(r"^e(\d+)$")
@@ -50,44 +50,47 @@ def _parse_scalar(tok: str, lno: int | None) -> QI:
     m = _NUM.match(tok)
     if not m:
         raise ModelSyntaxError(f"bad rational literal {tok!r}", lno)
-    num = int(m.group(1))
-    den = int(m.group(2) or 1)
-    if den == 0:
-        raise ModelSyntaxError(f"zero denominator in {tok!r}", lno)
-    val = Fraction(num, den)
-    return QI(0, val) if m.group(3) else QI(val)
+    num, den, im = m.groups()
+    val = int(num)
+    if den is not None:
+        d = int(den)
+        if not d:
+            raise ModelSyntaxError(f"zero denominator in {tok!r}", lno)
+        val = Fraction(val, d)
+    return QI(0, val) if im else QI(val)
 
 
 def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
     """Sum of terms; a term multiplies rational/i literals, t-monomials and
-    one optional blade chain e_a^e_b^...; the coefficients are ParamPoly."""
-    out = Form(dim)
+    one optional blade chain e_a^e_b^... (of several, the last counts); the
+    coefficients are ParamPoly.
+
+    One pass: a term is one monomial c t^e on one blade, folded into a dict
+    by blade mask and exponent tuple; a sum that cancels drops its entry,
+    and one Form is built at the end."""
+    acc: dict[int, dict[tuple, QI]] = {}
     txt = text.replace("^", " ^ ").replace("-", " + -1 * ").replace("+", " + ")
     for chunk in txt.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk or chunk.isspace():
             continue
-        coeff = ParamPoly.const(nvars, ONE)
-        blade_mask = None
-        blade_sign = 1
-        factors = [f for f in chunk.replace("*", " ").split() if f]
+        factors = chunk.replace("*", " ").split()
+        n = len(factors)
+        c = ONE
+        expt = [0] * nvars
+        mask, sign = 0, 1       # sign 0: a blade chain repeats a generator
         i = 0
-        while i < len(factors):
+        while i < n:
             tok = factors[i]
-            if tok == "0" and len(factors) == 1:
-                coeff = ParamPoly(nvars)
-                i += 1
-                continue
+            i += 1
             if tok == "i":
-                coeff = coeff.scale(QI(0, 1))
-                i += 1
+                c = c * I
                 continue
             gm = _GEN.match(tok)
             if gm:
-                # consume a blade chain e_a ^ e_b ^ ...
+                # a blade chain e_a ^ e_b ^ ...: generators in range, then
+                # the sign of sorting them, as Form.blade takes it
                 idxs = [int(gm.group(1))]
-                i += 1
-                while i + 1 < len(factors) and factors[i] == "^":
+                while i + 1 < n and factors[i] == "^":
                     g2 = _GEN.match(factors[i + 1])
                     if not g2:
                         raise ModelSyntaxError(
@@ -95,45 +98,52 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
                             lno)
                     idxs.append(int(g2.group(1)))
                     i += 2
+                mask, sign = 0, 1
                 for k in idxs:
                     if not 1 <= k <= dim:
                         raise UnknownGenerator(f"generator e{k} exceeds dim {dim}",
                                                lno)
-                bl = Form.blade(dim, idxs)
-                if bl.is_zero():
-                    blade_mask, blade_sign = None, 0
-                else:
-                    ((blade_mask, c),) = bl.coeffs.items()
-                    blade_sign = 1 if c == ONE else -1
+                    bit = 1 << (k - 1)
+                    if mask & bit:
+                        sign = 0
+                    elif (mask >> k).bit_count() & 1:
+                        sign = -sign
+                    mask |= bit
                 continue
             vm = _VAR.match(tok)
-            if vm and int(vm.group(1)) <= nvars:
-                j = int(vm.group(1))
-                power = 1
-                i += 1
-                if i + 1 < len(factors) and factors[i] == "^" \
-                        and factors[i + 1].isdigit():
-                    power = int(factors[i + 1])
-                    i += 2
-                for _ in range(power):
-                    coeff = coeff * ParamPoly.var(nvars, j - 1)
-                continue
             if vm:
-                raise UnknownGenerator(
-                    f"parameter {tok!r} exceeds variable count {nvars}", lno)
-            nm = _NUM.match(tok)
-            if nm:
-                coeff = coeff.scale(_parse_scalar(tok, lno))
-                i += 1
+                j = int(vm.group(1))
+                if not 1 <= j <= nvars:
+                    raise UnknownGenerator(
+                        f"parameter {tok!r} exceeds variable count {nvars}"
+                        if j else f"parameter {tok!r}: parameters start at t1",
+                        lno)
+                if i + 1 < n and factors[i] == "^" \
+                        and factors[i + 1].isdecimal():
+                    expt[j - 1] += int(factors[i + 1])
+                    i += 2
+                else:
+                    expt[j - 1] += 1
+                continue
+            if _NUM.match(tok):
+                c = c * _parse_scalar(tok, lno)
                 continue
             raise ModelSyntaxError(f"unexpected token {tok!r}", lno)
-        if blade_sign == 0:
+        if not (c and sign):
             continue
-        if blade_sign < 0:
-            coeff = coeff.scale(QI(-1))
-        mask = blade_mask if blade_mask is not None else 0
-        out = out + Form(dim, {mask: coeff})
-    return out
+        if sign < 0:
+            c = -c
+        e = tuple(expt)
+        terms = acc.setdefault(mask, {})
+        t = terms.get(e)
+        t = c if t is None else t + c
+        if t:
+            terms[e] = t
+        else:
+            del terms[e]
+            if not terms:
+                del acc[mask]
+    return Form(dim, {m: ParamPoly(nvars, t) for m, t in acc.items()})
 
 
 def _parse_matrix(text: str, size: int, nvars: int, lno: int) -> PolyMatrix:

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -112,9 +112,8 @@ def test_at_flag_family_evaluation():
     assert code == 0 and "at t1=1/4" in out
 
 def test_repeated_main_calls_share_no_state():
-    """`main` reuses one argument parser per process, so an `--at` given to
-    one call must not reach the next: the second call answers as a fresh
-    process does."""
+    """An `--at` given to one `main` call must not reach the next: the
+    second call answers as a fresh process does."""
     f = str(CORPUS / "torus4-kahler.gcm")
     code, _out = run_cli("family", f, "--at", "t1=1", "--quiet")
     assert code == 0
@@ -141,12 +140,18 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
                     b"variables = %s\n"
                     b"I = 0, 1, 0, 0; -1, 0, 0, 0; 0, 0, 0, 1; 0, 0, -1, 0\n")
 
+# a structure block whose omega names a family parameter: bad input to a
+# command that builds the block, and unread by one that builds only families
+OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
+            b"omega = 1 e1^e2 + 1 e3^e4 + 1 t1 e1^e2\n")
+
 @pytest.mark.parametrize("argv, files, code, expect", [
     (["family", FAMILY, "--at", "x"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at", "t1=1/0"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at", "tabc=1"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at", "t0=1"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at", "t5=1"], {}, 2, "syntax-error"),
+    (["family", FAMILY, "--at="], {}, 2, "syntax-error: bad --at entry ''"),
     (["check", "bad.gcm"], {"bad.gcm": b"dim = 4\nH = 0 # \xff\xfe\n"},
      2, "read input"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[complex c]\n"},
@@ -187,14 +192,20 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
      "dimension-too-large: dimension 40 exceeds the maximum 14"),
     (["cohomology", "m.gcm"], {"m.gcm": b"dim = 40\nH = 0\n"}, 2,
      "dimension-too-large"),
+    (["check", "m.gcm"], {"m.gcm": OMEGA_T1}, 2,
+     "unknown-generator: parameter 't1' exceeds variable count 0 (line 5"),
+    (["family", "m.gcm"], {"m.gcm": OMEGA_T1}, 0, "== family m.gcm"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 1 t0 e1^e2^e3\n"}, 2,
+     "unknown-generator: parameter 't0': parameters start at t1 (line 2"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
-        "at-out-of-range", "non-utf8", "complex-without-I",
+        "at-out-of-range", "at-empty", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
         "family-without-variables", "family-zero-variables",
         "family-negative-variables", "check-at-x", "family-without-block-at-x",
         "at-repeated", "hodge-at", "at-without-family", "negative-samples",
         "gk-first-missing", "gk-first-fails-to-build", "all-without-gcm-files",
-        "check-dim-40", "cohomology-dim-40"])
+        "check-dim-40", "cohomology-dim-40", "check-omega-with-t1",
+        "family-omega-with-t1", "check-H-with-t0"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
@@ -205,7 +216,10 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     a structure that does not exist fails its check (exit 1) and names only
     that structure, and one naming a structure that fails to build reports
     that build's error.  An --at value comes from the command line, so its
-    report line gives no model-file position."""
+    report line gives no model-file position.  A command parses only the
+    blocks it builds: `family` never reads a [symplectic] block, so a
+    parameter in its omega is bad input to `check` alone.  A `t0` names no
+    parameter (they start at t1) and is bad input too."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     proc = subprocess.run([sys.executable, "-m", "gchodge.cli", *argv],
@@ -304,3 +318,57 @@ def test_structure_results_computed_once(monkeypatch):
     assert code == 0
     checked = calls["ddbar_check"]
     assert checked and len({id(s) for s in checked}) == len(checked)
+
+
+def run_cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "gchodge", *argv],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0(flag):
+    proc = run_cli_process("check", flag)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gchodge") and not proc.stderr
+    assert "--at AT" in proc.stdout and "emit" in proc.stdout
+
+
+KT = str(CORPUS / "kt.gcm")
+
+@pytest.mark.parametrize("argv, reason", [
+    (["bogus", KT], "invalid command 'bogus'"),
+    (["check"], "the following arguments are required: target"),
+    ([], "the following arguments are required: command, target"),
+    (["check", KT, "extra"], "unrecognized argument 'extra'"),
+    (["check", KT, "--bogus"], "unrecognized argument '--bogus'"),
+    (["check", KT, "--js"], "unrecognized argument '--js'"),
+    (["check", "--json=1", KT], "unrecognized argument '--json=1'"),
+    (["family", KT, "--at"], "argument --at: expected one argument"),
+    (["family", KT, "--at", "--json"], "argument --at: expected one argument"),
+    (["family", KT, "--at", "t1=1", "--at=t1=2"],
+     "argument --at: given more than once"),
+], ids=["unknown-command", "one-positional", "no-positional",
+        "three-positionals", "bogus-option", "abbreviation", "flag-value",
+        "trailing-at", "at-without-value", "at-twice"])
+def test_bad_argument_list_exits_2(argv, reason):
+    """A bad argument list exits 2 with the usage line and a reason naming
+    the token on stderr, and nothing on stdout; options are never
+    abbreviated.  Called in process, `main` returns the 2 instead of
+    raising SystemExit."""
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: gchodge")
+    assert f"gchodge: error: {reason}" in proc.stderr
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == proc.stderr
+
+
+def test_options_go_anywhere():
+    f = str(CORPUS / "torus4-symplectic.gcm")
+    want = run_cli("family", f, "--at", "t1=1/4", "--quiet")
+    assert want[0] == 0
+    assert run_cli("--quiet", "family", "--at=t1=1/4", f) == want

@@ -27,6 +27,7 @@ from gchodge.cohomology import invariant_derham, twisted_cohomology
 from gchodge.modelfile import parse_model
 
 from test_cohomology import (assert_closed_in_chain_matches_reference,
+                             assert_ddbar_matches_reference,
                              assert_filtrations_match_reference)
 from test_gcs import (assert_dH_parts_match_shift_tables,
                       assert_grading_matches_reference, build_main)
@@ -98,6 +99,11 @@ def test_dim10_complex_torus_hodge_filtration_matches_reference():
 
 def test_dim10_kt_grading_matches_reference():
     assert_grading_matches_reference("kt10", build_main(load("kt10"), "kt10"))
+
+
+@pytest.mark.parametrize("name", sorted(BETTI))
+def test_dim10_ddbar_matches_reference(name):
+    assert_ddbar_matches_reference(build_main(load(name), name), name)
 
 
 def test_dim10_kt_closed_in_chain_matches_reference():
