@@ -14,8 +14,9 @@ complex family is `gcs.complex_J` of I(t), d_H acts on sections through the
 model's d_H table, and the Mukai pairing of sections is `forms.mukai_pairing`.
 Griffiths transversality reads the base structure's closed forms in U_{<=p}
 and U_{<=p+2} off the same d_H reduction as its Hodge filtration
-(`cohomology.closed_in_chain`), and the classes in Gr_F^p and Gr_F^{p+2} off
-its Hodge flags (`cohomology.graded_coords`).
+(`cohomology.closed_in_chain`), the classes in Gr_F^p and Gr_F^{p+2} off
+its Hodge flags (`cohomology.graded_coords`), and the window H^{p-2} + H^p +
+H^{p+2} as F^{p+2} cap conj(F^{2-p}), also off those flags.
 
 Polynomial sections are `Form`s with ParamPoly coefficients: they wedge,
 contract and exponentiate through `Form` itself, and `poly` supplies their
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import (closed_classes, closed_in_chain, ddbar_check,
-                         delbar_coords, delbar_dims, filtration_subspace,
-                         graded_coords, invariant_derham, lefschetz_check,
+from .cohomology import (closed_in_chain, ddbar_check, delbar_coords,
+                         delbar_dims, filtration_subspace, graded_coords,
+                         invariant_derham, lefschetz_check,
                          twisted_cohomology)
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
@@ -413,8 +414,8 @@ class QFlatReport:
 def _section_is_flat(f: FamilySpec, s: Form) -> bool:
     """Gauss-Manin flat: every parameter derivative is d_H-exact, identically
     in t (tested monomial-by-monomial)."""
-    exact = Subspace.span(1 << f.model.dim, f.model.dH_table.values())
-    return all(exact.contains(slice_form.coeffs)
+    tw = twisted_cohomology(f.model)
+    return all(tw.coords(slice_form.coeffs) == {}
                for j in range(f.nvars)
                for slice_form in monomial_slices(form_diff(s, j)).values())
 
@@ -695,9 +696,9 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     n_closed2 = len(lift_cols)
     lift_lows = reduce_columns(lift_cols + dbar_cols)[0]
 
-    win = Subspace.span(1 << m.dim, [v for j in (p - 2, p, p + 2)
-                                     for v in base.U_subspace(j).basis()])
-    win_coords = closed_classes(base, win, parity)
+    # H^(p-2) + H^p + H^(p+2) under the del-delbar lemma
+    win_coords = filtration_subspace(base, p + 2).intersect(
+        filtration_subspace(base, 2 - p).conj())
 
     induced = []
     kactions = []

@@ -21,7 +21,7 @@ from .errors import (EngineError, MetricNotPositive, NotADecomposition,
 from .families import FamilySpec, ks_class
 from .forms import SpinOp, _compose, _table_combine
 from .gcs import GCStruct, _ad_split, form_of_vec, pairing_gram
-from .liemodel import LieAlgebroid
+from .liemodel import LieAlgebroid, bracket_chains, chain_columns
 from .linalg import Subspace, Vec, mat_det, mat_mul, vec_add, vec_conj
 from .scalars import ONE, QI
 
@@ -280,15 +280,15 @@ class SplitCheckReport:
                 f"{'holds' if self.anticommute_ok else 'FAILS'}"]
 
 
-def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid,
-                          A2: LieAlgebroid) -> SplitCheckReport:
-    """Verify the bigraded differential identities for a decomposition
-    A = A1 + A2 of the algebroid L (same ambient span required), on every
-    nonzero cochain mask."""
-    dim = L.ambient.dim
-    span_L = Subspace.span(2 * dim, L.basis)
-    span_12 = Subspace.span(2 * dim, A1.basis + A2.basis)
-    if span_L != span_12 or A1.rank + A2.rank != L.rank:
+def split_chains(L: LieAlgebroid, A1: LieAlgebroid,
+                 A2: LieAlgebroid) -> tuple[LieAlgebroid, list, list]:
+    """(A, d_A1, d_A2) for a decomposition A = A1 + A2 of the algebroid L,
+    A on the bases of A1 and A2: of A's bracket entries (i, j, m, c), i < j,
+    d_A1 takes those with an even number of i, j, m in A2, d_A2 the rest."""
+    ambient = 2 * L.ambient.dim
+    if (Subspace.span(ambient, L.basis)
+            != Subspace.span(ambient, A1.basis + A2.basis)
+            or A1.rank + A2.rank != L.rank):
         raise NotADecomposition("A1 + A2 does not decompose L")
     try:
         combined = algebroid_from_basis(L.ambient, A1.basis + A2.basis,
@@ -296,50 +296,31 @@ def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid,
     except (NotClosedUnderBracket, NotIsotropic) as e:
         raise NotADecomposition(str(e)) from e
     r1 = A1.rank
-    rank = combined.rank
-    full = combined.bracket_table
-    # check the sub-brackets stay in their own factors
-    for i in range(rank):
-        for j in range(rank):
-            both1 = i < r1 and j < r1
-            both2 = i >= r1 and j >= r1
-            if both1 and any(full[i][j][r1:]):
-                raise NotADecomposition("[A1, A1] leaks into A2")
-            if both2 and any(full[i][j][:r1]):
-                raise NotADecomposition("[A2, A2] leaks into A1")
-    t1 = [[None] * rank for _ in range(rank)]
-    t2 = [[None] * rank for _ in range(rank)]
-    zero_row = [QI(0)] * rank
-    for i in range(rank):
-        for j in range(rank):
-            br = full[i][j]
-            both1 = i < r1 and j < r1
-            both2 = i >= r1 and j >= r1
-            if both1:
-                t1[i][j] = list(br)
-                t2[i][j] = list(zero_row)
-            elif both2:
-                t1[i][j] = list(zero_row)
-                t2[i][j] = list(br)
-            else:
-                t1[i][j] = [QI(0)] * r1 + list(br[r1:])
-                t2[i][j] = list(br[:r1]) + [QI(0)] * (rank - r1)
-    # d_A1 and d_A2 are the Cartan differentials of the split tables
-    A1_part = LieAlgebroid(L.ambient, combined.basis, t1)
-    A2_part = LieAlgebroid(L.ambient, combined.basis, t2)
-    sum_ok = squares_ok = anti_ok = True
-    for mask in range(1, 1 << rank):
-        c = {mask: ONE}
-        d_full = combined.differential(c)
-        d1 = A1_part.differential(c)
-        d2 = A2_part.differential(c)
-        if d_full != vec_add(d1, d2):
-            sum_ok = False
-        if A1_part.differential(d1) or A2_part.differential(d2):
-            squares_ok = False
-        if vec_add(A1_part.differential(d2), A2_part.differential(d1)):
-            anti_ok = False
-    return SplitCheckReport(sum_ok, squares_ok, anti_ok)
+    parts: tuple[list, list] = ([], [])
+    for entry in combined.bracket_entries:
+        i, j, m, _c = entry
+        if j < r1 <= m:
+            raise NotADecomposition("[A1, A1] leaks into A2")
+        if m < r1 <= i:
+            raise NotADecomposition("[A2, A2] leaks into A1")
+        parts[((i >= r1) + (j >= r1) + (m >= r1)) & 1].append(entry)
+    return (combined,
+            *(bracket_chains(combined.rank, part) for part in parts))
+
+
+def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid,
+                          A2: LieAlgebroid) -> SplitCheckReport:
+    """Verify the bigraded differential identities for a decomposition
+    A = A1 + A2 of the algebroid L, from the tables of d_A, d_A1 and d_A2
+    over every cochain mask."""
+    combined, d_A1, d_A2 = split_chains(L, A1, A2)
+    masks = range(1 << combined.rank)
+    d, d1, d2 = (chain_columns(chains, masks)
+                 for chains in (combined.chains, d_A1, d_A2))
+    return SplitCheckReport(
+        d == _table_combine(_PLUS, (d1, d2)),
+        not (_compose(d1, d1) or _compose(d2, d2)),
+        not _table_combine(_PLUS, (_compose(d1, d2), _compose(d2, d1))))
 
 
 # -- deformation compatibility ----------------------------------------------------------------

@@ -5,9 +5,11 @@ Structure data lists d e^k directly: an entry (k, i, j, c) contributes
 c * e^i ^ e^j to d e^k, equivalently <e^k, [x_i, x_j]> = -c.
 
 d comes from the structure constants: d = sum_k (d e^k) ^ i_{x_k}, two
-antiderivations agreeing on generators, so each entry (k, i, j, c) is three
-generator-table lookups per blade, and so is each term of H.  One routine
-gives d and d_H on a form's own blades, or as tables over every blade.
+antiderivations agreeing on generators, so each entry (k, i, j, c) is a chain
+of three generator-table lookups per blade, as is each term of H and each
+bracket entry of an algebroid.  One routine, `chain_columns`, gives d, d_H,
+d_L and the split differentials of an algebroid decomposition, on a
+cochain's own blades or as tables over every blade.
 
 Models are immutable, so each operator table and the validity report are
 computed once per model, on first use; `once` keeps what is derived from a
@@ -25,6 +27,42 @@ from .forms import (Form, SpinOp, _generator_tables, blades_by_degree,
 from .linalg import (ColumnReduction, Lows, Vec, _acc, mat_det,
                      reduce_columns, solve, vec_conj)
 from .scalars import ONE, QI
+
+
+def chain_columns(chains, masks) -> SpinOp:
+    """The sum of the chains on each blade in masks, empty columns omitted:
+    a chain (tables, c, -c) is the term c t_last ... t_first of generator
+    tables (`forms._generator_tables`), each a blade to one signed blade."""
+    cols: SpinOp = {}
+    for mask in masks:
+        col: Vec = {}
+        for tables, c, minus_c in chains:
+            m, sign = mask, 1
+            for t in tables:
+                hit = t[m]
+                if hit is None:
+                    break
+                m, s = hit
+                sign *= s
+            else:
+                _acc(col, m, c if sign > 0 else minus_c)
+        if col:
+            cols[mask] = col
+    return cols
+
+
+def chain_apply(chains, v: Vec) -> Vec:
+    """The sum of the chains applied to v, built on v's own blades."""
+    return spin_apply(chain_columns(chains, v), v)
+
+
+def bracket_chains(rank: int, entries) -> list:
+    """d on the cochains of a rank-`rank` algebroid from bracket entries
+    (i, j, m, c), c the a_m-component of [a_i, a_j]: as d a^m(a_i, a_j) =
+    -a^m([a_i, a_j]), each entry is the chain -c a^i ^ a^j ^ i_{a_m}."""
+    g = _generator_tables(rank)
+    return [((g[m], g[rank + j], g[rank + i]), -c, c)
+            for (i, j, m, c) in entries]
 
 
 class LieModel:
@@ -53,10 +91,9 @@ class LieModel:
 
     # -- differentials --------------------------------------------------------
 
-    def _d_columns(self, masks, twisted: bool) -> SpinOp:
-        """d e^m (d_H e^m when twisted) for each blade m in masks, empty
-        columns omitted: c e^i ^ e^j ^ i_{x_k} per entry, c e^p ^ e^q ^ e^r ^
-        per term of H."""
+    def _chains(self, twisted: bool) -> list:
+        """c e^i ^ e^j ^ i_{x_k} per entry of d, and c e^p ^ e^q ^ e^r ^ per
+        term of H when twisted."""
         dim = self.dim
         g = _generator_tables(dim)
         chains = [((g[k - 1], g[dim + j - 1], g[dim + i - 1]), c, -c)
@@ -64,39 +101,22 @@ class LieModel:
         if twisted:
             chains += [(tuple(g[dim + p] for p in reversed(_mask_indices(h))),
                         c, -c) for h, c in self.H.coeffs.items()]
-        cols: SpinOp = {}
-        for mask in masks:
-            col: Vec = {}
-            for tables, c, minus_c in chains:
-                m, sign = mask, 1
-                for t in tables:
-                    hit = t[m]
-                    if hit is None:
-                        break
-                    m, s = hit
-                    sign *= s
-                else:
-                    _acc(col, m, c if sign > 0 else minus_c)
-            if col:
-                cols[mask] = col
-        return cols
+        return chains
 
     def d(self, a: Form) -> Form:
         """Chevalley-Eilenberg differential, a degree-1 antiderivation."""
-        return Form(self.dim, spin_apply(self._d_columns(a.coeffs, False),
-                                         a.coeffs))
+        return Form(self.dim, chain_apply(self._chains(False), a.coeffs))
 
     def d_H(self, a: Form) -> Form:
-        return Form(self.dim, spin_apply(self._d_columns(a.coeffs, True),
-                                         a.coeffs))
+        return Form(self.dim, chain_apply(self._chains(True), a.coeffs))
 
     @cached_property
     def d_table(self) -> SpinOp:
-        return self._d_columns(range(1 << self.dim), False)
+        return chain_columns(self._chains(False), range(1 << self.dim))
 
     @cached_property
     def dH_table(self) -> SpinOp:
-        return self._d_columns(range(1 << self.dim), True)
+        return chain_columns(self._chains(True), range(1 << self.dim))
 
     @cached_property
     def dorfman_table(self) -> dict[int, dict[int, Vec]]:
@@ -217,37 +237,21 @@ class LieAlgebroid:
     # -- cochain complex ----------------------------------------------------
 
     @cached_property
-    def _brackets_into(self) -> list[list[tuple[int, int, QI]]]:
-        """[m] -> every (i, j, c), i < j, with c the a_m-component of
-        [a_i, a_j] nonzero."""
-        out: list[list[tuple[int, int, QI]]] = [[] for _ in range(self.rank)]
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                for m, coeff in enumerate(self.bracket_table[i][j]):
-                    if coeff:
-                        out[m].append((i, j, coeff))
-        return out
+    def bracket_entries(self) -> list[tuple[int, int, int, QI]]:
+        """(i, j, m, c), i < j, for each a_m-component c != 0 of [a_i, a_j]."""
+        return [(i, j, m, c) for i in range(self.rank)
+                for j in range(i + 1, self.rank)
+                for m, c in enumerate(self.bracket_table[i][j]) if c]
+
+    @cached_property
+    def chains(self) -> list:
+        return bracket_chains(self.rank, self.bracket_entries)
 
     def differential(self, c: dict[int, QI]) -> dict[int, QI]:
-        """Cartan formula on invariant cochains:
-        (dc)(a_0..a_k) = sum_{p<q} (-1)^{p+q} c([a_p,a_q], ..hat p..hat q..),
-        summed from the masks of c: the term of mask S at its index m meets
-        each pair (i, j) bracketing into a_m at the mask S - m + i + j."""
-        out: dict[int, QI] = {}
-        for S, cS in c.items():
-            for m in _mask_indices(S):
-                rest = S & ~(1 << m)
-                # c's argument order puts the bracket first: ins transpositions
-                ins = popcount(rest & ((1 << m) - 1))
-                for i, j, coeff in self._brackets_into[m]:
-                    pair = (1 << i) | (1 << j)
-                    if rest & pair:
-                        continue
-                    T = rest | pair
-                    pq = popcount(T & ((1 << i) - 1)) + popcount(T & ((1 << j) - 1))
-                    term = coeff * cS
-                    _acc(out, T, -term if (pq + ins) & 1 else term)
-        return out
+        """d_L on invariant cochains, where the anchor terms of the Cartan
+        formula vanish: d a^m = -sum_{i<j} c a^i ^ a^j, extended as the
+        derivation sum_m (d a^m) ^ i_{a_m}."""
+        return chain_apply(self.chains, c)
 
     def cohomology(self) -> ColumnReduction:
         """H(L) in every degree, grouped by degree, from one reduction of d_L

@@ -25,6 +25,8 @@ _VAR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 
 # the largest dimension a file may declare: the spinor space has 2^dim blades
 MAX_DIM = 14
+# the largest power of a parameter in one term: families multiply once per unit
+MAX_POWER = 64
 
 
 @dataclass
@@ -61,19 +63,23 @@ def _parse_scalar(tok: str, lno: int | None) -> QI:
 
 
 def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
-    """Sum of terms; a term multiplies rational/i literals, t-monomials and
-    one optional blade chain e_a^e_b^... (of several, the last counts); the
-    coefficients are ParamPoly.
+    """Sum of terms, each an optional sign and factors: rational/i literals,
+    t-monomials and at most one blade chain e_a^e_b^...; the coefficients
+    are ParamPoly.  A term with no factor (a dangling sign or a lone '*'),
+    two blade chains or a parameter's power above MAX_POWER is an error.
 
     One pass: a term is one monomial c t^e on one blade, folded into a dict
     by blade mask and exponent tuple; a sum that cancels drops its entry,
     and one Form is built at the end."""
     acc: dict[int, dict[tuple, QI]] = {}
-    txt = text.replace("^", " ^ ").replace("-", " + -1 * ").replace("+", " + ")
-    for chunk in txt.split("+"):
-        if not chunk or chunk.isspace():
+    for chunk in text.replace("-", "+-").split("+"):
+        term = chunk.strip()
+        if not term:
             continue
-        factors = chunk.replace("*", " ").split()
+        negative = term[0] == "-"
+        factors = term[negative:].replace("^", " ^ ").replace("*", " ").split()
+        if not factors:
+            raise ModelSyntaxError(f"term {term!r} has no factor", lno)
         n = len(factors)
         c = ONE
         expt = [0] * nvars
@@ -87,6 +93,9 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
                 continue
             gm = _GEN.match(tok)
             if gm:
+                if mask:        # every chain sets a bit
+                    raise ModelSyntaxError(
+                        f"term {term!r} has two blade chains", lno)
                 # a blade chain e_a ^ e_b ^ ...: generators in range, then
                 # the sign of sorting them, as Form.blade takes it
                 idxs = [int(gm.group(1))]
@@ -98,7 +107,6 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
                             lno)
                     idxs.append(int(g2.group(1)))
                     i += 2
-                mask, sign = 0, 1
                 for k in idxs:
                     if not 1 <= k <= dim:
                         raise UnknownGenerator(f"generator e{k} exceeds dim {dim}",
@@ -118,12 +126,16 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
                         f"parameter {tok!r} exceeds variable count {nvars}"
                         if j else f"parameter {tok!r}: parameters start at t1",
                         lno)
+                power = "1"
                 if i + 1 < n and factors[i] == "^" \
                         and factors[i + 1].isdecimal():
-                    expt[j - 1] += int(factors[i + 1])
+                    power = factors[i + 1].lstrip("0") or "0"
                     i += 2
-                else:
-                    expt[j - 1] += 1
+                expt[j - 1] += int(power) if len(power) < 3 else MAX_POWER + 1
+                if expt[j - 1] > MAX_POWER:
+                    raise ModelSyntaxError(
+                        f"term {term!r}: the power of t{j} exceeds the "
+                        f"maximum {MAX_POWER}", lno)
                 continue
             if _NUM.match(tok):
                 c = c * _parse_scalar(tok, lno)
@@ -131,7 +143,7 @@ def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
             raise ModelSyntaxError(f"unexpected token {tok!r}", lno)
         if not (c and sign):
             continue
-        if sign < 0:
+        if negative != (sign < 0):
             c = -c
         e = tuple(expt)
         terms = acc.setdefault(mask, {})

@@ -6,8 +6,10 @@ that tests compare against.
 literal through `ParamPoly.const`, `Fraction`, `QI` and `ParamPoly.scale`
 and adds each term to a copy of the partial sum.  Where it crashes or
 misreads, the engine's parser raises a ModelSyntaxError instead: it reads a
-`t0` token as the last parameter (an IndexError with no parameters), and a
-power that is a digit but not a decimal (`t1^²`) raises a ValueError."""
+`t0` token as the last parameter (an IndexError with no parameters), a
+power that is a digit but not a decimal (`t1^²`) raises a ValueError, a
+term with no factor (a dangling sign, `1 e1^e2 -`, or a lone `*`) reads as
+-1 or 1, and of two blade chains in one term it keeps the last."""
 
 import re
 from fractions import Fraction

@@ -197,6 +197,20 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
     (["family", "m.gcm"], {"m.gcm": OMEGA_T1}, 0, "== family m.gcm"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 1 t0 e1^e2^e3\n"}, 2,
      "unknown-generator: parameter 't0': parameters start at t1 (line 2"),
+    (["family", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[family f]\n"
+                                    b"kind = symplectic\nvariables = 1\n"
+                                    b"omega = 1 e1^e2 + 1 e3^e4 + "
+                                    b"1 t1^100000000 e1^e2\n"},
+     2, "syntax-error: term '1 t1^100000000 e1^e2': the power of t1 exceeds "
+        "the maximum 64 (line 6"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 1 e1^e2^e3 -\n"}, 2,
+     "syntax-error: term '-' has no factor (line 2"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\n"
+                                   b"omega = 1 e1^e2 + *\n"},
+     2, "syntax-error: term '*' has no factor (line 4"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\n"
+                                   b"omega = 2 e1^e2 e3^e4\n"},
+     2, "syntax-error: term '2 e1^e2 e3^e4' has two blade chains (line 4"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "at-empty", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
@@ -205,7 +219,9 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
         "at-repeated", "hodge-at", "at-without-family", "negative-samples",
         "gk-first-missing", "gk-first-fails-to-build", "all-without-gcm-files",
         "check-dim-40", "cohomology-dim-40", "check-omega-with-t1",
-        "family-omega-with-t1", "check-H-with-t0"])
+        "family-omega-with-t1", "check-H-with-t0", "family-t1-power-above-64",
+        "check-H-dangling-sign", "check-omega-lone-star",
+        "check-omega-two-blade-chains"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
@@ -219,12 +235,15 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     report line gives no model-file position.  A command parses only the
     blocks it builds: `family` never reads a [symplectic] block, so a
     parameter in its omega is bad input to `check` alone.  A `t0` names no
-    parameter (they start at t1) and is bad input too."""
+    parameter (they start at t1) and is bad input too, as are a parameter's
+    power above MAX_POWER in one term, which is refused before any family
+    polynomial is formed, a term with no factor (a dangling sign or a lone
+    '*') and a term with two blade chains."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     proc = subprocess.run([sys.executable, "-m", "gchodge.cli", *argv],
                           cwd=tmp_path, env=_src_env(), capture_output=True,
-                          text=True)
+                          text=True, timeout=60)
     out = proc.stdout + proc.stderr
     assert proc.returncode == code, out
     assert "Traceback" not in out

@@ -2,7 +2,7 @@
 with a mutated --at value, exits 0, 1 or 2 and raises nothing else; and the
 .gcm expression parser gives, on generated expressions, the Form (or the
 exception class, message and line) of its reference,
-tests/reference_modelfile.py.
+tests/reference_modelfile.py, except where the reference misreads a term.
 
 Mutations delete, duplicate or rewrite lines of a dim-4 or dim-6 corpus file,
 among them non-real scalar tokens (`i`, `2i`, `-1/2i`).  Numeric tokens stay
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from gchodge.cli import COMMANDS, main
 from gchodge.errors import ModelSyntaxError, UnknownGenerator
-from gchodge.modelfile import _parse_form_expr
+from gchodge.modelfile import MAX_POWER, _parse_form_expr
 
 from reference_modelfile import parse_form_expr as reference_parse
 
@@ -150,19 +150,62 @@ def parse_outcome(parse, text, dim, nvars):
                             for m, p in f.coeffs.items()])
 
 
+GEN = re.compile(r"^e(\d+)$")
+
+
+def first_misread(text):
+    """(message, prefix) for the first term, in reading order, that the
+    reference misreads, or None: a term with no factor, a dangling sign or a
+    lone '*' that the reference reads as -1 or 1, with the text before the
+    term; or a term with a second blade chain, of which the reference keeps
+    the last, with the text before that chain.  A chain starts at each
+    generator not right after a '^'."""
+    for m in re.finditer(r"-?[^+-]*", text):
+        term = m.group().strip()
+        if not term:
+            continue
+        start = m.start() + m.group().startswith("-")
+        tokens = list(re.finditer(r"\^|[^\s*^]+", text[start:m.end()]))
+        if not tokens:
+            return f"term {term!r} has no factor", text[:m.start()]
+        chains, prev = 0, None
+        for tok in tokens:
+            if GEN.match(tok.group()) and prev != "^":
+                chains += 1
+                if chains == 2:
+                    return (f"term {term!r} has two blade chains",
+                            text[:start + tok.start()])
+            prev = tok.group()
+    return None
+
+
 @settings(max_examples=10 * EXAMPLES, derandomize=True, database=None)
 @given(case=expression())
-# a blade whose sum cancels and comes back last, a term of two blade chains
+# a blade whose sum cancels and comes back last, and the misread shapes: a
+# term of two blade chains, a dangling sign and a lone '*'
 @example(("1 e1 - 1 e1 + 1 e2 + 1 e1 + t1 - t1 + 2 + t1", 4, 1))
 @example(("2 e1^e2 e3^e1", 4, 0))
+@example(("e1 * * e2", 4, 0))
+@example(("1 e1^e2 -", 4, 0))
+@example(("1 e1^e2 + *", 4, 0))
 def test_expression_parser_matches_reference(case):
     """Each generated expression parses to the reference's Form, in its
-    order, or raises the reference's exception; where the reference reads a
-    `t0` token (as the last parameter, or an IndexError with none), the
-    parser rejects it as an unknown generator instead."""
+    order, or raises the reference's exception, except on two departures.
+    Where the reference misreads a term (`first_misread`), the parser raises
+    a ModelSyntaxError naming the term, unless the text before it already
+    raises.  Where the reference reads a `t0` token (as the last parameter,
+    or an IndexError with none), the parser rejects it as an unknown
+    generator."""
     text, dim, nvars = case
     got = parse_outcome(_parse_form_expr, text, dim, nvars)
     want = parse_outcome(reference_parse, text, dim, nvars)
+    misread = first_misread(text)
+    if misread:
+        message, prefix = misread
+        want = parse_outcome(reference_parse, prefix, dim, nvars)
+        if want[0] == "form":
+            want = ("raises", ModelSyntaxError.__name__,
+                    f"{message} (line 7, col 0)", 7)
     if got != want:
         assert "t0" in re.split(r"[\s^*+-]+", text)
         assert got == ("raises", UnknownGenerator.__name__,
@@ -178,3 +221,20 @@ def test_expression_parser_rejects_non_decimal_powers():
         reference_parse("t1^\u00b2", 2, 1, 7)
     with pytest.raises(ModelSyntaxError, match="unexpected token '\\^'"):
         _parse_form_expr("t1^\u00b2", 2, 1, 7)
+
+
+def test_expression_parser_bounds_parameter_powers():
+    """A parameter's total power in one term may be MAX_POWER (64), however
+    it is written, and no more; a power of many digits is refused without
+    being converted."""
+    assert MAX_POWER == 64
+    for text in ("t1^64 e1", "t1^32 t1^32 e1", "t1^00064 e1",
+                 " ".join(["t1"] * 64) + " e1", "t1^64 t2^64 e1"):
+        f = _parse_form_expr(text, 2, 2, 7)
+        assert [list(p.terms) for p in f.coeffs.values()] \
+            == [[(64, 64 if "t2" in text else 0)]], text
+    for text in ("t1^65", "t1^64 t1", "t1^32 t1^33", "t1^100000000",
+                 "t1^" + "9" * 5000, " ".join(["t1"] * 65)):
+        with pytest.raises(ModelSyntaxError,
+                           match="the power of t1 exceeds the maximum 64"):
+            _parse_form_expr(text, 2, 1, 7)

@@ -6,20 +6,22 @@ from pathlib import Path
 import pytest
 
 from gchodge.cohomology import ddbar_check
-from gchodge.errors import MetricNotPositive, NotADecomposition, NotCommuting
+from gchodge.errors import (EngineError, MetricNotPositive, NotADecomposition,
+                            NotCommuting)
 from gchodge.families import FamilySpec
 from gchodge.forms import Form
 from gchodge.gcs import make_complex, make_general, make_symplectic
 from gchodge.gkaehler import (BIDEGREES, algebroid_split_check,
                               bigraded_cohomology, bigrading, delta_split_check,
-                              gk_deformation_check, gk_validate)
-from gchodge.liemodel import LieModel
+                              gk_deformation_check, gk_validate, split_chains)
+from gchodge.liemodel import LieAlgebroid, LieModel, chain_apply
 from gchodge.linalg import Subspace
 from gchodge.modelfile import build_structure, parse_model
 from gchodge.poly import ParamPoly, pmat_from_qi
 from gchodge.scalars import I, ONE, QI
 
-from test_gcs import (ABELIAN4, grade_blades, nonempty, reference_dH_parts,
+from reference_algebroid import cartan_differential, split_tables
+from test_gcs import (ABELIAN4, CORPUS, grade_blades, nonempty, reference_dH_parts,
                       split_by_blades, std_I, torus_omega)
 from test_families import poly_two_form
 
@@ -198,6 +200,61 @@ def test_algebroid_split_rejects_nonclosed():
         algebroid_split_check(L, a1, a2)
 
 
+def corpus_gk_pairs():
+    """(name, pair) for every corpus [gk] block of two structures that
+    build and form a generalized Kaehler pair."""
+    for path in sorted(CORPUS.glob("*.gcm")):
+        mf = parse_model(path.read_text())
+        model = mf.model(name=path.stem)
+        blocks = {b.name: b for b in mf.blocks}
+        for b in mf.blocks:
+            if b.kind != "gk" or "first" not in b.data:
+                continue
+            try:
+                s1, s2 = (build_structure(mf, blocks[b.data[key][0]], model)
+                          for key in ("first", "second"))
+                yield f"{path.stem}:{b.name}", gk_validate(s1, s2)
+            except EngineError:
+                continue
+
+
+def test_gk_algebroids_match_the_cartan_formula():
+    """d_L of L1+ and L1- (and their conjugates) on every mask equals the
+    Cartan formula of tests/reference_algebroid.py."""
+    pairs = list(corpus_gk_pairs())
+    assert len(pairs) >= 3
+    for name, pair in pairs:
+        for L in (pair.Lp, pair.Lm, pair.Lp.conj(), pair.Lm.conj()):
+            for mask in range(1 << L.rank):
+                assert L.differential({mask: ONE}) \
+                    == cartan_differential(L.bracket_table, {mask: ONE}), \
+                    (name, L.name, mask)
+
+
+def test_split_differentials_match_the_zero_padded_tables():
+    """d_A1 and d_A2 of both decompositions the gk command checks (sp1:
+    L1 = L1+ + L1-, sp2: L2 = L1+ + conj(L1-)), from the partition of the
+    bracket entries, equal the differentials of the zero-padded split
+    tables, as algebroids and by the Cartan formula, on every mask."""
+    pairs = list(corpus_gk_pairs())
+    assert len(pairs) >= 3
+    nonzero = 0
+    for name, pair in pairs:
+        for L, A1, A2 in ((pair.s1.L, pair.Lp, pair.Lm),
+                          (pair.s2.L, pair.Lp, pair.Lm.conj())):
+            combined, d_A1, d_A2 = split_chains(L, A1, A2)
+            tables = split_tables(combined.bracket_table, A1.rank)
+            for chains, table in zip((d_A1, d_A2), tables):
+                part = LieAlgebroid(L.ambient, combined.basis, table)
+                for mask in range(1 << combined.rank):
+                    got = chain_apply(chains, {mask: ONE})
+                    assert got == part.differential({mask: ONE}) \
+                        == cartan_differential(table, {mask: ONE}), \
+                        (name, mask)
+                    nonzero += bool(got)
+    assert nonzero
+
+
 def constant_complex_family(model=ABELIAN4):
     nv = 1
     return FamilySpec(model, "complex", nv,
@@ -305,17 +362,36 @@ def test_delta_split_catches_one_blade_the_samples_missed():
 
 
 def test_algebroid_split_check_covers_every_cochain_mask(monkeypatch):
-    from gchodge.liemodel import LieAlgebroid
+    """d_A, d_A1 and d_A2 are tabled over every cochain mask, not only
+    those of degree 1."""
+    from gchodge import gkaehler
     seen = []
-    real = LieAlgebroid.differential
+    real = gkaehler.chain_columns
 
-    def recording(self, c):
-        if self.name == combined:   # once per cochain the check tries
-            seen.append(tuple(c))
-        return real(self, c)
+    def recording(chains, masks):
+        seen.append(list(masks))
+        return real(chains, masks)
 
-    monkeypatch.setattr(LieAlgebroid, "differential", recording)
+    monkeypatch.setattr(gkaehler, "chain_columns", recording)
     pair = kahler_pair(FLAT4)
-    combined = f"{pair.Lp.name}+{pair.Lm.name}"
     assert algebroid_split_check(pair.s1.L, pair.Lp, pair.Lm).ok
-    assert sorted(seen) == [(m,) for m in range(1, 1 << pair.s1.L.rank)]
+    assert seen == [list(range(1 << pair.s1.L.rank))] * 3
+
+
+def test_algebroid_split_check_sees_a_missing_part(monkeypatch):
+    """With d_A2's chains dropped, d_A = d_A1 + d_A2 fails on flat4, whose
+    L1- brackets are nonzero, while the other two identities still hold."""
+    from gchodge import gkaehler
+    real = gkaehler.split_chains
+
+    def without_d_A2(L, A1, A2):
+        combined, d_A1, d_A2 = real(L, A1, A2)
+        assert d_A2
+        return combined, d_A1, []
+
+    monkeypatch.setattr(gkaehler, "split_chains", without_d_A2)
+    pair = kahler_pair(FLAT4)
+    rep = algebroid_split_check(pair.s1.L, pair.Lp, pair.Lm)
+    assert (rep.sum_ok, rep.squares_ok, rep.anticommute_ok) \
+        == (False, True, True)
+    assert rep.lines()[0] == "d_A = d_A1 + d_A2: FAILS"

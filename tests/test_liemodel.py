@@ -6,20 +6,24 @@ from contextlib import redirect_stdout
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gchodge.cli import main
 from gchodge.courant import algebroid_from_basis
 from gchodge.errors import (EngineError, JacobiFailure, NotClosedUnderBracket,
                             NotIsotropic, StructureNotReal, TwistNotClosed)
 from gchodge.forms import Form, _compose, popcount
-from gchodge.liemodel import LieModel, _mask_indices
+from gchodge.liemodel import LieAlgebroid, LieModel, _mask_indices
 from gchodge.linalg import _axpy_into
 from gchodge.modelfile import parse_model
 from gchodge.poly import ParamPoly
 from gchodge.scalars import I, ONE, QI
 
+from reference_algebroid import cartan_differential
 from test_gcs import (CORPUS, SCALE8, corpus_structures, dense_model_text,
                       spin_op, structures_of)
+from test_linalg import KERNEL_EXAMPLES, nonzero_qis
 
 
 def masks_of_degree(rank, k):
@@ -285,8 +289,7 @@ def test_conjugation_equivariance():
 
 def _differential_by_target(L, c):
     """The Cartan formula evaluated target mask by target mask over every
-    mask of the next degree: the reference for the source-driven
-    `LieAlgebroid.differential`."""
+    mask of the next degree: a reference for `LieAlgebroid.differential`."""
     out = {}
     for target_deg in {popcount(mask) + 1 for mask in c}:
         for mask in masks_of_degree(L.rank, target_deg):
@@ -330,3 +333,67 @@ def test_differential_matches_the_target_by_target_formula():
                 c = {mask: x for mask, x in c.items() if x}
                 assert L.differential(c) == _differential_by_target(L, c), name
     assert algebroids >= 30
+
+
+@st.composite
+def bracket_tables(draw):
+    """(table, cochains): an antisymmetric bracket table of rank 2..8 with
+    a few small Gaussian-rational entries, Jacobi not imposed, and cochains
+    of a few masks each, one of them every mask of one degree."""
+    rank = draw(st.integers(2, 8))
+    table = [[[QI(0)] * rank for _ in range(rank)] for _ in range(rank)]
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    for _ in range(draw(st.integers(0, 2 * rank))):
+        i, j = draw(st.sampled_from(pairs))
+        m = draw(st.integers(0, rank - 1))
+        c = draw(nonzero_qis)
+        table[i][j][m], table[j][i][m] = c, -c
+    masks = st.integers(0, (1 << rank) - 1)
+    cochains = draw(st.lists(st.dictionaries(masks, nonzero_qis, max_size=5),
+                             min_size=1, max_size=3))
+    k = draw(st.integers(0, rank))
+    cochains.append({mask: ONE for mask in masks_of_degree(rank, k)})
+    return table, cochains
+
+
+@settings(max_examples=KERNEL_EXAMPLES, deadline=None, derandomize=True,
+          database=None)
+@given(case=bracket_tables())
+def test_differential_matches_the_cartan_formula_on_random_tables(case):
+    """d_L from the chains -c a^i ^ a^j ^ i_{a_m} equals the Cartan formula
+    of tests/reference_algebroid.py on any bracket table: both are the
+    derivation extending d a(x, y) = -a([x, y]), Jacobi or not."""
+    table, cochains = case
+    L = LieAlgebroid(abelian(), [{a: ONE} for a in range(len(table))], table)
+    assert L.rank == len(table)
+    for c in cochains:
+        assert L.differential(c) == cartan_differential(table, c)
+
+
+def dense6_structures():
+    """The structures of the three dense6 models, seeds 0, 3 and 7."""
+    for seed in (0, 3, 7):
+        for name in ("kt-twisted", "torus6-complex", "torus6-symplectic"):
+            yield from structures_of(dense_model_text(name, seed),
+                                     f"{name}-dense{seed}")
+
+
+def test_differential_matches_the_cartan_formula_on_corpus_and_dense6():
+    """Every corpus and dense6 algebroid and its conjugate, on every mask and
+    on random cochains of each degree."""
+    rng = random.Random(11)
+    algebroids = 0
+    for name, s in [*corpus_structures(), *dense6_structures()]:
+        for L in (s.L, s.L.conj()):
+            algebroids += 1
+            for mask in range(1 << L.rank):
+                assert L.differential({mask: ONE}) \
+                    == cartan_differential(L.bracket_table, {mask: ONE}), \
+                    (name, mask)
+            for k in range(L.rank):
+                c = {mask: QI(rng.randrange(-2, 3), rng.randrange(-1, 2))
+                     for mask in masks_of_degree(L.rank, k)}
+                c = {mask: x for mask, x in c.items() if x}
+                assert L.differential(c) \
+                    == cartan_differential(L.bracket_table, c), (name, k)
+    assert algebroids >= 50
