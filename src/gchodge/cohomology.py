@@ -25,7 +25,9 @@ algebroid:
   and the nested F^{p-2} in F^p give the graded pieces Gr_F^p, whose
   coordinates are entries at pivots (`graded_coords`).
 A direct sum A + B = H is one rank: dim(A + B) = dim A + dim B = dim H;
-so is the bigraded direct sum of a generalized Kaehler pair.
+so is the bigraded direct sum of a generalized Kaehler pair.  The Mukai
+pairing's block test is Q(F^p, F^{-p-2}) = 0, read off Q's rows on the
+representatives and the Hodge flags, with no kernel of its own (`mukai_Q`).
 The delbar cohomology is a reduction of its own and the del-delbar verdict
 keeps its own subspace pipeline (the images of del, delbar and del delbar,
 and the kernels of delbar on Im del and of del on Im delbar), so that
@@ -341,15 +343,11 @@ class HodgeReport:
         return out
 
 
-def closed_classes(s: GCStruct, V: Subspace,
-                   parity: int | None = None) -> Subspace:
-    """Classes of the d_H-closed forms in V: coordinates in the H block of
-    the given parity, or total coordinates when parity is None."""
+def closed_classes(s: GCStruct, V: Subspace) -> Subspace:
+    """Classes of the d_H-closed forms in V, in total coordinates."""
     tw = twisted_cohomology(s.model)
     closed = _preimage_in(V, s.model.dH_table).basis()
-    return Subspace.span(
-        tw.total_dim if parity is None else tw.dim(parity),
-        [tw.coords(v, parity) or {} for v in closed])
+    return Subspace.span(tw.total_dim, [tw.coords(v) or {} for v in closed])
 
 
 def _hodge_flags(s: GCStruct) -> dict[int, Subspace]:
@@ -485,48 +483,23 @@ class MukaiQReport:
         return out
 
 
-def _mukai_rows(dim: int, left: list[Vec], right: list[Vec]) -> list[Vec]:
-    """Row i holds the nonzero Mukai pairings (left[i], right[j]) by j,
-    formed from the Mukai dual of left[i] against a coordinate index over
-    `right`, so that only nonzero products are computed."""
+def _mukai_rows(duals: list[Vec], right: list[Vec]) -> list[Vec]:
+    """Row i holds the nonzero sums over k of duals[i][k] right[j][k] by j,
+    formed against a coordinate index over `right`, so that only nonzero
+    products are computed: the Mukai pairings (a, right[j]) when duals[i] is
+    the Mukai dual of a form a."""
     index: dict[int, Vec] = {}
     for j, b in enumerate(right):
         for k, y in b.items():
             index.setdefault(k, {})[j] = y
-    return [_mukai_row(dim, a, index) for a in left]
-
-
-def _mukai_row(dim: int, a: Vec, index: dict[int, Vec]) -> Vec:
-    row: Vec = {}
-    for k, x in mukai_dual(dim, a).items():
-        if k in index:
-            _axpy_into(row, x, index[k])
-    return row
-
-
-def _pairs_off_opposite(dim: int, blocks: dict[int, list[Vec]]):
-    """For each vector a of each blocks[k], its nonzero Mukai pairings with
-    the vectors of the blocks l >= k with l != -k, as a row by position
-    (`_mukai_rows` over an index that grows by block).  On a 2n-dimensional
-    model (b, a) = (-1)^n (a, b), so these rows are zero exactly when every
-    pair of blocks with k + l != 0 pairs to zero."""
-    index: dict[int, Vec] = {}
-    entries = {}    # block -> its (coordinate, position, entry) triples
-    pos = 0
-    for k in sorted(blocks, reverse=True):
-        entries[k] = []
-        for b in blocks[k]:
-            for c, y in b.items():
-                index.setdefault(c, {})[pos] = y
-                entries[k].append((c, pos, y))
-            pos += 1
-        out = entries.get(-k, ())      # present from k = 0 down
-        for c, j, _y in out:
-            del index[c][j]
-        for a in blocks[k]:
-            yield _mukai_row(dim, a, index)
-        for c, j, y in out:
-            index[c][j] = y
+    rows = []
+    for a in duals:
+        row: Vec = {}
+        for k, x in a.items():
+            if k in index:
+                _axpy_into(row, x, index[k])
+        rows.append(row)
+    return rows
 
 
 def mukai_Q(s: GCStruct) -> MukaiQReport:
@@ -535,28 +508,41 @@ def mukai_Q(s: GCStruct) -> MukaiQReport:
     Q descends when (d_H e_b, rep) = (rep, d_H e_b) = 0 for every blade b
     and representative; it is nondegenerate when its rows have full rank;
     the sign s in (d_H w, g) = s (w, d_H g) is the first of +1, -1 that
-    holds on every pair of blades, or None when neither does."""
+    holds on every pair of blades, or None when neither does.
+    "Q pairs H^j with H^-j only" is Q(F^p, F^{-p-2}) = 0 for p = -n..-1,
+    read off Q's rows and the Hodge flags.  Q pairs U_a only with U_{-a},
+    and F^p, F^{-p-2} have representatives in the U_{<=p}, U_{<=-p-2}
+    chains, so it fails only through an engine defect; under the del-delbar
+    lemma F^p is the sum of the H^k, k <= p, and as Q is real it says that
+    Q pairs H^j with H^-j only."""
     m = s.model
     tw = twisted_cohomology(m)
-    reps = tw.reps(0) + tw.reps(1)
-    rows = _mukai_rows(m.dim, reps, reps)
+    even = tw.reps(0)
+    reps = even + tw.reps(1)
     N = 1 << m.dim
     dH = m.dH_table
     exact = [dH.get(b, {}) for b in range(N)]
-    descends = not any(_mukai_rows(m.dim, exact, reps)) \
-        and not any(_mukai_rows(m.dim, reps, exact))
+    rep_duals = [mukai_dual(m.dim, r) for r in reps]
+    exact_duals = [mukai_dual(m.dim, e) for e in exact]
+    rows = _mukai_rows(rep_duals, reps)
+    descends = not any(_mukai_rows(exact_duals, reps)) \
+        and not any(_mukai_rows(rep_duals, exact))
     nondeg = Subspace.span(len(reps), rows).dim == len(reps)
 
-    # the grading blocks pair only across opposite degrees: the closed forms
-    # of each U_k against those of every U_l with l != -k
-    closed = {k: _preimage_in(s.U_subspace(k), dH).basis()
-              for k in range(-s.n, s.n + 1)}
-    orth = not any(_pairs_off_opposite(m.dim, closed))
+    def flag(p: int) -> list[Vec]:
+        # F^p's basis in the numbering of reps, the odd block after the even
+        off = len(even) if (p + s.n + s.parity) % 2 else 0
+        return [{off + i: x for i, x in v.items()}
+                for v in filtration_subspace(s, p)._basis]
+
+    # Q b for each b of F^{-p-2}, paired with each a of F^p: Q(a, b)
+    orth = not any(any(_mukai_rows(_mukai_rows(flag(-p - 2), rows), flag(p)))
+                   for p in range(-s.n, 0))
 
     # measured sign in the integration-by-parts identity, on blade pairs
     blades = [{b: ONE} for b in range(N)]
-    lhs = _mukai_rows(m.dim, exact, blades)
-    rhs = _mukai_rows(m.dim, blades, exact)
+    lhs = _mukai_rows(exact_duals, blades)
+    rhs = _mukai_rows([mukai_dual(m.dim, b) for b in blades], exact)
     neg = [{j: -c for j, c in row.items()} for row in rhs]
     sign = 1 if lhs == rhs else -1 if lhs == neg else None
     return MukaiQReport(rows, descends, nondeg, orth, sign)

@@ -356,10 +356,10 @@ def _restrict_cochain(src: LieAlgebroid, cochain: dict[int, QI],
     return out
 
 
-def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
-                         direction: int = 0) -> GKDeformationReport:
+def gk_deformation_check(f1: FamilySpec,
+                         f2: FamilySpec) -> GKDeformationReport:
     """Prop-style compatibility of the two Kodaira-Spencer classes of a
-    deformation of a generalized Kaehler pair."""
+    deformation of a generalized Kaehler pair, along t1."""
     s1 = f1.base_structure()
     s2 = f2.base_structure()
     pair = gk_validate(s1, s2)
@@ -370,8 +370,8 @@ def gk_deformation_check(f1: FamilySpec, f2: FamilySpec,
             samples_gk[pt] = True
         except EngineError:
             samples_gk[pt] = False
-    k1 = ks_class(f1, direction)
-    k2 = ks_class(f2, direction)
+    k1 = ks_class(f1, 0)
+    k2 = ks_class(f2, 0)
     plus_basis = pair.Lp.basis
     minus_basis = pair.Lm.basis
     c1p = _restrict_cochain(s1.L, k1.cochain, plus_basis)

@@ -65,16 +65,22 @@ def _parse_scalar(tok: str, lno: int | None) -> QI:
 def _parse_form_expr(text: str, dim: int, nvars: int, lno: int) -> Form:
     """Sum of terms, each an optional sign and factors: rational/i literals,
     t-monomials and at most one blade chain e_a^e_b^...; the coefficients
-    are ParamPoly.  A term with no factor (a dangling sign or a lone '*'),
-    two blade chains or a parameter's power above MAX_POWER is an error.
+    are ParamPoly.  A term with no factor (a dangling sign, a '+' with no
+    term after it or a lone '*'), two blade chains or a parameter's power
+    above MAX_POWER is an error.
 
     One pass: a term is one monomial c t^e on one blade, folded into a dict
     by blade mask and exponent tuple; a sum that cancels drops its entry,
     and one Form is built at the end."""
     acc: dict[int, dict[tuple, QI]] = {}
-    for chunk in text.replace("-", "+-").split("+"):
+    chunks = text.replace("-", "+-").split("+")
+    for idx, chunk in enumerate(chunks):
         term = chunk.strip()
         if not term:
+            # past the first, an empty chunk is a '+' with no term after
+            # it, unless a '-' term comes next (`a + -b`)
+            if idx and not "".join(chunks[idx + 1:idx + 2]).startswith("-"):
+                raise ModelSyntaxError("term '+' has no factor", lno)
             continue
         negative = term[0] == "-"
         factors = term[negative:].replace("^", " ^ ").replace("*", " ").split()

@@ -211,6 +211,12 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\n"
                                    b"omega = 2 e1^e2 e3^e4\n"},
      2, "syntax-error: term '2 e1^e2 e3^e4' has two blade chains (line 4"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\n"
+                                   b"omega = 1 e1^e2 + 1 e3^e4 +\n"},
+     2, "syntax-error: term '+' has no factor (line 4"),
+    (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[symplectic s]\n"
+                                   b"omega = 1 + + 2 e1^e2\n"},
+     2, "syntax-error: term '+' has no factor (line 4"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
         "at-out-of-range", "at-empty", "non-utf8", "complex-without-I",
         "general-without-J", "gk-symplectic-without-omega",
@@ -221,7 +227,8 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
         "check-dim-40", "cohomology-dim-40", "check-omega-with-t1",
         "family-omega-with-t1", "check-H-with-t0", "family-t1-power-above-64",
         "check-H-dangling-sign", "check-omega-lone-star",
-        "check-omega-two-blade-chains"])
+        "check-omega-two-blade-chains", "check-omega-dangling-plus",
+        "check-omega-double-plus"])
 def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     """Bad input exits 2 (a block missing its data, a malformed --at on any
     command, a parameter given twice in --at, any --at on a command but
@@ -237,8 +244,9 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     parameter in its omega is bad input to `check` alone.  A `t0` names no
     parameter (they start at t1) and is bad input too, as are a parameter's
     power above MAX_POWER in one term, which is refused before any family
-    polynomial is formed, a term with no factor (a dangling sign or a lone
-    '*') and a term with two blade chains."""
+    polynomial is formed, a term with no factor (a dangling sign, a '+'
+    with no term after it or a lone '*') and a term with two blade
+    chains."""
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     proc = subprocess.run([sys.executable, "-m", "gchodge.cli", *argv],

@@ -17,8 +17,8 @@ from gchodge.cohomology import (DdbarReport, TwistedCohomology, _hodge_flags,
                                 twisted_cohomology, weight_mhs_check)
 from gchodge.errors import EngineError, NotIntegrable, WrongType
 from gchodge.forms import Form, mukai_pairing, popcount, spin_apply
-from gchodge.gcs import make_complex, make_symplectic
-from gchodge.liemodel import once
+from gchodge.gcs import make_complex, make_general, make_symplectic
+from gchodge.liemodel import LieModel, once
 from gchodge.linalg import (Echelon, Subspace, kernel_lift, vec_axpy, vec_conj,
                             vec_scale)
 from gchodge.modelfile import parse_model
@@ -28,8 +28,8 @@ from reference_linalg import QuotientSpace
 from test_linalg import KERNEL_EXAMPLES, contains_subspace, items, nonzero_qis
 from test_gcs import (ABELIAN4, ABELIAN6, CORPUS, KT, KT_TW, SCALE8,
                       broken_kt, build_main, complex_torus4, corpus_structures,
-                      dense_model_text, kt_symplectic_twisted, std_I,
-                      structures_of, symplectic_torus4, torus_omega)
+                      dense_model_text, kt_symplectic_twisted, one_block_J,
+                      std_I, structures_of, symplectic_torus4, torus_omega)
 
 
 def kt_symplectic_untwisted():
@@ -186,38 +186,121 @@ def test_mukai_q_descends_everywhere():
         assert rep.descends and rep.nondegenerate
         assert rep.measured_dh_sign == 1
 
+def reference_closed_orthogonal(s):
+    """The grading blocks pair only across opposite degrees: one
+    mukai_pairing per pair of closed forms of U_j and U_k with j + k != 0,
+    each U_k's closed forms a kernel of d_H on U_k."""
+    m = s.model
+    blocks = {k: [Form(m.dim, dict(v)) for v in
+                  _preimage_in(s.U_subspace(k), m.dH_table).basis()]
+              for k in range(-s.n, s.n + 1)}
+    return all(not mukai_pairing(a, b)
+               for j in blocks for k in blocks if j + k
+               for a in blocks[j] for b in blocks[k])
+
+
+def reference_flag_orthogonal(s):
+    """Q(F^p, F^{-p-2}) = 0 for p = -n..n: one mukai_pairing per pair of
+    flag vectors, each lifted to a form through the representatives of its
+    parity."""
+    m = s.model
+    tw = twisted_cohomology(m)
+    lifted = {}
+    for p in range(-s.n - 2, s.n + 1):
+        reps = tw.reps((p + s.n + s.parity) % 2)
+        lifted[p] = []
+        for v in filtration_subspace(s, p).basis():
+            form = {}
+            for i, x in v.items():
+                form = vec_axpy(form, x, reps[i])
+            lifted[p].append(Form(m.dim, form))
+    return all(not mukai_pairing(a, b) for p in range(-s.n, s.n + 1)
+               for a in lifted[p] for b in lifted[-p - 2])
+
+
 def _pairwise_mukai(s):
-    """Q and the block-orthogonality verdict from one mukai_pairing per pair
-    of forms: the reference for mukai_Q's index-driven products."""
+    """Q and both block-orthogonality references from one mukai_pairing per
+    pair of forms: the reference for mukai_Q's index-driven products."""
     m = s.model
     tw = twisted_cohomology(m)
     reps = [Form(m.dim, dict(r)) for r in tw.reps(0) + tw.reps(1)]
     Q = [[mukai_pairing(a, b) for b in reps] for a in reps]
-    blocks = {k: _preimage_in(s.U_subspace(k), m.dH_table).basis()
-              for k in range(-s.n, s.n + 1)}
-    orth = all(not mukai_pairing(Form(m.dim, dict(a)), Form(m.dim, dict(b)))
-               for j in blocks for k in blocks if j + k
-               for a in blocks[j] for b in blocks[k])
-    return Q, orth
+    return Q, reference_closed_orthogonal(s), reference_flag_orthogonal(s)
 
 
 def _dense(rows):
     return [[row.get(j, QI(0)) for j in range(len(rows))] for row in rows]
 
+
+def mukai_reference_structures():
+    return [*corpus_structures(),
+            *(st for name in DENSE6_BASES
+              for st in structures_of(dense_model_text(name, 1),
+                                      f"dense-{name}")),
+            ("iwasawa:main", build_main(IWASAWA, "iwasawa"))]
+
+
 def test_mukai_q_matches_pairwise_reference():
-    names = []
-    for name, s in corpus_structures():
-        names.append(name)
+    structures = mukai_reference_structures()
+    for name, s in structures:
         rep = mukai_Q(s)
-        assert (_dense(rep.rows), rep.block_orthogonal) == _pairwise_mukai(s), name
-    assert len(names) >= 10
-    # a grading relabelled by a shift pairs blocks j, k with j + k != 0, so
-    # the orthogonality test has a failing case to agree on
+        orth = rep.block_orthogonal
+        assert (_dense(rep.rows), orth, orth) == _pairwise_mukai(s), name
+    assert len(structures) >= 20
+
+
+def test_mukai_q_block_test_fails_on_a_flag_that_is_too_large():
+    """F^{-1} replaced by every class of its parity, on which Q is
+    nondegenerate, so Q(F^{-1}, F^{-1}) != 0: the verdict reads NO, as the
+    reference on the same flags does."""
     s = symplectic_torus4()
-    s.U = {k - 2: U for k, U in s.U.items()}
+    flags = dict(once(s, _hodge_flags))
+    parity = (-1 + s.n + s.parity) % 2
+    flags[-1] = Subspace.full(twisted_cohomology(s.model).dim(parity))
+    s._kept[_hodge_flags] = flags
     rep = mukai_Q(s)
     assert rep.block_orthogonal is False
-    assert (_dense(rep.rows), rep.block_orthogonal) == _pairwise_mukai(s)
+    assert "Q pairs H^j with H^-j only: NO" in rep.lines()
+    assert reference_flag_orthogonal(s) is False
+    assert rep.descends and rep.nondegenerate
+
+
+# a quarter of the kernel budget: each example pairs up to 64 dense forms
+# two by two for each reference
+@settings(max_examples=KERNEL_EXAMPLES // 4, deadline=None, derandomize=True,
+          database=None)
+@given(one_block_J())
+def test_mukai_q_block_test_matches_both_references_on_random_J(dim_J):
+    dim, J = dim_J
+    s = make_general(LieModel(dim, []), J)
+    assert mukai_Q(s).block_orthogonal == reference_closed_orthogonal(s) \
+        == reference_flag_orthogonal(s)
+
+
+def test_mukai_q_takes_no_kernel_after_the_hodge_filtration(monkeypatch):
+    """The block test reads the flags and Q's rows that hodge has built, so
+    mukai_Q takes no kernel over the spinor space."""
+    import gchodge.cohomology as cohomology
+    import gchodge.gcs as gcs
+    import gchodge.linalg as linalg
+    s = kt_symplectic_twisted()
+    hodge_filtration(s)
+    called = []
+
+    def counted(name, orig):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return orig(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cohomology, "_preimage_in",
+                        counted("_preimage_in", cohomology._preimage_in))
+    for module in (linalg, gcs):
+        monkeypatch.setattr(module, "matrix_kernel",
+                            counted("matrix_kernel", linalg.matrix_kernel))
+    assert mukai_Q(s).block_orthogonal
+    assert called == []
+
 
 def test_mukai_q_sign_dim6():
     s = make_symplectic(ABELIAN6, torus_omega(6))
@@ -255,6 +338,9 @@ def test_mukai_q_descends_fails_on_a_non_closed_representative():
 
 def test_mukai_q_sign_fails_on_a_flipped_dH_entry():
     s = kt_symplectic_twisted()
+    # the Hodge flags come first, as in `hodge`: the flipped d_H is not
+    # integrable, and the copy reads the flags kept on s
+    once(s, _hodge_flags)
     top = (1 << s.model.dim) - 1
     dH = {b: dict(col) for b, col in s.model.dH_table.items()}
     # an entry whose flip is not undone by its mirror (e_b, d_H e_{top^k})
@@ -459,8 +545,8 @@ def reference_conj_coords(tw, coords, parity=None):
 
 def reference_filtration_subspace(s, p):
     """F^p H as the classes of the closed forms in the chain."""
-    return closed_classes(s, reference_chain_subspace(s, p),
-                          (p + s.n + s.parity) % 2)
+    return closed_classes_block(s.model, reference_chain_subspace(s, p),
+                                (p + s.n + s.parity) % 2)
 
 
 def reference_hodge_filtration(s):
@@ -753,6 +839,15 @@ def closed_classes_total(m, V):
     tw = twisted_cohomology(m)
     closed = _preimage_in(V, m.dH_table).basis()
     return Subspace.span(tw.total_dim, [tw.coords(v) or {} for v in closed])
+
+
+def closed_classes_block(m, V, parity):
+    """The classes of the closed forms in V, in the coordinates of the H
+    block of the given parity."""
+    tw = twisted_cohomology(m)
+    closed = _preimage_in(V, m.dH_table).basis()
+    return Subspace.span(tw.dim(parity),
+                         [tw.coords(v, parity) or {} for v in closed])
 
 
 def test_filtrations_use_no_subspace_pipeline(monkeypatch):

@@ -10,7 +10,8 @@ of the two tori, the chains of the complex 10-torus, and the grading and the
 d_H split of kt12 (about 15 s), the d and d_H tables of all six models
 against the per-blade reference of tests/test_liemodel.py, every dimension
 the reductions report against the subspace pipelines of
-tests/test_reduction.py, and the digests of the reports, runs when
+tests/test_reduction.py, the Mukai block test against both references
+of tests/test_cohomology.py, and the digests of the reports, runs when
 GCHODGE_DIM10 is set to 1, as the `dim10` CI job does."""
 
 import hashlib
@@ -23,12 +24,15 @@ from pathlib import Path
 import pytest
 
 from gchodge.cli import main
-from gchodge.cohomology import invariant_derham, twisted_cohomology
+from gchodge.cohomology import (hodge_filtration, invariant_derham, mukai_Q,
+                                twisted_cohomology)
 from gchodge.modelfile import parse_model
 
 from test_cohomology import (assert_closed_in_chain_matches_reference,
                              assert_ddbar_matches_reference,
-                             assert_filtrations_match_reference)
+                             assert_filtrations_match_reference,
+                             reference_closed_orthogonal,
+                             reference_flag_orthogonal)
 from test_gcs import (assert_dH_parts_match_shift_tables,
                       assert_grading_matches_reference, build_main)
 from test_liemodel import assert_d_tables_match_reference
@@ -153,6 +157,18 @@ def test_dim10_and_dim12_d_tables_match_reference(name):
 @pytest.mark.parametrize("name", sorted(BETTI) + sorted(BETTI12))
 def test_dim10_and_dim12_dims_match_reference(name):
     assert_dims_match_reference(name, build_main(load(name), name))
+
+
+@complete
+@pytest.mark.parametrize("name", sorted(BETTI) + sorted(BETTI12))
+def test_dim10_and_dim12_mukai_block_test_matches_both_references(name):
+    """mukai_Q's block verdict, read off the Hodge flags, against the closed
+    forms of every U_k paired two by two and against the lifted flags
+    paired two by two (40 to 70 s for each dim-12 model on two cores)."""
+    s = build_main(load(name), name)
+    hodge_filtration(s)
+    assert mukai_Q(s).block_orthogonal is reference_closed_orthogonal(s) \
+        is reference_flag_orthogonal(s) is True
 
 
 # (exit code, sha256 of the stdout of `gchodge <command> <model> --json`),

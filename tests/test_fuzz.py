@@ -157,11 +157,17 @@ def first_misread(text):
     """(message, prefix) for the first term, in reading order, that the
     reference misreads, or None: a term with no factor, a dangling sign or a
     lone '*' that the reference reads as -1 or 1, with the text before the
-    term; or a term with a second blade chain, of which the reference keeps
-    the last, with the text before that chain.  A chain starts at each
-    generator not right after a '^'."""
+    term; a '+' with no term after it (at the end, or before another '+'),
+    which the reference skips, with the text before the '+'; or a term with
+    a second blade chain, of which the reference keeps the last, with the
+    text before that chain.  A chain starts at each generator not right
+    after a '^'."""
     for m in re.finditer(r"-?[^+-]*", text):
         term = m.group().strip()
+        # the pattern stops at each '+' and matches nothing there
+        if not m.group() and text[m.start():m.start() + 1] == "+" \
+                and re.match(r"\s*(\+|$)", text[m.start() + 1:]):
+            return "term '+' has no factor", text[:m.start()]
         if not term:
             continue
         start = m.start() + m.group().startswith("-")
@@ -181,13 +187,17 @@ def first_misread(text):
 
 @settings(max_examples=10 * EXAMPLES, derandomize=True, database=None)
 @given(case=expression())
-# a blade whose sum cancels and comes back last, and the misread shapes: a
-# term of two blade chains, a dangling sign and a lone '*'
+# a blade whose sum cancels and comes back last, the misread shapes (a term
+# of two blade chains, a dangling sign, a lone '*', a '+' at the end or
+# before another '+') and the signs that still parse ('+' first, '+ -')
 @example(("1 e1 - 1 e1 + 1 e2 + 1 e1 + t1 - t1 + 2 + t1", 4, 1))
 @example(("2 e1^e2 e3^e1", 4, 0))
 @example(("e1 * * e2", 4, 0))
 @example(("1 e1^e2 -", 4, 0))
 @example(("1 e1^e2 + *", 4, 0))
+@example(("1 e1^e2 +", 4, 0))
+@example(("1 + + 2", 4, 0))
+@example(("+ e1 + -1 e2 + - e3", 4, 0))
 def test_expression_parser_matches_reference(case):
     """Each generated expression parses to the reference's Form, in its
     order, or raises the reference's exception, except on two departures.

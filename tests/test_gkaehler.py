@@ -160,11 +160,11 @@ def test_bigraded_cohomology_rejects_bad_blocks(monkeypatch, fault):
     src, dst = pair.U2_subspace(-2, 0), pair.U2_subspace(2, 0)
     closed_classes = gkaehler.closed_classes
 
-    def patched(s, space, parity=None):
+    def patched(s, space):
         if space is dst:   # the block only, not s1's U_2 that equals it
             space = Subspace.span(space.ambient, dst.basis() + src.basis()) \
                 if fault == "overlapping" else Subspace.zero(space.ambient)
-        return closed_classes(s, space, parity)
+        return closed_classes(s, space)
 
     monkeypatch.setattr(gkaehler, "closed_classes", patched)
     rep = bigraded_cohomology(pair)

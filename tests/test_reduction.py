@@ -33,7 +33,8 @@ from gchodge.modelfile import build_structure, parse_model
 from gchodge.scalars import ONE, QI
 
 from reference_linalg import QuotientSpace
-from test_cohomology import DENSE6_BASES, reference_chain_subspace
+from test_cohomology import (DENSE6_BASES, closed_classes_block,
+                             reference_chain_subspace)
 from test_gcs import (CORPUS, SCALE8, corpus_structures, dense_model_text,
                       structures_of)
 
@@ -149,8 +150,8 @@ def assert_dims_match_reference(name, s):
         U = s.U_subspace(k)
         want = reference_class_dim(s, U)
         assert closed_classes(s, U).dim == want, (name, k)
-        assert closed_classes(s, U, (k + s.n + s.parity) % 2).dim == want, \
-            (name, k)
+        assert closed_classes_block(
+            m, U, (k + s.n + s.parity) % 2).dim == want, (name, k)
 
 
 # -- the rank oracle over F_p ---------------------------------------------------
