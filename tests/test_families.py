@@ -3,9 +3,12 @@
 import copy
 import hashlib
 import io
+import json
 import random
+from functools import cache
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,8 @@ from test_cohomology import reference_chain_subspace
 from test_courant import one_form_coords, tangent, x
 from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
                       torus_omega)
+
+MODELS = Path(__file__).resolve().parent / "models"
 
 
 def poly_form(f, nvars):
@@ -513,16 +518,31 @@ def reference_graded_span_poly(f, p):
     return out
 
 
+def file_families(path):
+    """(name, family) for every [family] block of a model file that builds."""
+    mf = parse_model(path.read_text())
+    model = mf.model(name=path.stem)
+    for b in mf.blocks:
+        if b.kind == "family":
+            try:
+                yield f"{path.stem}:{b.name}", build_family(mf, b, model)
+            except EngineError:
+                continue
+
+
 def corpus_families():
     for path in sorted(CORPUS.glob("*.gcm")):
-        mf = parse_model(path.read_text())
-        model = mf.model(name=path.stem)
-        for b in mf.blocks:
-            if b.kind == "family":
-                try:
-                    yield f"{path.stem}:{b.name}", build_family(mf, b, model)
-                except EngineError:
-                    continue
+        yield from file_families(path)
+
+
+# the families of tests/models: four on the 6-torus, three on flat4-kahler
+FAMILY_MODELS = [MODELS / "torus6-families.gcm",
+                 MODELS / "flat4-families.gcm"]
+
+
+def model_families():
+    for path in FAMILY_MODELS:
+        yield from file_families(path)
 
 
 def test_graded_span_poly_matches_reference_on_corpus():
@@ -810,10 +830,10 @@ def test_family_command_computes_each_shared_result_once(monkeypatch):
     assert len(calls["lefschetz"]) == computed("lefschetz")[0] == 5
 
 
-def transversality_pins():
-    """Every corpus family, direction and p = -n-2 .. n+2: the report's
-    vectors with their key order, or the error it raised, as text."""
-    for name, f in corpus_families():
+def transversality_reports(families):
+    """(name, direction, p, report or the EngineError it raised) for every
+    family, direction and p = -n-2 .. n+2."""
+    for name, f in families:
         try:
             f.base_structure()
         except EngineError:
@@ -824,18 +844,41 @@ def transversality_pins():
                 try:
                     r = transversality_check(f, p, direction)
                 except EngineError as e:
-                    yield f"{name} {direction} {p} {type(e).__name__}: {e}"
-                    continue
-                vecs = [[list(v.items()) for v in vs]
-                        for vs in (r.domain, r.induced, r.kappa_action)]
-                yield (f"{name} {direction} {p} {r.skipped} {vecs} "
-                       f"{r.constant} {r.proportional}")
+                    r = e
+                yield name, direction, p, r
 
 
-# the digest of transversality_pins(), which every solve in
-# transversality_check feeds
+def transversality_pins(reports):
+    """Each report's vectors with their key order, or the error it raised,
+    as text."""
+    for name, direction, p, r in reports:
+        if isinstance(r, EngineError):
+            yield f"{name} {direction} {p} {type(r).__name__}: {r}"
+            continue
+        vecs = [[list(v.items()) for v in vs]
+                for vs in (r.domain, r.induced, r.kappa_action)]
+        yield (f"{name} {direction} {p} {r.skipped} {vecs} "
+               f"{r.constant} {r.proportional}")
+
+
+@cache
+def corpus_transversality_reports():
+    """The reports of the corpus families, shared by the tests."""
+    return list(transversality_reports(corpus_families()))
+
+
+@cache
+def model_transversality_reports():
+    """The reports of the families of tests/models, shared by the tests."""
+    return list(transversality_reports(model_families()))
+
+
+# the digests of the pins of the corpus families and of the families of
+# tests/models, which every solve in transversality_check feeds
 TRANSVERSALITY_SHA256 = \
     "745d04118e78ec1ca3ae691be43e1ec960208adc19fe4c2c2f7a494b4f8d0c78"
+MODEL_TRANSVERSALITY_SHA256 = \
+    "21696e3d10459787bd9daec4f5a01e8bedb60d7fc22a740bb15700ba27538d69"
 
 
 def test_transversality_vectors_are_pinned():
@@ -843,6 +886,59 @@ def test_transversality_vectors_are_pinned():
     proportional of every corpus family, direction and p: the solves of
     _extend_in_chain and of the lift into F^{p+2} have no other guard, as
     --json prints only the verdicts and c."""
-    text = "\n".join(transversality_pins())
+    text = "\n".join(transversality_pins(corpus_transversality_reports()))
     assert text.count("\n") >= 60
     assert hashlib.sha256(text.encode()).hexdigest() == TRANSVERSALITY_SHA256
+
+
+def test_model_family_transversality_vectors_are_pinned():
+    """The same pins on the dim-6 and flat4-kahler families of tests/models,
+    taken before the extension and the lift were carried by formula."""
+    text = "\n".join(transversality_pins(model_transversality_reports()))
+    assert text.count("\n") >= 80
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        MODEL_TRANSVERSALITY_SHA256
+
+
+def test_transversality_constant_is_2_and_samples_are_good():
+    """Wherever transversality reports a constant, on the corpus families
+    and on those of tests/models, it is c = 2; and every sample of a
+    report that is not skipped satisfies the del-delbar lemma."""
+    consts = 0
+    for name, direction, p, r in (corpus_transversality_reports()
+                                  + model_transversality_reports()):
+        if isinstance(r, EngineError) or r.skipped:
+            continue
+        assert all(r.samples_good.values()), (name, direction, p)
+        if r.constant is not None:
+            assert r.constant == QI(2), (name, direction, p)
+            consts += 1
+    assert consts >= 50
+
+
+def test_holomorphy_on_the_model_families():
+    """B + i omega along one 2-form is holomorphic; omega and B moving
+    along different 2-forms is not, at dim 6 and on flat4-kahler."""
+    fams = dict(model_families())
+    assert holomorphy_check(fams["torus6-families:holo"]).holomorphic
+    assert not holomorphy_check(fams["torus6-families:mixed"]).holomorphic
+    assert not holomorphy_check(fams["flat4-families:twoparam"]).holomorphic
+
+
+def test_family_command_on_the_model_families(capsys):
+    """`family` exits 1 on both files of families: on the window line at
+    p = 1 of three 6-torus families, and on the holomorphy of the families
+    whose omega and B move along different 2-forms."""
+    from gchodge.cli import main as cli_main
+    failed = {}
+    for path in FAMILY_MODELS:
+        assert cli_main(["family", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed[path.stem] = [c["name"] for c in report["checks"]
+                             if c["verdict"] == "fail"]
+    assert failed == {
+        "torus6-families": ["family scale transversality p=1",
+                            "family holo transversality p=1",
+                            "family mixed holomorphy",
+                            "family mixed transversality p=1"],
+        "flat4-families": ["family twoparam holomorphy"]}
