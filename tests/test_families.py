@@ -942,3 +942,38 @@ def test_family_command_on_the_model_families(capsys):
                             "family mixed holomorphy",
                             "family mixed transversality p=1"],
         "flat4-families": ["family twoparam holomorphy"]}
+
+
+def test_transversality_flags_are_pinned():
+    """`nabla F^p inside F^(p+2)` and `proportionality exact` hold on every
+    report that is not skipped, and the window line fails exactly where it
+    failed before the extension was carried by formula: on symplectic
+    families only, from p = 2 at dim 4 and from p = 1 at dim 6 (the `family`
+    command runs p = -n .. n - 2)."""
+    window_fails = set()
+    for name, direction, p, r in (corpus_transversality_reports()
+                                  + model_transversality_reports()):
+        if isinstance(r, EngineError) or r.skipped:
+            continue
+        assert r.transversal and r.proportional, (name, direction, p)
+        if not r.nabla_window_ok:
+            window_fails.add((name, direction, p))
+    want = {(name, direction): ps for name, direction, ps in (
+        ("flat4-families:scale", 0, [2, 3, 4]),
+        ("flat4-families:twoparam", 0, [2, 3, 4]),
+        ("flat4-families:twoparam", 1, [2, 4]),
+        ("neg-antiholo:antiholo", 0, [2, 3, 4]),
+        ("neg-antiholo:antiholo", 1, [2, 3, 4]),
+        ("neg-gk-defo:fbad", 0, [2, 3, 4]),
+        ("torus4-kahler:fs", 0, [2, 3, 4]),
+        ("torus4-symplectic:holo", 0, [2, 3, 4]),
+        ("torus4-symplectic:holo", 1, [2, 3, 4]),
+        ("torus4-symplectic:scale", 0, [2, 3, 4]),
+        ("torus6-families:holo", 0, [1, 2, 3, 4, 5]),
+        ("torus6-families:holo", 1, [1, 2, 3, 4, 5]),
+        ("torus6-families:mixed", 0, [1, 2, 3, 4, 5]),
+        ("torus6-families:mixed", 1, [1, 2, 3, 4, 5]),
+        ("torus6-families:scale", 0, [1, 2, 3, 4, 5]))}
+    assert window_fails == {(name, direction, p)
+                            for (name, direction), ps in want.items()
+                            for p in ps}
