@@ -383,7 +383,7 @@ def _parse_at(spec: str) -> dict[int, QI]:
     for part in spec.split(","):
         key, eq, v = part.partition("=")
         key = key.strip()
-        if not (eq and key[:1] == "t" and key[1:].isdigit()):
+        if not (eq and key[:1] == "t" and key[1:].isdecimal()):
             raise ModelSyntaxError(f"bad --at entry {part!r}")
         j = int(key[1:])
         if j in vals:

@@ -7,16 +7,21 @@ The twist is fixed across the family (trivialized product normal form), so
 every derivative here is a formal polynomial derivative and stays exact.
 
 A family applies the operators of a single structure, with ParamPoly values
-in place of QI: the moving chain U_{<=p}(t) is the table of N built from the
-polynomial J(t) by `gcs._spinorial_N`, powered and projected with the same
-`_powers`, `_combine` and projector plan as `GCStruct.decompose`, J(t) of a
-complex family is `gcs.complex_J` of I(t), d_H acts on sections through the
-model's d_H table, and the Mukai pairing of sections is `forms.mukai_pairing`.
+in place of QI: J(t) of a complex family is `gcs.complex_J` of I(t), d_H
+acts on sections through the model's d_H table, and the Mukai pairing of
+sections is `forms.mukai_pairing`.  Each object that moves with t is carried
+by a formula: a form of the chain U_{<=p} by the chain's Lagrange projector
+at J(t) (`gcs._spinorial_N`, `_powers`, `_combine` and the projector plan of
+`GCStruct.decompose`), or by e^{sigma(t) - sigma(base)} ^ for a symplectic
+family, and l_a in L by X_a - i i_{X_a}(omega + iB)(t).
 Griffiths transversality reads the base structure's closed forms in U_{<=p}
-and U_{<=p+2} off the same d_H reduction as its Hodge filtration
+off the same d_H reduction as its Hodge filtration
 (`cohomology.closed_in_chain`), the classes in Gr_F^p and Gr_F^{p+2} off
 its Hodge flags (`cohomology.graded_coords`), and the window H^{p-2} + H^p +
-H^{p+2} as F^{p+2} cap conj(F^{2-p}), also off those flags.
+H^{p+2} as F^{p+2} cap conj(F^{2-p}), also off those flags.  It lifts the
+KS action y, delbar-closed in U_{p+2}, to the closed y - delbar z by the
+del-delbar zig-zag del y = del delbar z (Deligne, Griffiths, Morgan and
+Sullivan 1975).
 
 Polynomial sections are `Form`s with ParamPoly coefficients: they wedge,
 contract and exponentiate through `Form` itself, and `poly` supplies their
@@ -34,14 +39,14 @@ from .cohomology import (closed_in_chain, ddbar_check, delbar_coords,
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                      NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
-from .forms import Form, mukai_pairing, popcount, spin_apply
+from .forms import Form, mukai_pairing, spin_apply
 from .gcs import (GCStruct, _combine, _powers, _projector_plan,
                   _spinorial_N, complex_J, flat_matrix, form_of_vec,
                   make_complex, make_general, make_symplectic)
 from .liemodel import LieModel, once
-from .linalg import (Matrix, Subspace, Vec, _axpy_into, mat_add, mat_det,
-                     mat_inv, mat_mul, reduce_columns, solve, vec_add,
-                     vec_axpy, vec_conj, vec_scale)
+from .linalg import (Matrix, Subspace, Vec, _axpy_into, _lift, mat_add,
+                     mat_det, mat_inv, mat_mul, reduce_columns, solve,
+                     vec_add, vec_axpy, vec_conj, vec_scale)
 from .poly import (ParamPoly, PolyMatrix, dH_poly, form_diff, form_eval,
                    form_shift, monomial_slices, pmat_diff, pmat_eval,
                    pmat_from_qi, pmat_vec)
@@ -175,30 +180,16 @@ def _l_frame(f: FamilySpec):
             u = [(c - Jl_i.scale(I)).scale(Half) for c, Jl_i in zip(coords, Jl)]
             frame.append(u)
         return frame, lbasis
-    # symplectic: L_t is the graph {X - i sigma(t) X}
+    # symplectic: L_t is the graph {X - i i_X sigma(t)}, so l_a, whose
+    # vector part is X_a, moves as X_a - i i_{X_a} sigma(t)
     sigma = f.omega_t + f.B_t.scale(I)
-    raw = []
-    for i in range(dim):
-        u = [ParamPoly(nv) for _ in range(2 * dim)]
-        u[i] = ParamPoly.const(nv, ONE)
-        ix = sigma.contract_index(i + 1)
-        for mask, p in ix.coeffs.items():
-            u[dim + mask.bit_length() - 1] = p.scale(QI(0, -1))
-        raw.append(u)
-    # recombine constantly so the frame hits the canonical basis at basepoint
-    raw_at_base = [[p.eval(f.basepoint) for p in u] for u in raw]
-    cols = [{k: c for k, c in enumerate(u) if c} for u in raw_at_base]
-    lows = reduce_columns(cols)[0]
     frame = []
     for l in lbasis:
-        sol = solve(lows, l)
-        if sol is None:
-            raise EngineError("symplectic frame does not span L at basepoint")
-        u = [ParamPoly(nv) for _ in range(2 * dim)]
-        for k, c in sol.items():
-            for idx in range(2 * dim):
-                if not raw[k][idx].is_zero():
-                    u[idx] = u[idx] + raw[k][idx].scale(c)
+        X = [l.get(i, ZERO) for i in range(dim)]
+        u = [ParamPoly.const(nv, c) for c in X] + \
+            [ParamPoly(nv) for _ in range(dim)]
+        for mask, p in sigma.contract_vector(X).coeffs.items():
+            u[dim + mask.bit_length() - 1] = p.scale(QI(0, -1))
         frame.append(u)
     return frame, lbasis
 
@@ -588,64 +579,55 @@ class TransversalityReport:
         return out
 
 
-def _graded_span_poly(f: FamilySpec, p: int) -> list[Form]:
-    """Polynomial forms spanning the chain U_{<=p} of parity p at each t."""
+def _transport(f: FamilySpec, p: int):
+    """T(t), as a map of polynomial forms: linear, polynomial in t -
+    basepoint, the identity on the chain U_{<=p} of the basepoint, and into
+    the chain U_{<=p}(t).  A symplectic family's chain is rho_t ^ (forms of
+    degree <= p + n), so T(t) is rho_t ^ rho_base^{-1} ^ = e^{sigma(t) -
+    sigma(base)} ^ with sigma = i omega - B; a polynomial J(t) gives the
+    chain's Lagrange projector, the sum of its nodes' rows of the projector
+    plan applied to the powers of the N table of J shifted to the
+    basepoint."""
     m = f.model
-    n = m.dim // 2
-    one = ParamPoly.const(f.nvars, ONE)
     if f.kind == "symplectic":
-        rho_t = (f.omega_t.scale(I) - f.B_t).exp()
-        out = []
-        for mask in range(1 << m.dim):
-            d = popcount(mask)
-            if d <= p + n and (d - (p + n)) % 2 == 0:
-                out.append(rho_t.wedge(Form(m.dim, {mask: one})))
-        return out
-    # polynomial J(t): the same N table as a fixed structure's, with
-    # polynomial entries, and the sum of the chain's Lagrange projector rows
-    # from the nodes of p's parity class applied to its powers
-    N = _spinorial_N(m.dim, f.J_poly())
-    ks, _, vand_inv = _projector_plan(n, p % 2)
-    chain = [sum(col, QI(0)) for col in
-             zip(*(row for k, row in zip(ks, vand_inv) if k <= p))]
-    out = []
-    parity = (p + n + f.base_structure().parity) % 2
-    for mask in range(1 << m.dim):
-        if popcount(mask) % 2 != parity:
-            continue
-        acc = _combine(chain, _powers(N, {mask: one}, len(ks) - 1))
-        if acc:
-            out.append(Form(m.dim, acc))
-    return out
+        sigma = form_shift(f.omega_t.scale(I) - f.B_t, f.basepoint)
+        sigma_base = form_eval(sigma, (QI(0),) * f.nvars)
+        return sigma.exp().wedge((-sigma_base).exp()).wedge
+    ks, _, vand_inv = _projector_plan(m.dim // 2, p % 2)
+    coeffs = [sum(col, QI(0)) for col in
+              zip(*(row for k, row in zip(ks, vand_inv) if k <= p))]
+    N = _spinorial_N(m.dim, [[x.shift(f.basepoint) for x in row]
+                             for row in f.J_poly()])
+    return lambda w: Form(m.dim, _combine(coeffs,
+                                          _powers(N, w.coeffs, len(ks) - 1)))
 
 
-def _chain_span(f: FamilySpec, p: int) -> tuple:
-    """(span, at_base, d_at_base) for the chain U_{<=p}: its polynomial
-    spanning forms shifted to the basepoint, and the lows of the column
-    reductions of their values and of their d_H images there, over which
-    coefficients in the span are solved; one per (family, p), shared by
-    every representative extended in that chain."""
-    m = f.model
-    span = [form_shift(pf, f.basepoint) for pf in _graded_span_poly(f, p)]
-    v0 = [form_eval(pf, (QI(0),) * f.nvars) for pf in span]
-    return (span, reduce_columns(w.coeffs for w in v0)[0],
-            reduce_columns(spin_apply(m.dH_table, w.coeffs)
-                           for w in v0)[0])
+def _moving_chain(f: FamilySpec, p: int) -> tuple:
+    """(T, basis, d_lows) for the chain U_{<=p}: its transport, the U_k
+    bases of the chain at the basepoint, and the lows of the column
+    reduction of their d_H images, over which each correction is solved;
+    one per (family, p), shared by every representative extended in it."""
+    base = f.base_structure()
+    basis = [v for k in range(p, -base.n - 1, -2)
+             for v in base.U_subspace(k).basis()]
+    return (_transport(f, p), basis, reduce_columns(
+        spin_apply(f.model.dH_table, v) for v in basis)[0])
 
 
 def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
     """Extend a closed basepoint representative in the chain to a closed
-    polynomial section staying in the moving chain, degree by degree."""
+    polynomial section staying in the moving chain, degree by degree: T(t)
+    rep, corrected by t^e T(t) w at the lowest exponent e of the residual
+    d_H, with d_H w = -(that slice) solved in the chain at the basepoint."""
     m = f.model
-    span, at_base, d_at_base = chain
-    sol = solve(at_base, rep.coeffs)
-    if sol is None:
+    nv = f.nvars
+    move, basis, d_lows = chain
+    s_poly = move(Form(m.dim, {k: ParamPoly.const(nv, c)
+                               for k, c in rep.coeffs.items()}))
+    if form_eval(s_poly, (QI(0),) * nv) != rep:
         raise ExtensionFailed("representative is not in the chain at basepoint")
-    s_poly = Form(m.dim)
-    for k, c in sol.items():
-        s_poly = s_poly + span[k].scale(c)
-    cap = max((p.degree() for pf in span for p in pf.coeffs.values()),
-              default=0) + m.dim + 4
+    cap = max((c.degree() for c in s_poly.coeffs.values()), default=0) \
+        + m.dim + 4
     while True:
         resid = dH_poly(m, s_poly)
         if resid.is_zero():
@@ -655,15 +637,14 @@ def _extend_in_chain(f: FamilySpec, chain: tuple, rep: Form) -> Form:
         if sum(low) > cap:
             raise ExtensionFailed(
                 f"no polynomial extension found below degree {cap}")
-        target = slices[low].scale(QI(-1))
-        csol = solve(d_at_base, target.coeffs)
+        csol = solve(d_lows, slices[low].scale(QI(-1)).coeffs)
         if csol is None:
             raise ExtensionFailed(
                 "residual leaves the image of d_H on the chain at "
                 f"degree {low}")
-        mono = ParamPoly(f.nvars, {low: ONE})
-        for k, c in csol.items():
-            s_poly = s_poly + span[k].scale(mono.scale(c))
+        mono = ParamPoly(nv, {low: ONE})
+        s_poly = s_poly + move(Form(m.dim, {
+            k: mono.scale(c) for k, c in _lift([csol], basis)[0].items()}))
     return s_poly
 
 
@@ -686,15 +667,11 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     reps = [form_of_vec(m.dim, v) for v in closed_in_chain(base, p).basis()]
 
     ks = ks_class(f, direction)
-    # target-side solver data: lift a delbar-class in U_{p+2} to a closed
-    # form in the chain U_{<=p+2}
-    closed2_forms = [form_of_vec(m.dim, v)
-                     for v in closed_in_chain(base, p + 2).basis()]
-    lift_cols = [dict(base.project(p + 2, w).coeffs) for w in closed2_forms]
-    dbar_cols = [spin_apply(base.dH_parts[1], v)
-                 for v in base.U_subspace(p + 1).basis()]
-    n_closed2 = len(lift_cols)
-    lift_lows = reduce_columns(lift_cols + dbar_cols)[0]
+    # the del-delbar zig-zag: a delbar-closed y in U_{p+2} has del y = del
+    # delbar z for some z in U_{p+1}, and y - delbar z is d_H-closed
+    del_, delbar = base.dH_parts[-1], base.dH_parts[1]
+    dbar_zs = [spin_apply(delbar, z) for z in base.U_subspace(p + 1).basis()]
+    zig_lows = reduce_columns(spin_apply(del_, v) for v in dbar_zs)[0]
 
     # H^(p-2) + H^p + H^(p+2) under the del-delbar lemma
     win_coords = filtration_subspace(base, p + 2).intersect(
@@ -705,7 +682,7 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
     domain = []
     transversal = True
     window_ok = True
-    chain = _chain_span(f, p) if reps else None
+    chain = _moving_chain(f, p) if reps else None
     for r in reps:
         s_poly = _extend_in_chain(f, chain, r)
         ds = form_eval(form_diff(s_poly, direction), (QI(0),) * f.nvars)
@@ -723,16 +700,12 @@ def transversality_check(f: FamilySpec, p: int, direction: int) -> Transversalit
         domain.append(dom)
         induced.append(tarc)
         # kappa Clifford action on the leading graded piece
-        x = base.project(p, r)
-        y = base.cliff_cochain(ks.cochain, x)
-        sol = solve(lift_lows, y.coeffs)
+        y = base.cliff_cochain(ks.cochain, base.project(p, r)).coeffs
+        sol = solve(zig_lows, spin_apply(del_, y))
         if sol is None:
             raise EngineError("KS action does not lift to the filtration")
-        w = Form(m.dim)
-        for k, c in sol.items():
-            if k < n_closed2:
-                w = w + closed2_forms[k].scale(c)
-        kc = graded_coords(base, p + 2, tw.coords(w.coeffs, parity))
+        w = vec_axpy(y, QI(-1), _lift([sol], dbar_zs)[0])
+        kc = graded_coords(base, p + 2, tw.coords(w, parity))
         kactions.append(kc if kc is not None else {})
 
     # fit: induced = c * kappa_action as linear maps on the domain quotient

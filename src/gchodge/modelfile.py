@@ -27,6 +27,9 @@ _VAR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
 MAX_DIM = 14
 # the largest power of a parameter in one term: families multiply once per unit
 MAX_POWER = 64
+# the most parameters a family may take: every term carries one exponent per
+# parameter
+MAX_VARIABLES = 8
 
 
 @dataclass
@@ -294,6 +297,21 @@ def build_structure(mf: ModelFile, block: StructBlock, model: LieModel):
     raise EngineError(f"block {block.name!r} is not a structure block")
 
 
+def _variable_count(val: str, lno: int) -> int:
+    """The `variables` count of a [family] block, 1 to MAX_VARIABLES."""
+    try:
+        nvars = int(val)
+    except ValueError:
+        raise ModelSyntaxError(f"bad variable count {val!r}", lno) from None
+    if nvars < 1:
+        raise ModelSyntaxError(
+            f"variable count must be at least 1, got {nvars}", lno)
+    if nvars > MAX_VARIABLES:
+        raise ModelSyntaxError(f"variable count {nvars} exceeds the maximum "
+                               f"{MAX_VARIABLES}", lno)
+    return nvars
+
+
 def build_family(mf: ModelFile, block: StructBlock, model: LieModel):
     from .families import FamilySpec
     if block.kind != "family":
@@ -310,14 +328,7 @@ def build_family(mf: ModelFile, block: StructBlock, model: LieModel):
 
     kind_val, _ = raw("kind")
     kind = kind_val.strip()
-    nv_val, nv_lno = raw("variables")
-    try:
-        nvars = int(nv_val)
-    except ValueError:
-        raise ModelSyntaxError(f"bad variable count {nv_val!r}", nv_lno) from None
-    if nvars < 1:
-        raise ModelSyntaxError(
-            f"variable count must be at least 1, got {nvars}", nv_lno)
+    nvars = _variable_count(*raw("variables"))
     samples = []
     sm = raw("samples", required=False)
     if sm:
@@ -411,12 +422,8 @@ def emit_model(mf: ModelFile) -> str:
     for b in mf.blocks:
         out.append("")
         out.append(f"[{b.kind} {b.name}]")
-        nvars = 0
-        if b.kind == "family" and "variables" in b.data:
-            try:
-                nvars = int(b.data["variables"][0])
-            except ValueError:
-                nvars = 0
+        nvars = _variable_count(*b.data["variables"]) \
+            if b.kind == "family" and "variables" in b.data else 0
         for key, (val, lno) in b.data.items():
             if key in ("omega", "B", "H"):
                 pf = _parse_form_expr(val, mf.dim, nvars, lno)

@@ -140,6 +140,16 @@ FAMILY_VARIABLES = (b"dim = 4\nH = 0\n[family f]\nkind = complex\n"
                     b"variables = %s\n"
                     b"I = 0, 1, 0, 0; -1, 0, 0, 0; 0, 0, 0, 1; 0, 0, -1, 0\n")
 
+def test_variable_count_is_bounded_by_max_variables():
+    """A family may take MAX_VARIABLES = 8 parameters, and emit and build
+    read the count through one check."""
+    from gchodge.modelfile import MAX_VARIABLES, build_family
+    mf = parse_model((FAMILY_VARIABLES % b"8").decode())
+    fam = build_family(mf, mf.blocks[0], mf.model())
+    assert fam.nvars == MAX_VARIABLES == 8
+    assert "variables = 8" in emit_model(mf)
+
+
 # a structure block whose omega names a family parameter: bad input to a
 # command that builds the block, and unread by one that builds only families
 OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
@@ -152,6 +162,8 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
     (["family", FAMILY, "--at", "t0=1"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at", "t5=1"], {}, 2, "syntax-error"),
     (["family", FAMILY, "--at="], {}, 2, "syntax-error: bad --at entry ''"),
+    (["family", FAMILY, "--at", "t\u00b2=1"], {}, 2,
+     "syntax-error: bad --at entry 't\u00b2=1'"),
     (["check", "bad.gcm"], {"bad.gcm": b"dim = 4\nH = 0 # \xff\xfe\n"},
      2, "read input"),
     (["check", "m.gcm"], {"m.gcm": b"dim = 4\nH = 0\n[complex c]\n"},
@@ -166,6 +178,12 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
      "syntax-error: variable count must be at least 1, got 0 (line 5"),
     (["family", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"-2"}, 2,
      "syntax-error: variable count must be at least 1, got -2 (line 5"),
+    (["family", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"1000000000"}, 2,
+     "syntax-error: variable count 1000000000 exceeds the maximum 8 (line 5"),
+    (["emit", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"1000000000"}, 2,
+     "syntax-error: variable count 1000000000 exceeds the maximum 8 (line 5"),
+    (["family", "m.gcm"], {"m.gcm": FAMILY_VARIABLES % b"9"}, 2,
+     "syntax-error: variable count 9 exceeds the maximum 8 (line 5"),
     (["check", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
     (["family", str(CORPUS / "kt.gcm"), "--at", "x"], {}, 2, "syntax-error"),
     (["family", str(CORPUS / "torus4-kahler.gcm"), "--at", "t1=1,t1=2"], {},
@@ -218,10 +236,12 @@ OMEGA_T1 = (b"dim = 4\nH = 0\n\n[symplectic s]\n"
                                    b"omega = 1 + + 2 e1^e2\n"},
      2, "syntax-error: term '+' has no factor (line 4"),
 ], ids=["at-x", "at-zero-denominator", "at-bad-name", "at-t0",
-        "at-out-of-range", "at-empty", "non-utf8", "complex-without-I",
-        "general-without-J", "gk-symplectic-without-omega",
-        "family-without-variables", "family-zero-variables",
-        "family-negative-variables", "check-at-x", "family-without-block-at-x",
+        "at-out-of-range", "at-empty", "at-superscript-digit", "non-utf8",
+        "complex-without-I", "general-without-J",
+        "gk-symplectic-without-omega", "family-without-variables",
+        "family-zero-variables", "family-negative-variables",
+        "family-variables-above-8", "emit-variables-above-8",
+        "family-9-variables", "check-at-x", "family-without-block-at-x",
         "at-repeated", "hodge-at", "at-without-family", "negative-samples",
         "gk-first-missing", "gk-first-fails-to-build", "all-without-gcm-files",
         "check-dim-40", "cohomology-dim-40", "check-omega-with-t1",
@@ -242,7 +262,10 @@ def test_bad_input_exit_codes(tmp_path, argv, files, code, expect):
     report line gives no model-file position.  A command parses only the
     blocks it builds: `family` never reads a [symplectic] block, so a
     parameter in its omega is bad input to `check` alone.  A `t0` names no
-    parameter (they start at t1) and is bad input too, as are a parameter's
+    parameter (they start at t1) and is bad input too, as are a digit
+    that is not decimal (a superscript) in an --at name, a variable count
+    above MAX_VARIABLES, which emit and family refuse before any exponent
+    tuple is formed, a parameter's
     power above MAX_POWER in one term, which is refused before any family
     polynomial is formed, a term with no factor (a dangling sign, a '+'
     with no term after it or a lone '*') and a term with two blade

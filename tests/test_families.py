@@ -5,35 +5,35 @@ import hashlib
 import io
 import json
 import random
-from functools import cache
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from gchodge.cohomology import twisted_cohomology
+from gchodge.cohomology import (closed_in_chain, graded_coords,
+                                twisted_cohomology)
 from gchodge.errors import (EngineError, ExtensionFailed, GraphConditionFailed,
                             SectionNotClosed)
-from gchodge.courant import _generator_tables
-from gchodge.families import (FamilySpec, _chain_span, _extend_in_chain,
-                              _graded_span_poly, family_validate, gcy_check,
+from gchodge.families import (FamilySpec, _extend_in_chain, _l_frame,
+                              _moving_chain, family_validate, gcy_check,
                               gm_derivative, graph_epsilon, holomorphy_check,
                               ks_class, q_flatness, q_pairing_poly,
                               symp_filtration_check, transversality_check)
 from gchodge.forms import Form, mukai_pairing, popcount
 from gchodge.gcs import complex_J, make_complex, make_symplectic
-from gchodge.linalg import (Subspace, Vec, mat_inv, vec_add, vec_conj,
-                            vec_scale)
+from gchodge.linalg import (Subspace, Vec, reduce_columns, solve, vec_add,
+                            vec_axpy, vec_conj, vec_scale)
 from gchodge.modelfile import build_family, parse_model
 from gchodge.poly import (ParamPoly, dH_poly, form_diff, form_eval,
                           form_shift, monomial_slices, pmat_eval, pmat_from_qi)
-from gchodge.scalars import Half, I, ONE, QI, ZERO
+from gchodge.scalars import I, ONE, QI, ZERO
 
 from test_cohomology import reference_chain_subspace
 from test_courant import one_form_coords, tangent, x
-from test_gcs import (CORPUS, ABELIAN4, KT, KT_TW, dual_frame, std_I,
-                      torus_omega)
+from test_gcs import CORPUS, ABELIAN4, KT, KT_TW, std_I, torus_omega
 
 MODELS = Path(__file__).resolve().parent / "models"
 
@@ -54,7 +54,7 @@ def pmat_mul(A, B):
 def extend_section(f, p, rep):
     """A closed basepoint representative in the U_{<=p} chain, extended to
     a closed polynomial section in the moving chain."""
-    return _extend_in_chain(f, _chain_span(f, p), rep)
+    return _extend_in_chain(f, _moving_chain(f, p), rep)
 
 
 def poly_two_form(model, nvars, *terms):
@@ -330,25 +330,33 @@ def test_extend_section_tracks_moving_filtration():
     half = (QI(Fraction(1, 2)),)
     assert form_eval(s_poly, half) == form_eval(want, half)
 
-def test_extension_corrects_by_the_d_H_solve_on_a_non_closed_chain(
-        monkeypatch):
-    # on kt (d e4 = e12) the chain spanned by e3 + t e4 and e4 + t e3 is not
-    # closed: extending e3 along the first form leaves d_H = t e12, which the
-    # solve over the chain's d_H images at t = 0 cancels with -t (e4 + t e3)
-    from gchodge import families
+def test_extension_corrects_by_the_d_H_solve_on_a_non_closed_chain():
+    # on kt (d e4 = e12) a chain with basis [e3, e4], moved by T sending
+    # e3 -> e3 + t e4 and e4 -> e4 + t e3, is not closed: T e3 leaves
+    # d_H = t e12, which the solve over the basis's d_H images cancels with
+    # -t T e4
     f = FamilySpec(KT, "general", 1)
     t = ParamPoly.var(1, 0)
-    e3, e4 = poly_form(Form.blade(4, [3]), 1), poly_form(Form.blade(4, [4]), 1)
-    span = [e3 + e4.scale(t), e4 + e3.scale(t)]
-    monkeypatch.setattr(families, "_graded_span_poly", lambda f, p: span)
-    s_poly = _extend_in_chain(f, _chain_span(f, 0), Form.blade(4, [3]))
-    assert s_poly == e3.scale(ParamPoly.const(1, ONE) - t * t)
-    assert not dH_poly(KT, span[0]).is_zero()
+    e3, e4 = Form.blade(4, [3]), Form.blade(4, [4])
+    partner = {e3.blades_sorted()[0]: e4, e4.blades_sorted()[0]: e3}
+
+    def move(w):
+        out = w
+        for mask, c in w.coeffs.items():
+            out = out + poly_form(partner[mask], 1).scale(c * t)
+        return out
+
+    def hand_chain(basis):
+        return (move, [w.coeffs for w in basis], reduce_columns(
+            KT.d_H(w).coeffs for w in basis)[0])
+
+    s_poly = _extend_in_chain(f, hand_chain([e3, e4]), e3)
+    assert s_poly == poly_form(e3, 1).scale(ParamPoly.const(1, ONE) - t * t)
+    assert not dH_poly(KT, move(poly_form(e3, 1))).is_zero()
     assert dH_poly(KT, s_poly).is_zero()
-    # without the second form, d_H of the first leaves the chain's image
-    span.pop()
+    # without e4, d_H of T e3 leaves the image of the chain's d_H
     with pytest.raises(ExtensionFailed, match="leaves the image of d_H"):
-        _extend_in_chain(f, _chain_span(f, 0), Form.blade(4, [3]))
+        _extend_in_chain(f, hand_chain([e3]), e3)
 
 
 def test_transversality_scaling_family():
@@ -426,98 +434,6 @@ def test_gcy_checks_the_chain_identity_beyond_degree_1():
     assert rep.lines()[-1].endswith("on every cochain: NO")
 
 
-# -- the chain spans against the 2n+1-node reference --------------------------------
-
-def _clifford_const(a: Vec, w: Form) -> Form:
-    """Clifford action of a constant element on a polynomial form."""
-    def term(z):
-        return lambda poly, s: poly.scale(z if s > 0 else -z)
-    return _gamma_sum(w, {c: term(z) for c, z in a.items()})
-
-
-def _clifford_poly_elem(col: list[ParamPoly], dim: int, nv: int,
-                        w: Form) -> Form:
-    """Clifford action of an element with polynomial coordinates."""
-    def term(pv):
-        return lambda poly, s: poly * pv if s > 0 else (poly * pv).scale(QI(-1))
-    return _gamma_sum(w, {c: term(pv) for c, pv in enumerate(col)
-                          if not pv.is_zero()})
-
-
-def _gamma_sum(w: Form, terms: dict) -> Form:
-    """sum_c gamma_c(w) over the generator tables of E_C, where terms[c]
-    maps a coefficient of w and a table sign to the c-th coordinate times
-    both; blade by blade, with x_i before e^i for each i."""
-    dim = w.dim
-    gamma = _generator_tables(dim)
-    order = [(gamma[c], terms[c]) for i in range(dim) for c in (i, dim + i)
-             if c in terms]
-    out: dict[int, ParamPoly] = {}
-    for mask, poly in w.coeffs.items():
-        for g, term in order:
-            hit = g[mask]
-            if hit is None:
-                continue
-            k, s = hit
-            t = term(poly, s)
-            out[k] = out[k] + t if k in out else t
-    return Form(dim, out)
-
-
-def _pairing_poly(col: list[ParamPoly], v: Vec, dim: int) -> ParamPoly:
-    """<col, v> for polynomial coordinates col: x_i pairs with e^i."""
-    out = ParamPoly(col[0].nvars)
-    for k, c in v.items():
-        out = out + col[(k + dim) % (2 * dim)].scale(c * Half)
-    return out
-
-
-def reference_graded_span_poly(f, p):
-    """The chain U_{<=p} spanned as _graded_span_poly did before it used one
-    parity class: the full 2n+1-node Vandermonde inverse on 2n powers of the
-    polynomial N(t), with its trace rebuilt on every application."""
-    m = f.model
-    n = m.dim // 2
-    nv = f.nvars
-    if f.kind == "symplectic":
-        return _graded_span_poly(f, p)
-    Jp = f.J_poly()
-    base = f.base_structure()
-    duals = [([Jp[i][a] for i in range(2 * m.dim)], v)
-             for a, v in enumerate(dual_frame(m.dim))]
-
-    def N_poly(w):
-        out = Form(m.dim)
-        trace = ParamPoly(nv)
-        for col, v in duals:
-            out = out + _clifford_poly_elem(col, m.dim, nv,
-                                            _clifford_const(v, w))
-            trace = trace + _pairing_poly(col, v, m.dim)
-        quarter = QI(Fraction(1, 4))
-        return out.scale(quarter) - w.scale(trace.scale(quarter))
-
-    ks_all = list(range(-n, n + 1))
-    vand = mat_inv([[QI(0, -k) ** e for k in ks_all]
-                    for e in range(len(ks_all))])
-    chain_ks = [k for k in range(-n, p + 1) if (p - k) % 2 == 0]
-    out = []
-    parity = (p + n + base.parity) % 2
-    for mask in range(1 << m.dim):
-        if popcount(mask) % 2 != parity:
-            continue
-        powers = [Form(m.dim, {mask: ParamPoly.const(nv, ONE)})]
-        for _ in range(2 * n):
-            powers.append(N_poly(powers[-1]))
-        acc = Form(m.dim)
-        for k in chain_ks:
-            idx = ks_all.index(k)
-            for mdx, pw in enumerate(powers):
-                acc = acc + pw.scale(vand[idx][mdx])
-        if not acc.is_zero():
-            out.append(acc)
-    return out
-
-
 def file_families(path):
     """(name, family) for every [family] block of a model file that builds."""
     mf = parse_model(path.read_text())
@@ -545,39 +461,20 @@ def model_families():
         yield from file_families(path)
 
 
-def test_graded_span_poly_matches_reference_on_corpus():
-    pairs = 0
-    kinds = set()
-    for name, f in corpus_families():
-        n = f.model.dim // 2
-        try:
-            f.base_structure()
-        except EngineError:
-            continue
-        kinds.add(f.kind)
-        for p in range(-n, n + 1):
-            # ParamPoly equality compares nvars too
-            got = [(pf.dim, pf.coeffs) for pf in _graded_span_poly(f, p)]
-            want = [(pf.dim, pf.coeffs)
-                    for pf in reference_graded_span_poly(f, p)]
-            assert got == want, (name, p)
-            pairs += 1
-    assert pairs >= 30 and kinds >= {"symplectic", "complex"}
-
-
 def test_chain_span_built_once_per_family_and_p(monkeypatch, capsys):
-    """transversality_check spans each chain U_{<=p} once and extends every
-    representative in it, instead of respanning it per representative."""
+    """transversality_check builds the transport of each chain U_{<=p} once
+    and extends every representative in it, instead of rebuilding it per
+    representative."""
     from gchodge import families
     from gchodge.cli import main as cli_main
     calls = []
-    real = families._graded_span_poly
+    real = families._transport
 
     def counting(f, p):
         calls.append((f.name, p))
         return real(f, p)
 
-    monkeypatch.setattr(families, "_graded_span_poly", counting)
+    monkeypatch.setattr(families, "_transport", counting)
     assert cli_main(["family", str(CORPUS / "torus4-symplectic.gcm")]) == 0
     assert "transversality p=0" in capsys.readouterr().out
     assert sorted(calls) == [(f, p) for f in ("holo", "scale")
@@ -634,12 +531,13 @@ def test_complex_J_commutes_with_evaluation():
     assert checked >= 4
 
 
-def test_graded_span_poly_spans_the_pointwise_chain():
-    """At the basepoint and at every sample, the polynomial chain spans
-    exactly the chain U_{<=p} of the structure built at that point."""
+def test_transport_moves_the_chain_onto_the_pointwise_chain():
+    """T(0) is the identity on the chain U_{<=p} of the basepoint, and at the
+    basepoint and at every sample T moves its basis onto a basis of the
+    chain U_{<=p} of the structure built at that point."""
     triples = 0
     kinds = set()
-    for name, f in corpus_families():
+    for name, f in chain(corpus_families(), model_families()):
         n = f.model.dim // 2
         try:
             f.base_structure()
@@ -647,17 +545,22 @@ def test_graded_span_poly_spans_the_pointwise_chain():
             continue
         kinds.add(f.kind)
         for p in range(-n, n + 1):
-            span = _graded_span_poly(f, p)
+            move, basis, _d_lows = _moving_chain(f, p)
+            moved = [move(poly_form(Form(f.model.dim, w), f.nvars))
+                     for w in basis]
+            zero = (QI(0),) * f.nvars
+            assert [form_eval(m, zero).coeffs for m in moved] == basis
             for pt in [f.basepoint] + f.samples:
                 try:
                     s = f.structure_at(pt)
                 except EngineError:
                     continue
+                at = tuple(a - b for a, b in zip(pt, f.basepoint))
                 got = Subspace.span(1 << f.model.dim,
-                                    [form_eval(pf, pt).coeffs for pf in span])
+                                    [form_eval(m, at).coeffs for m in moved])
                 assert got == reference_chain_subspace(s, p), (name, pt, p)
                 triples += 1
-    assert triples >= 80 and kinds >= {"symplectic", "complex"}
+    assert triples >= 150 and kinds == {"symplectic", "complex", "general"}
 
 
 # -- polynomial coefficients in the shared sparse helpers ----------------------------
@@ -831,8 +734,8 @@ def test_family_command_computes_each_shared_result_once(monkeypatch):
 
 
 def transversality_reports(families):
-    """(name, direction, p, report or the EngineError it raised) for every
-    family, direction and p = -n-2 .. n+2."""
+    """(name, family, direction, p, report or the EngineError it raised) for
+    every family, direction and p = -n-2 .. n+2."""
     for name, f in families:
         try:
             f.base_structure()
@@ -845,13 +748,13 @@ def transversality_reports(families):
                     r = transversality_check(f, p, direction)
                 except EngineError as e:
                     r = e
-                yield name, direction, p, r
+                yield name, f, direction, p, r
 
 
 def transversality_pins(reports):
     """Each report's vectors with their key order, or the error it raised,
     as text."""
-    for name, direction, p, r in reports:
+    for name, _f, direction, p, r in reports:
         if isinstance(r, EngineError):
             yield f"{name} {direction} {p} {type(r).__name__}: {r}"
             continue
@@ -905,8 +808,8 @@ def test_transversality_constant_is_2_and_samples_are_good():
     and on those of tests/models, it is c = 2; and every sample of a
     report that is not skipped satisfies the del-delbar lemma."""
     consts = 0
-    for name, direction, p, r in (corpus_transversality_reports()
-                                  + model_transversality_reports()):
+    for name, _f, direction, p, r in (corpus_transversality_reports()
+                                      + model_transversality_reports()):
         if isinstance(r, EngineError) or r.skipped:
             continue
         assert all(r.samples_good.values()), (name, direction, p)
@@ -951,8 +854,8 @@ def test_transversality_flags_are_pinned():
     families only, from p = 2 at dim 4 and from p = 1 at dim 6 (the `family`
     command runs p = -n .. n - 2)."""
     window_fails = set()
-    for name, direction, p, r in (corpus_transversality_reports()
-                                  + model_transversality_reports()):
+    for name, _f, direction, p, r in (corpus_transversality_reports()
+                                      + model_transversality_reports()):
         if isinstance(r, EngineError) or r.skipped:
             continue
         assert r.transversal and r.proportional, (name, direction, p)
@@ -977,3 +880,96 @@ def test_transversality_flags_are_pinned():
     assert window_fails == {(name, direction, p)
                             for (name, direction), ps in want.items()
                             for p in ps}
+
+
+# -- the KS lift and the symplectic frame against the solves they replaced ---------
+
+def reference_kappa_action(f, p, direction):
+    """The KS Clifford action on each closed representative of F^p, lifted
+    as transversality_check did before the del-delbar zig-zag: through the
+    closed forms of the chain U_{<=p+2}, projected to U_{p+2}, together
+    with delbar of U_{p+1}, and read in Gr_F^{p+2}."""
+    base = f.base_structure()
+    m = f.model
+    tw = twisted_cohomology(m)
+    parity = (p + base.n + base.parity) % 2
+    cochain = ks_class(f, direction).cochain
+    closed2 = closed_in_chain(base, p + 2).basis()
+    lift_cols = [base.project(p + 2, Form(m.dim, v)).coeffs for v in closed2]
+    dbar_cols = [base.delbar(Form(m.dim, v)).coeffs
+                 for v in base.U_subspace(p + 1).basis()]
+    lows = reduce_columns(lift_cols + dbar_cols)[0]
+    out = []
+    for r in closed_in_chain(base, p).basis():
+        y = base.cliff_cochain(cochain, base.project(p, Form(m.dim, r)))
+        sol = solve(lows, y.coeffs)
+        assert sol is not None
+        w: Vec = {}
+        for k, c in sol.items():
+            if k < len(closed2):
+                w = vec_axpy(w, c, closed2[k])
+        kc = graded_coords(base, p + 2, tw.coords(w, parity))
+        out.append(kc if kc is not None else {})
+    return out
+
+
+def test_kappa_lift_matches_the_closed_chain_lift():
+    """The zig-zag lift gives the classes in Gr_F^{p+2} of the former lift
+    through the closed forms of U_{<=p+2}, on every corpus family and every
+    family of tests/models, in every direction and at every p."""
+    compared = 0
+    for name, f, direction, p, r in (corpus_transversality_reports()
+                                     + model_transversality_reports()):
+        if isinstance(r, EngineError) or r.skipped:
+            continue
+        assert r.kappa_action == reference_kappa_action(f, p, direction), \
+            (name, direction, p)
+        compared += bool(r.kappa_action)
+    assert compared >= 100
+
+
+def reference_symplectic_frame(f):
+    """The polynomial frame of L_t of a symplectic family as _l_frame built
+    it before: x_i - i i_{x_i} sigma(t) for each i, recombined by the
+    solve that sends their values at the basepoint to the basis of L."""
+    dim = f.model.dim
+    nv = f.nvars
+    sigma = f.omega_t + f.B_t.scale(I)
+    raw = []
+    for i in range(dim):
+        u = [ParamPoly(nv) for _ in range(2 * dim)]
+        u[i] = ParamPoly.const(nv, ONE)
+        for mask, c in sigma.contract_index(i + 1).coeffs.items():
+            u[dim + mask.bit_length() - 1] = c.scale(QI(0, -1))
+        raw.append(u)
+    lows = reduce_columns({k: c.eval(f.basepoint) for k, c in enumerate(u)
+                           if c.eval(f.basepoint)} for u in raw)[0]
+    frame = []
+    for l in f.base_structure().L.basis:
+        sol = solve(lows, l)
+        assert sol is not None
+        u = [ParamPoly(nv) for _ in range(2 * dim)]
+        for k, c in sol.items():
+            for idx in range(2 * dim):
+                u[idx] = u[idx] + raw[k][idx].scale(c)
+        frame.append(u)
+    return frame
+
+
+def test_symplectic_frame_matches_the_solved_frame():
+    """Moving l_a as X_a - i i_{X_a} sigma(t) gives the frame that the
+    former solve recombined, on every symplectic family of the corpus and
+    of tests/models."""
+    checked = 0
+    for name, f in chain(corpus_families(), model_families()):
+        if f.kind != "symplectic":
+            continue
+        try:
+            frame, lbasis = _l_frame(f)
+        except EngineError:
+            continue
+        assert frame == reference_symplectic_frame(f), name
+        assert [{k: c.eval(f.basepoint) for k, c in enumerate(u)
+                 if c.eval(f.basepoint)} for u in frame] == lbasis, name
+        checked += 1
+    assert checked >= 10
