@@ -39,9 +39,8 @@ a structure whose d_H has parts beyond del and delbar.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .errors import EngineError, NotIntegrable, WrongType
+from .errors import EngineError, NotIntegrable, WrongType, record
 from .forms import (Form, SpinOp, blades_by_degree, mukai_dual, popcount,
                     spin_apply)
 from .gcs import GCStruct, form_of_vec
@@ -162,7 +161,7 @@ def delbar_coords(s: GCStruct, k: int, v: Vec) -> Vec | None:
 
 # -- generalized Froelicher spectral sequence --------------------------------------
 
-@dataclass
+@record
 class FrolicherReport:
     pages: dict[int, dict[int, int]]       # r -> {k: dim E_r^k}
     degenerates: bool
@@ -189,8 +188,8 @@ class _DHReduction:
     zero columns are a basis of its closed forms (Zomorodian and Carlsson
     2005); a cycle is formed as a form on first use only.  del lowers k, so
     the order is not triangular and the reduction gives no class
-    coordinates.  (A plain class, not a dataclass, so that importing the
-    module builds nothing more.)"""
+    coordinates.  (A plain class, not a `record`: nothing compares or
+    prints it.)"""
 
     def __init__(self, bases: dict[int, list[Vec]], red: ColumnReduction,
                  vecs: list[Vec]):
@@ -271,7 +270,7 @@ def frolicher_pages(s: GCStruct) -> FrolicherReport:
 
 # -- del-delbar lemma ---------------------------------------------------------------
 
-@dataclass
+@record
 class DdbarReport:
     holds: bool
     im_del_cap_ker_delbar: int
@@ -315,7 +314,7 @@ def ddbar_check(s: GCStruct) -> DdbarReport:
 
 # -- Hodge filtration -----------------------------------------------------------------
 
-@dataclass
+@record
 class HodgeReport:
     twisted_dims: tuple[int, int]
     delbar_dims: dict[int, int]
@@ -463,7 +462,7 @@ def hodge_filtration(s: GCStruct) -> HodgeReport:
 
 # -- Mukai pairing on cohomology --------------------------------------------------------
 
-@dataclass
+@record
 class MukaiQReport:
     rows: list[Vec]    # row i holds the nonzero Q(rep_i, rep_j) by j
     descends: bool
@@ -564,7 +563,7 @@ def _reduce_d(m: LieModel) -> ColumnReduction:
                            [popcount(b) for b in order])
 
 
-@dataclass
+@record
 class LefschetzReport:
     verdicts: dict[int, bool]
     kernel_witness: Form | None
@@ -612,7 +611,7 @@ def lefschetz_check(s: GCStruct) -> LefschetzReport:
 
 # -- complex-type mixed Hodge structure ----------------------------------------------------
 
-@dataclass
+@record
 class MHSReport:
     skipped: str | None
     gr_dims: dict[int, int] | None

@@ -1,4 +1,47 @@
-"""Exception hierarchy shared by all engine modules."""
+"""Exception hierarchy shared by all engine modules, and `record`, the
+field-wise class decorator of the engine's reports."""
+
+
+def record(cls):
+    """Give `cls` the `__init__`, `__eq__` and `__repr__` that
+    `@dataclasses.dataclass` would, from its own annotations in order: every
+    field is required and may be passed by position or keyword, and
+    `__hash__` is None.  Importing `dataclasses` pulls in `inspect` and `ast`,
+    and each class it decorates compiles generated source; this builds three
+    closures."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for key in kwargs:
+            if key in values or key not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected or "
+                                f"repeated argument {key!r}")
+        values.update(kwargs)
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing {missing}")
+        for n in names:
+            setattr(self, n, values[n])
+
+    def fields(obj):
+        return tuple(getattr(obj, n) for n in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({inner})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = None
+    return cls
 
 
 class EngineError(Exception):

@@ -30,15 +30,14 @@ derivative, evaluation, shift and monomial slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import (closed_in_chain, ddbar_check, delbar_coords,
                          delbar_dims, filtration_subspace, graded_coords,
                          invariant_derham, lefschetz_check,
                          twisted_cohomology)
 from .courant import pairing
 from .errors import (EngineError, ExtensionFailed, GraphConditionFailed,
-                     NotClosed, SectionNotClosed, SpinorNotClosed, WrongType)
+                     NotClosed, SectionNotClosed, SpinorNotClosed, WrongType,
+                     record)
 from .forms import Form, mukai_pairing, spin_apply
 from .gcs import (GCStruct, _combine, _powers, _projector_plan,
                   _spinorial_N, complex_J, flat_matrix, form_of_vec,
@@ -140,7 +139,7 @@ class FamilySpec:
 
 # -- validation ------------------------------------------------------------------
 
-@dataclass
+@record
 class FamilyReport:
     ok: bool
     failures: list[tuple[tuple, str]]
@@ -221,7 +220,7 @@ def _frame_graph_blocks(f: FamilySpec):
 
 # -- deformation graphs and Kodaira-Spencer classes -----------------------------------
 
-@dataclass
+@record
 class GraphReport:
     point: tuple
     eps_matrix: Matrix          # conj(L0)-coordinates of eps(l_a)
@@ -290,7 +289,7 @@ def graph_epsilon(f: FamilySpec, pt) -> GraphReport:
     return GraphReport(pt, eps, cochain, roundtrip)
 
 
-@dataclass
+@record
 class KSReport:
     direction: int
     eps_matrix: Matrix
@@ -382,7 +381,7 @@ def q_pairing_poly(a: Form, b: Form, nvars: int) -> ParamPoly:
     return ParamPoly(nvars) + mukai_pairing(a, b)
 
 
-@dataclass
+@record
 class QFlatReport:
     q: ParamPoly
     product_rule_ok: bool
@@ -430,7 +429,7 @@ def q_flatness(f: FamilySpec, s1: Form, s2: Form) -> QFlatReport:
 
 # -- holomorphy ----------------------------------------------------------------------------
 
-@dataclass
+@record
 class HolomorphyReport:
     holomorphic: bool
     residual: Vec
@@ -452,7 +451,7 @@ def holomorphy_check(f: FamilySpec) -> HolomorphyReport:
 
 # -- symplectic filtration tracking ----------------------------------------------------------
 
-@dataclass
+@record
 class SympFiltrationReport:
     skipped: str | None
     per_sample: dict[tuple, bool]
@@ -497,7 +496,7 @@ def symp_filtration_check(f: FamilySpec, p: int) -> SympFiltrationReport:
 
 # -- generalized Calabi-Yau --------------------------------------------------------------------
 
-@dataclass
+@record
 class GCYReport:
     spinor_closed: bool
     iso_dims: tuple[int, int]
@@ -552,7 +551,7 @@ def gcy_check(s: GCStruct) -> GCYReport:
 
 # -- Griffiths transversality -------------------------------------------------------------------
 
-@dataclass
+@record
 class TransversalityReport:
     skipped: str | None
     samples_good: dict[tuple, bool]

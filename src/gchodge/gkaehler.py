@@ -9,7 +9,6 @@ consequences; no adjoint operators or metrics on spinors are constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -17,7 +16,7 @@ from .cohomology import _block_reduction, closed_classes, twisted_cohomology
 from .courant import algebroid_from_basis
 from .errors import (EngineError, MetricNotPositive, NotADecomposition,
                      NotClosedUnderBracket, NotCommuting, NotIsotropic,
-                     SplitNotIntegrable)
+                     SplitNotIntegrable, record)
 from .families import FamilySpec, ks_class
 from .forms import SpinOp, _compose, _table_combine
 from .gcs import GCStruct, _ad_split, form_of_vec, pairing_gram
@@ -106,7 +105,7 @@ def gk_validate(s1: GCStruct, s2: GCStruct) -> GKPair:
 
 # -- bigrading --------------------------------------------------------------------
 
-@dataclass
+@record
 class BigradingReport:
     dims: dict[tuple[int, int], int]
     total_ok: bool
@@ -149,7 +148,7 @@ BIDEGREES = {"delta+": (-1, -1), "delta-": (-1, 1),
 _PLUS = (ONE, ONE)  # coefficients of a sum of two tables
 
 
-@dataclass
+@record
 class DeltaReport:
     residual_ok: bool
     matches_delbar1: bool
@@ -199,7 +198,7 @@ def delta_split_check(pair: GKPair) -> DeltaReport:
 
 # -- bigraded cohomology ----------------------------------------------------------------
 
-@dataclass
+@record
 class BigradedCohomologyReport:
     dims: dict[tuple[int, int], int]
     total_matches_twisted: bool
@@ -263,7 +262,7 @@ def bigraded_cohomology(pair: GKPair) -> BigradedCohomologyReport:
 
 # -- Lie algebroid decompositions ----------------------------------------------------------
 
-@dataclass
+@record
 class SplitCheckReport:
     sum_ok: bool
     squares_ok: bool
@@ -325,7 +324,7 @@ def algebroid_split_check(L: LieAlgebroid, A1: LieAlgebroid,
 
 # -- deformation compatibility ----------------------------------------------------------------
 
-@dataclass
+@record
 class GKDeformationReport:
     samples_gk: dict[tuple, bool]
     plus_ok: bool

@@ -8,11 +8,10 @@ structure blocks ([symplectic]/[complex]/[general]), [family] blocks, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionOdd, DimensionTooLarge, EngineError,
-                     ModelSyntaxError, UnknownGenerator)
+                     ModelSyntaxError, UnknownGenerator, record)
 from .forms import Form, blade_name, popcount
 from .liemodel import LieModel
 from .poly import ParamPoly, PolyMatrix, form_eval, pmat_eval
@@ -32,15 +31,15 @@ MAX_POWER = 64
 MAX_VARIABLES = 8
 
 
-@dataclass
+@record
 class StructBlock:
     kind: str
     name: str
-    data: dict = field(default_factory=dict)
-    line: int = 0
+    data: dict
+    line: int
 
 
-@dataclass
+@record
 class ModelFile:
     dim: int
     structure: list

@@ -17,6 +17,7 @@ from gchodge.forms import Form
 from gchodge.modelfile import MAX_DIM, emit_model, parse_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+MODELS = Path(__file__).resolve().parent / "models"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -96,6 +97,22 @@ def test_exit_code_parse_error(tmp_path):
     bad.write_text("dim = 4\nwhat = ever\n")
     code, out = run_cli("check", str(bad))
     assert code == 2
+
+@pytest.mark.parametrize("command, code, failed", [
+    ("ddbar", 1, ["frolicher pages of main", "ddbar lemma for main"]),
+    ("hodge", 1, ["hodge report for main"]),
+    ("cohomology", 0, []),
+    ("check", 0, []),
+    ("grading", 0, [])])
+def test_iwasawa_fails_the_frolicher_verdicts(command, code, failed):
+    """On the Iwasawa manifold, whose Froelicher spectral sequence does not
+    degenerate at E_1, `ddbar` fails the Froelicher pages and the del-delbar
+    lemma and `hodge` fails its report; the rest pass."""
+    got, out = run_cli(command, str(MODELS / "iwasawa.gcm"), "--json")
+    doc = json.loads(out)
+    assert got == code
+    assert [c["name"] for c in doc["checks"]
+            if c["verdict"] == "fail"] == failed
 
 def test_json_schema():
     code, out = run_cli("cohomology", str(CORPUS / "torus4-complex.gcm"),

@@ -1,6 +1,7 @@
 """Twisted/delbar cohomology, Froelicher pages, ddbar, filtrations, Lefschetz, MHS."""
 
 import copy
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -467,12 +468,11 @@ def test_frolicher_pages_match_intersection_formula():
             "dense-torus6-symplectic:main"} <= set(names)
 
 
-# the Iwasawa manifold: nilpotent complex, and its Froelicher spectral
-# sequence does not degenerate at E_1 (no corpus structure has a nonzero d_r)
-IWASAWA = ("dim = 6\nd e5 = -1 e1^e3 + 1 e2^e4\nd e6 = -1 e1^e4 + -1 e2^e3\n"
-           "H = 0\n\n[complex main]\n"
-           "I = 0, 1, 0, 0, 0, 0; -1, 0, 0, 0, 0, 0; 0, 0, 0, 1, 0, 0; "
-           "0, 0, -1, 0, 0, 0; 0, 0, 0, 0, 0, 1; 0, 0, 0, 0, -1, 0\n")
+# the Iwasawa manifold of tests/models: nilpotent complex, and its Froelicher
+# spectral sequence does not degenerate at E_1 (no corpus structure has a
+# nonzero d_r)
+IWASAWA = (Path(__file__).resolve().parent / "models"
+           / "iwasawa.gcm").read_text()
 
 
 def test_frolicher_iwasawa_does_not_degenerate():

@@ -451,9 +451,11 @@ def corpus_families():
         yield from file_families(path)
 
 
-# the families of tests/models: four on the 6-torus, three on flat4-kahler
+# the families of tests/models: four on the 6-torus, three on flat4-kahler,
+# and on the 4-torus a `general` one whose KS class is nonzero
 FAMILY_MODELS = [MODELS / "torus6-families.gcm",
-                 MODELS / "flat4-families.gcm"]
+                 MODELS / "flat4-families.gcm",
+                 MODELS / "torus4-bfield.gcm"]
 
 
 def model_families():
@@ -782,6 +784,15 @@ TRANSVERSALITY_SHA256 = \
     "745d04118e78ec1ca3ae691be43e1ec960208adc19fe4c2c2f7a494b4f8d0c78"
 MODEL_TRANSVERSALITY_SHA256 = \
     "21696e3d10459787bd9daec4f5a01e8bedb60d7fc22a740bb15700ba27538d69"
+BFIELD_TRANSVERSALITY_SHA256 = \
+    "444d284148bfc0ad26bf24169fefa1a2fc4ca921a098045ac7a4082b3be94320"
+
+
+def model_pins(stems):
+    """The pins of the families of the tests/models files named."""
+    return "\n".join(transversality_pins(
+        r for r in model_transversality_reports()
+        if r[0].split(":")[0] in stems))
 
 
 def test_transversality_vectors_are_pinned():
@@ -797,10 +808,25 @@ def test_transversality_vectors_are_pinned():
 def test_model_family_transversality_vectors_are_pinned():
     """The same pins on the dim-6 and flat4-kahler families of tests/models,
     taken before the extension and the lift were carried by formula."""
-    text = "\n".join(transversality_pins(model_transversality_reports()))
+    text = model_pins({"torus6-families", "flat4-families"})
     assert text.count("\n") >= 80
     assert hashlib.sha256(text.encode()).hexdigest() == \
         MODEL_TRANSVERSALITY_SHA256
+
+
+def test_bfield_family_transversality_vectors_are_pinned():
+    """The same pins on the `general` family of torus4-bfield, whose KS
+    class is nonzero, so that its kappa_action is not all zero."""
+    ks = ks_class(dict(model_families())["torus4-bfield:bfield"], 0)
+    assert ks.closed and not ks.class_is_zero
+    text = model_pins({"torus4-bfield"})
+    assert text.count("\n") >= 8
+    assert any(any(r.kappa_action)
+               for name, _f, _d, _p, r in model_transversality_reports()
+               if name.startswith("torus4-bfield:")
+               and not isinstance(r, EngineError) and not r.skipped)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        BFIELD_TRANSVERSALITY_SHA256
 
 
 def test_transversality_constant_is_2_and_samples_are_good():
@@ -829,17 +855,20 @@ def test_holomorphy_on_the_model_families():
 
 
 def test_family_command_on_the_model_families(capsys):
-    """`family` exits 1 on both files of families: on the window line at
-    p = 1 of three 6-torus families, and on the holomorphy of the families
-    whose omega and B move along different 2-forms."""
+    """`family` exits 1 on the 6-torus and flat4-kahler files of families:
+    on the window line at p = 1 of three 6-torus families, and on the
+    holomorphy of the families whose omega and B move along different
+    2-forms.  It exits 0 on torus4-bfield."""
     from gchodge.cli import main as cli_main
     failed = {}
     for path in FAMILY_MODELS:
-        assert cli_main(["family", str(path), "--json"]) == 1
+        code = cli_main(["family", str(path), "--json"])
         report = json.loads(capsys.readouterr().out)
         failed[path.stem] = [c["name"] for c in report["checks"]
                              if c["verdict"] == "fail"]
+        assert code == (1 if failed[path.stem] else 0), path.stem
     assert failed == {
+        "torus4-bfield": [],
         "torus6-families": ["family scale transversality p=1",
                             "family holo transversality p=1",
                             "family mixed holomorphy",
