@@ -31,8 +31,8 @@ from .scalars import QI
 # The objects the imports above create (about 13k: code objects, functions,
 # classes, tables) live as long as the process.  Freezing them takes them out
 # of the collector's generations, so no collection walks them again; without
-# it, one gen-1 collection of about 0.7 ms walks them all, either during the
-# imports or in the first job of the run.
+# it, a gen-1 collection over them (0.7-0.9 ms) falls either during the
+# imports or in the first job of the run, depending on how much they allocate.
 gc.freeze()
 
 COMMANDS = ("check", "cohomology", "grading", "ddbar", "hodge", "lefschetz",

@@ -7,8 +7,8 @@ def record(cls):
     `@dataclasses.dataclass` would, from its own annotations in order: every
     field is required and may be passed by position or keyword, and
     `__hash__` is None.  Importing `dataclasses` pulls in `inspect` and `ast`,
-    and each class it decorates compiles generated source; this builds three
-    closures."""
+    and each class it decorates compiles generated source; these are plain
+    closures over the field names."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
