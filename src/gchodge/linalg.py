@@ -504,7 +504,8 @@ def mat_inv(a: Matrix) -> Matrix:
         for r in range(n):
             if r != col and work[r][col]:
                 c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
+                work[r] = [x - c * y if y else x
+                           for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
 

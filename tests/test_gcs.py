@@ -115,17 +115,34 @@ def test_make_general_rejects_a_J_that_is_not_orthogonal():
     with pytest.raises(NotOrthogonal, match=r"^<Ja, Jb> != <a, b>$"):
         make_general(ABELIAN4, J)
 
-def test_spinor_must_be_annihilated_by_L():
+def test_spinor_must_be_annihilated_by_L(monkeypatch):
     # U_{-2} of the complex structure is not the pure spinor line of the
-    # symplectic structure's L
-    cx, sp = complex_torus4(), symplectic_torus4()
+    # symplectic structure's L, given to the complex J as its +i eigenspace
+    sp = symplectic_torus4()
+    monkeypatch.setattr(gcs, "_eigenbundle", lambda key: sp.L.basis)
     with pytest.raises(EngineError, match="annihilated by L"):
-        GCStruct(ABELIAN4, cx.J, sp.L)
+        make_general(ABELIAN4, complex_J(std_I(4)))
 
 def test_make_symplectic_twisted_kt():
     s = kt_symplectic_twisted()
     assert s.kind == "symplectic"
     assert KT_TW.d_H(s.spinor).is_zero()
+
+@pytest.mark.parametrize("build", [kt_symplectic_twisted, symplectic_torus4])
+def test_symplectic_J_is_e_B_J0_e_minus_B(build):
+    # the closed-form blocks against the product of the three matrices on
+    # E_C: J0 = [[0, -omega^{-1}], [omega, 0]] and e^{+-B} = [[1, 0], [+-B, 1]]
+    s = build()
+    dim = s.model.dim
+    Mw, MB = flat_matrix(s.omega), flat_matrix(s.B)
+    Mb = mat_inv(Mw)
+    J0, EB, EBi = (mat_identity(2 * dim) for _ in range(3))
+    for i in range(dim):
+        J0[i][i] = J0[dim + i][dim + i] = QI(0)
+        for j in range(dim):
+            J0[i][dim + j], J0[dim + i][j] = -Mb[i][j], Mw[i][j]
+            EB[dim + i][j], EBi[dim + i][j] = MB[i][j], -MB[i][j]
+    assert s.J == mat_mul(EB, mat_mul(J0, EBi))
 
 def test_make_symplectic_degenerate():
     with pytest.raises(DegenerateOmega):
@@ -503,7 +520,7 @@ def one_block_J(draw):
 @given(one_block_J())
 def test_grade_block_matches_per_blade_projection_on_random_J(dim_J):
     dim, J = dim_J
-    gcs._validate_J(LieModel(dim, []), J)
+    gcs._validate_J(dim, J)
     N, n, masks = _spinorial_N(dim, J), dim // 2, range(1 << dim)
     assert _grade_block(N, n, masks, 1 << dim) == project_blades(
         N, n, masks, 1 << dim)
@@ -885,3 +902,98 @@ def test_dual_basis_is_formed_by_the_cochain_action_only(monkeypatch):
     with redirect_stdout(io.StringIO()):
         cli_main(["gcy", str(CORPUS / "torus4-kahler.gcm")])
     assert formed
+
+
+# -- what one J determines, shared by every structure on it ----------------------
+
+NEG_KT_I = [[QI(x) for x in row] for row in
+            ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))]
+KT_I = [[QI(x) for x in row] for row in
+        ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))]
+
+
+def not_integrable_on_kt():
+    with pytest.raises(NotIntegrable) as info:
+        make_complex(KT, NEG_KT_I)
+    return info.value.code, str(info.value), info.value.details
+
+
+@pytest.mark.parametrize("kt_first", [True, False])
+def test_a_J_that_fails_closure_on_one_model_fails_alike_after_another(kt_first):
+    # neg-kt-complex's I is valid on the abelian 4-torus and not integrable
+    # on KT; the witness is the same whether KT meets it first or second
+    witness = ("not-integrable",
+               "+i eigenbundle not Dorfman-closed: [basis[0], basis[1]] "
+               "leaves the span: (-1) x4",
+               {"pair": (0, 1), "residual": "(-1) x4"})
+    if kt_first:
+        assert not_integrable_on_kt() == witness
+    s = make_complex(ABELIAN4, NEG_KT_I)
+    assert s.U_dims == {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1}
+    assert not_integrable_on_kt() == witness
+
+
+def test_structures_on_one_J_share_its_grading_and_keep_their_own_model_data():
+    on_kt, on_torus = make_complex(KT, KT_I), make_complex(ABELIAN4, KT_I)
+    assert on_kt.U is on_torus.U and on_kt.U_dims is on_torus.U_dims
+    assert on_kt.spinor is on_torus.spinor
+    assert on_kt.parity == on_torus.parity
+    assert on_kt.L is not on_torus.L
+    assert on_kt.L.ambient is KT and on_torus.L.ambient is ABELIAN4
+    assert on_kt.dH_parts is not on_torus.dH_parts
+    assert on_kt.dH_parts[-1] and not on_torus.dH_parts[-1]
+    assert on_kt.J is not on_torus.J and on_kt.J == on_torus.J
+
+
+def test_a_J_that_is_not_almost_complex_fails_on_every_build():
+    # neg-torus4-notac's J, the identity of E_C
+    one = [[ONE if i == j else QI(0) for j in range(8)] for i in range(8)]
+    for _ in range(2):
+        with pytest.raises(NotAlmostComplex, match=r"^J\^2 != -1$") as info:
+            make_general(ABELIAN4, one)
+        assert info.value.code == "not-almost-complex"
+
+
+def run_cli(argv) -> tuple[int, str]:
+    from gchodge.cli import main as cli_main
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(argv)
+    return code, buf.getvalue()
+
+
+def test_one_process_over_the_corpus_matches_fresh_runs(monkeypatch):
+    """All 11 commands over corpus/ in one process, files in sorted and then
+    in reversed order, print what each file prints from empty caches; and
+    every cached entry still equals a fresh rebuild afterwards, so no
+    consumer changed a shared basis, grading or spinor."""
+    from gchodge.cli import COMMANDS
+    files = [str(p) for p in sorted(CORPUS.glob("*.gcm"))]
+    fresh = {}
+    for cmd in COMMANDS:
+        for f in files:
+            gcs._eigenbundle.cache_clear()
+            gcs._graded.cache_clear()
+            fresh[cmd, f] = run_cli([cmd, f, "--json"])
+    gcs._eigenbundle.cache_clear()
+    gcs._graded.cache_clear()
+    keys = set()
+    for name in ("_eigenbundle", "_graded"):
+        cached = getattr(gcs, name)
+        monkeypatch.setattr(gcs, name, lambda key, cached=cached:
+                            keys.add(key) or cached(key))
+    for cmd in COMMANDS:
+        code, text = run_cli([cmd, str(CORPUS), "--all", "--json"])
+        assert code == max(fresh[cmd, f][0] for f in files), cmd
+        assert text == "\n".join(fresh[cmd, f][1] for f in files), cmd
+        for f in reversed(files):
+            assert run_cli([cmd, f, "--json"]) == fresh[cmd, f], (cmd, f)
+    monkeypatch.undo()
+    assert len(keys) >= 10
+    for key in keys:
+        for cached in (gcs._eigenbundle, gcs._graded):
+            try:
+                rebuilt = cached.__wrapped__(key)
+            except EngineError:
+                continue
+            assert cached(key) == rebuilt, key
