@@ -290,10 +290,10 @@ class DdbarReport:
 def ddbar_check(s: GCStruct) -> DdbarReport:
     """Im(del) cap Ker(delbar) = Im(delbar) cap Ker(del) = Im(del delbar)."""
     N = 1 << s.model.dim
-    full = Subspace.full(N)
     del_, delbar = _integrable_parts(s)
-    im_del = _image_of(full, del_)
-    im_dbar = _image_of(full, delbar)
+    # the image of an operator on the whole space spans its nonzero columns
+    im_del = Subspace.span(N, del_.values())
+    im_dbar = Subspace.span(N, delbar.values())
     im_dd = _image_of(im_dbar, del_)
     # Im del cap Ker delbar and Im delbar cap Ker del, as the kernels of
     # delbar on Im del and of del on Im delbar

@@ -39,13 +39,18 @@ def blades_by_degree(rank: int) -> list[int]:
 def blade_wedge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint ascending blades:
     the parity of the pairs (i in a, j in b) with i > j."""
-    # bit j of s becomes the parity of the bits of a above j (a suffix xor)
+    return -1 if (_above(a) & b).bit_count() & 1 else 1
+
+
+def _above(a: int) -> int:
+    """The mask whose bit j is the parity of the bits of a above j (a suffix
+    xor): the parity of its meet with a blade b is blade_wedge_sign's."""
     s = a >> 1
     k = 1
     while s >> k:
         s ^= s >> k
         k <<= 1
-    return -1 if (s & b).bit_count() & 1 else 1
+    return s
 
 
 def insert_sign(mask: int, i: int) -> int:

@@ -17,12 +17,14 @@ annihilated by every element of L's basis.
 N is the sum of one operator per block of J, the finest partition of the
 generators (x_i and e^i as one index) that J does not couple, so U_k is the
 sum over sum k_b = k of the wedge products of the blocks' U_{k_b}
-(Gualtieri's product structures), each block graded on its own blades.  A
-blade is the wedge of its blocks' blades up to the sign of sorting them
-(forms.blade_wedge_sign), which the products carry where blocks interleave,
-as kt's {1, 4} and {2, 3} do; one span per U_k makes them canonical.  A J of
-one block is the product of one factor, and no structure keeps a per-blade
-table.
+(Gualtieri's product structures), each block graded on its own blades, with
+the sign of sorting blades (forms.blade_wedge_sign) where blocks interleave,
+as kt's {1, 4} and {2, 3} do.  The wedges of two canonical bases on disjoint
+generators, each scaled by +-1 to be 1 at its pivot, are canonical: their
+pivots are the wedges of the factors' pivots, and each is zero at the
+others.  So a U_k fed by one split (k_1, ..., k_b) needs no echelon, only
+the splits that meet in one U_k are reduced together, and no structure
+keeps a per-blade table.
 
 The part D_s of d_H shifting the grading by s in {-3, -1, 1, 3} (d_H has
 Clifford degree 1 and 3) has [N, D_s] = -is D_s.  With C = [N, d_H], an
@@ -45,19 +47,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial
+from math import factorial, gcd
 
 from .courant import _clifford_vec, algebroid_from_basis, pairing
 from .errors import (BMismatch, DegenerateOmega, EngineError, NotAlmostComplex,
                      NotClosedUnderBracket, NotIntegrable, NotIsotropic,
                      NotOrthogonal, OmegaNotClosed, SpectrumViolation,
                      TwistWrongType, WrongType)
-from .forms import (Form, SpinOp, _compose, _generator_tables, _table_combine,
-                    blade_wedge_sign, popcount, spin_apply)
+from .forms import (Form, SpinOp, _above, _compose, _generator_tables,
+                    _table_combine, popcount, spin_apply)
 from .liemodel import LieAlgebroid, LieModel, _mask_indices
-from .linalg import (Matrix, Subspace, Vec, _acc, _axpy_into, mat_add,
-                     mat_inv, mat_mul, matrix_kernel, vec_conj, vec_scale)
-from .scalars import Half, I, ONE, QI, ZERO, _qi
+from .linalg import (Echelon, Matrix, Subspace, Vec, _acc, _axpy_into,
+                     mat_add, mat_inv, mat_mul, matrix_kernel, vec_conj,
+                     vec_scale)
+from .scalars import Half, I, ONE, QI, ZERO, _new, _qi
 
 
 # -- E_C matrix plumbing -------------------------------------------------------
@@ -93,30 +96,47 @@ def _spinorial_N(dim: int, J: Matrix) -> SpinOp:
     """The table of N = 1/2 sum_{a,b} J[b][a] g_b g_s(a) - tr(J)/4, the image
     of J in the Clifford algebra: g_c is the c-th generator table and s(a)
     the index of the generator dual to the a-th one under the pairing.  The
-    entries of J may be ParamPoly, for a family's J(t)."""
+    entries of J may be ParamPoly, for a family's J(t).
+
+    On a blade, the generator of index i that can act is x_i where the blade
+    holds i and e^i where not.  For i != j the term acting on i first and
+    the one acting on j first reach the same blade with opposite signs, as
+    distinct generators anticommute, so each entry off the diagonal is one
+    difference of two entries of J, formed once per pair i < j and per
+    which of them the blade holds.  The terms on one index return the
+    blade: 1/2 J[i][i] where it lacks i, 1/2 J[dim+i][dim+i] where it holds
+    it, summed bit by bit."""
     gamma = _generator_tables(dim)
-    # per column a of J: the generator applied first, then each nonzero
-    # 1/2 J[b][a] with its generator, x_i before e^i for each i
-    terms = [(gamma[(a + dim) % (2 * dim)],
-              [(gamma[b], J[b][a] * Half) for i in range(dim)
-               for b in (i, dim + i) if J[b][a]])
-             for a in range(2 * dim)]
-    trace = sum((J[a][a] for a in range(2 * dim)), QI(0))
-    shift = -trace * QI(Fraction(1, 4))
+    n2 = 2 * dim
+    pairs = []
+    for j in range(dim):
+        for i in range(j):
+            cases = []
+            for held in range(4):
+                ti = i if held & 1 else dim + i
+                tj = j if held & 2 else dim + j
+                # g_tj g_ti comes from the column a = s(ti) of J, row tj
+                c = (J[tj][(ti + dim) % n2] - J[ti][(tj + dim) % n2]) * Half
+                cases.append((gamma[ti], gamma[tj], c, -c) if c else None)
+            if any(cases):
+                pairs.append((1 << i, 1 << j, cases))
+    lack = [J[i][i] * Half for i in range(dim)]
+    step = [J[dim + i][dim + i] * Half - lack[i] for i in range(dim)]
+    trace = sum((J[a][a] for a in range(n2)), QI(0))
+    diag = [sum(lack, QI(0)) - trace * QI(Fraction(1, 4))]
     N: SpinOp = {}
     for mask in range(1 << dim):
-        col: Vec = {}
-        for first, second in terms:
-            hit = first[mask]
-            if hit is None:
-                continue
-            m1, s1 = hit
-            for gb, c in second:
-                hit = gb[m1]
-                if hit is not None:
-                    _acc(col, hit[0], c if s1 * hit[1] > 0 else -c)
-        if shift:
-            _acc(col, mask, shift)
+        if mask:
+            low = mask & -mask
+            diag.append(diag[mask ^ low] + step[low.bit_length() - 1])
+        col: Vec = {mask: diag[mask]} if diag[mask] else {}
+        for bi, bj, cases in pairs:
+            case = cases[(1 if mask & bi else 0) | (2 if mask & bj else 0)]
+            if case is not None:
+                gi, gj, c, nc = case
+                m1, s1 = gi[mask]
+                m2, s2 = gj[m1]
+                col[m2] = c if s1 == s2 else nc
         if col:
             N[mask] = col
     return N
@@ -237,10 +257,53 @@ def _blocks(J: Matrix, dim: int) -> list[list[int]]:
     return sorted({min(s): sorted(s) for s in block_of}.values())
 
 
-def _wedge_disjoint(u: Vec, v: Vec) -> Vec:
-    """u ^ v for forms on disjoint sets of generators."""
-    return {a | b: x * y if blade_wedge_sign(a, b) > 0 else -(x * y)
-            for a, x in u.items() for b, y in v.items()}
+def _wedge_disjoint(us: list[Vec], vs: list[Vec]) -> list[Vec]:
+    """u ^ v for each u in us and v in vs, canonical bases on disjoint sets
+    of generators, times the sign that makes it 1 at its pivot, the wedge of
+    theirs: it is zero at the wedge of any other pair of their pivots.  Each
+    entry is formed on the (a, b, d) triples with its blade sign folded in."""
+    vs = [(min(v), [(b, y._a, y._b, y._d) for b, y in v.items()]) for v in vs]
+    out = []
+    for u in us:
+        xs = [(a, _above(a), x._a, x._b, x._d) for a, x in u.items()]
+        lead = _above(min(u))
+        for pivot, ys in vs:
+            flip = (lead & pivot).bit_count()
+            w: Vec = {}
+            for a, above, c, e, f in xs:
+                for b, ya, yb, d in ys:
+                    if not yb:
+                        p, q = c * ya, e * ya
+                    elif not e:
+                        p, q = c * ya, c * yb
+                    else:
+                        p, q = c * ya - e * yb, c * yb + e * ya
+                    if ((above & b).bit_count() + flip) & 1:
+                        p, q = -p, -q
+                    d *= f
+                    if d != 1:
+                        g = gcd(p, q, d)
+                        if g != 1:
+                            p, q, d = p // g, q // g, d // g
+                    t = _new(QI)
+                    t._a, t._b, t._d = p, q, d
+                    w[a | b] = t
+            out.append(w)
+    return out
+
+
+def _canonical(groups: list[list[Vec]]) -> list[Vec]:
+    """The canonical basis of the span of independent groups of canonical
+    vectors: one group sorted by pivot, or the other groups inserted into
+    the largest one's echelon."""
+    if len(groups) == 1:
+        return sorted(groups[0], key=min)
+    groups = sorted(groups, key=len, reverse=True)
+    ech = Echelon.of_basis(groups[0])
+    for group in groups[1:]:
+        for v in group:
+            ech.insert(v)
+    return ech.basis()
 
 
 def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
@@ -248,18 +311,28 @@ def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
     the blocks' classes.  A block's N, built on its own blades, is relabelled
     onto the model's, which keep the order of generators, so a block whose
     matrix repeats an earlier block's takes that block's U_k bases with their
-    blades relabelled, and is not graded again; partial products that the
-    blocks still to come cannot raise to k >= 0 are skipped."""
-    cls, prods, rest = 0, {0: [{0: ONE}]}, dim // 2
-    graded: dict[tuple, tuple] = {}     # block matrix -> (cb, masks, bases)
+    blades relabelled, and is not graded again.
+
+    The product starts from the first block's canonical bases.  With each
+    next block, each split k = k' + k_b is a group, the wedges of the bases
+    of the partial U_k' and the block's U_{k_b} (`_wedge_disjoint`), which
+    is canonical: a partial U_k fed by one group is that group sorted by
+    pivot, and the groups that meet in one are independent, as the blocks'
+    gradings are, and are reduced together, so that the next wedges start
+    from sparse canonical bases.  Partial products that the blocks still to
+    come cannot raise to k >= 0 are skipped."""
+    cls, prods, rest = 0, None, dim // 2
+    graded: dict[tuple, tuple] = {}     # block key -> (cb, masks, bases)
     for block in blocks:
         m, nb = len(block), len(block) // 2
         idx = block + [dim + i for i in block]
         masks = [sum(1 << block[j] for j in range(m) if mask >> j & 1)
                  for mask in range(1 << m)]
-        Jb = tuple(tuple(J[r][c] for c in idx) for r in idx)
+        rows = [[J[r][c] for c in idx] for r in idx]
+        # the block's matrix, keyed by its triples as _J_key keys J
+        Jb = tuple((x._a, x._b, x._d) for row in rows for x in row)
         if Jb not in graded:
-            Nb = _spinorial_N(m, Jb)
+            Nb = _spinorial_N(m, rows)
             cb, upper = _grade_block(
                 {masks[a]: {masks[b]: x for b, x in col.items()}
                  for a, col in Nb.items()}, nb, masks, 1 << dim)
@@ -269,16 +342,22 @@ def _product_grading(J: Matrix, dim: int, blocks: list) -> tuple[int, dict]:
         cb, first, bases = graded[Jb]
         relabel = dict(zip(first, masks)) if first is not masks else None
         cls, rest = cls + cb, rest - nb
-        nxt: dict[int, list[Vec]] = {}
+        groups: dict[int, list[list[Vec]]] = {}
         for kb in range(-nb, nb + 1):
             basis = bases[kb] if relabel is None else [
                 {relabel[a]: x for a, x in v.items()} for v in bases[kb]]
+            if not basis:
+                continue
+            if prods is None:
+                if kb + rest >= 0:
+                    groups[kb] = [basis]
+                continue
             for k, vecs in prods.items():
                 if k + kb + rest >= 0:
-                    nxt.setdefault(k + kb, []).extend(
-                        _wedge_disjoint(u, v) for u in vecs for v in basis)
-        prods = nxt
-    return cls % 2, {k: Subspace.span(1 << dim, prods.get(k, ()))
+                    groups.setdefault(k + kb, []).append(
+                        _wedge_disjoint(vecs, basis))
+        prods = {k: _canonical(gs) for k, gs in groups.items()}
+    return cls % 2, {k: Subspace(1 << dim, prods.get(k, []))
                      for k in range(dim // 2 + 1)}
 
 
@@ -398,6 +477,20 @@ class GCStruct:
 
 # -- constructors ---------------------------------------------------------------
 
+def _minus_one_root_columns(M: Matrix, name: str) -> list[Vec]:
+    """M's sparse columns, once M^2 = -1 is checked column by column: M is
+    a square root of -1, as an almost complex J or I must be."""
+    n = len(M)
+    cols = [{i: M[i][j] for i in range(n) if M[i][j]} for j in range(n)]
+    for j, col in enumerate(cols):
+        sq: Vec = {}
+        for i, x in col.items():
+            _axpy_into(sq, x, cols[i])
+        if sq != {j: -ONE}:
+            raise NotAlmostComplex(f"{name}^2 != -1")
+    return cols
+
+
 def _validate_J(dim: int, J: Matrix) -> list[Vec]:
     """J's sparse columns, once J is checked real, J^2 = -1 column by column,
     and <Ja, Jb> = <a, b> on every basis pair: 1/2 for x_i with e^i, else 0."""
@@ -408,13 +501,7 @@ def _validate_J(dim: int, J: Matrix) -> list[Vec]:
         for x in row:
             if not x.is_real():
                 raise NotAlmostComplex("J must have real (rational) entries")
-    cols = [{i: J[i][j] for i in range(n4) if J[i][j]} for j in range(n4)]
-    for j, col in enumerate(cols):
-        sq: Vec = {}
-        for i, x in col.items():
-            _axpy_into(sq, x, cols[i])
-        if sq != {j: -ONE}:
-            raise NotAlmostComplex("J^2 != -1")
+    cols = _minus_one_root_columns(J, "J")
     for a in range(n4):
         for b in range(a, n4):
             if pairing(dim, cols[a], cols[b]) != (
@@ -539,9 +626,7 @@ def make_complex(m: LieModel, Imat: Matrix) -> GCStruct:
     Imat = [[x if isinstance(x, QI) else QI(x) for x in row] for row in Imat]
     if len(Imat) != dim or any(len(r) != dim for r in Imat):
         raise NotAlmostComplex(f"I must be {dim}x{dim}")
-    I2 = mat_mul(Imat, Imat)
-    if I2 != [[QI(-1) if i == j else QI(0) for j in range(dim)] for i in range(dim)]:
-        raise NotAlmostComplex("I^2 != -1")
+    _minus_one_root_columns(Imat, "I")
     h30, h03 = _three_zero_parts(m.H, Imat)
     if not h30.is_zero() or not h03.is_zero():
         raise TwistWrongType(

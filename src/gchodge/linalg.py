@@ -234,10 +234,6 @@ class Subspace:
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, [])
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [{k: ONE} for k in range(ambient)])
-
     @property
     def dim(self) -> int:
         return len(self._basis)
@@ -337,14 +333,16 @@ def matrix_kernel(cols: list[Vec]) -> list[Vec]:
     canonical coefficient vectors (dicts over column indices).  With columns
     numbered from the right, each row of the reduced echelon of the map's
     rows has its largest column as pivot, so the vector of a free column f
-    is 1 at f, zero at the other free ones and -row[f] at each row's pivot."""
+    is 1 at f, zero at the other free ones and -row[f] at each row's pivot.
+    That echelon is the same for any order of the rows; they go in sparsest
+    first, which keeps the rows met by later reductions short."""
     last = len(cols) - 1
     rows: dict = defaultdict(dict)
     for j, col in enumerate(cols):
         for i, x in col.items():
             rows[i][last - j] = x
     ech = Echelon()
-    for row in rows.values():
+    for row in sorted(rows.values(), key=len):
         ech.insert(row)
     kernel = {f: {f: ONE} for f in range(len(cols)) if last - f not in ech._rows}
     for p, row in ech._rows.items():

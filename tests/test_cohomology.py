@@ -100,12 +100,17 @@ def test_ddbar_fails_kt():
     assert not rep.holds
     assert rep.witness is not None
 
+def full_space(ambient):
+    """Every vector of Q(i)^ambient, as the unit vectors."""
+    return Subspace(ambient, [{k: ONE} for k in range(ambient)])
+
+
 def reference_ddbar_check(s):
     """The del-delbar verdict as the engine formed A = Im del cap Ker delbar
     and B = Im delbar cap Ker del before it took them as the kernels of
     delbar on Im del and of del on Im delbar: the full-space kernels of del
     and delbar, intersected with the images in the ambient space."""
-    full = Subspace.full(1 << s.model.dim)
+    full = full_space(1 << s.model.dim)
     del_, delbar = s.dH_parts[-1], s.dH_parts[1]
     im_del = _image_of(full, del_)
     im_dbar = _image_of(full, delbar)
@@ -257,7 +262,7 @@ def test_mukai_q_block_test_fails_on_a_flag_that_is_too_large():
     s = symplectic_torus4()
     flags = dict(once(s, _hodge_flags))
     parity = (-1 + s.n + s.parity) % 2
-    flags[-1] = Subspace.full(twisted_cohomology(s.model).dim(parity))
+    flags[-1] = full_space(twisted_cohomology(s.model).dim(parity))
     s._kept[_hodge_flags] = flags
     rep = mukai_Q(s)
     assert rep.block_orthogonal is False

@@ -168,6 +168,21 @@ def test_make_complex_identity_rejected():
     with pytest.raises(NotAlmostComplex):
         make_complex(ABELIAN4, mat_identity(4))
 
+def sheared_I():
+    # std_I(4) with x1 -> x2 + x3: I^2 x1 = -x1 + x4, off the diagonal
+    M = std_I(4)
+    M[2][0] = ONE
+    return M
+
+@pytest.mark.parametrize("Imat", [
+    [[2 * x for x in row] for row in std_I(4)],     # I^2 = -4
+    mat_identity(4),                                # I^2 = 1
+    sheared_I()])
+def test_make_complex_rejects_an_I_whose_square_is_not_minus_one(Imat):
+    with pytest.raises(NotAlmostComplex, match=r"^I\^2 != -1$") as info:
+        make_complex(ABELIAN4, Imat)
+    assert info.value.code == "not-almost-complex"
+
 def test_make_complex_not_integrable_on_kt():
     # pairing (x1,x3),(x2,x4) is not integrable on Kodaira-Thurston
     M = [[QI(0)] * 4 for _ in range(4)]
@@ -481,11 +496,10 @@ def neg(a):
 
 
 @st.composite
-def one_block_J(draw):
-    """A real J of one block at dim 4 or 6: the standard symplectic or complex
-    J conjugated by A + A^{-T} for a rational A = L U with unit triangular
-    L, U and nonzero entries off the diagonal, then by a B-shift."""
-    dim = draw(st.sampled_from((4, 6)))
+def rational_J(draw, dim):
+    """A real J at an even dim: the standard symplectic or complex J
+    conjugated by A + A^{-T} for a rational A = L U with unit triangular L,
+    U and nonzero entries off the diagonal, then by a B-shift."""
     entry = st.sampled_from([QI(Fraction(a, b)) for a in (1, -1, 2, -2, 3)
                              for b in (1, 2)])
     zero, one = [[QI(0)] * dim for _ in range(dim)], mat_identity(dim)
@@ -509,6 +523,14 @@ def one_block_J(draw):
         block_matrix(A, zero, zero, [list(r) for r in zip(*Ai)]), J0,
         block_matrix(Ai, zero, zero, [list(r) for r in zip(*A)]),
         block_matrix(one, zero, neg(MB), one)])
+    return J
+
+
+@st.composite
+def one_block_J(draw):
+    """A rational_J of one block at dim 4 or 6."""
+    dim = draw(st.sampled_from((4, 6)))
+    J = draw(rational_J(dim))
     assume(len(_blocks(J, dim)) == 1)
     return dim, J
 

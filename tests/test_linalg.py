@@ -582,3 +582,19 @@ def test_reduction_matches_the_tracked_echelon_reference(case):
     a = Subspace.span(n, cols[:half] + targets[1:])
     b = Subspace.span(n, cols[half:] + targets[:1])
     assert a.intersect(b) == tracked_intersect(a, b)
+
+
+# half the kernel budget: drawing the shuffles costs more than the kernels
+@settings(max_examples=KERNEL_EXAMPLES // 2, deadline=None, derandomize=True,
+          database=None)
+@given(case=column_sets(), data=st.data())
+def test_matrix_kernel_is_the_same_for_shuffled_rows(case, data):
+    """matrix_kernel reads the kernel off the fully reduced echelon of the
+    map's rows, which no order of inserting them changes: renumbering the
+    rows and shuffling each column's entries, which reorders the rows of
+    each length, leaves the kernel as it is."""
+    n, cols, _, _ = case
+    perm = data.draw(st.permutations(range(n)))
+    shuffled = [{perm[i]: x for i, x in data.draw(st.permutations(
+        list(col.items())))} for col in cols]
+    assert matrix_kernel(shuffled) == matrix_kernel(cols)
